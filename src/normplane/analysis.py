@@ -433,13 +433,22 @@ def maslov_index(L: LegendreCurve, cp: Optional[CurvaturePair] = None) -> dict:
         raise NotAFront(f"alpha and kappa both vanish near t = {t_bad:.6g}")
 
     cusps, degenerate = _detect_cusps(cp)
+    word = _zigzag_word(cusps, degenerate)
+    return _zigzag_invariant(cp, word, _detect_inflections(cp))
+
+
+def _zigzag_word(cusps, degenerate):
+    """Reduced zig/zag word length of a closed front's cusps."""
     if degenerate:
         raise NotAFront("degenerate singular points present; front is not generic")
     if len(cusps) % 2 != 0:
         raise MethodsDisagree("odd cusp count on a closed front; grid too coarse")
-    word = _reduce_cyclic_word(["a" if c.kind == "zig" else "b" for c in cusps])
+    return _reduce_cyclic_word(["a" if c.kind == "zig" else "b" for c in cusps])
 
-    infl = _detect_inflections(cp)
+
+def _zigzag_invariant(cp: CurvaturePair, word: int, infl) -> dict:
+    """Check the word against the flip/flop and rotation counts (see
+    maslov_index) and return all three."""
     n_flip = sum(1 for i in infl if i.kind == "flip")
     n_flop = sum(1 for i in infl if i.kind == "flop")
     if (n_flip - n_flop) % 2 != 0:
@@ -473,8 +482,10 @@ def singularity_report(L: LegendreCurve, cp: Optional[CurvaturePair] = None) -> 
 
     maslov = None
     if L.closed:
+        # the detectors above already ran on cp; maslov_index would rerun them
         try:
-            maslov = maslov_index(L, cp)
+            maslov = _zigzag_invariant(cp, _zigzag_word(cusps, degenerate),
+                                       inflections)
         except (NotAFront, MethodsDisagree):
             maslov = None
 

@@ -105,7 +105,7 @@ def get_curve(name: str, plane: NormedPlane = None, samples=2048, **params) -> P
 
 def get_normal(name: str, plane: NormedPlane = None):
     """Shipped analytic normal fields, where the catalog knows one."""
-    if name == "astroid":
+    if name == "astroid" and (plane is None or plane.spec.kind == "euclidean"):
         return astroid_normal()
     if name == "unit_circle_of_norm" and plane is not None:
         return unit_circle_normal(plane)

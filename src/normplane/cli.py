@@ -80,12 +80,25 @@ _PRECONDITION_ERRORS = (KappaVanishes, RhoDegenerate, NotAFront, NotClosed,
 def _norm_spec(cfg) -> NormSpec:
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigError("norm config needs a 'kind'")
+    try:
+        p = float(cfg.get("p", 2.0))
+        table_size = int(cfg.get("grid", 4096))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"norm 'p' and 'grid' must be numbers: {exc}") from exc
     return NormSpec(
         kind=cfg["kind"],
-        p=float(cfg.get("p", 2.0)),
+        p=p,
         coefficients=tuple(cfg.get("coefficients", ())),
-        table_size=int(cfg.get("grid", 4096)),
+        table_size=table_size,
     )
+
+
+def _domain(value):
+    try:
+        t0, t1 = (float(v) for v in value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"curve domain must be two numbers [t0, t1], got {value!r}") from exc
+    return t0, t1
 
 
 def _curve_from_csv(path, closed, samples):
@@ -117,7 +130,7 @@ def build_curve_and_pair(plane, ccfg, samples_override=None):
     if kind == "expression":
         fx = compile_expression(ccfg["x"])
         fy = compile_expression(ccfg["y"])
-        domain = tuple(float(v) for v in ccfg["domain"])
+        domain = _domain(ccfg["domain"])
 
         def pos(t):
             t = np.asarray(t, dtype=float)
@@ -140,7 +153,7 @@ def build_curve_and_pair(plane, ccfg, samples_override=None):
                                 samples)
         return legendre_from_curve(plane, curve)
     if kind == "synthesis":
-        domain = tuple(float(v) for v in ccfg.get("domain", (0.0, 2.0 * np.pi)))
+        domain = _domain(ccfg.get("domain", (0.0, 2.0 * np.pi)))
         spec = SynthesisSpec(
             alpha=compile_expression(ccfg["alpha"]),
             kappa=compile_expression(ccfg["kappa"]),
@@ -175,6 +188,8 @@ def _analysis_outputs(L: LegendreCurve, report_extra=None):
 
 def run(config: dict, out_dir: str = None, samples: int = None) -> int:
     """Execute one configuration; returns the exit code."""
+    if not isinstance(config, dict):
+        raise ConfigError("config must be a JSON object")
     plane = build_plane(_norm_spec(config.get("norm", {"kind": "euclidean"})))
     L = build_curve_and_pair(plane, config.get("curve", {}), samples)
     op = config.get("operation", {"kind": "analyze"})

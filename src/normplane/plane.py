@@ -26,12 +26,31 @@ from .numerics import TWO_PI, gauss5_segments, golden_minimize, unwrap_mod
 
 UNIT_TOL = 1e-9
 
+# tangent_theta: Newton steps before the bisection fallback, the step size
+# accepted as converged, the turning rate below which a direction counts as a
+# flat point, and the block size that bounds the memory of large batches
+NEWTON_STEPS = 4
+NEWTON_TOL = 1e-10
+TURNING_RATE_MIN = 1e-2
+TANGENT_BLOCK = 8192
+
 
 def symplectic(a, b):
     """Fixed area form [a, b] = a_x b_y - a_y b_x."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+def _swept_angle(w0, w):
+    """Angle from w0 to w, for directions less than pi apart (every psi table
+    cell sweeps less than pi/2)."""
+    return np.arctan2(symplectic(w0, w), w0[..., 0] * w[..., 0] + w0[..., 1] * w[..., 1])
+
+
+def _turning_rate(d1, d2):
+    """psi' = [c', c'']/|c'|^2, the rate of the tangent angle along the circle."""
+    return symplectic(d1, d2) / (d1[..., 0] ** 2 + d1[..., 1] ** 2)
 
 
 @dataclass(frozen=True)
@@ -68,60 +87,43 @@ class _RadialProfile:
                 raise BadParameter("fourier_radial needs at least one coefficient")
             self.coef = np.asarray(spec.coefficients, dtype=float)
 
-    def r(self, theta):
+    def jet(self, theta, order):
+        """[r, r', r''][:order + 1] at theta; the orders share their work."""
         theta = np.asarray(theta, dtype=float)
         if self.kind == "euclidean":
-            return np.ones_like(theta)
-        if self.kind == "lp":
-            g = np.abs(np.cos(theta)) ** self.p + np.abs(np.sin(theta)) ** self.p
-            return g ** (-1.0 / self.p)
-        return self._fourier(theta, 0)
-
-    def r1(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        if self.kind == "euclidean":
-            return np.zeros_like(theta)
-        if self.kind == "lp":
-            p = self.p
-            c, s = np.cos(theta), np.sin(theta)
-            g = np.abs(c) ** p + np.abs(s) ** p
-            g1 = p * (-s * np.sign(c) * np.abs(c) ** (p - 1.0)
-                      + c * np.sign(s) * np.abs(s) ** (p - 1.0))
-            return (-1.0 / p) * g ** (-1.0 / p - 1.0) * g1
-        return self._fourier(theta, 1)
-
-    def r2(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        if self.kind == "euclidean":
-            return np.zeros_like(theta)
-        if self.kind == "lp":
-            p = self.p
-            c, s = np.cos(theta), np.sin(theta)
-            ac, asn = np.abs(c), np.abs(s)
+            return [np.ones_like(theta)] + [np.zeros_like(theta) for _ in range(order)]
+        if self.kind == "fourier_radial":
+            out = [np.zeros_like(theta) for _ in range(order + 1)]
+            for k, a in enumerate(self.coef):
+                w = 2.0 * k
+                cos = np.cos(w * theta)
+                out[0] = out[0] + a * cos
+                if order >= 1:
+                    out[1] = out[1] - a * w * np.sin(w * theta)
+                if order >= 2:
+                    out[2] = out[2] - a * w * w * cos
+            return out
+        p = self.p
+        c, s = np.cos(theta), np.sin(theta)
+        ac, asn = np.abs(c), np.abs(s)
+        cp, sp = ac ** p, asn ** p
+        g = cp + sp
+        out = [g ** (-1.0 / p)]
+        if order >= 1:
+            g1 = p * (-s * np.sign(c) * ac ** (p - 1.0) + c * np.sign(s) * asn ** (p - 1.0))
+            out.append((-1.0 / p) * g ** (-1.0 / p - 1.0) * g1)
+        if order >= 2:
             if p < 2.0:
                 # keep |.|^(p-2) bounded inside the guard band near axis points
                 ac = np.maximum(ac, self.GUARD)
                 asn = np.maximum(asn, self.GUARD)
-            g = np.abs(c) ** p + np.abs(s) ** p
-            g1 = p * (-s * np.sign(c) * np.abs(c) ** (p - 1.0)
-                      + c * np.sign(s) * np.abs(s) ** (p - 1.0))
-            g2 = p * (-np.abs(c) ** p - np.abs(s) ** p
-                      + (p - 1.0) * (s * s * ac ** (p - 2.0) + c * c * asn ** (p - 2.0)))
+            g2 = p * (-cp - sp + (p - 1.0) * (s * s * ac ** (p - 2.0) + c * c * asn ** (p - 2.0)))
             e = -1.0 / p
-            return e * (e - 1.0) * g ** (e - 2.0) * g1 ** 2 + e * g ** (e - 1.0) * g2
-        return self._fourier(theta, 2)
-
-    def _fourier(self, theta, order):
-        out = np.zeros_like(theta)
-        for k, a in enumerate(self.coef):
-            w = 2.0 * k
-            if order == 0:
-                out = out + a * np.cos(w * theta)
-            elif order == 1:
-                out = out - a * w * np.sin(w * theta)
-            else:
-                out = out - a * w * w * np.cos(w * theta)
+            out.append(e * (e - 1.0) * g ** (e - 2.0) * g1 ** 2 + e * g ** (e - 1.0) * g2)
         return out
+
+    def r(self, theta):
+        return self.jet(theta, 0)[0]
 
 
 class NormedPlane:
@@ -151,15 +153,13 @@ class NormedPlane:
 
     def circle_d1(self, theta):
         theta = np.asarray(theta, dtype=float)
-        r, r1 = self._profile.r(theta), self._profile.r1(theta)
+        r, r1 = self._profile.jet(theta, 1)
         c, s = np.cos(theta), np.sin(theta)
         return np.stack([r1 * c - r * s, r1 * s + r * c], axis=-1)
 
     def circle_d2(self, theta):
         theta = np.asarray(theta, dtype=float)
-        r = self._profile.r(theta)
-        r1 = self._profile.r1(theta)
-        r2 = self._profile.r2(theta)
+        r, r1, r2 = self._profile.jet(theta, 2)
         c, s = np.cos(theta), np.sin(theta)
         return np.stack([(r2 - r) * c - 2.0 * r1 * s,
                          (r2 - r) * s + 2.0 * r1 * c], axis=-1)
@@ -207,6 +207,7 @@ class NormedPlane:
         if abs((psi[-1] - psi[0]) - TWO_PI) > 1e-8:
             raise ConvexityViolation("tangent angle winding differs from one turn")
         self._psi_nodes = psi
+        self._d1_nodes = d1
         self._theta_of_psi = PchipInterpolator(psi, th)
 
         norm_on_circle = self.norm(c)
@@ -266,42 +267,76 @@ class NormedPlane:
         return self.circle_point(self.theta_of_arclength(u))
 
     def _psi_prime(self, theta):
-        d1 = self.circle_d1(theta)
-        d2 = self.circle_d2(theta)
-        return symplectic(d1, d2) / (d1[..., 0] ** 2 + d1[..., 1] ** 2)
+        return _turning_rate(self.circle_d1(theta), self.circle_d2(theta))
 
     def tangent_theta(self, chi):
         """theta whose tangent direction has angle chi.
 
-        psi is monotone but its rate may vanish at isolated points (lp with
-        odd p), so the inverse is solved by bracketed bisection on the table
-        cell rather than Newton.
+        Each direction is solved inside its psi table cell by Newton on the
+        swept angle, seeded from the monotone-cubic inverse table and kept
+        inside a shrinking bracket (a step that leaves it is replaced by the
+        midpoint). psi is monotone but its rate may vanish at isolated points
+        (lp with odd p), where Newton is ill-conditioned: directions whose
+        turning rate falls below TURNING_RATE_MIN, or that do not converge
+        within NEWTON_STEPS, are solved by bisection on their whole cell.
+        Large batches are processed in blocks of TANGENT_BLOCK directions.
         """
         chi = np.asarray(chi, dtype=float)
         shape = chi.shape
-        chi = np.atleast_1d(chi)
-        psi0 = self._psi_nodes[0]
-        lift = psi0 + np.mod(chi - psi0, TWO_PI)
-        j = np.clip(np.searchsorted(self._psi_nodes, lift) - 1, 0, self._n - 1)
-        lo = self._theta_nodes[j].copy()
-        hi = self._theta_nodes[j + 1].copy()
-        target = lift - self._psi_nodes[j]
-        w_lo = self.circle_d1(lo)
-        for _ in range(42):
-            mid = 0.5 * (lo + hi)
-            w = self.circle_d1(mid)
-            # angle swept from the cell's left edge; cell sweeps stay < pi/2
-            dpsi = np.arctan2(symplectic(w_lo, w),
-                              w_lo[..., 0] * w[..., 0] + w_lo[..., 1] * w[..., 1])
-            high = dpsi > target
-            hi = np.where(high, mid, hi)
-            lo = np.where(high, lo, mid)
-        theta = 0.5 * (lo + hi)
+        chi = np.atleast_1d(chi).ravel()
+        theta = np.empty_like(chi)
+        for s in range(0, chi.size, TANGENT_BLOCK):
+            theta[s:s + TANGENT_BLOCK] = self._tangent_theta_block(
+                chi[s:s + TANGENT_BLOCK])
         w = self.circle_d1(theta)
         res = (np.arctan2(w[..., 1], w[..., 0]) - chi + np.pi) % TWO_PI - np.pi
         if np.max(np.abs(res)) > 1e-9:
             raise NoConvergence("supporting-direction inversion did not converge")
         return np.mod(theta, TWO_PI).reshape(shape)
+
+    def _tangent_theta_block(self, chi):
+        psi0 = self._psi_nodes[0]
+        lift = psi0 + np.mod(chi - psi0, TWO_PI)
+        j = np.clip(np.searchsorted(self._psi_nodes, lift) - 1, 0, self._n - 1)
+        cell_lo = self._theta_nodes[j]
+        cell_hi = self._theta_nodes[j + 1]
+        target = lift - self._psi_nodes[j]
+        w_lo = self._d1_nodes[j]
+        lo, hi = cell_lo, cell_hi
+        theta = np.clip(self._theta_of_psi(lift), lo, hi)
+        active = np.ones(chi.shape, dtype=bool)
+        converged = np.zeros(chi.shape, dtype=bool)
+        for _ in range(NEWTON_STEPS):
+            w = self.circle_d1(theta)
+            rate = _turning_rate(w, self.circle_d2(theta))
+            excess = _swept_angle(w_lo, w) - target
+            hi = np.where(excess > 0.0, theta, hi)
+            lo = np.where(excess > 0.0, lo, theta)
+            steep = rate > TURNING_RATE_MIN
+            step = excess / np.where(steep, rate, 1.0)
+            newton = theta - step
+            safe = steep & (newton >= lo) & (newton <= hi)
+            theta = np.where(active, np.where(safe, newton, 0.5 * (lo + hi)), theta)
+            done = safe & (np.abs(step) <= NEWTON_TOL)
+            converged |= active & done
+            # flat points leave Newton for good: the bisection below takes them
+            active &= steep & ~done
+            if not np.any(active):
+                break
+        flat = ~converged
+        if np.any(flat):
+            theta[flat] = self._bisect_cell(cell_lo[flat], cell_hi[flat],
+                                            w_lo[flat], target[flat])
+        return theta
+
+    def _bisect_cell(self, lo, hi, w_lo, target):
+        """Root of swept angle = target on [lo, hi] by 42 halvings."""
+        for _ in range(42):
+            mid = 0.5 * (lo + hi)
+            high = _swept_angle(w_lo, self.circle_d1(mid)) > target
+            hi = np.where(high, mid, hi)
+            lo = np.where(high, lo, mid)
+        return 0.5 * (lo + hi)
 
     def normal_from_tangent(self, w):
         """Unit z whose supporting direction b(z) is positively parallel to w."""
@@ -402,8 +437,7 @@ class NormedPlane:
         de = (w[..., 0] * wp[..., 0] + w[..., 1] * wp[..., 1]) / e
         ang = np.arctan2(w[..., 1], w[..., 0])
         dang = symplectic(w, wp) / e2
-        r = self._profile.r(ang)
-        r1 = self._profile.r1(ang)
+        r, r1 = self._profile.jet(ang, 1)
         n = e / r
         dn = de / r - e * r1 * dang / (r * r)
         return wp / n[..., None] - w * (dn / (n * n))[..., None]

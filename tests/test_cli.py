@@ -240,3 +240,36 @@ def test_svg_structure(tmp_path):
     assert svg.count("<circle") == 3
     with pytest.raises(IoError):
         emit_svg(tmp_path / "none.svg", [])
+
+
+@pytest.mark.parametrize("norm", [{"kind": "lp", "p": 3.0},
+                                  {"kind": "fourier_radial",
+                                   "coefficients": [1.0, 0.08]}])
+def test_astroid_analyze_non_euclidean(tmp_path, norm):
+    # the catalog's closed-form astroid normal is unit only in the euclidean
+    # norm; other norms take the induced normal extended through the cusps
+    out = tmp_path / "astroid.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "norm": norm,
+        "curve": {"kind": "catalog", "name": "astroid"},
+        "operation": {"kind": "analyze"},
+        "output": {"report": str(out)},
+    }))
+    assert main(["run", str(cfg)]) == 0
+    assert json.loads(out.read_text())["counts"]["cusps"] == 4
+
+
+@pytest.mark.parametrize("config", [
+    {"norm": {"kind": "lp", "p": "abc"}},
+    [],
+    {"curve": {"kind": "expression", "x": "cos(t)", "y": "sin(t)",
+               "domain": [0.0]}},
+], ids=["p-not-a-number", "top-level-list", "one-element-domain"])
+def test_malformed_config_exits_2(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    assert "Traceback" not in err

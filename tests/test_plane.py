@@ -10,6 +10,7 @@ from normplane.errors import (
     ZeroVector,
 )
 from normplane.plane import (
+    TANGENT_BLOCK,
     NormSpec,
     build_plane,
     is_birkhoff_orthogonal,
@@ -230,3 +231,61 @@ def test_plane_tables_self_consistent(l3, fourier_oval):
         assert np.all(np.diff(u[:-1]) > 0.0)
         back = plane.theta_of_arclength(u[:-1])
         assert np.max(np.abs(back - np.mod(th[:-1], TWO_PI))) < 1e-8
+
+
+def _bisection_tangent_theta(plane, chi):
+    """Reference inverse of the supporting map: 42 lock-step bisection steps
+    on the psi table cell of each direction."""
+    chi = np.atleast_1d(np.asarray(chi, dtype=float))
+    psi0 = plane._psi_nodes[0]
+    lift = psi0 + np.mod(chi - psi0, TWO_PI)
+    j = np.clip(np.searchsorted(plane._psi_nodes, lift) - 1, 0, plane._n - 1)
+    lo = plane._theta_nodes[j].copy()
+    hi = plane._theta_nodes[j + 1].copy()
+    target = lift - plane._psi_nodes[j]
+    w_lo = plane.circle_d1(lo)
+    for _ in range(42):
+        mid = 0.5 * (lo + hi)
+        w = plane.circle_d1(mid)
+        dpsi = np.arctan2(symplectic(w_lo, w),
+                          w_lo[..., 0] * w[..., 0] + w_lo[..., 1] * w[..., 1])
+        high = dpsi > target
+        hi = np.where(high, mid, hi)
+        lo = np.where(high, lo, mid)
+    return np.mod(0.5 * (lo + hi), TWO_PI)
+
+
+def _angle_gap(a, b):
+    return np.abs((a - b + np.pi) % TWO_PI - np.pi)
+
+
+@pytest.mark.parametrize("spec", [
+    NormSpec("euclidean"),
+    NormSpec("lp", p=2.5),
+    NormSpec("lp", p=3.0),
+    NormSpec("lp", p=5.0),
+    NormSpec("fourier_radial", coefficients=(1.0, 0.08)),
+], ids=["euclidean", "lp2.5", "lp3", "lp5", "fourier"])
+def test_tangent_theta_matches_bisection_reference(spec):
+    plane = build_plane(spec)
+    rng = np.random.default_rng(17)
+    # axis and diagonal directions are the flat points of odd-p lp circles
+    special = np.arange(8) * (np.pi / 4.0)
+    special = np.concatenate([special + d for d in (0.0, 1e-12, -1e-12, 1e-9, -1e-9)])
+    special = (special + np.pi) % TWO_PI - np.pi
+    chi = np.concatenate([special, rng.uniform(-np.pi, np.pi, 20000)])
+    assert chi.size > TANGENT_BLOCK
+
+    got = plane.tangent_theta(chi)
+    assert got.shape == chi.shape
+    assert np.max(_angle_gap(got, _bisection_tangent_theta(plane, chi))) <= 1e-12
+
+    # batch entries, in both blocks, equal their scalar calls
+    idx = np.concatenate([np.arange(special.size),
+                          np.arange(special.size, chi.size, 97),
+                          [TANGENT_BLOCK - 1, TANGENT_BLOCK, chi.size - 1]])
+    scalar = np.array([plane.tangent_theta(chi[i]) for i in idx])
+    assert np.max(_angle_gap(scalar, got[idx])) <= 1e-14
+
+    one = plane.tangent_theta(0.3)
+    assert isinstance(one, np.ndarray) and one.shape == ()
