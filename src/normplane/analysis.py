@@ -297,13 +297,14 @@ def _detect_cusps(cp: CurvaturePair):
     arate_scale = max(float(np.max(np.abs(
         np.gradient(cp.alpha, cp.ts)))), 1e-300)
     cusps, degenerate = [], []
-    for t in roots:
-        da = float(cp.alpha_rate_at(t))
-        kv = float(cp.kappa_at(t))
-        if abs(da) > REL_ZERO * arate_scale and abs(kv) > REL_ZERO * cp.kappa_scale:
-            cusps.append(Cusp(t, "zig" if kv > 0.0 else "zag", da))
-        else:
-            degenerate.append(t)
+    if roots:
+        rates = cp.alpha_rate_at(np.asarray(roots)).tolist()
+        kvals = cp.kappa_at(np.asarray(roots)).tolist()
+        for t, da, kv in zip(roots, rates, kvals):
+            if abs(da) > REL_ZERO * arate_scale and abs(kv) > REL_ZERO * cp.kappa_scale:
+                cusps.append(Cusp(t, "zig" if kv > 0.0 else "zag", da))
+            else:
+                degenerate.append(t)
     # alpha zeros that are not sign crossings (even-order contact) are
     # singular too; refine the deepest dip of each |alpha| valley and keep
     # those where alpha' vanishes as well
@@ -339,20 +340,19 @@ def _detect_inflections(cp: CurvaturePair):
     period = cp.span if cp.closed else None
     floor = max(NOISE_FLOOR * cp.kappa_scale, sampled_noise_floor(cp.kappa))
     roots = sign_crossings(cp.ts, cp.kappa, floor, cp.kappa_at, period=period)
-    out = []
-    for t in roots:
-        av = float(cp.alpha_at(t))
-        if abs(av) <= REL_ZERO * cp.alpha_scale:
-            continue
-        dk = float(cp.kappa_rate_at(t))
-        out.append(Inflection(t, "flip" if av * dk > 0.0 else "flop"))
-    return out
+    if not roots:
+        return []
+    avals = cp.alpha_at(np.asarray(roots)).tolist()
+    rates = cp.kappa_rate_at(np.asarray(roots)).tolist()
+    return [Inflection(t, "flip" if av * dk > 0.0 else "flop")
+            for t, av, dk in zip(roots, avals, rates)
+            if abs(av) > REL_ZERO * cp.alpha_scale]
 
 
 def _detect_vertices(cp: CurvaturePair, degenerate_singular):
     """Critical points of alpha/kappa on windows where kappa is resolvable."""
     ok = np.abs(cp.kappa) > REL_ZERO * cp.kappa_scale
-    verts = []
+    roots = []
     all_vertices = False
     if np.all(ok):
         g_rate = cp.ratio_rate_at(cp.ts)
@@ -367,9 +367,6 @@ def _detect_vertices(cp: CurvaturePair, degenerate_singular):
             period = cp.span if cp.closed else None
             roots = sign_crossings(cp.ts, g_rate, noise, cp.ratio_rate_at,
                                    period=period)
-            for t in roots:
-                verts.append(Vertex(t, abs(float(cp.alpha_at(t)))
-                                    > REL_ZERO * cp.alpha_scale))
     else:
         # vertex search restricted to contiguous windows of resolvable kappa
         period = cp.span if cp.closed else None
@@ -385,13 +382,16 @@ def _detect_vertices(cp: CurvaturePair, degenerate_singular):
             g_rate = cp.ratio_rate_at(tw[4:-4])
             noise = max(1e-7 * float(np.max(np.abs(g_rate))),
                         sampled_noise_floor(g_rate), 1e-300)
-            roots = sign_crossings(tw[4:-4], g_rate, noise, cp.ratio_rate_at,
-                                   period=None)
-            for t in roots:
+            for t in sign_crossings(tw[4:-4], g_rate, noise, cp.ratio_rate_at,
+                                    period=None):
                 if cp.closed:
                     t = cp.domain[0] + (t - cp.domain[0]) % cp.span
-                verts.append(Vertex(t, abs(float(cp.alpha_at(t)))
-                                    > REL_ZERO * cp.alpha_scale))
+                roots.append(t)
+    verts = []
+    if roots:
+        avals = cp.alpha_at(np.asarray(roots)).tolist()
+        verts = [Vertex(t, abs(av) > REL_ZERO * cp.alpha_scale)
+                 for t, av in zip(roots, avals)]
     # a degenerate singular point is itself a vertex; keep one entry when the
     # crossing scan already found it
     tol = 1e-6 * cp.span

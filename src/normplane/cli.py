@@ -69,6 +69,8 @@ EXIT_VALIDATION = 3
 EXIT_NUMERIC = 4
 EXIT_PRECONDITION = 5
 
+MIN_SAMPLES = 8     # the shortest grid the detectors' noise estimate accepts
+
 _VALIDATION_ERRORS = (PlaneValidationError, ResidualViolation, LimitsDisagree)
 _NUMERIC_ERRORS = (NoConvergence, MethodsDisagree, DegenerateFrame,
                    ExpressionDomainError)
@@ -80,17 +82,36 @@ _PRECONDITION_ERRORS = (KappaVanishes, RhoDegenerate, NotAFront, NotClosed,
 def _norm_spec(cfg) -> NormSpec:
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigError("norm config needs a 'kind'")
+    coefficients = cfg.get("coefficients", [])
+    if not isinstance(coefficients, list):
+        raise ConfigError(f"norm 'coefficients' must be a list, got {coefficients!r}")
     try:
         p = float(cfg.get("p", 2.0))
         table_size = int(cfg.get("grid", 4096))
+        coefficients = tuple(float(c) for c in coefficients)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"norm 'p' and 'grid' must be numbers: {exc}") from exc
+        raise ConfigError(
+            f"norm 'p', 'grid' and 'coefficients' must be numbers: {exc}") from exc
     return NormSpec(
         kind=cfg["kind"],
         p=p,
-        coefficients=tuple(cfg.get("coefficients", ())),
+        coefficients=coefficients,
         table_size=table_size,
     )
+
+
+def _section(cfg, key, default):
+    """cfg[key] (or `default`), which must be a JSON object."""
+    value = cfg.get(key, default)
+    if not isinstance(value, dict):
+        raise ConfigError(f"'{key}' must be a JSON object, got {value!r}")
+    return value
+
+
+def _samples(value):
+    if isinstance(value, bool) or not isinstance(value, int) or value < MIN_SAMPLES:
+        raise ConfigError(f"'samples' must be an integer >= {MIN_SAMPLES}, got {value!r}")
+    return value
 
 
 def _domain(value):
@@ -111,8 +132,8 @@ def _curve_from_csv(path, closed, samples):
             raise ConfigError(f"csv {path} lacks column {col!r}")
     ts = np.asarray(raw["t"], dtype=float)
     pts = np.stack([raw["x"], raw["y"]], axis=-1).astype(float)
-    if len(ts) < 8:
-        raise ConfigError("csv curve needs at least 8 samples")
+    if len(ts) < MIN_SAMPLES:
+        raise ConfigError(f"csv curve needs at least {MIN_SAMPLES} samples")
     if closed:
         ts = np.append(ts, ts[0] + (ts[1] - ts[0]) * len(ts))
         pts = np.vstack([pts, pts[:1]])
@@ -125,8 +146,11 @@ def _curve_from_csv(path, closed, samples):
 
 
 def build_curve_and_pair(plane, ccfg, samples_override=None):
+    if not isinstance(ccfg, dict):
+        raise ConfigError(f"a curve must be a JSON object, got {ccfg!r}")
     kind = ccfg.get("kind")
-    samples = int(samples_override or ccfg.get("samples", 2048))
+    samples = _samples(ccfg.get("samples", 2048) if samples_override is None
+                       else samples_override)
     if kind == "expression":
         fx = compile_expression(ccfg["x"])
         fy = compile_expression(ccfg["y"])
@@ -192,9 +216,9 @@ def run(config: dict, out_dir: str = None, samples: int = None) -> int:
         raise ConfigError("config must be a JSON object")
     plane = build_plane(_norm_spec(config.get("norm", {"kind": "euclidean"})))
     L = build_curve_and_pair(plane, config.get("curve", {}), samples)
-    op = config.get("operation", {"kind": "analyze"})
+    op = _section(config, "operation", {"kind": "analyze"})
     kind = op.get("kind", "analyze")
-    outputs = dict(config.get("output", {}))
+    outputs = dict(_section(config, "output", {}))
     if out_dir:
         outputs = {k: os.path.join(out_dir, v) for k, v in outputs.items()}
 

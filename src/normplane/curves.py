@@ -230,8 +230,9 @@ def extend_normal(plane: NormedPlane, curve: ParamCurve) -> NormalField:
                 "one-sided tangent directions are not parallel at the singularity")
         if float(wa @ wb) < 0.0:
             # tangent reverses: locate the crossing of the tangent component
-            f = lambda t, w=wa: float(curve.derivative(t, 1) @ w)
-            flips.append(brent_root(f, ta, tb, xtol=1e-12))
+            f = lambda t, w=wa: curve.derivative(t, 1) @ w
+            fa, fb = f(np.array([ta, tb]))
+            flips.append(brent_root(f, ta, tb, fa, fb, xtol=1e-12)[0])
 
     flips = np.sort(np.asarray(flips, dtype=float))
     t0 = curve.domain[0]

@@ -118,20 +118,87 @@ def gauss5_segments(fn, a, b):
     return span * (vals @ _G5_W)
 
 
-def brent_root(f, a, b, xtol=1e-12, maxiter=120):
-    """Root of f in [a, b] with a sign change; Brent via scipy."""
-    from scipy.optimize import brentq
+# relative part of Brent's convergence half-width, as in scipy's brentq
+BRENT_RTOL = 4.0 * np.finfo(float).eps
 
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0.0:
-        # fall back to the min of |f|; callers use this only for near-tangential zeros
-        t, _ = golden_minimize(lambda t: abs(f(t)), a, b)
-        return t
-    return brentq(f, a, b, xtol=xtol, maxiter=maxiter)
+
+def brent_root(f, a, b, fa, fb, xtol=1e-12, maxiter=120):
+    """Roots of f in the brackets [a_i, b_i], refined in lock-step.
+
+    Brent's method step for step as scipy's brentq codes it (Zeros/brentq.c,
+    after Brent 1973, ch. 4): the same secant / inverse quadratic / bisection
+    choice, the half-width delta = (xtol + BRENT_RTOL |x|)/2 and `maxiter`
+    iterations. All brackets advance together: each iteration makes one call
+    of the array-capable `f` on the brackets still open. The endpoint values
+    `fa`, `fb` are taken as given and never re-evaluated, so a caller holding
+    sampled values seeds the solver with exactly the signs it bracketed on.
+    Each pair must have opposite signs or a zero; a zero endpoint is its own
+    root. Returns an array of roots in bracket order; raises NoConvergence if
+    a bracket is still open after `maxiter` iterations.
+    """
+    xpre = np.array(a, dtype=float).ravel()
+    xcur = np.array(b, dtype=float).ravel()
+    fpre = np.array(fa, dtype=float).ravel()
+    fcur = np.array(fb, dtype=float).ravel()
+    roots = np.where(fpre == 0.0, xpre, xcur)
+    live = (fpre != 0.0) & (fcur != 0.0)
+    if np.any(np.signbit(fpre[live]) == np.signbit(fcur[live])):
+        raise ValueError("brent_root needs f(a) and f(b) of opposite signs")
+    idx = np.nonzero(live)[0]
+    xpre, xcur, fpre, fcur = xpre[idx], xcur[idx], fpre[idx], fcur[idx]
+    xblk = np.zeros_like(xcur)
+    fblk = np.zeros_like(xcur)
+    spre = np.zeros_like(xcur)
+    scur = np.zeros_like(xcur)
+    for _ in range(maxiter):
+        # keep [xcur, xblk] a sign-change bracket
+        fresh = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
+        xblk = np.where(fresh, xpre, xblk)
+        fblk = np.where(fresh, fpre, fblk)
+        spre = np.where(fresh, xcur - xpre, spre)
+        scur = np.where(fresh, xcur - xpre, scur)
+        # make xcur the endpoint with the smaller |f|
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                            np.where(swap, xcur, xblk))
+        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                            np.where(swap, fcur, fblk))
+
+        delta = (xtol + BRENT_RTOL * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = (fcur == 0.0) | (np.abs(sbis) < delta)
+        roots[idx[done]] = xcur[done]
+        open_ = ~done
+        idx = idx[open_]
+        if not idx.size:
+            return roots
+        xpre, xcur, xblk = xpre[open_], xcur[open_], xblk[open_]
+        fpre, fcur, fblk = fpre[open_], fcur[open_], fblk[open_]
+        spre, scur = spre[open_], scur[open_]
+        delta, sbis = delta[open_], sbis[open_]
+
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            secant = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            quad = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        stry = np.where(xpre == xblk, secant, quad)
+        short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                 & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
+        spre = np.where(short, scur, sbis)
+        scur = np.where(short, stry, sbis)
+
+        xpre, fpre = xcur, fcur
+        xcur = xcur + np.where(np.abs(scur) > delta, scur,
+                               np.where(sbis > 0, delta, -delta))
+        fcur = np.asarray(f(xcur), dtype=float).reshape(xcur.shape)
+        if np.any(np.isnan(fcur)):
+            raise NoConvergence("function value is NaN in Brent refinement")
+    if idx.size:
+        raise NoConvergence(
+            f"Brent refinement did not converge in {maxiter} iterations "
+            f"on {idx.size} bracket(s)")
+    return roots
 
 
 def sign_crossings(ts, vals, noise, refine, period=None):
@@ -139,8 +206,10 @@ def sign_crossings(ts, vals, noise, refine, period=None):
 
     Nodes with |value| <= noise count as zeros; a crossing needs flanking
     values of opposite sign exceeding 10x the noise floor. With `period`
-    given, the sample sequence is treated cyclically. Returns refined
-    parameters in ascending order.
+    given, the sample sequence is treated cyclically. Every crossing is
+    refined by one lock-step `brent_root` call over all brackets, seeded with
+    the sampled values `vals` at the bracket ends, so `refine` must accept an
+    array of parameters. Returns refined parameters in ascending order.
     """
     ts = np.asarray(ts, dtype=float)
     vals = np.asarray(vals, dtype=float)
@@ -150,24 +219,24 @@ def sign_crossings(ts, vals, noise, refine, period=None):
     nz = np.nonzero(s != 0)[0]
     if len(nz) < 2:
         return []
-    roots = []
-    pairs = list(zip(nz[:-1], nz[1:]))
+    i, j_raw = nz[:-1], nz[1:]
     if period is not None:
-        pairs.append((nz[-1], nz[0] + n))
-    for i, j_raw in pairs:
-        j = j_raw % n
-        if s[i] * s[j] >= 0 or not (strong[i] and strong[j]):
-            continue
-        a = ts[i]
-        b = ts[j] if j_raw < n else ts[j] + period
-        r = brent_root(refine, a, b, xtol=1e-10)
-        if period is not None:
-            r = ts[0] + (r - ts[0]) % period
-        roots.append(r)
+        i, j_raw = np.append(i, nz[-1]), np.append(j_raw, nz[0] + n)
+    j = j_raw % n
+    keep = (s[i] * s[j] < 0) & strong[i] & strong[j]
+    i, j, j_raw = i[keep], j[keep], j_raw[keep]
+    if not i.size:
+        return []
+    b = ts[j]
+    if period is not None:
+        b = np.where(j_raw < n, b, b + period)
+    roots = brent_root(refine, ts[i], b, vals[i], vals[j], xtol=1e-10)
+    if period is not None:
+        roots = ts[0] + (roots - ts[0]) % period
     roots.sort()
     # merge duplicates from wrap handling
     out = []
-    for r in roots:
+    for r in roots.tolist():
         if not out or abs(r - out[-1]) > 1e-9:
             out.append(r)
     if period is not None and len(out) >= 2 and abs((out[-1] - out[0]) - period) < 1e-9:

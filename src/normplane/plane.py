@@ -28,11 +28,13 @@ UNIT_TOL = 1e-9
 
 # tangent_theta: Newton steps before the bisection fallback, the step size
 # accepted as converged, the turning rate below which a direction counts as a
-# flat point, and the block size that bounds the memory of large batches
+# flat point, the block size that bounds the memory of large batches, and the
+# theta half-width that must bracket the root where psi outruns float theta
 NEWTON_STEPS = 4
 NEWTON_TOL = 1e-10
 TURNING_RATE_MIN = 1e-2
 TANGENT_BLOCK = 8192
+THETA_RESOLUTION = 1e-15
 
 
 def symplectic(a, b):
@@ -46,6 +48,11 @@ def _swept_angle(w0, w):
     """Angle from w0 to w, for directions less than pi apart (every psi table
     cell sweeps less than pi/2)."""
     return np.arctan2(symplectic(w0, w), w0[..., 0] * w[..., 0] + w0[..., 1] * w[..., 1])
+
+
+def _direction_gap(w, chi):
+    """Angle of w minus chi, wrapped into [-pi, pi)."""
+    return (np.arctan2(w[..., 1], w[..., 0]) - chi + np.pi) % TWO_PI - np.pi
 
 
 def _turning_rate(d1, d2):
@@ -172,9 +179,11 @@ class NormedPlane:
         if np.min(self._profile.r(fine)) <= 0.0:
             raise PositivityViolation("radial profile must be strictly positive")
 
-        c = self.circle_point(th)
-        d1 = self.circle_d1(th)
-        d2 = self.circle_d2(th)
+        # the seam node theta = 2 pi repeats theta = 0; re-evaluating it would
+        # let sign(sin 2 pi) = -1 leak an r' error (lp with p < 2) into psi
+        c = self.circle_point(th[:-1])
+        d1 = self.circle_d1(th[:-1])
+        c, d1 = np.vstack([c, c[:1]]), np.vstack([d1, d1[:1]])
 
         if np.min(symplectic(c, d1)) <= 1e-9:
             raise ConvexityViolation("[c, c'] must stay positive on the unit circle")
@@ -288,10 +297,17 @@ class NormedPlane:
         for s in range(0, chi.size, TANGENT_BLOCK):
             theta[s:s + TANGENT_BLOCK] = self._tangent_theta_block(
                 chi[s:s + TANGENT_BLOCK])
-        w = self.circle_d1(theta)
-        res = (np.arctan2(w[..., 1], w[..., 0]) - chi + np.pi) % TWO_PI - np.pi
-        if np.max(np.abs(res)) > 1e-9:
-            raise NoConvergence("supporting-direction inversion did not converge")
+        miss = np.abs(_direction_gap(self.circle_d1(theta), chi)) > 1e-9
+        if np.any(miss):
+            # at the axis points of lp with p < 2, psi rises like
+            # |theta - theta*|^(p - 1): the float theta nearest the root can
+            # leave a psi gap above 1e-9, so accept it only if the gap changes
+            # sign within THETA_RESOLUTION of it
+            t, c = theta[miss], chi[miss]
+            below = _direction_gap(self.circle_d1(t - THETA_RESOLUTION), c)
+            above = _direction_gap(self.circle_d1(t + THETA_RESOLUTION), c)
+            if not np.all((below <= 0.0) & (above >= 0.0)):
+                raise NoConvergence("supporting-direction inversion did not converge")
         return np.mod(theta, TWO_PI).reshape(shape)
 
     def _tangent_theta_block(self, chi):

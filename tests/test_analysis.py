@@ -401,3 +401,42 @@ def test_transferred_pair_satisfies_orthogonality(astroid_pair, l3):
     d1 = moved.gamma.derivative(ts, 1)
     xi = moved.xi(ts)
     assert np.max(np.abs(symplectic(d1, xi))) < 1e-6
+
+
+# -- which root the detectors return -----------------------------------------
+
+_EXPRESSION = {"kind": "expression", "x": "cos(t) + 0.3*cos(2*t)",
+               "y": "sin(t) - 0.3*sin(2*t)", "domain": [0.0, TWO_PI],
+               "closed": True}
+
+# vertex parameters at 2048 samples from scalar brentq refinement, one root
+# per bracket; the close vertex pairs of the expression curve put several
+# roots of (alpha/kappa)' in a single bracket, and the ellipse's fourth vertex
+# sits on the seam t = 2 pi, where it must not wrap to 0
+_PINNED_VERTICES = {
+    "euclid-expr": ({"kind": "euclidean"}, _EXPRESSION, [
+        0.6835531950407774, 0.6873231057366407, 2.777948296775853,
+        2.780461570722339, 3.5027237361801764, 3.505237010061564,
+        5.595862201319269, 5.599632112843692]),
+    "lp3-expr": ({"kind": "lp", "p": 3.0}, _EXPRESSION, [
+        0.6835531946395946, 0.6873231056122867, 2.5559034844027058,
+        2.7779482971542304, 2.780461571580372, 3.141592653588189,
+        3.5027237363243473, 3.5052370096908856, 3.7272818227769076,
+        5.595862201157839, 5.599632112576707]),
+    "euclid-ellipse": ({"kind": "euclidean"},
+                       {"kind": "catalog", "name": "ellipse", "a": 2.0, "b": 1.0}, [
+        1.5707963267949345, 3.1415926535897727, 4.712388980384728,
+        6.2831853071795845]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_VERTICES))
+def test_detectors_keep_their_vertex_roots(case):
+    from normplane.cli import _norm_spec, build_curve_and_pair
+    from normplane.plane import build_plane
+
+    norm, curve, want = _PINNED_VERTICES[case]
+    L = build_curve_and_pair(build_plane(_norm_spec(norm)), curve, 2048)
+    got = [v.t for v in singularity_report(L).vertices]
+    assert len(got) == len(want)
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-9

@@ -260,16 +260,57 @@ def test_astroid_analyze_non_euclidean(tmp_path, norm):
     assert json.loads(out.read_text())["counts"]["cusps"] == 4
 
 
-@pytest.mark.parametrize("config", [
-    {"norm": {"kind": "lp", "p": "abc"}},
-    [],
-    {"curve": {"kind": "expression", "x": "cos(t)", "y": "sin(t)",
-               "domain": [0.0]}},
-], ids=["p-not-a-number", "top-level-list", "one-element-domain"])
-def test_malformed_config_exits_2(tmp_path, capsys, config):
+_CIRCLE = {"kind": "catalog", "name": "circle"}
+
+
+@pytest.mark.parametrize("config, extra, marker", [
+    ({"norm": {"kind": "lp", "p": "abc"}}, (), "config error:"),
+    ([], (), "config error:"),
+    ({"curve": {"kind": "expression", "x": "cos(t)", "y": "sin(t)",
+                "domain": [0.0]}}, (), "config error:"),
+    ({"curve": {**_CIRCLE, "samples": 0}}, (), "config error:"),
+    ({"curve": {**_CIRCLE, "samples": 1}}, (), "config error:"),
+    ({"curve": {**_CIRCLE, "samples": "x"}}, (), "config error:"),
+    ({"curve": {**_CIRCLE, "samples": 512.5}}, (), "config error:"),
+    ({"curve": _CIRCLE}, ("--samples", "0"), "config error:"),
+    ({"curve": _CIRCLE}, ("--samples", "1"), "config error:"),
+    ({"curve": _CIRCLE}, ("--samples", "x"), "invalid int value"),
+    ({"curve": "circle"}, (), "config error:"),
+    ({"curve": _CIRCLE, "operation": "analyze"}, (), "config error:"),
+    ({"curve": _CIRCLE, "output": "out.json"}, (), "config error:"),
+    ({"norm": {"kind": "fourier_radial", "coefficients": ["a", 0.08]}}, (),
+     "config error:"),
+    ({"norm": {"kind": "fourier_radial", "coefficients": 1.0}}, (),
+     "config error:"),
+], ids=["p-not-a-number", "top-level-list", "one-element-domain",
+        "samples-zero", "samples-one", "samples-not-a-number",
+        "samples-not-an-integer", "samples-flag-zero", "samples-flag-one",
+        "samples-flag-not-a-number", "curve-not-an-object",
+        "operation-not-an-object", "output-not-an-object",
+        "coefficients-not-numbers", "coefficients-not-a-list"])
+def test_malformed_config_exits_2(tmp_path, capsys, config, extra, marker):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    assert main(["run", str(cfg)]) == 2
+    try:
+        code = main(["run", str(cfg), "--out", str(tmp_path), *extra])
+    except SystemExit as exc:       # argparse rejects a non-integer flag
+        code = exc.code
+    assert code == 2
     err = capsys.readouterr().err
-    assert "config error:" in err
+    assert marker in err
     assert "Traceback" not in err
+
+
+def test_lp_below_two_circle_analyze(tmp_path):
+    # p < 2: the plane tables take the seam node from theta = 0, and the
+    # axis directions, where psi outruns float theta, invert without error
+    out = tmp_path / "circle.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "norm": {"kind": "lp", "p": 1.5},
+        "curve": _CIRCLE,
+        "operation": {"kind": "analyze"},
+        "output": {"report": str(out)},
+    }))
+    assert main(["run", str(cfg)]) == 0
+    assert json.loads(out.read_text())["counts"]["cusps"] == 0

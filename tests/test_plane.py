@@ -261,11 +261,12 @@ def _angle_gap(a, b):
 
 @pytest.mark.parametrize("spec", [
     NormSpec("euclidean"),
+    NormSpec("lp", p=1.5),
     NormSpec("lp", p=2.5),
     NormSpec("lp", p=3.0),
     NormSpec("lp", p=5.0),
     NormSpec("fourier_radial", coefficients=(1.0, 0.08)),
-], ids=["euclidean", "lp2.5", "lp3", "lp5", "fourier"])
+], ids=["euclidean", "lp1.5", "lp2.5", "lp3", "lp5", "fourier"])
 def test_tangent_theta_matches_bisection_reference(spec):
     plane = build_plane(spec)
     rng = np.random.default_rng(17)
