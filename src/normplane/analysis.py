@@ -23,6 +23,7 @@ from .curves import NormalField, ParamCurve, extend_normal, induced_normal, lege
 from .errors import (
     BadParameter,
     DegenerateFrame,
+    GeometryError,
     MethodsDisagree,
     NotAFront,
     NotClosed,
@@ -108,13 +109,12 @@ def legendre_from_curve(plane: NormedPlane, curve: ParamCurve) -> LegendreCurve:
 
 @dataclass
 class CurvaturePair:
-    """Sampled (alpha, kappa) plus pointwise evaluators on the same pair."""
+    """Sampled (alpha, kappa) plus the pointwise evaluator that sampled them."""
 
     ts: np.ndarray
     alpha: np.ndarray
     kappa: np.ndarray
-    alpha_at: Callable
-    kappa_at: Callable
+    values_at: Callable      # t -> (alpha(t), kappa(t))
     span: float
     closed: bool
     domain: tuple
@@ -127,14 +127,16 @@ class CurvaturePair:
     def kappa_scale(self):
         return max(float(np.max(np.abs(self.kappa))), 1e-300)
 
-    values_at: Callable = None
+    def alpha_at(self, t):
+        return self.values_at(t)[0]
+
+    def kappa_at(self, t):
+        return self.values_at(t)[1]
 
     def ratio_at(self, t):
         """alpha/kappa, the signed curvature radius field."""
-        if self.values_at is not None:
-            a, k = self.values_at(t)
-            return a / k
-        return self.alpha_at(t) / self.kappa_at(t)
+        a, k = self.values_at(t)
+        return a / k
 
     def ratio_rate_at(self, t):
         return scalar_derivative(self.ratio_at, t, 1, self.span,
@@ -158,33 +160,18 @@ def curvature_pair(L: LegendreCurve) -> CurvaturePair:
     if L._pair_cache is not None:
         return L._pair_cache
 
-    def frame(t):
-        eta = L.eta(t)
-        xi = L.plane.birkhoff(eta)
-        denom = symplectic(eta, xi)
+    def values_at(t):
+        eta, eta_rate = L.eta.value_and_rate(t)
+        denom = symplectic(eta, L.plane.birkhoff(eta))
         if np.min(denom) < 1e-10:
             raise DegenerateFrame("[eta, xi] collapsed; plane tables corrupt")
-        return eta, xi, denom
-
-    def values_at(t):
-        eta, _, denom = frame(t)
-        a = symplectic(eta, L.gamma.derivative(t, 1)) / denom
-        k = symplectic(eta, L.eta.derivative(t, 1)) / denom
-        return a, k
-
-    def alpha_at(t):
-        eta, _, denom = frame(t)
-        return symplectic(eta, L.gamma.derivative(t, 1)) / denom
-
-    def kappa_at(t):
-        eta, _, denom = frame(t)
-        return symplectic(eta, L.eta.derivative(t, 1)) / denom
+        return (symplectic(eta, L.gamma.derivative(t, 1)) / denom,
+                symplectic(eta, eta_rate) / denom)
 
     ts = L.grid()
     alpha, kappa = values_at(ts)
-    cp = CurvaturePair(ts, alpha, kappa, alpha_at, kappa_at,
-                       L.gamma.span, L.closed, L.gamma.domain,
-                       values_at=values_at)
+    cp = CurvaturePair(ts, alpha, kappa, values_at,
+                       L.gamma.span, L.closed, L.gamma.domain)
     L._pair_cache = cp
     return cp
 
@@ -248,6 +235,7 @@ class SingularityReport:
     counts: dict
     is_front: bool
     is_immersion: bool
+    maslov_error: Optional[GeometryError] = None   # why maslov is None; not reported
 
     def to_json_dict(self):
         return {
@@ -274,10 +262,7 @@ def _immersion_gap(cp: CurvaturePair):
         return best, t_best
 
     def rel_at(t):
-        if cp.values_at is not None:
-            a, k = cp.values_at(t)
-        else:
-            a, k = cp.alpha_at(t), cp.kappa_at(t)
+        a, k = cp.values_at(t)
         return float(np.maximum(np.abs(a) / cp.alpha_scale,
                                 np.abs(k) / cp.kappa_scale))
 
@@ -415,7 +400,7 @@ def _reduce_cyclic_word(letters):
     return len(stack) // 2
 
 
-def maslov_index(L: LegendreCurve, cp: Optional[CurvaturePair] = None) -> dict:
+def maslov_index(L: LegendreCurve) -> dict:
     """Zigzag invariant of a closed front, three independent ways.
 
     word_reduction counts the reduced alternating zig/zag word; flip_flop is
@@ -426,8 +411,7 @@ def maslov_index(L: LegendreCurve, cp: Optional[CurvaturePair] = None) -> dict:
     """
     if not L.closed:
         raise NotClosed("the zigzag invariant needs a closed front")
-    if cp is None:
-        cp = curvature_pair(L)
+    cp = curvature_pair(L)
     gap, t_bad = _immersion_gap(cp)
     if gap < REL_ZERO:
         raise NotAFront(f"alpha and kappa both vanish near t = {t_bad:.6g}")
@@ -468,10 +452,9 @@ def _zigzag_invariant(cp: CurvaturePair, word: int, infl) -> dict:
     return {"word_reduction": word, "flip_flop": flip_flop, "rotation": rotation}
 
 
-def singularity_report(L: LegendreCurve, cp: Optional[CurvaturePair] = None) -> SingularityReport:
+def singularity_report(L: LegendreCurve) -> SingularityReport:
     """Full singular-structure classification of a validated pair."""
-    if cp is None:
-        cp = curvature_pair(L)
+    cp = curvature_pair(L)
     gap, t_bad = _immersion_gap(cp)
     if gap < REL_ZERO:
         raise NotAFront(f"alpha and kappa both vanish near t = {t_bad:.6g}")
@@ -480,14 +463,14 @@ def singularity_report(L: LegendreCurve, cp: Optional[CurvaturePair] = None) -> 
     inflections = _detect_inflections(cp)
     vertices, all_vertices = _detect_vertices(cp, degenerate)
 
-    maslov = None
+    maslov, maslov_error = None, NotClosed("the zigzag invariant needs a closed front")
     if L.closed:
         # the detectors above already ran on cp; maslov_index would rerun them
         try:
-            maslov = _zigzag_invariant(cp, _zigzag_word(cusps, degenerate),
-                                       inflections)
-        except (NotAFront, MethodsDisagree):
-            maslov = None
+            maslov, maslov_error = _zigzag_invariant(
+                cp, _zigzag_word(cusps, degenerate), inflections), None
+        except (NotAFront, MethodsDisagree) as exc:
+            maslov_error = exc
 
     counts = {
         "cusps": len(cusps),
@@ -502,7 +485,8 @@ def singularity_report(L: LegendreCurve, cp: Optional[CurvaturePair] = None) -> 
         "genericity_verified": False,
     }
     return SingularityReport(cusps, inflections, vertices, maslov, counts,
-                             is_front=True, is_immersion=True)
+                             is_front=True, is_immersion=True,
+                             maslov_error=maslov_error)
 
 
 def lateral_tangent_sign(L: LegendreCurve, t0: float, offset: float = 1e-3) -> str:

@@ -57,7 +57,7 @@ def astroid_normal():
     """Closed-form smooth normal of the astroid (unit in the Euclidean norm)."""
     return NormalField(
         lambda t: _xy(np.sin(t), np.cos(t)), (0.0, TWO_PI), True, "analytic",
-        rate=lambda t: _xy(np.cos(t), -np.sin(t)))
+        lambda t: (_xy(np.sin(t), np.cos(t)), _xy(np.cos(t), -np.sin(t))))
 
 
 def cusp_t2t3(samples=2048):
@@ -84,7 +84,7 @@ def unit_circle_of_norm(plane: NormedPlane, samples=2048):
 def unit_circle_normal(plane: NormedPlane):
     """A Minkowski circle is its own normal field."""
     return NormalField(plane.circle_point, (0.0, TWO_PI), True, "analytic",
-                       rate=plane.circle_d1)
+                       lambda t: (plane.circle_point(t), plane.circle_d1(t)))
 
 
 def get_curve(name: str, plane: NormedPlane = None, samples=2048, **params) -> ParamCurve:

@@ -28,7 +28,6 @@ from .analysis import (
     curvature_pair,
     legendre_from_curve,
     make_legendre,
-    maslov_index,
     singularity_report,
     transfer_legendre,
 )
@@ -190,9 +189,12 @@ def build_curve_and_pair(plane, ccfg, samples_override=None):
     raise ConfigError(f"unknown curve kind {kind!r}")
 
 
-def _analysis_outputs(L: LegendreCurve, report_extra=None):
+def _analysis_outputs(L: LegendreCurve, report_extra=None, require_maslov=False):
     cp = curvature_pair(L)
-    rep = singularity_report(L, cp)
+    rep = singularity_report(L)
+    if require_maslov and rep.maslov is None:
+        # surface the reason instead of emitting a null index
+        raise rep.maslov_error
     rep_dict = rep.to_json_dict()
     if report_extra:
         rep_dict.update(report_extra)
@@ -226,10 +228,8 @@ def run(config: dict, out_dir: str = None, samples: int = None) -> int:
               f"norm: {plane.spec.kind}"]
 
     if kind in ("analyze", "maslov"):
-        cp, rep_dict, k, ts, pts, markers = _analysis_outputs(L)
-        if kind == "maslov" and rep_dict["maslov"] is None:
-            # surface the reason instead of emitting a null index
-            maslov_index(L, cp)
+        cp, rep_dict, k, ts, pts, markers = _analysis_outputs(
+            L, require_maslov=kind == "maslov")
         result_curves = [{"points": pts, "closed": L.closed}]
         _emit(outputs, ts, pts, cp, k, rep_dict, result_curves, markers, legend)
         return EXIT_OK

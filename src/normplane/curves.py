@@ -93,13 +93,18 @@ class ParamCurve:
 
 @dataclass
 class NormalField:
-    """A unit field t -> eta(t) along a curve, with optional analytic rate."""
+    """A unit field t -> eta(t) along a curve.
+
+    `jet`, when given, maps t to (eta(t), eta'(t)) in one evaluation, and its
+    first part equals `evaluate` bit for bit; without it the rate is a finite
+    difference of `evaluate`.
+    """
 
     evaluate: Callable
     domain: tuple
     closed: bool
     provenance: str
-    rate: Optional[Callable] = None
+    jet: Optional[Callable] = None
 
     def __call__(self, t):
         return np.asarray(self.evaluate(t), dtype=float)
@@ -108,15 +113,22 @@ class NormalField:
     def span(self):
         return self.domain[1] - self.domain[0]
 
+    def value_and_rate(self, t):
+        """(eta(t), eta'(t)), from one jet evaluation when the field has one."""
+        if self.jet is None:
+            return self(t), self.derivative(t, 1)
+        eta, rate = self.jet(t)
+        return np.asarray(eta, dtype=float), np.asarray(rate, dtype=float)
+
     def derivative(self, t, order=1):
         h = self.span * FD_STEP_FACTOR
-        if self.rate is not None:
-            if order == 1:
-                return np.asarray(self.rate(t), dtype=float)
-            return differentiate(lambda s: np.asarray(self.rate(s), dtype=float),
-                                 t, order - 1, h, domain=self.domain, closed=self.closed)
-        return differentiate(lambda s: np.asarray(self.evaluate(s), dtype=float),
-                             t, order, h, domain=self.domain, closed=self.closed)
+        if self.jet is None:
+            return differentiate(lambda s: np.asarray(self.evaluate(s), dtype=float),
+                                 t, order, h, domain=self.domain, closed=self.closed)
+        rate = lambda s: np.asarray(self.jet(s)[1], dtype=float)
+        if order == 1:
+            return rate(t)
+        return differentiate(rate, t, order - 1, h, domain=self.domain, closed=self.closed)
 
 
 def find_singular_params(plane: NormedPlane, curve: ParamCurve,
@@ -164,6 +176,22 @@ def find_singular_params(plane: NormedPlane, curve: ParamCurve,
     return out
 
 
+def normal_jet(plane: NormedPlane, curve: ParamCurve, t, w, dw, fallback):
+    """(z, z') at the parameters t (an array) of the curve, for
+    z = normal_from_tangent(w) with w' = dw.
+
+    The chain rule divides by the boundary turning rate at z; at flat
+    supporting directions, where it is 0/0, z' is a finite difference of
+    `fallback`, which evaluates z.
+    """
+    z, dz, psi_rate = plane.normal_from_tangent_with_derivative(w, dw)
+    flat = np.abs(psi_rate) < 1e-6
+    if np.any(flat):
+        dz[flat] = differentiate(fallback, t[flat], 1, curve.span * FD_STEP_FACTOR,
+                                 domain=curve.domain, closed=curve.closed)
+    return z, dz
+
+
 def induced_normal(plane: NormedPlane, curve: ParamCurve) -> NormalField:
     """Left normal of a regular curve: unit, orthogonal-to-tangent, [eta, gamma'] > 0."""
     singular = find_singular_params(plane, curve, rel_threshold=1e-8)
@@ -173,22 +201,15 @@ def induced_normal(plane: NormedPlane, curve: ParamCurve) -> NormalField:
     def evaluate(t):
         return plane.normal_from_tangent(curve.derivative(t, 1))
 
-    def rate(t):
+    def jet(t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        w = curve.derivative(t_arr, 1)
-        dw = curve.derivative(t_arr, 2)
-        _, dz, psi_rate = plane.normal_from_tangent_with_derivative(w, dw)
-        flat = np.abs(psi_rate) < 1e-6
-        if np.any(flat):
-            # turning-degenerate supporting directions: chain rule is 0/0
-            h = curve.span * FD_STEP_FACTOR
-            dz[flat] = differentiate(evaluate, t_arr[flat], 1, h,
-                                     domain=curve.domain, closed=curve.closed)
+        z, dz = normal_jet(plane, curve, t_arr, curve.derivative(t_arr, 1),
+                           curve.derivative(t_arr, 2), evaluate)
         if np.isscalar(t) or np.asarray(t).ndim == 0:
-            return dz[0]
-        return dz
+            return z[0], dz[0]
+        return z, dz
 
-    return NormalField(evaluate, curve.domain, curve.closed, "induced_regular", rate)
+    return NormalField(evaluate, curve.domain, curve.closed, "induced_regular", jet)
 
 
 def extend_normal(plane: NormedPlane, curve: ParamCurve) -> NormalField:
@@ -283,9 +304,11 @@ def extend_normal(plane: NormedPlane, curve: ParamCurve) -> NormalField:
             return out[0]
         return out
 
+    def unsigned(t):
+        return plane.normal_from_tangent(curve.derivative(t, 1))
+
     def evaluate_regular(t):
-        w = curve.derivative(t, 1)
-        return plane.normal_from_tangent(w) * sign_of(t)[..., None]
+        return unsigned(t) * sign_of(t)[..., None]
 
     def rate(t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -294,13 +317,8 @@ def extend_normal(plane: NormedPlane, curve: ParamCurve) -> NormalField:
         out = np.empty(t_arr.shape + (2,))
         far = sp >= 1e-3 * smax
         if np.any(far):
-            dw = curve.derivative(t_arr[far], 2)
-            _, dz, psi_rate = plane.normal_from_tangent_with_derivative(w[far], dw)
-            flat = np.abs(psi_rate) < 1e-6
-            if np.any(flat):
-                h = curve.span * FD_STEP_FACTOR
-                dz[flat] = differentiate(evaluate, t_arr[far][flat], 1, h,
-                                         domain=curve.domain, closed=curve.closed)
+            _, dz = normal_jet(plane, curve, t_arr[far], w[far],
+                               curve.derivative(t_arr[far], 2), unsigned)
             out[far] = dz * sign_of(t_arr[far])[..., None]
         if np.any(~far):
             h = curve.span * FD_STEP_FACTOR
@@ -311,7 +329,8 @@ def extend_normal(plane: NormedPlane, curve: ParamCurve) -> NormalField:
         return out
 
     fieldv = NormalField(evaluate, curve.domain, curve.closed,
-                         "extended_through_singularities", rate)
+                         "extended_through_singularities",
+                         lambda t: (evaluate(t), rate(t)))
 
     # audit continuity: a corner (tangent line jump) cannot be smoothed
     vals = fieldv(ts)

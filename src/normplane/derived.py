@@ -16,7 +16,7 @@ from .analysis import (
     scalar_derivative,
     _immersion_gap,
 )
-from .curves import NormalField, ParamCurve
+from .curves import NormalField, ParamCurve, normal_jet
 from .errors import (
     DegenerateLine,
     KappaVanishes,
@@ -81,15 +81,14 @@ class EvoluteFrame:
         return ok, self.predicted_alpha, self.predicted_kappa
 
 
-def evolute(L: LegendreCurve, cp: Optional[CurvaturePair] = None) -> EvoluteFrame:
+def evolute(L: LegendreCurve) -> EvoluteFrame:
     """Centers of curvature gamma - (alpha/kappa) eta as a new pair.
 
     The frame normal is nu = -b^{-1}(eta); its curvature pair is
     ((alpha/kappa)', kappa/rho(nu)) with rho the circle distortion, masked
     where rho falls below 1e-3.
     """
-    if cp is None:
-        cp = curvature_pair(L)
+    cp = curvature_pair(L)
     _require_front(cp)
     _require_kappa(cp)
     plane, gamma, eta = L.plane, L.gamma, L.eta
@@ -108,23 +107,15 @@ def evolute(L: LegendreCurve, cp: Optional[CurvaturePair] = None) -> EvoluteFram
     def nu_eval(t):
         return -plane.normal_from_tangent(eta(t))
 
-    def nu_rate(t):
+    def nu_jet(t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        _, dz, psi_rate = plane.normal_from_tangent_with_derivative(
-            eta(t_arr), eta.derivative(t_arr, 1))
-        flat = np.abs(psi_rate) < 1e-6
-        if np.any(flat):
-            from .numerics import differentiate
-            h = gamma.span * 1e-4
-            dz[flat] = -differentiate(nu_eval, t_arr[flat], 1, h,
-                                      domain=gamma.domain, closed=gamma.closed)
-        out = -dz
+        z, dz = normal_jet(plane, gamma, t_arr, *eta.value_and_rate(t_arr),
+                           lambda s: plane.normal_from_tangent(eta(s)))
         if np.isscalar(t) or np.asarray(t).ndim == 0:
-            return out[0]
-        return out
+            return -z[0], -dz[0]
+        return -z, -dz
 
-    nu = NormalField(nu_eval, gamma.domain, gamma.closed, "induced_regular",
-                     rate=nu_rate)
+    nu = NormalField(nu_eval, gamma.domain, gamma.closed, "induced_regular", nu_jet)
     frame = make_legendre(plane, e_curve, nu, residual_tol=1e-4)
 
     rho_vals = plane.rho(nu(cp.ts))
@@ -133,16 +124,14 @@ def evolute(L: LegendreCurve, cp: Optional[CurvaturePair] = None) -> EvoluteFram
     return EvoluteFrame(e_curve, nu, frame, rho_vals, pred_alpha, pred_kappa)
 
 
-def evolute_as_parallel_singularities(L: LegendreCurve, n_offsets: int = 512,
-                                      cp: Optional[CurvaturePair] = None) -> np.ndarray:
+def evolute_as_parallel_singularities(L: LegendreCurve, n_offsets: int = 512) -> np.ndarray:
     """Singular points swept by the parallel family; should trace the evolute.
 
     Offsets cover the range of -alpha/kappa expanded by 1%. Crossings of
     alpha + d kappa are located by inverse-linear interpolation on the grid,
     which is ample for the 1e-3 sweep tolerance.
     """
-    if cp is None:
-        cp = curvature_pair(L)
+    cp = curvature_pair(L)
     _require_front(cp)
     _require_kappa(cp)
     ratio = -cp.alpha / cp.kappa
@@ -184,15 +173,14 @@ def normal_envelope_residual(L: LegendreCurve, t, v):
     return F, dF
 
 
-def involute(L: LegendreCurve, d: float, cp: Optional[CurvaturePair] = None) -> LegendreCurve:
+def involute(L: LegendreCurve, d: float) -> LegendreCurve:
     """Unwinding curve sigma = gamma - (A - d) xi, A(t) = integral of alpha.
 
     Its normal field is xi = b(eta); the evolute of the result reproduces
     gamma. Requires nonvanishing kappa and nondegenerate distortion along
     eta (the xi rate is proportional to rho).
     """
-    if cp is None:
-        cp = curvature_pair(L)
+    cp = curvature_pair(L)
     _require_front(cp)
     _require_kappa(cp)
     plane, gamma, eta = L.plane, L.gamma, L.eta
@@ -218,8 +206,8 @@ def involute(L: LegendreCurve, d: float, cp: Optional[CurvaturePair] = None) -> 
     def xi_eval(t):
         return plane.birkhoff(eta(t))
 
-    def xi_rate(t):
-        return plane.unit_tangent_with_derivative(eta(t), eta.derivative(t, 1))[1]
+    def xi_jet(t):
+        return plane.unit_tangent_with_derivative(*eta.value_and_rate(t))
 
     def pos(t):
         A = np.asarray(A_at(t), dtype=float)
@@ -227,14 +215,13 @@ def involute(L: LegendreCurve, d: float, cp: Optional[CurvaturePair] = None) -> 
 
     def d1(t):
         A = np.asarray(A_at(t), dtype=float)
-        return (d - A)[..., None] * xi_rate(t)
+        return (d - A)[..., None] * xi_jet(t)[1]
 
     span_A = float(A_nodes[-1])
     closed = bool(gamma.closed and abs(span_A) < 1e-9)
     curve = ParamCurve(pos, gamma.domain, closed, (d1,), gamma.samples,
                        name=f"involute[{d}]")
-    xi_field = NormalField(xi_eval, gamma.domain, gamma.closed, "analytic",
-                           rate=xi_rate)
+    xi_field = NormalField(xi_eval, gamma.domain, gamma.closed, "analytic", xi_jet)
     return make_legendre(plane, curve, xi_field)
 
 
@@ -251,7 +238,7 @@ class PedalResult:
     pair: Optional[LegendreCurve]
 
 
-def pedal(L: LegendreCurve, p, cp: Optional[CurvaturePair] = None) -> PedalResult:
+def pedal(L: LegendreCurve, p) -> PedalResult:
     """Feet of the orthogonal drops from p onto the tangent lines.
 
     gamma_p = gamma + [gamma - p, eta] xi / [eta, xi]; the analytic
@@ -259,8 +246,7 @@ def pedal(L: LegendreCurve, p, cp: Optional[CurvaturePair] = None) -> PedalResul
     distortion rho, and the singular parameters are the kappa zeros when p
     is off the curve.
     """
-    if cp is None:
-        cp = curvature_pair(L)
+    cp = curvature_pair(L)
     plane, gamma, eta = L.plane, L.gamma, L.eta
     p = np.asarray(p, dtype=float)
 
@@ -348,14 +334,13 @@ def pedal_envelope_residual(L: LegendreCurve, p, t, v,
     return float(F), float(dF)
 
 
-def osculating_data(L: LegendreCurve, t, cp: Optional[CurvaturePair] = None) -> dict:
+def osculating_data(L: LegendreCurve, t) -> dict:
     """Center/radius of the best-fitting circle plus distance-squared checks.
 
     D(s) = ||gamma(s) - center||^2 in the plane's norm, differentiated in
     the arc-length variable; both derivatives vanish at the true center.
     """
-    if cp is None:
-        cp = curvature_pair(L)
+    cp = curvature_pair(L)
     a = float(cp.alpha_at(t))
     k = float(cp.kappa_at(t))
     if abs(a) <= REL_ZERO * cp.alpha_scale:
@@ -391,13 +376,12 @@ def distance_squared_rates(L: LegendreCurve, t, point):
     return D1, D2
 
 
-def vertex_residual(L: LegendreCurve, t, cp: Optional[CurvaturePair] = None) -> float:
+def vertex_residual(L: LegendreCurve, t) -> float:
     """Second t-derivative of the normal-line function at the evolute point.
 
     Vanishes exactly at vertices; cross-validates the vertex detector.
     """
-    if cp is None:
-        cp = curvature_pair(L)
+    cp = curvature_pair(L)
     k = float(cp.kappa_at(t))
     if abs(k) <= REL_ZERO * cp.kappa_scale:
         raise KappaVanishes(f"kappa vanishes at t = {t:.6g}")

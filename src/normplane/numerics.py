@@ -289,9 +289,3 @@ def hausdorff_polyline(pts_a, pts_b, closed_a=False, closed_b=False):
     d_ab = np.sqrt(np.max(_point_segment_dist2(pts_a, b0, b1)))
     d_ba = np.sqrt(np.max(_point_segment_dist2(pts_b, a0, a1)))
     return max(d_ab, d_ba)
-
-
-def require_finite(arr, what):
-    if not np.all(np.isfinite(arr)):
-        raise NoConvergence(f"non-finite values in {what}")
-    return arr

@@ -223,9 +223,8 @@ class NormedPlane:
         if np.max(np.abs(norm_on_circle - 1.0)) > 1e-12:
             raise NoConvergence("norm/boundary self-consistency check failed")
 
-        self._rho_nodes = self._rho_at_theta(th[:-1])
-        rho_sym = np.max(np.abs(self._rho_nodes[:half] - self._rho_nodes[half:]))
-        if rho_sym > 1e-6 * max(1.0, np.max(self._rho_nodes)):
+        rho = self._rho_at_theta(th[:-1])
+        if np.max(np.abs(rho[:half] - rho[half:])) > 1e-6 * max(1.0, np.max(rho)):
             raise NoConvergence("distortion table is not centrally symmetric")
 
     # -- basic queries ----------------------------------------------------
@@ -245,10 +244,6 @@ class NormedPlane:
         theta = np.arctan2(v[..., 1], v[..., 0])
         w = self.circle_d1(theta)
         return w / self.norm(w)[..., None]
-
-    @property
-    def circumference(self):
-        return self.length
 
     def arclength_of_theta(self, theta):
         """u(theta): boundary arc length from c(0) to c(theta)."""
@@ -371,6 +366,8 @@ class NormedPlane:
         """
         w = np.asarray(w, dtype=float)
         dw = np.asarray(dw, dtype=float)
+        if np.any(np.hypot(w[..., 0], w[..., 1]) == 0.0):
+            raise ZeroVector("tangent direction must be nonzero")
         chi = np.arctan2(w[..., 1], w[..., 0])
         theta = self.tangent_theta(chi)
         chi_rate = symplectic(w, dw) / (w[..., 0] ** 2 + w[..., 1] ** 2)
@@ -461,9 +458,6 @@ class NormedPlane:
     def _rho_at_theta(self, theta):
         n = self.norm(self.circle_d1(theta))
         return self.norm(self._db_dtheta(theta)) / n
-
-    def rho_table_max(self):
-        return float(np.max(self._rho_nodes))
 
     def radon_defect(self):
         """sup over circle nodes of |b(b(v)) + v|; zero iff orthogonality is symmetric."""

@@ -86,9 +86,9 @@ def synthesize(plane: NormedPlane, spec: SynthesisSpec) -> LegendreCurve:
     def xi_eval(t):
         return plane.birkhoff(eta_eval(t))
 
-    def eta_rate(t):
-        t = np.asarray(t, dtype=float)
-        return np.asarray(spec.kappa(t), dtype=float)[..., None] * xi_eval(t)
+    def eta_jet(t):
+        e = eta_eval(t)
+        return e, np.asarray(spec.kappa(t), dtype=float)[..., None] * plane.birkhoff(e)
 
     def gamma_d1(t):
         t = np.asarray(t, dtype=float)
@@ -100,7 +100,7 @@ def synthesize(plane: NormedPlane, spec: SynthesisSpec) -> LegendreCurve:
 
     curve = ParamCurve(lambda t: np.asarray(pos(t), dtype=float), (0.0, c),
                        closed=closed, derivatives=(gamma_d1,), name="synthesized")
-    eta = NormalField(eta_eval, (0.0, c), closed, "analytic", rate=eta_rate)
+    eta = NormalField(eta_eval, (0.0, c), closed, "analytic", eta_jet)
     return make_legendre(plane, curve, eta)
 
 
@@ -129,7 +129,8 @@ def apply_linear_map(L: LegendreCurve, matrix, is_isometry_of_plane: bool = Fals
     derivs = tuple(None if d is None else mapped(d) for d in gamma.derivatives)
     new_gamma = ParamCurve(mapped(gamma.position), gamma.domain, gamma.closed,
                            derivs, gamma.samples, gamma.name)
+    jet = None if eta.jet is None else (
+        lambda t: tuple(np.asarray(part, dtype=float) @ M.T for part in eta.jet(t)))
     new_eta = NormalField(mapped(eta.evaluate), eta.domain, eta.closed,
-                          "user_supplied",
-                          rate=None if eta.rate is None else mapped(eta.rate))
+                          "user_supplied", jet)
     return make_legendre(plane, new_gamma, new_eta)

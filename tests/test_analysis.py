@@ -440,3 +440,18 @@ def test_detectors_keep_their_vertex_roots(case):
     got = [v.t for v in singularity_report(L).vertices]
     assert len(got) == len(want)
     assert np.max(np.abs(np.subtract(got, want))) <= 1e-9
+
+
+def test_pair_values_invert_the_supporting_map_once_per_point(l3, monkeypatch):
+    cp = curvature_pair(legendre_from_curve(l3, catalog.ellipse(2.0, 1.0, samples=256)))
+    # off the parameters whose normal is an lp3 axis point, where the rate of
+    # the normal falls back to a finite difference
+    ts = np.linspace(0.1, 6.0, 50)
+    points = []
+    invert = l3.tangent_theta
+    monkeypatch.setattr(l3, "tangent_theta",
+                        lambda chi: points.append(np.size(chi)) or invert(chi))
+    cp.values_at(ts)
+    assert sum(points) == len(ts)
+    cp.values_at(1.0)
+    assert sum(points) == len(ts) + 1

@@ -158,6 +158,30 @@ def test_maslov_operation(tmp_path):
     assert rep["maslov"] == {"word_reduction": 0, "flip_flop": 0, "rotation": 0}
 
 
+@pytest.mark.parametrize("curve, marker", [
+    ({"kind": "synthesis", "alpha": "cos(t)^2", "kappa": "1"}, "not generic"),
+    ({"kind": "catalog", "name": "cusp_t2t3"}, "needs a closed front"),
+], ids=["degenerate-closed-front", "open-curve"])
+def test_maslov_refusal_runs_the_detectors_once(tmp_path, capsys, monkeypatch,
+                                                curve, marker):
+    from normplane import analysis
+
+    calls = []
+    detect = analysis._detect_cusps
+    monkeypatch.setattr(analysis, "_detect_cusps",
+                        lambda cp: calls.append(cp) or detect(cp))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "norm": {"kind": "euclidean"},
+        "curve": curve,
+        "operation": {"kind": "maslov"},
+        "output": {"report": str(tmp_path / "maslov.json")},
+    }))
+    assert main(["run", str(cfg)]) == 5
+    assert marker in capsys.readouterr().err
+    assert len(calls) == 1
+
+
 def test_parallel_and_involute_operations(tmp_path):
     for kind, d, n_cusps in (("parallel", 0.3, 4), ("involute", 0.5, 1)):
         out = tmp_path / f"{kind}.json"

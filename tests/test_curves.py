@@ -170,3 +170,25 @@ def test_jet_validation():
         Jet(0.0, tuple(np.zeros(2) for _ in range(6)))
     with pytest.raises(BadParameter):
         Jet(0.0, (np.array([np.nan, 0.0]),))
+
+
+def test_extended_normal_rate_keeps_its_sign_at_flat_directions(l3):
+    # cusp_t2t3 turned by 30 degrees: at t_flat < 0, where the extended field
+    # carries sign -1, the tangent is horizontal and its lp3 normal sits at an
+    # axis point of zero turning, so the rate falls back to a finite difference
+    c, s = np.cos(np.pi / 6.0), np.sin(np.pi / 6.0)
+
+    def turned(x, y):
+        return np.stack([c * x - s * y, s * x + c * y], axis=-1)
+
+    curve = ParamCurve(
+        lambda t: turned(np.asarray(t) ** 2, np.asarray(t) ** 3), (-1.0, 1.0),
+        derivatives=(lambda t: turned(2.0 * np.asarray(t), 3.0 * np.asarray(t) ** 2),
+                     lambda t: turned(2.0 + 0.0 * np.asarray(t), 6.0 * np.asarray(t))))
+    eta = extend_normal(l3, curve)
+    t_flat = -np.tan(np.pi / 6.0) / 1.5
+    w, dw = curve.derivative(t_flat, 1), curve.derivative(t_flat, 2)
+    assert abs(l3.normal_from_tangent_with_derivative(w, dw)[2]) < 1e-6
+    want = differentiate(eta, t_flat, 1, curve.span * 1e-4,
+                         domain=curve.domain, closed=False)
+    assert np.allclose(eta.derivative(t_flat, 1), want, rtol=1e-12, atol=0.0)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from normplane import catalog
 from normplane.analysis import (
     curvature_pair,
     legendre_from_curve,
     singularity_report,
 )
-from normplane.curves import ParamCurve
+from normplane.curves import ParamCurve, extend_normal, induced_normal
 from normplane.derived import (
     distance_squared_rates,
     evolute,
@@ -22,7 +23,7 @@ from normplane.derived import (
 from normplane.errors import DegenerateLine, KappaVanishes, RhoDegenerate
 from normplane.numerics import _point_segment_dist2
 from normplane.plane import symplectic
-from normplane.synthesis import SynthesisSpec, synthesize
+from normplane.synthesis import SynthesisSpec, apply_linear_map, synthesize
 
 TWO_PI = 2.0 * np.pi
 
@@ -375,3 +376,31 @@ def test_four_vertex_conditions_hold(astroid_pair, maslov_pair):
     rep = singularity_report(astroid_pair)
     assert rep.counts["cusps"] >= 4
     assert rep.counts["vertices"] >= 4
+
+
+def _turn(angle):
+    return np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+
+
+# every normal-field builder that gives its field a (value, rate) jet
+_JET_FIELDS = {
+    "induced-euclid": lambda fx: induced_normal(fx("euclidean"), catalog.ellipse()),
+    "induced-lp3": lambda fx: induced_normal(fx("l3"), catalog.ellipse()),
+    "extended-t2t3": lambda fx: extend_normal(fx("euclidean"), catalog.cusp_t2t3()),
+    "evolute-nu": lambda fx: evolute(fx("ellipse_pair")).nu,
+    "involute-xi": lambda fx: involute(fx("circle_pair"), 0.5).eta,
+    "synthesized": lambda fx: fx("maslov_pair").eta,
+    "catalog-astroid": lambda fx: catalog.astroid_normal(),
+    "unit-circle-of-norm": lambda fx: catalog.unit_circle_normal(fx("l3")),
+    "linear-map": lambda fx: apply_linear_map(fx("ellipse_pair"), _turn(0.3)).eta,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_JET_FIELDS))
+def test_value_and_rate_is_value_and_derivative(request, name):
+    field = _JET_FIELDS[name](request.getfixturevalue)
+    assert field.jet is not None
+    for t in (np.linspace(field.domain[0], field.domain[1], 257), 0.37):
+        eta, rate = field.value_and_rate(t)
+        assert np.array_equal(eta, field(t))
+        assert np.array_equal(rate, field.derivative(t, 1))
