@@ -19,7 +19,7 @@ from .analysis import (
     singularity_report,
     transfer_legendre,
 )
-from .curves import NormalField, ParamCurve, extend_normal, induced_normal, legendre_residual
+from .curves import NormalField, ParamCurve, extend_normal, induced_normal
 from .derived import (
     EvoluteFrame,
     PedalResult,

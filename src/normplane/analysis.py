@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .curves import NormalField, ParamCurve, extend_normal, induced_normal, legendre_residual
+from .curves import NormalField, ParamCurve, extend_normal, induced_normal
 from .errors import (
     BadParameter,
     DegenerateFrame,
@@ -63,13 +63,14 @@ def sampled_noise_floor(values):
 
 @dataclass
 class LegendreCurve:
-    """A validated (curve, unit normal) pair over one normed plane."""
+    """A validated (curve, unit normal) pair over one normed plane, with its
+    curvature pair sampled in the pass that validated it."""
 
     plane: NormedPlane
     gamma: ParamCurve
     eta: NormalField
     residual: float
-    _pair_cache: Optional["CurvaturePair"] = None
+    pair: CurvaturePair
 
     def xi(self, t):
         """Induced tangent direction b(eta(t))."""
@@ -83,18 +84,50 @@ class LegendreCurve:
         return self.gamma.closed
 
 
+def _frame_values(eta, xi, eta_rate, d1):
+    """(alpha, kappa) from gamma' = alpha xi and eta' = kappa xi, xi = b(eta)."""
+    denom = symplectic(eta, xi)
+    if np.min(denom) < 1e-10:
+        raise DegenerateFrame("[eta, xi] collapsed; plane tables corrupt")
+    return symplectic(eta, d1) / denom, symplectic(eta, eta_rate) / denom
+
+
 def make_legendre(plane: NormedPlane, gamma: ParamCurve, eta: NormalField,
                   residual_tol: float = RESIDUAL_TOL) -> LegendreCurve:
-    """Validate the orthogonality residual and the unit constraint on eta."""
+    """Validate the unit constraint on eta and the orthogonality residual
+    max |[gamma', b(eta)]| / (||gamma'|| + eps), and sample the curvature
+    pair, all from one evaluation of gamma', eta and eta' on the grid.
+
+    Orthogonality is vacuous where gamma' vanishes, so points whose speed
+    sits below the numerical noise floor of the pair (relative to the faster
+    of gamma and eta) are excluded rather than divided through.
+    """
     ts = gamma.grid()
-    unit_err = float(np.max(np.abs(plane.norm(eta(ts)) - 1.0)))
+    e, e_rate = eta.value_and_rate(ts)
+    unit_err = float(np.max(np.abs(plane.norm(e) - 1.0)))
     if unit_err > 1e-8:
         raise ResidualViolation(f"normal field is not unit (max error {unit_err:.2e})")
-    res = legendre_residual(plane, gamma, eta)
+    d1 = gamma.derivative(ts, 1)
+    xi = plane.birkhoff(e)
+    speeds = plane.norm(d1)
+    # the floor only needs the magnitude of the pair's motion: coarse subgrid
+    eta_speed = plane.norm(e_rate[:: max(1, len(ts) // 128)])
+    floor = 1e-6 * max(float(np.max(speeds)), float(np.max(eta_speed)), 1e-300)
+    vals = np.abs(symplectic(d1, xi)) / (speeds + 1e-12)
+    vals[speeds < floor] = 0.0
+    res = float(np.max(vals))
     if res >= residual_tol:
         raise ResidualViolation(
             f"orthogonality residual {res:.3e} exceeds {residual_tol:.1e}")
-    return LegendreCurve(plane, gamma, eta, res)
+
+    def values_at(t):
+        e_t, rate_t = eta.value_and_rate(t)
+        return _frame_values(e_t, plane.birkhoff(e_t), rate_t, gamma.derivative(t, 1))
+
+    alpha, kappa = _frame_values(e, xi, e_rate, d1)
+    pair = CurvaturePair(ts, alpha, kappa, values_at, gamma.span, gamma.closed,
+                         gamma.domain)
+    return LegendreCurve(plane, gamma, eta, res, pair)
 
 
 def legendre_from_curve(plane: NormedPlane, curve: ParamCurve) -> LegendreCurve:
@@ -109,7 +142,7 @@ def legendre_from_curve(plane: NormedPlane, curve: ParamCurve) -> LegendreCurve:
 
 @dataclass
 class CurvaturePair:
-    """Sampled (alpha, kappa) plus the pointwise evaluator that sampled them."""
+    """Sampled (alpha, kappa) plus the pointwise evaluator of the same frame."""
 
     ts: np.ndarray
     alpha: np.ndarray
@@ -152,28 +185,9 @@ class CurvaturePair:
 
 
 def curvature_pair(L: LegendreCurve) -> CurvaturePair:
-    """Extract (alpha, kappa) from gamma' = alpha xi and eta' = kappa xi.
-
-    The sampled pair is cached on the input (the computation is pure, so a
-    repeated call just returns the same immutable object).
-    """
-    if L._pair_cache is not None:
-        return L._pair_cache
-
-    def values_at(t):
-        eta, eta_rate = L.eta.value_and_rate(t)
-        denom = symplectic(eta, L.plane.birkhoff(eta))
-        if np.min(denom) < 1e-10:
-            raise DegenerateFrame("[eta, xi] collapsed; plane tables corrupt")
-        return (symplectic(eta, L.gamma.derivative(t, 1)) / denom,
-                symplectic(eta, eta_rate) / denom)
-
-    ts = L.grid()
-    alpha, kappa = values_at(ts)
-    cp = CurvaturePair(ts, alpha, kappa, values_at,
-                       L.gamma.span, L.closed, L.gamma.domain)
-    L._pair_cache = cp
-    return cp
+    """(alpha, kappa) of gamma' = alpha xi and eta' = kappa xi, sampled on
+    the grid when the pair was validated."""
+    return L.pair
 
 
 def circular_curvature(cp: CurvaturePair) -> np.ndarray:
@@ -272,6 +286,12 @@ def _immersion_gap(cp: CurvaturePair):
         if r_star < best:
             best, t_best = r_star, t_star
     return best, t_best
+
+
+def _require_front(cp: CurvaturePair):
+    gap, t_bad = _immersion_gap(cp)
+    if gap < REL_ZERO:
+        raise NotAFront(f"alpha and kappa both vanish near t = {t_bad:.6g}")
 
 
 def _detect_cusps(cp: CurvaturePair):
@@ -412,9 +432,7 @@ def maslov_index(L: LegendreCurve) -> dict:
     if not L.closed:
         raise NotClosed("the zigzag invariant needs a closed front")
     cp = curvature_pair(L)
-    gap, t_bad = _immersion_gap(cp)
-    if gap < REL_ZERO:
-        raise NotAFront(f"alpha and kappa both vanish near t = {t_bad:.6g}")
+    _require_front(cp)
 
     cusps, degenerate = _detect_cusps(cp)
     word = _zigzag_word(cusps, degenerate)
@@ -455,9 +473,7 @@ def _zigzag_invariant(cp: CurvaturePair, word: int, infl) -> dict:
 def singularity_report(L: LegendreCurve) -> SingularityReport:
     """Full singular-structure classification of a validated pair."""
     cp = curvature_pair(L)
-    gap, t_bad = _immersion_gap(cp)
-    if gap < REL_ZERO:
-        raise NotAFront(f"alpha and kappa both vanish near t = {t_bad:.6g}")
+    _require_front(cp)
 
     cusps, degenerate = _detect_cusps(cp)
     inflections = _detect_inflections(cp)

@@ -310,27 +310,31 @@ def extend_normal(plane: NormedPlane, curve: ParamCurve) -> NormalField:
     def evaluate_regular(t):
         return unsigned(t) * sign_of(t)[..., None]
 
-    def rate(t):
+    h = curve.span * FD_STEP_FACTOR
+
+    def jet(t):
+        # away from the singular points one inversion of the supporting map
+        # gives both parts; near them the averaged value and its difference
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         w = curve.derivative(t_arr, 1)
-        sp = plane.norm(w)
-        out = np.empty(t_arr.shape + (2,))
-        far = sp >= 1e-3 * smax
+        far = plane.norm(w) >= 1e-3 * smax
+        z = np.empty(t_arr.shape + (2,))
+        dz = np.empty(t_arr.shape + (2,))
         if np.any(far):
-            _, dz = normal_jet(plane, curve, t_arr[far], w[far],
-                               curve.derivative(t_arr[far], 2), unsigned)
-            out[far] = dz * sign_of(t_arr[far])[..., None]
+            sign = sign_of(t_arr[far])[..., None]
+            z_far, dz_far = normal_jet(plane, curve, t_arr[far], w[far],
+                                       curve.derivative(t_arr[far], 2), unsigned)
+            z[far], dz[far] = z_far * sign, dz_far * sign
         if np.any(~far):
-            h = curve.span * FD_STEP_FACTOR
-            out[~far] = differentiate(evaluate, t_arr[~far], 1, h,
-                                      domain=curve.domain, closed=curve.closed)
+            z[~far] = evaluate(t_arr[~far])
+            dz[~far] = differentiate(evaluate, t_arr[~far], 1, h,
+                                     domain=curve.domain, closed=curve.closed)
         if np.isscalar(t) or np.asarray(t).ndim == 0:
-            return out[0]
-        return out
+            return z[0], dz[0]
+        return z, dz
 
     fieldv = NormalField(evaluate, curve.domain, curve.closed,
-                         "extended_through_singularities",
-                         lambda t: (evaluate(t), rate(t)))
+                         "extended_through_singularities", jet)
 
     # audit continuity: a corner (tangent line jump) cannot be smoothed
     vals = fieldv(ts)
@@ -340,25 +344,6 @@ def extend_normal(plane: NormedPlane, curve: ParamCurve) -> NormalField:
     if np.max(gaps) > 0.5:
         raise LimitsDisagree("normal field is discontinuous: tangent lines jump")
     return fieldv
-
-
-def legendre_residual(plane: NormedPlane, curve: ParamCurve, eta: NormalField) -> float:
-    """max |[gamma', b(eta)]| / (||gamma'|| + eps) over the sample grid.
-
-    Orthogonality is vacuous where gamma' vanishes, so points whose speed
-    sits below the numerical noise floor of the pair (relative to the faster
-    of gamma and eta) are excluded rather than divided through.
-    """
-    ts = curve.grid()
-    d1 = curve.derivative(ts, 1)
-    xi = plane.birkhoff(eta(ts))
-    speeds = plane.norm(d1)
-    # the floor only needs the magnitude of the pair's motion: coarse subgrid
-    eta_rate = plane.norm(eta.derivative(ts[:: max(1, len(ts) // 128)], 1))
-    floor = 1e-6 * max(float(np.max(speeds)), float(np.max(eta_rate)), 1e-300)
-    vals = np.abs(symplectic(d1, xi)) / (speeds + 1e-12)
-    vals[speeds < floor] = 0.0
-    return float(np.max(vals))
 
 
 @dataclass

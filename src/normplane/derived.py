@@ -14,13 +14,12 @@ from .analysis import (
     curvature_pair,
     make_legendre,
     scalar_derivative,
-    _immersion_gap,
+    _require_front,
 )
 from .curves import NormalField, ParamCurve, normal_jet
 from .errors import (
     DegenerateLine,
     KappaVanishes,
-    NotAFront,
     RhoDegenerate,
     SingularPoint,
 )
@@ -28,12 +27,6 @@ from .numerics import gauss5_segments, sign_crossings
 from .plane import symplectic
 
 RHO_FLOOR = 1e-6
-
-
-def _require_front(cp: CurvaturePair):
-    gap, t_bad = _immersion_gap(cp)
-    if gap < REL_ZERO:
-        raise NotAFront(f"alpha and kappa both vanish near t = {t_bad:.6g}")
 
 
 def _require_kappa(cp: CurvaturePair):
@@ -67,18 +60,21 @@ def parallel(L: LegendreCurve, d: float) -> LegendreCurve:
 
 @dataclass
 class EvoluteFrame:
-    """Evolute curve with its own normal field and predicted curvature pair."""
+    """Evolute curve with its own normal field, and the base pair its
+    predicted curvature pair comes from."""
 
     evolute: ParamCurve
     nu: NormalField
     pair: LegendreCurve
-    rho_values: np.ndarray        # distortion at nu(t) on the base grid
-    predicted_alpha: np.ndarray   # (alpha/kappa)'
-    predicted_kappa: np.ndarray   # kappa / rho(nu), NaN where rho is degenerate
+    base: CurvaturePair
 
     def predicted(self, mask_floor=1e-3):
-        ok = self.rho_values > mask_floor
-        return ok, self.predicted_alpha, self.predicted_kappa
+        """(rho(nu) > mask_floor, (alpha/kappa)', kappa/rho(nu)) on the base
+        grid, the last NaN where rho is degenerate."""
+        cp = self.base
+        rho_vals = self.pair.plane.rho(self.nu(cp.ts))
+        pred_kappa = np.where(rho_vals > RHO_FLOOR, cp.kappa / rho_vals, np.nan)
+        return rho_vals > mask_floor, cp.ratio_rate_at(cp.ts), pred_kappa
 
 
 def evolute(L: LegendreCurve) -> EvoluteFrame:
@@ -117,11 +113,7 @@ def evolute(L: LegendreCurve) -> EvoluteFrame:
 
     nu = NormalField(nu_eval, gamma.domain, gamma.closed, "induced_regular", nu_jet)
     frame = make_legendre(plane, e_curve, nu, residual_tol=1e-4)
-
-    rho_vals = plane.rho(nu(cp.ts))
-    pred_alpha = cp.ratio_rate_at(cp.ts)
-    pred_kappa = np.where(rho_vals > RHO_FLOOR, cp.kappa / rho_vals, np.nan)
-    return EvoluteFrame(e_curve, nu, frame, rho_vals, pred_alpha, pred_kappa)
+    return EvoluteFrame(e_curve, nu, frame, cp)
 
 
 def evolute_as_parallel_singularities(L: LegendreCurve, n_offsets: int = 512) -> np.ndarray:
@@ -230,10 +222,7 @@ class PedalResult:
     """Pedal curve of a pair with respect to a fixed point."""
 
     gamma_p: ParamCurve
-    base_point: np.ndarray
     frontal_claimed: bool         # false when the base point lies on the curve
-    zeta: np.ndarray              # front direction field samples
-    nu_p: Optional[np.ndarray]    # pedal normal samples, when claimed
     singular_ts: list
     pair: Optional[LegendreCurve]
 
@@ -283,12 +272,10 @@ def pedal(L: LegendreCurve, p) -> PedalResult:
     ts = cp.ts
     min_dist = float(np.min(plane.norm(gamma.point(ts) - p)))
     claimed = min_dist > 1e-6
-    zeta_samples = zeta_at(ts)
 
     singular = sign_crossings(ts, cp.kappa, 1e-7 * cp.kappa_scale, cp.kappa_at,
                               period=cp.span if cp.closed else None)
 
-    nu_p = None
     pair = None
     if claimed:
         def nu_eval(t):
@@ -296,8 +283,7 @@ def pedal(L: LegendreCurve, p) -> PedalResult:
 
         nu_field = NormalField(nu_eval, gamma.domain, gamma.closed, "induced_regular")
         pair = make_legendre(plane, curve, nu_field)
-        nu_p = nu_eval(ts)
-    return PedalResult(curve, p, claimed, zeta_samples, nu_p, list(singular), pair)
+    return PedalResult(curve, claimed, list(singular), pair)
 
 
 def pedal_envelope_residual(L: LegendreCurve, p, t, v,

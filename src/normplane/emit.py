@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -28,13 +29,13 @@ def emit_csv(path, ts, xy, alpha=None, kappa=None, k=None):
             return np.full(len(ts), np.nan)
         return np.asarray(c, dtype=float)
 
-    alpha, kappa, k = col(alpha), col(kappa), col(k)
+    table = np.column_stack([ts, xy, col(alpha), col(kappa), col(k)])
     lines = [CSV_HEADER]
-    for i in range(len(ts)):
-        cells = [_fmt(ts[i]), _fmt(xy[i, 0]), _fmt(xy[i, 1])]
-        for c in (alpha[i], kappa[i], k[i]):
-            cells.append("" if not np.isfinite(c) else _fmt(c))
-        lines.append(",".join(cells))
+    # one row at a time as Python floats: a whole-table tolist() would hold
+    # every cell as a float object at once
+    for t, x, y, *fields in map(np.ndarray.tolist, table):
+        lines.append(",".join([_fmt(t), _fmt(x), _fmt(y)]
+                              + [_fmt(c) if math.isfinite(c) else "" for c in fields]))
     _write_text(path, "\n".join(lines) + "\n")
 
 

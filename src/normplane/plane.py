@@ -198,7 +198,6 @@ class NormedPlane:
         if sym > 1e-10 * np.max(np.abs(c)):
             raise BadParameter("radial profile is not centrally symmetric")
 
-        self._speed_nodes = self.norm(d1)
         u = np.zeros(self._n + 1)
         u[1:] = np.cumsum(gauss5_segments(lambda t: self.norm(self.circle_d1(t)),
                                           th[:-1], th[1:]))

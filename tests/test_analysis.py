@@ -455,3 +455,17 @@ def test_pair_values_invert_the_supporting_map_once_per_point(l3, monkeypatch):
     assert sum(points) == len(ts)
     cp.values_at(1.0)
     assert sum(points) == len(ts) + 1
+
+
+def test_pair_is_sampled_in_the_pass_that_validates_it(fourier_oval, monkeypatch):
+    # the unit check, the orthogonality residual and the sampled pair read one
+    # evaluation of the normal's jet on the grid: one inversion per point
+    points = []
+    invert = fourier_oval.tangent_theta
+    monkeypatch.setattr(fourier_oval, "tangent_theta",
+                        lambda chi: points.append(np.size(chi)) or invert(chi))
+    L = legendre_from_curve(fourier_oval, catalog.ellipse(2.0, 1.0, samples=256))
+    cp = curvature_pair(L)
+    assert sum(points) == 256
+    assert cp is L.pair and curvature_pair(L) is cp
+    assert np.array_equal(np.stack(cp.values_at(cp.ts)), np.stack([cp.alpha, cp.kappa]))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from normplane import catalog
+from normplane.analysis import make_legendre
 from normplane.curves import (
     Jet,
     NormalField,
@@ -9,7 +10,6 @@ from normplane.curves import (
     extend_normal,
     find_singular_params,
     induced_normal,
-    legendre_residual,
 )
 from normplane.errors import BadParameter, LimitsDisagree, OutOfDomain, SingularPoint
 from normplane.numerics import differentiate, fd_weights
@@ -160,9 +160,10 @@ def test_legendre_residual_values(euclidean, astroid_pair):
                        (0.0, TWO_PI), True, "analytic")
     bad = NormalField(lambda t: np.stack([-np.sin(t), np.cos(t)], -1),
                       (0.0, TWO_PI), True, "analytic")
-    assert legendre_residual(euclidean, circle, good) < 1e-8
-    assert legendre_residual(euclidean, circle, bad) > 0.5
-    assert legendre_residual(euclidean, astroid_pair.gamma, astroid_pair.eta) < 1e-6
+    assert make_legendre(euclidean, circle, good, np.inf).residual < 1e-8
+    assert make_legendre(euclidean, circle, bad, np.inf).residual > 0.5
+    assert make_legendre(euclidean, astroid_pair.gamma, astroid_pair.eta,
+                         np.inf).residual < 1e-6
 
 
 def test_jet_validation():
@@ -192,3 +193,16 @@ def test_extended_normal_rate_keeps_its_sign_at_flat_directions(l3):
     want = differentiate(eta, t_flat, 1, curve.span * 1e-4,
                          domain=curve.domain, closed=False)
     assert np.allclose(eta.derivative(t_flat, 1), want, rtol=1e-12, atol=0.0)
+
+
+def test_extended_normal_jet_inverts_the_supporting_map_once_per_point(l3, monkeypatch):
+    eta = extend_normal(l3, catalog.cusp_t2t3())
+    ts = np.linspace(0.2, 0.9, 50)
+    points = []
+    invert = l3.tangent_theta
+    monkeypatch.setattr(l3, "tangent_theta",
+                        lambda chi: points.append(np.size(chi)) or invert(chi))
+    value, _ = eta.value_and_rate(ts)
+    assert sum(points) == len(ts)
+    monkeypatch.undo()
+    assert np.array_equal(value, eta(ts))
