@@ -19,17 +19,17 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .curves import NormalField, ParamCurve, extend_normal, induced_normal
+from .curves import NormalField, ParamCurve, extend_normal
 from .errors import (
     BadParameter,
     DegenerateFrame,
     GeometryError,
+    LimitsDisagree,
     MethodsDisagree,
     NotAFront,
     NotClosed,
     PreconditionViolated,
     ResidualViolation,
-    SingularPoint,
 )
 from .numerics import differentiate, sign_crossings, unwrap_mod
 from .plane import NormedPlane, symplectic
@@ -125,28 +125,38 @@ def make_legendre(plane: NormedPlane, gamma: ParamCurve, eta: NormalField,
         return _frame_values(e_t, plane.birkhoff(e_t), rate_t, gamma.derivative(t, 1))
 
     alpha, kappa = _frame_values(e, xi, e_rate, d1)
-    pair = CurvaturePair(ts, alpha, kappa, values_at, gamma.span, gamma.closed,
+    pair = CurvaturePair(ts, alpha, kappa, e, values_at, gamma.span, gamma.closed,
                          gamma.domain)
     return LegendreCurve(plane, gamma, eta, res, pair)
 
 
 def legendre_from_curve(plane: NormedPlane, curve: ParamCurve) -> LegendreCurve:
-    """Build the pair with the induced normal, extending through isolated
-    singularities when the curve is not regular."""
-    try:
-        eta = induced_normal(plane, curve)
-    except SingularPoint:
-        eta = extend_normal(plane, curve)
-    return make_legendre(plane, curve, eta)
+    """Build the pair with the curve's left normal, extended through isolated
+    singular points, and refuse it where the sampled normal jumps: a chord
+    longer than 0.5 and than 3 times both neighbouring chords (a coarse grid
+    of a smooth normal has even chords, 0.765 on the 8-sample circle)."""
+    L = make_legendre(plane, curve, extend_normal(plane, curve))
+    eta = L.pair.eta
+    if curve.closed:
+        eta = np.concatenate([eta, eta[:1]])
+    chords = np.linalg.norm(np.diff(eta, axis=0), axis=1)
+    beside = np.pad(chords, 1, mode="wrap" if curve.closed else "constant")
+    jumps = (chords > 0.5) & (chords > 3.0 * np.maximum(beside[:-2], beside[2:]))
+    if np.any(jumps):
+        t_bad = float(L.pair.ts[int(np.argmax(jumps))])
+        raise LimitsDisagree(
+            f"normal field jumps after t = {t_bad:.6g}: tangent lines do not join")
+    return L
 
 
 @dataclass
 class CurvaturePair:
-    """Sampled (alpha, kappa) plus the pointwise evaluator of the same frame."""
+    """Sampled (alpha, kappa) and normal, and the pointwise evaluator of the frame."""
 
     ts: np.ndarray
     alpha: np.ndarray
     kappa: np.ndarray
+    eta: np.ndarray          # the normal field on ts
     values_at: Callable      # t -> (alpha(t), kappa(t))
     span: float
     closed: bool
@@ -500,8 +510,9 @@ def singularity_report(L: LegendreCurve) -> SingularityReport:
         "all_vertices": bool(all_vertices),
         "genericity_verified": False,
     }
+    # is_front holds whenever a report exists: _require_front raised otherwise
     return SingularityReport(cusps, inflections, vertices, maslov, counts,
-                             is_front=True, is_immersion=True,
+                             is_front=True, is_immersion=not (cusps or degenerate),
                              maslov_error=maslov_error)
 
 

@@ -95,8 +95,10 @@ class ParamCurve:
 class NormalField:
     """A unit field t -> eta(t) along a curve.
 
-    `jet`, when given, maps t to (eta(t), eta'(t)) in one evaluation, and its
-    first part equals `evaluate` bit for bit; without it the rate is a finite
+    `evaluate` maps a parameter array to the array of normals; a scalar
+    parameter is passed as a one-element array and unpacked here. `jet`,
+    when given, maps t to (eta(t), eta'(t)) in one evaluation, and its first
+    part equals `evaluate` bit for bit; without it the rate is a finite
     difference of `evaluate`.
     """
 
@@ -107,7 +109,9 @@ class NormalField:
     jet: Optional[Callable] = None
 
     def __call__(self, t):
-        return np.asarray(self.evaluate(t), dtype=float)
+        t = np.asarray(t, dtype=float)
+        eta = np.asarray(self.evaluate(np.atleast_1d(t)), dtype=float)
+        return eta if t.ndim else eta[0]
 
     @property
     def span(self):
@@ -117,27 +121,27 @@ class NormalField:
         """(eta(t), eta'(t)), from one jet evaluation when the field has one."""
         if self.jet is None:
             return self(t), self.derivative(t, 1)
-        eta, rate = self.jet(t)
-        return np.asarray(eta, dtype=float), np.asarray(rate, dtype=float)
+        t = np.asarray(t, dtype=float)
+        eta, rate = (np.asarray(v, dtype=float) for v in self.jet(np.atleast_1d(t)))
+        return (eta, rate) if t.ndim else (eta[0], rate[0])
 
     def derivative(self, t, order=1):
         h = self.span * FD_STEP_FACTOR
         if self.jet is None:
             return differentiate(lambda s: np.asarray(self.evaluate(s), dtype=float),
                                  t, order, h, domain=self.domain, closed=self.closed)
-        rate = lambda s: np.asarray(self.jet(s)[1], dtype=float)
         if order == 1:
-            return rate(t)
+            return self.value_and_rate(t)[1]
+        rate = lambda s: np.asarray(self.jet(s)[1], dtype=float)
         return differentiate(rate, t, order - 1, h, domain=self.domain, closed=self.closed)
 
 
-def find_singular_params(plane: NormedPlane, curve: ParamCurve,
-                         rel_threshold=SINGULAR_SPEED_FACTOR):
+def find_singular_params(plane: NormedPlane, curve: ParamCurve):
     """Parameters where the speed vanishes, refined between grid nodes.
 
-    Returns a sorted list of (t, speed) pairs. Candidate dips of the sampled
-    speed are polished by golden section so singularities that fall between
-    nodes are still found.
+    Returns a sorted list of (t, speed) pairs, speeds below SINGULAR_SPEED_FACTOR
+    times the fastest sample. Candidate dips of the sampled speed are polished
+    by golden section so singularities that fall between nodes are still found.
     """
     from .numerics import golden_minimize
 
@@ -161,7 +165,7 @@ def find_singular_params(plane: NormedPlane, curve: ParamCurve,
         lo = ts[i] - step if (curve.closed or i > 0) else ts[i]
         hi = ts[i] + step if (curve.closed or i < n - 1) else ts[i]
         t_star, s_star = golden_minimize(speed_at, lo, hi)
-        if s_star < rel_threshold * smax:
+        if s_star < SINGULAR_SPEED_FACTOR * smax:
             found.append((t_star, s_star))
     if curve.closed:
         t0, period = curve.domain[0], curve.span
@@ -193,67 +197,81 @@ def normal_jet(plane: NormedPlane, curve: ParamCurve, t, w, dw, fallback):
 
 
 def induced_normal(plane: NormedPlane, curve: ParamCurve) -> NormalField:
-    """Left normal of a regular curve: unit, orthogonal-to-tangent, [eta, gamma'] > 0."""
-    singular = find_singular_params(plane, curve, rel_threshold=1e-8)
-    if singular:
-        raise SingularPoint(f"curve is singular near t = {singular[0][0]:.6g}")
-
-    def evaluate(t):
-        return plane.normal_from_tangent(curve.derivative(t, 1))
-
-    def jet(t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        z, dz = normal_jet(plane, curve, t_arr, curve.derivative(t_arr, 1),
-                           curve.derivative(t_arr, 2), evaluate)
-        if np.isscalar(t) or np.asarray(t).ndim == 0:
-            return z[0], dz[0]
-        return z, dz
-
-    return NormalField(evaluate, curve.domain, curve.closed, "induced_regular", jet)
+    """Left normal of a regular curve: unit, orthogonal-to-tangent, [eta, gamma'] > 0;
+    extend_normal's field, refused when the curve has singular points."""
+    eta = extend_normal(plane, curve)
+    if eta.provenance != "induced_regular":
+        raise SingularPoint("curve has singular points; its normal must be extended")
+    return eta
 
 
 def extend_normal(plane: NormedPlane, curve: ParamCurve) -> NormalField:
-    """Normal field through isolated singular points.
+    """Left normal of the curve, kept smooth through isolated singular points.
 
-    The raw left normal flips sign wherever the normalized tangent does (an
-    ordinary cusp); flips are located precisely and a sign function with
-    those breakpoints makes the field smooth across each singularity.
+    The left normal normal_from_tangent(gamma') flips sign wherever the
+    normalized tangent does (an ordinary cusp); flips are located precisely
+    and a sign function with those breakpoints makes the field smooth across
+    each singularity. A curve without singular points gets the plain left
+    normal. The field is not checked for continuity here: a corner shows as
+    a jump in the pair's samples (analysis.legendre_from_curve).
     """
-    ts = curve.grid()
-    n = len(ts)
-    period = curve.span if curve.closed else None
-    d1 = curve.derivative(ts, 1)
-    speeds = plane.norm(d1)
-    smax = float(np.max(speeds))
-    step = curve.span / n
     singular = find_singular_params(plane, curve)
+
+    def left(t):
+        return plane.normal_from_tangent(curve.derivative(t, 1))
+
+    def left_jet(t, w):
+        return normal_jet(plane, curve, t, w, curve.derivative(t, 2), left)
+
+    if not singular:
+        return NormalField(left, curve.domain, curve.closed, "induced_regular",
+                           lambda t: left_jet(t, curve.derivative(t, 1)))
+
+    ts = curve.grid()
+    period = curve.span if curve.closed else None
+    smax = float(np.max(plane.norm(curve.derivative(ts, 1))))
+    step = curve.span / len(ts)
+    offsets = (2.0 * step, step, 0.5 * step)
+
+    def lateral(t_star, d):
+        # derivatives at t_star -/+ d, their directions and the angle between
+        # their tangent lines
+        w = curve.derivative(t_star + np.array([-d, d]), 1)
+        lengths = np.linalg.norm(w, axis=1)
+        if np.min(lengths) < SINGULAR_SPEED_FACTOR * smax:
+            raise LimitsDisagree("singular points closer than two grid steps")
+        u = w / lengths[:, None]
+        return w, u, float(np.arcsin(min(1.0, abs(symplectic(u[0], u[1])))))
 
     flips = []
     for t_star, _ in singular:
-        ta, tb = t_star - 2.0 * step, t_star + 2.0 * step
         if not curve.closed:
             t0, t1 = curve.domain
-            if ta < t0 or tb > t1:
+            if t_star - offsets[0] < t0 or t_star + offsets[0] > t1:
                 raise SingularPoint("singularity too close to an open endpoint")
-        def line_gap(d):
-            wa = np.asarray(curve.derivative(t_star - d, 1), dtype=float)
-            wb = np.asarray(curve.derivative(t_star + d, 1), dtype=float)
-            wa = wa / np.linalg.norm(wa)
-            wb = wb / np.linalg.norm(wb)
-            return wa, wb, float(np.arcsin(min(1.0, abs(symplectic(wa, wb)))))
-
-        # the lateral tangents close linearly in the offset at a smooth
-        # singularity; Richardson-extrapolate the gap to offset zero
-        wa, wb, g1 = line_gap(2.0 * step)
-        _, _, g2 = line_gap(step)
-        if abs(2.0 * g2 - g1) > 1e-4:
+        # the lateral tangent lines close linearly in the offset at a smooth
+        # singularity, so the Richardson residual |2 g(d) - g(2d)| of the gap
+        # shrinks faster than d; at a corner it does not shrink
+        sides = [lateral(t_star, d) for d in offsets]
+        g = [gap for _, _, gap in sides]
+        coarse, fine = abs(2.0 * g[1] - g[0]), abs(2.0 * g[2] - g[1])
+        if coarse > 1e-4 and fine > 0.5 * coarse:
             raise LimitsDisagree(
                 "one-sided tangent directions are not parallel at the singularity")
-        if float(wa @ wb) < 0.0:
-            # tangent reverses: locate the crossing of the tangent component
-            f = lambda t, w=wa: curve.derivative(t, 1) @ w
-            fa, fb = f(np.array([ta, tb]))
-            flips.append(brent_root(f, ta, tb, fa, fb, xtol=1e-12)[0])
+        # the tangent reverses where its component along the left direction
+        # changes sign; decide on the widest bracket whose right tangent lies
+        # within 60 degrees of the left tangent's line, from the end values
+        # the root search is seeded with
+        for d, (w, u, _) in zip(offsets, sides):
+            fa, fb = w @ u[0]
+            if abs(fb) >= 0.5 * np.linalg.norm(w[1]):
+                break
+        else:
+            raise LimitsDisagree(
+                "the grid does not resolve whether the tangent reverses at the singularity")
+        if fb < 0.0:
+            f = lambda t, wa=u[0]: curve.derivative(t, 1) @ wa
+            flips.append(brent_root(f, t_star - d, t_star + d, fa, fb, xtol=1e-12)[0])
 
     flips = np.sort(np.asarray(flips, dtype=float))
     t0 = curve.domain[0]
@@ -263,87 +281,58 @@ def extend_normal(plane: NormedPlane, curve: ParamCurve) -> NormalField:
 
     # orientation anchor: the raw left normal holds on the arc just after the
     # first singular parameter (counted cyclically from the domain start)
-    if singular:
-        sing_ts = np.asarray([t for t, _ in singular], dtype=float)
-        if curve.closed:
-            sing_ts = t0 + np.mod(sing_ts - t0, period)
-            sing_ts[sing_ts > t0 + period - 2.0 * step] -= period
-        anchor = float(np.min(sing_ts)) + step
-    else:
-        anchor = ts[0] + step
+    sing_ts = np.asarray([t for t, _ in singular], dtype=float)
+    if curve.closed:
+        sing_ts = t0 + np.mod(sing_ts - t0, period)
+        sing_ts[sing_ts > t0 + period - 2.0 * step] -= period
+    anchor = float(np.min(sing_ts)) + step
     base_parity = int(np.searchsorted(flips, t0 + np.mod(anchor - t0, period)
                                       if curve.closed else anchor, side="right"))
 
     def sign_of(t):
-        t = np.asarray(t, dtype=float)
         if curve.closed:
             t = t0 + np.mod(t - t0, period)
         par = np.searchsorted(flips, t, side="right")
-        return np.where((par - base_parity) % 2 == 0, 1.0, -1.0)
+        return np.where((par - base_parity) % 2 == 0, 1.0, -1.0)[..., None]
+
+    def signed(t):
+        return left(t) * sign_of(t)
 
     delta = curve.span * 1e-6
 
     def evaluate(t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        w = curve.derivative(t_arr, 1)
-        sp = plane.norm(w)
-        near = sp < 1e-6 * smax
+        w = curve.derivative(t, 1)
+        near = plane.norm(w) < 1e-6 * smax
+        out = np.empty(t.shape + (2,))
+        if np.any(~near):
+            out[~near] = plane.normal_from_tangent(w[~near]) * sign_of(t[~near])
         if np.any(near):
             # symmetric average from both sides kills the O(delta) error
-            lo = evaluate_regular(t_arr[near] - delta)
-            hi = evaluate_regular(t_arr[near] + delta)
-            mid = 0.5 * (lo + hi)
-            mid /= plane.norm(mid)[..., None]
-            out = np.empty(t_arr.shape + (2,))
-            if np.any(~near):
-                out[~near] = evaluate_regular(t_arr[~near])
-            out[near] = mid
-        else:
-            out = evaluate_regular(t_arr)
-        if np.isscalar(t) or np.asarray(t).ndim == 0:
-            return out[0]
+            mid = 0.5 * (signed(t[near] - delta) + signed(t[near] + delta))
+            out[near] = mid / plane.norm(mid)[..., None]
         return out
-
-    def unsigned(t):
-        return plane.normal_from_tangent(curve.derivative(t, 1))
-
-    def evaluate_regular(t):
-        return unsigned(t) * sign_of(t)[..., None]
 
     h = curve.span * FD_STEP_FACTOR
 
     def jet(t):
         # away from the singular points one inversion of the supporting map
         # gives both parts; near them the averaged value and its difference
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        w = curve.derivative(t_arr, 1)
+        w = curve.derivative(t, 1)
         far = plane.norm(w) >= 1e-3 * smax
-        z = np.empty(t_arr.shape + (2,))
-        dz = np.empty(t_arr.shape + (2,))
+        z = np.empty(t.shape + (2,))
+        dz = np.empty(t.shape + (2,))
         if np.any(far):
-            sign = sign_of(t_arr[far])[..., None]
-            z_far, dz_far = normal_jet(plane, curve, t_arr[far], w[far],
-                                       curve.derivative(t_arr[far], 2), unsigned)
+            sign = sign_of(t[far])
+            z_far, dz_far = left_jet(t[far], w[far])
             z[far], dz[far] = z_far * sign, dz_far * sign
         if np.any(~far):
-            z[~far] = evaluate(t_arr[~far])
-            dz[~far] = differentiate(evaluate, t_arr[~far], 1, h,
+            z[~far] = evaluate(t[~far])
+            dz[~far] = differentiate(evaluate, t[~far], 1, h,
                                      domain=curve.domain, closed=curve.closed)
-        if np.isscalar(t) or np.asarray(t).ndim == 0:
-            return z[0], dz[0]
         return z, dz
 
-    fieldv = NormalField(evaluate, curve.domain, curve.closed,
-                         "extended_through_singularities", jet)
-
-    # audit continuity: a corner (tangent line jump) cannot be smoothed
-    vals = fieldv(ts)
-    gaps = np.linalg.norm(np.diff(vals, axis=0), axis=1)
-    if curve.closed:
-        gaps = np.append(gaps, np.linalg.norm(vals[0] - vals[-1]))
-    if np.max(gaps) > 0.5:
-        raise LimitsDisagree("normal field is discontinuous: tangent lines jump")
-    return fieldv
+    return NormalField(evaluate, curve.domain, curve.closed,
+                       "extended_through_singularities", jet)
 
 
 @dataclass

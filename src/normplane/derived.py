@@ -72,7 +72,7 @@ class EvoluteFrame:
         """(rho(nu) > mask_floor, (alpha/kappa)', kappa/rho(nu)) on the base
         grid, the last NaN where rho is degenerate."""
         cp = self.base
-        rho_vals = self.pair.plane.rho(self.nu(cp.ts))
+        rho_vals = self.pair.plane.rho(self.pair.pair.eta)
         pred_kappa = np.where(rho_vals > RHO_FLOOR, cp.kappa / rho_vals, np.nan)
         return rho_vals > mask_floor, cp.ratio_rate_at(cp.ts), pred_kappa
 
@@ -104,11 +104,8 @@ def evolute(L: LegendreCurve) -> EvoluteFrame:
         return -plane.normal_from_tangent(eta(t))
 
     def nu_jet(t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        z, dz = normal_jet(plane, gamma, t_arr, *eta.value_and_rate(t_arr),
+        z, dz = normal_jet(plane, gamma, t, *eta.value_and_rate(t),
                            lambda s: plane.normal_from_tangent(eta(s)))
-        if np.isscalar(t) or np.asarray(t).ndim == 0:
-            return -z[0], -dz[0]
         return -z, -dz
 
     nu = NormalField(nu_eval, gamma.domain, gamma.closed, "induced_regular", nu_jet)
@@ -131,9 +128,8 @@ def evolute_as_parallel_singularities(L: LegendreCurve, n_offsets: int = 512) ->
     pad = 0.005 * max(hi - lo, 1e-12)
     ds = np.linspace(lo - pad, hi + pad, n_offsets)
 
-    ts, alpha, kappa = cp.ts, cp.alpha, cp.kappa
+    ts, alpha, kappa, eta_pts = cp.ts, cp.alpha, cp.kappa, cp.eta
     gamma_pts = L.gamma.point(ts)
-    eta_pts = L.eta(ts)
     points = []
     for d in ds:
         f = alpha + d * kappa
@@ -177,7 +173,7 @@ def involute(L: LegendreCurve, d: float) -> LegendreCurve:
     _require_kappa(cp)
     plane, gamma, eta = L.plane, L.gamma, L.eta
 
-    rho_vals = plane.rho(eta(cp.ts))
+    rho_vals = plane.rho(cp.eta)
     if np.min(rho_vals) <= RHO_FLOOR:
         t_bad = float(cp.ts[int(np.argmin(rho_vals))])
         raise RhoDegenerate(f"distortion vanishes along eta near t = {t_bad:.6g}")

@@ -201,6 +201,18 @@ def test_degenerate_singularity_counted_as_vertex(euclidean):
     assert abs(degenerate_vertices[0].t) < 1e-6
 
 
+def test_is_immersion_means_no_singular_points(euclidean, circle_pair, ellipse_pair,
+                                               astroid_pair, t2t3_pair):
+    degenerate = ParamCurve(lambda t: np.stack([np.asarray(t) ** 3,
+                                                np.asarray(t) ** 4], -1), (-1.0, 1.0))
+    for pair, immersed in ((circle_pair, True), (ellipse_pair, True),
+                           (astroid_pair, False), (t2t3_pair, False),
+                           (legendre_from_curve(euclidean, degenerate), False)):
+        rep = singularity_report(pair)
+        assert rep.is_immersion is immersed
+        assert rep.is_front
+
+
 def test_not_a_front_when_alpha_and_kappa_vanish_together(euclidean):
     from normplane.errors import NotAFront
     from normplane.synthesis import SynthesisSpec, synthesize

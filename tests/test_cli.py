@@ -338,3 +338,32 @@ def test_lp_below_two_circle_analyze(tmp_path):
     }))
     assert main(["run", str(cfg)]) == 0
     assert json.loads(out.read_text())["counts"]["cusps"] == 0
+
+
+_SMOKE_NORMS = {"euclidean": {"kind": "euclidean"}, "lp3": {"kind": "lp", "p": 3.0},
+                "fourier": {"kind": "fourier_radial", "coefficients": [1.0, 0.08]}}
+_SMOKE_OPERATIONS = {"analyze": {"kind": "analyze"}, "evolute": {"kind": "evolute"},
+                     "involute": {"kind": "involute", "d": 0.5},
+                     "pedal": {"kind": "pedal", "point": [0.1, 0.2]},
+                     "parallel": {"kind": "parallel", "d": 0.3}}
+
+
+@pytest.mark.parametrize("operation", list(_SMOKE_OPERATIONS))
+@pytest.mark.parametrize("curve", ["circle", "ellipse", "astroid", "cusp_t2t3",
+                                   "unit_circle_of_norm"])
+@pytest.mark.parametrize("norm", list(_SMOKE_NORMS))
+def test_catalog_smoke_matrix_exits_with_a_documented_code(tmp_path, norm, curve, operation):
+    # a coarse grid may refuse an input, but only with a documented exit code
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "norm": _SMOKE_NORMS[norm],
+        "curve": {"kind": "catalog", "name": curve},
+        "operation": _SMOKE_OPERATIONS[operation],
+        "output": {"csv": "out.csv", "svg": "out.svg", "report": "out.json"},
+    }))
+    assert main(["run", str(cfg), "--out", str(tmp_path), "--samples", "16"]) in (0, 2, 3, 4, 5)
+
+
+def test_corner_reject_config_exits_3(tmp_path, capsys):
+    assert _run(tmp_path, "corner_reject.json") == 3
+    assert "jumps" in capsys.readouterr().err

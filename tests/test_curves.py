@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from normplane import catalog
-from normplane.analysis import make_legendre
+from normplane.analysis import legendre_from_curve, make_legendre
 from normplane.curves import (
     Jet,
     NormalField,
@@ -10,10 +10,11 @@ from normplane.curves import (
     extend_normal,
     find_singular_params,
     induced_normal,
+    normal_jet,
 )
 from normplane.errors import BadParameter, LimitsDisagree, OutOfDomain, SingularPoint
 from normplane.numerics import differentiate, fd_weights
-from normplane.plane import is_birkhoff_orthogonal
+from normplane.plane import NormSpec, build_plane, is_birkhoff_orthogonal
 
 TWO_PI = 2.0 * np.pi
 
@@ -135,7 +136,7 @@ def test_extend_normal_corner_rejected(euclidean):
     corner = ParamCurve(lambda t: np.stack([np.abs(t), np.asarray(t)], -1),
                         (-1.0, 1.0))
     with pytest.raises(LimitsDisagree):
-        extend_normal(euclidean, corner)
+        legendre_from_curve(euclidean, corner)
 
 
 def test_extend_equals_induced_on_regular_curves(euclidean):
@@ -206,3 +207,114 @@ def test_extended_normal_jet_inverts_the_supporting_map_once_per_point(l3, monke
     assert sum(points) == len(ts)
     monkeypatch.undo()
     assert np.array_equal(value, eta(ts))
+
+
+def test_extend_normal_is_the_left_normal_on_regular_curves(euclidean, l3, fourier_oval):
+    # with no singular point the field is normal_from_tangent(gamma') and its
+    # jet that of normal_jet, bit for bit
+    curve = catalog.ellipse(1.7, 0.9)
+    ts = np.linspace(0.0, TWO_PI, 96, endpoint=False)
+    for plane in (euclidean, l3, fourier_oval):
+        eta = extend_normal(plane, curve)
+        assert eta.provenance == "induced_regular"
+        left = lambda s: plane.normal_from_tangent(curve.derivative(s, 1))
+        z, dz = normal_jet(plane, curve, ts, curve.derivative(ts, 1),
+                           curve.derivative(ts, 2), left)
+        value, rate = eta.value_and_rate(ts)
+        assert np.array_equal(eta(ts), left(ts))
+        assert np.array_equal(value, z) and np.array_equal(rate, dz)
+        induced = induced_normal(plane, curve)
+        assert np.array_equal(induced(ts), eta(ts))
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(induced.value_and_rate(ts), eta.value_and_rate(ts)))
+        assert np.array_equal(eta(ts[5]), eta(ts)[5])
+
+
+def _corner(n):
+    return ParamCurve(lambda t: np.stack([np.abs(t), np.asarray(t)], -1),
+                      (-1.0, 1.0), samples=n)
+
+
+def _kink(n):
+    # singular at t = 0, where gamma' = (2|t|, 2t) turns by a right angle
+    return ParamCurve(lambda t: np.stack([t * np.abs(t), np.asarray(t) ** 2], -1),
+                      (-1.0, 1.0), samples=n)
+
+
+@pytest.mark.parametrize("n", [64, 256, 2048])
+@pytest.mark.parametrize("make", [_corner, _kink], ids=["abs_t", "t_abs_t"])
+def test_corners_are_refused_at_every_grid(euclidean, make, n):
+    # finite-difference derivatives only; the corner of (|t|, t) is regular,
+    # so only the samples show it, and that of (t|t|, t^2) is singular
+    with pytest.raises(LimitsDisagree):
+        legendre_from_curve(euclidean, make(n))
+
+
+def test_coarse_smooth_pairs_still_build(euclidean):
+    # a coarse grid of a smooth normal has long but even chords, not a jump
+    lp15 = build_plane(NormSpec("lp", p=1.5))
+    for plane, curve in ((euclidean, catalog.circle(samples=8)),
+                         (euclidean, catalog.ellipse(2.0, 1.0, samples=16)),
+                         (lp15, catalog.circle(samples=12))):
+        L = legendre_from_curve(plane, curve)
+        assert np.max(np.linalg.norm(np.diff(L.pair.eta, axis=0), axis=1)) > 0.5
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_t2t3_builds_on_coarse_grids(euclidean, l3, n):
+    # the Richardson residual of the lateral tangent gap shrinks like the
+    # offset cubed at a smooth cusp, far above a fixed 1e-4 on coarse grids
+    for plane in (euclidean, l3):
+        eta = legendre_from_curve(plane, catalog.cusp_t2t3(samples=n)).eta
+        assert eta.provenance == "extended_through_singularities"
+        assert np.max(np.abs(eta(-1e-3) - eta(1e-3))) < 0.1
+    ts = np.linspace(-0.95, 0.95, 41)
+    want = np.stack([3.0 * ts, -2.0 * np.ones_like(ts)], -1)
+    want /= np.sqrt(4.0 + 9.0 * ts ** 2)[:, None]
+    eta = extend_normal(euclidean, catalog.cusp_t2t3(samples=n))
+    assert np.max(np.abs(eta(ts) - want)) < 1e-7
+
+
+@pytest.mark.parametrize("norm", [NormSpec("lp", p=3.0),
+                                  NormSpec("fourier_radial", coefficients=(1.0, 0.08)),
+                                  NormSpec("lp", p=1.5)], ids=["lp3", "fourier", "lp1.5"])
+def test_astroid_flips_at_its_cusps_on_16_samples(norm):
+    # the tangents two grid steps either side of each cusp are perpendicular
+    # here, so the reversal is decided on the one-step bracket; a flip in the
+    # wrong place would move the normal by a chord of about 2
+    plane = build_plane(norm)
+    eta = legendre_from_curve(plane, catalog.astroid(samples=16)).eta
+    values = eta(np.linspace(0.0, TWO_PI, 4097))
+    assert np.max(np.linalg.norm(np.diff(values, axis=0), axis=1)) < 0.1
+
+
+def test_singular_points_two_steps_apart_are_refused(l3):
+    # on 8 samples the astroid's cusps are two grid steps apart, so a lateral
+    # tangent of one cusp would be taken at the next, where it has no direction
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LimitsDisagree, match="closer than two grid steps"):
+            legendre_from_curve(l3, catalog.astroid(samples=8))
+
+
+def test_legendre_from_curve_searches_singular_points_once(euclidean, monkeypatch):
+    import normplane.curves as curves
+
+    calls = []
+    search = curves.find_singular_params
+    monkeypatch.setattr(curves, "find_singular_params",
+                        lambda *args: calls.append(1) or search(*args))
+    legendre_from_curve(euclidean, catalog.cusp_t2t3())
+    assert len(calls) == 1
+
+
+def test_extended_pair_inverts_the_supporting_map_once_per_point(l3, monkeypatch):
+    # the continuity check reads the pair's samples instead of the field
+    points = []
+    invert = l3.tangent_theta
+    monkeypatch.setattr(l3, "tangent_theta",
+                        lambda chi: points.append(np.size(chi)) or invert(chi))
+    legendre_from_curve(l3, catalog.cusp_t2t3(samples=256))
+    assert sum(points) == 256
