@@ -132,14 +132,15 @@ def make_legendre(plane: NormedPlane, gamma: ParamCurve, eta: NormalField,
 
 def legendre_from_curve(plane: NormedPlane, curve: ParamCurve) -> LegendreCurve:
     """Build the pair with the curve's left normal, extended through isolated
-    singular points, and refuse it where the sampled normal jumps: a chord
+    singular points, and refuse it where its tangent line jumps: a chord of
+    xi = b(eta) (parallel to gamma', so smooth under any norm, unlike eta)
     longer than 0.5 and than 3 times both neighbouring chords (a coarse grid
-    of a smooth normal has even chords, 0.765 on the 8-sample circle)."""
+    of a smooth tangent line has even chords, 0.765 on the 8-sample circle)."""
     L = make_legendre(plane, curve, extend_normal(plane, curve))
-    eta = L.pair.eta
+    xi = plane.birkhoff(L.pair.eta)
     if curve.closed:
-        eta = np.concatenate([eta, eta[:1]])
-    chords = np.linalg.norm(np.diff(eta, axis=0), axis=1)
+        xi = np.concatenate([xi, xi[:1]])
+    chords = np.linalg.norm(np.diff(xi, axis=0), axis=1)
     beside = np.pad(chords, 1, mode="wrap" if curve.closed else "constant")
     jumps = (chords > 0.5) & (chords > 3.0 * np.maximum(beside[:-2], beside[2:]))
     if np.any(jumps):

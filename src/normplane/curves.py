@@ -196,13 +196,23 @@ def normal_jet(plane: NormedPlane, curve: ParamCurve, t, w, dw, fallback):
     return z, dz
 
 
+def _left_normal(plane: NormedPlane, curve: ParamCurve) -> NormalField:
+    """normal_from_tangent(gamma') with its normal_jet rate."""
+
+    def left(t):
+        return plane.normal_from_tangent(curve.derivative(t, 1))
+
+    return NormalField(left, curve.domain, curve.closed, "induced_regular",
+                       lambda t: normal_jet(plane, curve, t, curve.derivative(t, 1),
+                                            curve.derivative(t, 2), left))
+
+
 def induced_normal(plane: NormedPlane, curve: ParamCurve) -> NormalField:
     """Left normal of a regular curve: unit, orthogonal-to-tangent, [eta, gamma'] > 0;
-    extend_normal's field, refused when the curve has singular points."""
-    eta = extend_normal(plane, curve)
-    if eta.provenance != "induced_regular":
+    extend_normal's field, refused with SingularPoint at any singular point."""
+    if find_singular_params(plane, curve):
         raise SingularPoint("curve has singular points; its normal must be extended")
-    return eta
+    return _left_normal(plane, curve)
 
 
 def extend_normal(plane: NormedPlane, curve: ParamCurve) -> NormalField:
@@ -213,19 +223,12 @@ def extend_normal(plane: NormedPlane, curve: ParamCurve) -> NormalField:
     and a sign function with those breakpoints makes the field smooth across
     each singularity. A curve without singular points gets the plain left
     normal. The field is not checked for continuity here: a corner shows as
-    a jump in the pair's samples (analysis.legendre_from_curve).
+    a jump of the pair's sampled tangent line (analysis.legendre_from_curve).
     """
     singular = find_singular_params(plane, curve)
-
-    def left(t):
-        return plane.normal_from_tangent(curve.derivative(t, 1))
-
-    def left_jet(t, w):
-        return normal_jet(plane, curve, t, w, curve.derivative(t, 2), left)
-
     if not singular:
-        return NormalField(left, curve.domain, curve.closed, "induced_regular",
-                           lambda t: left_jet(t, curve.derivative(t, 1)))
+        return _left_normal(plane, curve)
+    left = _left_normal(plane, curve).evaluate
 
     ts = curve.grid()
     period = curve.span if curve.closed else None
@@ -237,10 +240,9 @@ def extend_normal(plane: NormedPlane, curve: ParamCurve) -> NormalField:
         # derivatives at t_star -/+ d, their directions and the angle between
         # their tangent lines
         w = curve.derivative(t_star + np.array([-d, d]), 1)
-        lengths = np.linalg.norm(w, axis=1)
-        if np.min(lengths) < SINGULAR_SPEED_FACTOR * smax:
+        if np.min(plane.norm(w)) < SINGULAR_SPEED_FACTOR * smax:
             raise LimitsDisagree("singular points closer than two grid steps")
-        u = w / lengths[:, None]
+        u = w / np.linalg.norm(w, axis=1)[:, None]
         return w, u, float(np.arcsin(min(1.0, abs(symplectic(u[0], u[1])))))
 
     flips = []
@@ -323,7 +325,8 @@ def extend_normal(plane: NormedPlane, curve: ParamCurve) -> NormalField:
         dz = np.empty(t.shape + (2,))
         if np.any(far):
             sign = sign_of(t[far])
-            z_far, dz_far = left_jet(t[far], w[far])
+            z_far, dz_far = normal_jet(plane, curve, t[far], w[far],
+                                       curve.derivative(t[far], 2), left)
             z[far], dz[far] = z_far * sign, dz_far * sign
         if np.any(~far):
             z[~far] = evaluate(t[~far])

@@ -91,9 +91,13 @@ def test_induced_normal_l3_self_circle(l3):
     assert np.max(np.abs(nf(ts) - l3.circle_point(ts))) < 1e-6
 
 
-def test_induced_normal_rejects_singular_curve(euclidean):
-    with pytest.raises(SingularPoint):
-        induced_normal(euclidean, catalog.cusp_t2t3())
+def test_induced_normal_rejects_singular_curve(euclidean, l3):
+    # also where extending the normal would fail: at the singular corner of
+    # (t|t|, t^2) and at cusps two grid steps apart
+    for plane, curve in ((euclidean, catalog.cusp_t2t3()), (euclidean, _kink_analytic(256)),
+                         (l3, catalog.astroid(samples=8))):
+        with pytest.raises(SingularPoint):
+            induced_normal(plane, curve)
 
 
 def test_induced_normal_satisfies_oracle(euclidean, l3, fourier_oval):
@@ -139,12 +143,21 @@ def test_extend_normal_corner_rejected(euclidean):
         legendre_from_curve(euclidean, corner)
 
 
-def test_extend_equals_induced_on_regular_curves(euclidean):
+def test_extend_equals_induced_on_regular_curves(euclidean, l3, fourier_oval):
+    # with no singular point both fields are normal_from_tangent(gamma') with
+    # the jet of normal_jet, bit for bit
     curve = catalog.ellipse(1.3, 0.8)
-    a = induced_normal(euclidean, curve)
-    b = extend_normal(euclidean, curve)
     ts = np.linspace(0.0, TWO_PI, 128, endpoint=False)
-    assert np.max(np.abs(a(ts) - b(ts))) < 1e-7
+    for plane in (euclidean, l3, fourier_oval):
+        left = lambda s: plane.normal_from_tangent(curve.derivative(s, 1))
+        z, dz = normal_jet(plane, curve, ts, curve.derivative(ts, 1),
+                           curve.derivative(ts, 2), left)
+        for eta in (induced_normal(plane, curve), extend_normal(plane, curve)):
+            assert eta.provenance == "induced_regular"
+            value, rate = eta.value_and_rate(ts)
+            assert np.array_equal(eta(ts), left(ts))
+            assert np.array_equal(value, z) and np.array_equal(rate, dz)
+            assert np.array_equal(eta(ts[5]), eta(ts)[5])
 
 
 def test_normal_sign_convention_left(euclidean):
@@ -209,27 +222,6 @@ def test_extended_normal_jet_inverts_the_supporting_map_once_per_point(l3, monke
     assert np.array_equal(value, eta(ts))
 
 
-def test_extend_normal_is_the_left_normal_on_regular_curves(euclidean, l3, fourier_oval):
-    # with no singular point the field is normal_from_tangent(gamma') and its
-    # jet that of normal_jet, bit for bit
-    curve = catalog.ellipse(1.7, 0.9)
-    ts = np.linspace(0.0, TWO_PI, 96, endpoint=False)
-    for plane in (euclidean, l3, fourier_oval):
-        eta = extend_normal(plane, curve)
-        assert eta.provenance == "induced_regular"
-        left = lambda s: plane.normal_from_tangent(curve.derivative(s, 1))
-        z, dz = normal_jet(plane, curve, ts, curve.derivative(ts, 1),
-                           curve.derivative(ts, 2), left)
-        value, rate = eta.value_and_rate(ts)
-        assert np.array_equal(eta(ts), left(ts))
-        assert np.array_equal(value, z) and np.array_equal(rate, dz)
-        induced = induced_normal(plane, curve)
-        assert np.array_equal(induced(ts), eta(ts))
-        assert all(np.array_equal(a, b) for a, b in
-                   zip(induced.value_and_rate(ts), eta.value_and_rate(ts)))
-        assert np.array_equal(eta(ts[5]), eta(ts)[5])
-
-
 def _corner(n):
     return ParamCurve(lambda t: np.stack([np.abs(t), np.asarray(t)], -1),
                       (-1.0, 1.0), samples=n)
@@ -241,23 +233,53 @@ def _kink(n):
                       (-1.0, 1.0), samples=n)
 
 
+def _kink_analytic(n):
+    # the same corner with its analytic gamma', so that the search finds it
+    return ParamCurve(_kink(n).position, (-1.0, 1.0), samples=n,
+                      derivatives=(lambda t: np.stack([2.0 * np.abs(t), 2.0 * np.asarray(t)], -1),))
+
+
 @pytest.mark.parametrize("n", [64, 256, 2048])
-@pytest.mark.parametrize("make", [_corner, _kink], ids=["abs_t", "t_abs_t"])
+@pytest.mark.parametrize("make", [_corner, _kink, _kink_analytic],
+                         ids=["abs_t", "t_abs_t", "t_abs_t_analytic"])
 def test_corners_are_refused_at_every_grid(euclidean, make, n):
-    # finite-difference derivatives only; the corner of (|t|, t) is regular,
-    # so only the samples show it, and that of (t|t|, t^2) is singular
+    # the corner of (|t|, t) is regular, so only the samples show it; that of
+    # (t|t|, t^2) is singular, but its finite-difference speed stays above the
+    # threshold, so again the samples show it, while with its analytic gamma'
+    # the search finds it and the one-sided tangent lines disagree
     with pytest.raises(LimitsDisagree):
         legendre_from_curve(euclidean, make(n))
 
 
 def test_coarse_smooth_pairs_still_build(euclidean):
-    # a coarse grid of a smooth normal has long but even chords, not a jump
+    # a coarse grid of a smooth tangent line has long but even chords, not a jump
     lp15 = build_plane(NormSpec("lp", p=1.5))
     for plane, curve in ((euclidean, catalog.circle(samples=8)),
                          (euclidean, catalog.ellipse(2.0, 1.0, samples=16)),
                          (lp15, catalog.circle(samples=12))):
         L = legendre_from_curve(plane, curve)
-        assert np.max(np.linalg.norm(np.diff(L.pair.eta, axis=0), axis=1)) > 0.5
+        xi = plane.birkhoff(L.pair.eta)
+        assert np.max(np.linalg.norm(np.diff(xi, axis=0), axis=1)) > 0.5
+
+
+def _shifted_circle(n):
+    # the tangent crosses each axis direction midway between two grid nodes
+    s = np.pi / n
+    return ParamCurve(lambda t: np.stack([np.cos(t + s), np.sin(t + s)], -1),
+                      (0.0, TWO_PI), closed=True,
+                      derivatives=(lambda t: np.stack([-np.sin(t + s), np.cos(t + s)], -1),),
+                      samples=n)
+
+
+@pytest.mark.parametrize("p, n", [(5.0, 512), (6.0, 2048), (6.0, 64)])
+def test_steep_normals_of_smooth_curves_still_build(p, n):
+    # under lp with p > 2 the normal runs across the flat axis points of the
+    # unit circle in one long chord as the tangent crosses an axis direction
+    # between two nodes; the tangent line does not jump there
+    plane = build_plane(NormSpec("lp", p=p))
+    L = legendre_from_curve(plane, _shifted_circle(n))
+    chords = np.linalg.norm(np.diff(L.pair.eta, axis=0), axis=1)
+    assert np.max(chords) > 0.5 and np.max(chords) > 3.0 * np.median(chords)
 
 
 @pytest.mark.parametrize("n", [16, 32, 64])
