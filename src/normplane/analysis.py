@@ -31,7 +31,8 @@ from .errors import (
     PreconditionViolated,
     ResidualViolation,
 )
-from .numerics import differentiate, sign_crossings, unwrap_mod
+from .numerics import (differentiate, merge_events, polish_dips, sign_crossings, unwrap_mod,
+                       wrap)
 from .plane import NormedPlane, symplectic
 
 RESIDUAL_TOL = 1e-5
@@ -164,6 +165,14 @@ class CurvaturePair:
     domain: tuple
 
     @property
+    def period(self):
+        return self.span if self.closed else None
+
+    def seam_gap(self, a, b):
+        """|a - b|, measured the short way around the seam of a closed pair."""
+        return np.abs(wrap(np.asarray(a, dtype=float) - b, -0.5 * self.span, self.period))
+
+    @property
     def alpha_scale(self):
         return max(float(np.max(np.abs(self.alpha))), 1e-300)
 
@@ -277,8 +286,6 @@ class SingularityReport:
 
 def _immersion_gap(cp: CurvaturePair):
     """Smallest joint magnitude of (alpha, kappa), refined between nodes."""
-    from .numerics import golden_minimize
-
     rel = np.maximum(np.abs(cp.alpha) / cp.alpha_scale,
                      np.abs(cp.kappa) / cp.kappa_scale)
     j = int(np.argmin(rel))
@@ -291,11 +298,11 @@ def _immersion_gap(cp: CurvaturePair):
         return float(np.maximum(np.abs(a) / cp.alpha_scale,
                                 np.abs(k) / cp.kappa_scale))
 
-    step = cp.span / len(cp.ts)
-    for i in np.nonzero(rel <= min(1e-3, 10.0 * best))[0]:
-        t_star, r_star = golden_minimize(rel_at, cp.ts[i] - step, cp.ts[i] + step)
-        if r_star < best:
-            best, t_best = r_star, t_star
+    t_star, r_star = polish_dips(rel_at, cp.ts, np.nonzero(rel <= min(1e-3, 10.0 * best))[0],
+                                 cp.span / len(cp.ts), cp.domain, cp.closed)
+    k = int(np.argmin(r_star))
+    if r_star[k] < best:
+        best, t_best = float(r_star[k]), float(t_star[k])
     return best, t_best
 
 
@@ -307,9 +314,8 @@ def _require_front(cp: CurvaturePair):
 
 def _detect_cusps(cp: CurvaturePair):
     """Refined alpha crossings split into ordinary cusps and degenerate zeros."""
-    period = cp.span if cp.closed else None
     floor = max(NOISE_FLOOR * cp.alpha_scale, sampled_noise_floor(cp.alpha))
-    roots = sign_crossings(cp.ts, cp.alpha, floor, cp.alpha_at, period=period)
+    roots = sign_crossings(cp.ts, cp.alpha, floor, cp.alpha_at, period=cp.period)
     arate_scale = max(float(np.max(np.abs(
         np.gradient(cp.alpha, cp.ts)))), 1e-300)
     cusps, degenerate = [], []
@@ -322,40 +328,28 @@ def _detect_cusps(cp: CurvaturePair):
             else:
                 degenerate.append(t)
     # alpha zeros that are not sign crossings (even-order contact) are
-    # singular too; refine the deepest dip of each |alpha| valley and keep
-    # those where alpha' vanishes as well
-    from .numerics import golden_minimize
-
+    # singular too; refine the deepest dip of each |alpha| valley not already
+    # known and keep those where alpha' vanishes as well
     dip_idx = np.nonzero(np.abs(cp.alpha) <= 1e-3 * cp.alpha_scale)[0]
     known = np.asarray([c.t for c in cusps] + degenerate, dtype=float)
     step = cp.span / len(cp.ts)
-    abs_alpha = lambda t: float(np.abs(cp.alpha_at(t)))
     groups = np.split(dip_idx, np.nonzero(np.diff(dip_idx) > 1)[0] + 1) \
         if dip_idx.size else []
-    for grp in groups:
-        i = grp[int(np.argmin(np.abs(cp.alpha[grp])))]
-        t = float(cp.ts[i])
-        if known.size and np.min(np.abs(known - t)) < 4.0 * step:
-            continue
-        t_star, a_star = golden_minimize(abs_alpha, t - step, t + step)
-        if a_star > REL_ZERO * cp.alpha_scale:
-            continue
-        da = float(cp.alpha_rate_at(t_star))
-        if abs(da) <= REL_ZERO * arate_scale:
+    deepest = [grp[int(np.argmin(np.abs(cp.alpha[grp])))] for grp in groups]
+    fresh = [i for i in deepest
+             if not (known.size and np.min(cp.seam_gap(known, cp.ts[i])) < 4.0 * step)]
+    abs_alpha = lambda t: float(np.abs(cp.alpha_at(t)))
+    for t_star, a_star in zip(*polish_dips(abs_alpha, cp.ts, fresh, step,
+                                           cp.domain, cp.closed)):
+        if (a_star <= REL_ZERO * cp.alpha_scale
+                and abs(float(cp.alpha_rate_at(t_star))) <= REL_ZERO * arate_scale):
             degenerate.append(t_star)
-            known = np.append(known, t_star)
-    degenerate.sort()
-    merged = []
-    for t in degenerate:
-        if not merged or abs(t - merged[-1]) > 4.0 * step:
-            merged.append(t)
-    return cusps, merged
+    return cusps, merge_events(degenerate, 4.0 * step, cp.domain[0], cp.period)
 
 
 def _detect_inflections(cp: CurvaturePair):
-    period = cp.span if cp.closed else None
     floor = max(NOISE_FLOOR * cp.kappa_scale, sampled_noise_floor(cp.kappa))
-    roots = sign_crossings(cp.ts, cp.kappa, floor, cp.kappa_at, period=period)
+    roots = sign_crossings(cp.ts, cp.kappa, floor, cp.kappa_at, period=cp.period)
     if not roots:
         return []
     avals = cp.alpha_at(np.asarray(roots)).tolist()
@@ -380,12 +374,10 @@ def _detect_vertices(cp: CurvaturePair, degenerate_singular):
             # resolution-limited constant ratio: every parameter is critical
             all_vertices = True
         else:
-            period = cp.span if cp.closed else None
             roots = sign_crossings(cp.ts, g_rate, noise, cp.ratio_rate_at,
-                                   period=period)
+                                   period=cp.period)
     else:
         # vertex search restricted to contiguous windows of resolvable kappa
-        period = cp.span if cp.closed else None
         idx = np.nonzero(ok)[0]
         splits = np.nonzero(np.diff(idx) > 1)[0]
         blocks = np.split(idx, splits + 1)
@@ -398,11 +390,8 @@ def _detect_vertices(cp: CurvaturePair, degenerate_singular):
             g_rate = cp.ratio_rate_at(tw[4:-4])
             noise = max(1e-7 * float(np.max(np.abs(g_rate))),
                         sampled_noise_floor(g_rate), 1e-300)
-            for t in sign_crossings(tw[4:-4], g_rate, noise, cp.ratio_rate_at,
-                                    period=None):
-                if cp.closed:
-                    t = cp.domain[0] + (t - cp.domain[0]) % cp.span
-                roots.append(t)
+            roots += [wrap(t, cp.domain[0], cp.period) for t in
+                      sign_crossings(tw[4:-4], g_rate, noise, cp.ratio_rate_at)]
     verts = []
     if roots:
         avals = cp.alpha_at(np.asarray(roots)).tolist()
@@ -412,7 +401,7 @@ def _detect_vertices(cp: CurvaturePair, degenerate_singular):
     # crossing scan already found it
     tol = 1e-6 * cp.span
     for t in degenerate_singular:
-        verts = [v for v in verts if abs(v.t - t) > tol]
+        verts = [v for v in verts if cp.seam_gap(v.t, t) > tol]
         verts.append(Vertex(t, False))
     verts.sort(key=lambda v: v.t)
     return verts, all_vertices

@@ -71,8 +71,7 @@ EXIT_PRECONDITION = 5
 MIN_SAMPLES = 8     # the shortest grid the detectors' noise estimate accepts
 
 _VALIDATION_ERRORS = (PlaneValidationError, ResidualViolation, LimitsDisagree)
-_NUMERIC_ERRORS = (NoConvergence, MethodsDisagree, DegenerateFrame,
-                   ExpressionDomainError)
+_NUMERIC_ERRORS = (NoConvergence, MethodsDisagree, DegenerateFrame)
 _PRECONDITION_ERRORS = (KappaVanishes, RhoDegenerate, NotAFront, NotClosed,
                         PreconditionViolated, DegenerateLine, SingularPoint,
                         NotUnit, ZeroVector, OutOfDomain, NotAnIsometry)
@@ -338,7 +337,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         return run(config, out_dir=args.out, samples=args.samples)
-    except (ParseError, ConfigError, KeyError) as exc:
+    except (ParseError, ConfigError, ExpressionDomainError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except _VALIDATION_ERRORS as exc:

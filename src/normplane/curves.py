@@ -8,7 +8,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BadParameter, LimitsDisagree, OutOfDomain, SingularPoint
-from .numerics import brent_root, differentiate
+from .numerics import brent_root, differentiate, merge_events, polish_dips, wrap
 from .plane import NormedPlane, symplectic
 
 FD_STEP_FACTOR = 1e-4          # derivative stencil step, relative to the domain span
@@ -50,11 +50,15 @@ class ParamCurve:
     def span(self):
         return self.domain[1] - self.domain[0]
 
+    @property
+    def period(self):
+        return self.span if self.closed else None
+
     def _wrap(self, t):
         t0, t1 = self.domain
         t = np.asarray(t, dtype=float)
         if self.closed:
-            return t0 + np.mod(t - t0, t1 - t0)
+            return wrap(t, t0, self.period)
         tol = 1e-9 * self.span
         if np.any(t < t0 - tol) or np.any(t > t1 + tol):
             raise OutOfDomain(f"parameter outside [{t0}, {t1}]")
@@ -96,7 +100,8 @@ class NormalField:
     """A unit field t -> eta(t) along a curve.
 
     `evaluate` maps a parameter array to the array of normals; a scalar
-    parameter is passed as a one-element array and unpacked here. `jet`,
+    parameter is passed as a one-element array and unpacked here, and a
+    closed field's parameter is wrapped into its domain first. `jet`,
     when given, maps t to (eta(t), eta'(t)) in one evaluation, and its first
     part equals `evaluate` bit for bit; without it the rate is a finite
     difference of `evaluate`.
@@ -108,76 +113,59 @@ class NormalField:
     provenance: str
     jet: Optional[Callable] = None
 
+    def _param(self, t):
+        return wrap(np.atleast_1d(np.asarray(t, dtype=float)), self.domain[0], self.period)
+
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        eta = np.asarray(self.evaluate(np.atleast_1d(t)), dtype=float)
+        eta = np.asarray(self.evaluate(self._param(t)), dtype=float)
         return eta if t.ndim else eta[0]
 
     @property
     def span(self):
         return self.domain[1] - self.domain[0]
 
+    @property
+    def period(self):
+        return self.span if self.closed else None
+
     def value_and_rate(self, t):
         """(eta(t), eta'(t)), from one jet evaluation when the field has one."""
         if self.jet is None:
             return self(t), self.derivative(t, 1)
         t = np.asarray(t, dtype=float)
-        eta, rate = (np.asarray(v, dtype=float) for v in self.jet(np.atleast_1d(t)))
+        eta, rate = (np.asarray(v, dtype=float) for v in self.jet(self._param(t)))
         return (eta, rate) if t.ndim else (eta[0], rate[0])
 
     def derivative(self, t, order=1):
         h = self.span * FD_STEP_FACTOR
         if self.jet is None:
-            return differentiate(lambda s: np.asarray(self.evaluate(s), dtype=float),
+            return differentiate(lambda s: np.asarray(self.evaluate(self._param(s)), dtype=float),
                                  t, order, h, domain=self.domain, closed=self.closed)
         if order == 1:
             return self.value_and_rate(t)[1]
-        rate = lambda s: np.asarray(self.jet(s)[1], dtype=float)
+        rate = lambda s: self.value_and_rate(s)[1]
         return differentiate(rate, t, order - 1, h, domain=self.domain, closed=self.closed)
 
 
 def find_singular_params(plane: NormedPlane, curve: ParamCurve):
     """Parameters where the speed vanishes, refined between grid nodes.
 
-    Returns a sorted list of (t, speed) pairs, speeds below SINGULAR_SPEED_FACTOR
+    Returns the sorted parameters whose speed falls below SINGULAR_SPEED_FACTOR
     times the fastest sample. Candidate dips of the sampled speed are polished
     by golden section so singularities that fall between nodes are still found.
     """
-    from .numerics import golden_minimize
-
     ts = curve.grid()
-    n = len(ts)
     speeds = plane.norm(curve.derivative(ts, 1))
     smax = float(np.max(speeds))
-    step = curve.span / n
-
-    def speed_at(t):
-        return float(plane.norm(curve.derivative(t, 1)))
-
-    found = []
-    for i in range(n):
-        im = (i - 1) % n if curve.closed else max(i - 1, 0)
-        ip = (i + 1) % n if curve.closed else min(i + 1, n - 1)
-        if speeds[i] > 0.05 * smax:
-            continue
-        if speeds[i] > min(speeds[im], speeds[ip]) and speeds[i] > 0.0:
-            continue
-        lo = ts[i] - step if (curve.closed or i > 0) else ts[i]
-        hi = ts[i] + step if (curve.closed or i < n - 1) else ts[i]
-        t_star, s_star = golden_minimize(speed_at, lo, hi)
-        if s_star < SINGULAR_SPEED_FACTOR * smax:
-            found.append((t_star, s_star))
-    if curve.closed:
-        t0, period = curve.domain[0], curve.span
-        found = [(t0 + (t - t0) % period, s) for t, s in found]
-    found.sort()
-    out = []
-    for t, s in found:
-        if not out or abs(t - out[-1][0]) > 2.0 * step:
-            out.append((t, s))
-    if curve.closed and len(out) >= 2 and abs((out[-1][0] - out[0][0]) - curve.span) < 2.0 * step:
-        out.pop()
-    return out
+    step = curve.span / len(ts)
+    beside = np.pad(speeds, 1, mode="wrap" if curve.closed else "edge")
+    dips = (speeds <= 0.05 * smax) & (
+        (speeds <= np.minimum(beside[:-2], beside[2:])) | (speeds <= 0.0))
+    t_star, s_star = polish_dips(lambda t: float(plane.norm(curve.derivative(t, 1))),
+                                 ts, np.nonzero(dips)[0], step, curve.domain, curve.closed)
+    return merge_events(t_star[s_star < SINGULAR_SPEED_FACTOR * smax], 2.0 * step,
+                        curve.domain[0], curve.period)
 
 
 def normal_jet(plane: NormedPlane, curve: ParamCurve, t, w, dw, fallback):
@@ -231,7 +219,7 @@ def extend_normal(plane: NormedPlane, curve: ParamCurve) -> NormalField:
     left = _left_normal(plane, curve).evaluate
 
     ts = curve.grid()
-    period = curve.span if curve.closed else None
+    (t0, t1), period = curve.domain, curve.period
     smax = float(np.max(plane.norm(curve.derivative(ts, 1))))
     step = curve.span / len(ts)
     offsets = (2.0 * step, step, 0.5 * step)
@@ -246,11 +234,9 @@ def extend_normal(plane: NormedPlane, curve: ParamCurve) -> NormalField:
         return w, u, float(np.arcsin(min(1.0, abs(symplectic(u[0], u[1])))))
 
     flips = []
-    for t_star, _ in singular:
-        if not curve.closed:
-            t0, t1 = curve.domain
-            if t_star - offsets[0] < t0 or t_star + offsets[0] > t1:
-                raise SingularPoint("singularity too close to an open endpoint")
+    for t_star in singular:
+        if not curve.closed and (t_star - offsets[0] < t0 or t_star + offsets[0] > t1):
+            raise SingularPoint("singularity too close to an open endpoint")
         # the lateral tangent lines close linearly in the offset at a smooth
         # singularity, so the Richardson residual |2 g(d) - g(2d)| of the gap
         # shrinks faster than d; at a corner it does not shrink
@@ -275,26 +261,18 @@ def extend_normal(plane: NormedPlane, curve: ParamCurve) -> NormalField:
             f = lambda t, wa=u[0]: curve.derivative(t, 1) @ wa
             flips.append(brent_root(f, t_star - d, t_star + d, fa, fb, xtol=1e-12)[0])
 
-    flips = np.sort(np.asarray(flips, dtype=float))
-    t0 = curve.domain[0]
-    if curve.closed:
-        flips = t0 + np.mod(flips - t0, period)
-        flips = np.sort(flips)
+    flips = np.sort(wrap(np.asarray(flips, dtype=float), t0, period))
 
     # orientation anchor: the raw left normal holds on the arc just after the
     # first singular parameter (counted cyclically from the domain start)
-    sing_ts = np.asarray([t for t, _ in singular], dtype=float)
+    sing_ts = np.asarray(singular, dtype=float)
     if curve.closed:
-        sing_ts = t0 + np.mod(sing_ts - t0, period)
         sing_ts[sing_ts > t0 + period - 2.0 * step] -= period
     anchor = float(np.min(sing_ts)) + step
-    base_parity = int(np.searchsorted(flips, t0 + np.mod(anchor - t0, period)
-                                      if curve.closed else anchor, side="right"))
+    base_parity = int(np.searchsorted(flips, wrap(anchor, t0, period), side="right"))
 
     def sign_of(t):
-        if curve.closed:
-            t = t0 + np.mod(t - t0, period)
-        par = np.searchsorted(flips, t, side="right")
+        par = np.searchsorted(flips, wrap(t, t0, period), side="right")
         return np.where((par - base_parity) % 2 == 0, 1.0, -1.0)[..., None]
 
     def signed(t):

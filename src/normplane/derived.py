@@ -235,32 +235,35 @@ def pedal(L: LegendreCurve, p) -> PedalResult:
     plane, gamma, eta = L.plane, L.gamma, L.eta
     p = np.asarray(p, dtype=float)
 
-    def pieces(t):
+    def pieces(t, e):
         g = gamma.point(t)
-        e = eta(t)
         xi = plane.birkhoff(e)
         denom = symplectic(e, xi)       # anti-norm of xi; positive
-        return g, e, xi, denom
+        return g, xi, denom
 
     def pos(t):
-        g, e, xi, denom = pieces(t)
+        e = eta(t)
+        g, xi, denom = pieces(t, e)
         lever = symplectic(g - p, e) / denom
         return g + lever[..., None] * xi
 
-    def zeta_at(t):
-        g, e, xi, denom = pieces(t)
+    def zeta_at(t, e):
+        """(zeta(t), [eta, xi](t)) from the normal e = eta(t)."""
+        g, xi, denom = pieces(t, e)
         rho = plane.rho(e)
         bxi = plane.birkhoff(xi)
         rel = g - p
         coef_xi = (symplectic(rel, xi)
                    - rho * symplectic(rel, e) * symplectic(e, bxi) / denom)
         coef_b = rho * symplectic(rel, e)
-        return coef_xi[..., None] * xi + coef_b[..., None] * bxi
+        return coef_xi[..., None] * xi + coef_b[..., None] * bxi, denom
 
     def d1(t):
-        _, e, _, denom = pieces(t)
-        kap = np.asarray(cp.kappa_at(t), dtype=float)
-        return (kap / denom)[..., None] * zeta_at(t)
+        # kappa = [eta, eta'] / [eta, xi], from the one jet evaluation
+        e, e_rate = eta.value_and_rate(t)
+        zeta, denom = zeta_at(t, e)
+        kap = symplectic(e, e_rate) / denom
+        return (kap / denom)[..., None] * zeta
 
     curve = ParamCurve(pos, gamma.domain, gamma.closed, (d1,), gamma.samples,
                        name="pedal")
@@ -270,12 +273,12 @@ def pedal(L: LegendreCurve, p) -> PedalResult:
     claimed = min_dist > 1e-6
 
     singular = sign_crossings(ts, cp.kappa, 1e-7 * cp.kappa_scale, cp.kappa_at,
-                              period=cp.span if cp.closed else None)
+                              period=cp.period)
 
     pair = None
     if claimed:
         def nu_eval(t):
-            return plane.normal_from_tangent(zeta_at(t))
+            return plane.normal_from_tangent(zeta_at(t, eta(t))[0])
 
         nu_field = NormalField(nu_eval, gamma.domain, gamma.closed, "induced_regular")
         pair = make_legendre(plane, curve, nu_field)

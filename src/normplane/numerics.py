@@ -87,6 +87,45 @@ def differentiate(f, t, order, h, domain=None, closed=False):
     return out
 
 
+def wrap(t, t0, period):
+    """t reduced into [t0, t0 + period) on a closed curve; unchanged on an
+    open one (period None), and when it lies there already (np.mod is the
+    costly part of a grid evaluation)."""
+    if period is None or (np.all(t >= t0) and np.all(t < t0 + period)):
+        return t
+    return t0 + np.mod(t - t0, period)
+
+
+def merge_events(ts, tol, t0, period):
+    """Sorted event parameters, wrapped into [t0, t0 + period) on a closed
+    curve, with events closer than `tol` counted once, across the seam too.
+    The earlier event of each cluster is kept."""
+    out = []
+    for t in np.sort(wrap(np.asarray(ts, dtype=float), t0, period)).tolist():
+        if not out or t - out[-1] > tol:
+            out.append(t)
+    if period is not None and len(out) >= 2 and abs((out[-1] - out[0]) - period) < tol:
+        out.pop()
+    return out
+
+
+def polish_dips(f, ts, idx, step, domain, closed):
+    """Golden-section minima of the scalar f near the grid nodes ts[idx].
+
+    Each search brackets ts[i] -/+ step; on an open curve the bracket is
+    clipped to the domain, on a closed one it runs through the seam.
+    Returns the arrays (t_min, f_min) in the order of idx.
+    """
+    found = []
+    for i in np.asarray(idx, dtype=int).tolist():
+        lo, hi = ts[i] - step, ts[i] + step
+        if not closed:
+            lo, hi = max(lo, domain[0]), min(hi, domain[1])
+        found.append(golden_minimize(f, lo, hi))
+    t_min, f_min = np.array(found, dtype=float).reshape(-1, 2).T
+    return t_min, f_min
+
+
 def golden_minimize(f, a, b, iters=200, tol=1e-12):
     """Golden-section minimum of a scalar unimodal function on [a, b]."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
@@ -231,17 +270,7 @@ def sign_crossings(ts, vals, noise, refine, period=None):
     if period is not None:
         b = np.where(j_raw < n, b, b + period)
     roots = brent_root(refine, ts[i], b, vals[i], vals[j], xtol=1e-10)
-    if period is not None:
-        roots = ts[0] + (roots - ts[0]) % period
-    roots.sort()
-    # merge duplicates from wrap handling
-    out = []
-    for r in roots.tolist():
-        if not out or abs(r - out[-1]) > 1e-9:
-            out.append(r)
-    if period is not None and len(out) >= 2 and abs((out[-1] - out[0]) - period) < 1e-9:
-        out.pop()
-    return out
+    return merge_events(roots, 1e-9, ts[0], period)
 
 
 def unwrap_mod(raw, period):

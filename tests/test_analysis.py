@@ -481,3 +481,22 @@ def test_pair_is_sampled_in_the_pass_that_validates_it(fourier_oval, monkeypatch
     assert sum(points) == 256
     assert cp is L.pair and curvature_pair(L) is cp
     assert np.array_equal(np.stack(cp.values_at(cp.ts)), np.stack([cp.alpha, cp.kappa]))
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["seam-at-zero", "seam-shifted"])
+@pytest.mark.parametrize("steps", [512, 2048, 8192])
+def test_degenerate_points_do_not_depend_on_the_seam(euclidean, sign, steps):
+    # alpha = 1 -/+ cos 2t has double zeros at 0, pi or at pi/2, 3pi/2; the
+    # two fronts differ only in where the closed parameter starts
+    from normplane.synthesis import SynthesisSpec, synthesize
+
+    spec = SynthesisSpec(lambda t: 1.0 + sign * np.cos(2.0 * np.asarray(t)),
+                         lambda t: np.ones_like(np.asarray(t, dtype=float)),
+                         (0.0, 0.0), (1.0, 0.0), 2.0 * np.pi, steps)
+    L = synthesize(euclidean, spec)
+    assert L.closed
+    rep = singularity_report(L)
+    assert rep.counts["degenerate_singular"] == 2
+    assert rep.counts["vertices"] == 4
+    ts = [v.t for v in rep.vertices]
+    assert all(0.0 <= t < 2.0 * np.pi for t in ts)

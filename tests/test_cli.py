@@ -306,12 +306,15 @@ _CIRCLE = {"kind": "catalog", "name": "circle"}
      "config error:"),
     ({"norm": {"kind": "fourier_radial", "coefficients": 1.0}}, (),
      "config error:"),
+    ({"curve": {"kind": "expression", "x": "sqrt(t)", "y": "t",
+                "domain": [-1.0, 1.0]}}, (), "config error: expression domain error"),
 ], ids=["p-not-a-number", "top-level-list", "one-element-domain",
         "samples-zero", "samples-one", "samples-not-a-number",
         "samples-not-an-integer", "samples-flag-zero", "samples-flag-one",
         "samples-flag-not-a-number", "curve-not-an-object",
         "operation-not-an-object", "output-not-an-object",
-        "coefficients-not-numbers", "coefficients-not-a-list"])
+        "coefficients-not-numbers", "coefficients-not-a-list",
+        "expression-outside-its-domain"])
 def test_malformed_config_exits_2(tmp_path, capsys, config, extra, marker):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -322,6 +325,18 @@ def test_malformed_config_exits_2(tmp_path, capsys, config, extra, marker):
     assert code == 2
     err = capsys.readouterr().err
     assert marker in err
+    assert "Traceback" not in err
+
+
+def test_unwritable_output_exits_5(tmp_path, capsys):
+    # the report's directory would have to be made under a regular file
+    (tmp_path / "blocker").write_text("")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"curve": {**_CIRCLE, "samples": 64},
+                               "output": {"report": "blocker/out.json"}}))
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 5
+    err = capsys.readouterr().err
+    assert "io error:" in err
     assert "Traceback" not in err
 
 
@@ -367,3 +382,31 @@ def test_catalog_smoke_matrix_exits_with_a_documented_code(tmp_path, norm, curve
 def test_corner_reject_config_exits_3(tmp_path, capsys):
     assert _run(tmp_path, "corner_reject.json") == 3
     assert "jumps" in capsys.readouterr().err
+
+
+_ENDPOINT_DIPS = {"x-dip": ("t^2 + 0.0001*t", "t^3"),
+                  "x-dip-y-quadratic": ("t^2 + 0.001*t", "t^3 + 0.1*t^2")}
+
+
+@pytest.mark.parametrize("samples", [64, 512, 2048])
+@pytest.mark.parametrize("norm", ["euclidean", "lp3", "fourier"])
+@pytest.mark.parametrize("curve", list(_ENDPOINT_DIPS))
+def test_speed_dips_at_an_open_endpoint_stay_in_the_domain(tmp_path, curve, norm, samples):
+    # both curves are regular on [0, 1], but their speed and |alpha| are
+    # smallest at t = 0, where a search of t +/- one step would leave the domain
+    x, y = _ENDPOINT_DIPS[curve]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "norm": _SMOKE_NORMS[norm],
+        "curve": {"kind": "expression", "x": x, "y": y, "domain": [0.0, 1.0]},
+        "operation": {"kind": "analyze"},
+        "output": {"report": "out.json"},
+    }))
+    assert main(["run", str(cfg), "--out", str(tmp_path),
+                 "--samples", str(samples)]) == 0
+
+
+@pytest.mark.parametrize("samples", [16, 64, 256, 2048])
+def test_lp_below_two_circle_pedal(tmp_path, samples):
+    # the pedal reads the circle's normal at t1, which is the normal at t0
+    assert _run(tmp_path, "l15_circle_pedal.json", ("--samples", str(samples))) == 0

@@ -4,6 +4,7 @@ import pytest
 from normplane import catalog
 from normplane.analysis import legendre_from_curve, make_legendre
 from normplane.curves import (
+    SINGULAR_SPEED_FACTOR,
     Jet,
     NormalField,
     ParamCurve,
@@ -13,7 +14,7 @@ from normplane.curves import (
     normal_jet,
 )
 from normplane.errors import BadParameter, LimitsDisagree, OutOfDomain, SingularPoint
-from normplane.numerics import differentiate, fd_weights
+from normplane.numerics import differentiate, fd_weights, golden_minimize, merge_events
 from normplane.plane import NormSpec, build_plane, is_birkhoff_orthogonal
 
 TWO_PI = 2.0 * np.pi
@@ -112,10 +113,59 @@ def test_induced_normal_satisfies_oracle(euclidean, l3, fourier_oval):
             assert is_birkhoff_orthogonal(plane, e, w, 1e-7)
 
 
+def test_closed_normal_field_wraps_its_parameter():
+    # the lp1.5 circle's own table misses closing by about 3e-9 at t = 2 pi
+    field = catalog.unit_circle_normal(build_plane(NormSpec("lp", p=1.5)))
+    t0, t1 = field.domain
+    assert np.array_equal(field(t1), field(t0))
+    assert np.array_equal(np.stack(field.value_and_rate(t1)),
+                          np.stack(field.value_and_rate(t0)))
+    # shifts by the span that are exact in floating point
+    t = np.array([0.25, 1.0, 1.5])
+    assert np.array_equal(field(t + field.span), field(t))
+    assert np.array_equal(field(t - field.span), field(t))
+    assert np.array_equal(field.derivative(t + field.span), field.derivative(t))
+
+
+def _singular_params_node_loop(plane, curve):
+    """Reference: the candidate dips picked node by node, then polished and merged."""
+    ts = curve.grid()
+    n = len(ts)
+    speeds = plane.norm(curve.derivative(ts, 1))
+    smax, step = float(np.max(speeds)), curve.span / n
+    found = []
+    for i in range(n):
+        im = (i - 1) % n if curve.closed else max(i - 1, 0)
+        ip = (i + 1) % n if curve.closed else min(i + 1, n - 1)
+        if speeds[i] > 0.05 * smax or (speeds[i] > min(speeds[im], speeds[ip])
+                                       and speeds[i] > 0.0):
+            continue
+        lo = ts[i] - step if (curve.closed or i > 0) else ts[i]
+        hi = ts[i] + step if (curve.closed or i < n - 1) else ts[i]
+        t_star, s_star = golden_minimize(lambda t: float(plane.norm(curve.derivative(t, 1))),
+                                         lo, hi)
+        if s_star < SINGULAR_SPEED_FACTOR * smax:
+            found.append(t_star)
+    return merge_events(found, 2.0 * step, curve.domain[0], curve.period)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: catalog.astroid(samples=256),
+    lambda: catalog.cusp_t2t3(samples=255),
+    lambda: catalog.circle(samples=64),
+    lambda: ParamCurve(lambda t: np.stack([t ** 2 + 1e-4 * t, t ** 3], -1), (0.0, 1.0),
+                       samples=64),
+], ids=["astroid", "t2t3", "circle", "endpoint-dip"])
+def test_find_singular_params_matches_the_node_loop(euclidean, l3, make):
+    for plane in (euclidean, l3):
+        curve = make()
+        assert find_singular_params(plane, curve) == _singular_params_node_loop(plane, curve)
+
+
 def test_find_singular_params_between_nodes(euclidean):
     found = find_singular_params(euclidean, catalog.cusp_t2t3())
     assert len(found) == 1
-    assert abs(found[0][0]) < 1e-8
+    assert abs(found[0]) < 1e-8
 
 
 def test_extend_normal_astroid(euclidean):

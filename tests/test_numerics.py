@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import brentq
 
 from normplane.errors import NoConvergence
-from normplane.numerics import brent_root
+from normplane.numerics import brent_root, merge_events, polish_dips, wrap
 
 # polynomials evaluate to the same bits in batch and one point at a time
 
@@ -91,3 +91,32 @@ def test_brent_root_raises_when_a_bracket_does_not_converge():
 def test_brent_root_rejects_a_bracket_without_sign_change():
     with pytest.raises(ValueError):
         brent_root(_cubic, [0.5], [2.0], [_cubic(0.5)], [_cubic(2.0)])
+
+
+def test_wrap_reduces_into_the_period():
+    two_pi = 2.0 * np.pi
+    assert np.array_equal(wrap(np.array([two_pi, 1.0 + two_pi, -1.0, 2.0]), 0.0, two_pi),
+                          np.array([0.0, 1.0, two_pi - 1.0, 2.0]))
+    inside = np.array([0.0, 3.0, two_pi - 1e-12])
+    assert wrap(inside, 0.0, two_pi) is inside
+    t = np.array([-3.0, 7.0])
+    assert wrap(t, 0.0, None) is t
+
+
+def test_merge_events_counts_one_event_across_the_seam():
+    two_pi = 2.0 * np.pi
+    assert merge_events([0.1, two_pi - 1e-10, 1e-11, 0.1 + 1e-10], 1e-9, 0.0, two_pi) \
+        == [1e-11, 0.1]
+    # wrapped into the domain first: -1e-10 and 2 pi + 3 are 2 pi - 1e-10 and 3
+    assert merge_events([two_pi + 3.0, -1e-10], 1e-9, 0.0, two_pi) \
+        == [3.0, two_pi - 1e-10]
+    assert merge_events([1.0, 0.0, 5.0 + 1e-10], 1e-9, 0.0, None) == [0.0, 1.0, 5.0 + 1e-10]
+
+
+def test_polish_dips_stays_inside_an_open_domain():
+    ts = np.linspace(0.0, 1.0, 5)
+    t_open, f_open = polish_dips(lambda t: t, ts, [0, 4], 0.25, (0.0, 1.0), closed=False)
+    assert np.all((t_open >= 0.0) & (t_open <= 1.0))
+    assert abs(t_open[0]) < 1e-9 and np.array_equal(f_open, t_open)
+    t_closed, _ = polish_dips(lambda t: t, ts, [0], 0.25, (0.0, 1.0), closed=True)
+    assert abs(t_closed[0] + 0.25) < 1e-9
