@@ -31,8 +31,8 @@ from .errors import (
     PreconditionViolated,
     ResidualViolation,
 )
-from .numerics import (differentiate, merge_events, polish_dips, sign_crossings, unwrap_mod,
-                       wrap)
+from .numerics import (differentiate, index_runs, merge_events, polish_dips, sign_crossings,
+                       unwrap_mod, wrap)
 from .plane import NormedPlane, symplectic
 
 RESIDUAL_TOL = 1e-5
@@ -333,8 +333,7 @@ def _detect_cusps(cp: CurvaturePair):
     dip_idx = np.nonzero(np.abs(cp.alpha) <= 1e-3 * cp.alpha_scale)[0]
     known = np.asarray([c.t for c in cusps] + degenerate, dtype=float)
     step = cp.span / len(cp.ts)
-    groups = np.split(dip_idx, np.nonzero(np.diff(dip_idx) > 1)[0] + 1) \
-        if dip_idx.size else []
+    groups = index_runs(dip_idx, len(cp.ts), cp.closed)
     deepest = [grp[int(np.argmin(np.abs(cp.alpha[grp])))] for grp in groups]
     fresh = [i for i in deepest
              if not (known.size and np.min(cp.seam_gap(known, cp.ts[i])) < 4.0 * step)]
@@ -378,12 +377,7 @@ def _detect_vertices(cp: CurvaturePair, degenerate_singular):
                                    period=cp.period)
     else:
         # vertex search restricted to contiguous windows of resolvable kappa
-        idx = np.nonzero(ok)[0]
-        splits = np.nonzero(np.diff(idx) > 1)[0]
-        blocks = np.split(idx, splits + 1)
-        if cp.closed and len(blocks) > 1 and blocks[0][0] == 0 and blocks[-1][-1] == len(cp.ts) - 1:
-            blocks = [np.concatenate([blocks[-1] - len(cp.ts), blocks[0]])] + blocks[1:-1]
-        for blk in blocks:
+        for blk in index_runs(np.nonzero(ok)[0], len(cp.ts), cp.closed):
             if len(blk) < 9:
                 continue
             tw = cp.ts[blk % len(cp.ts)] + np.where(blk < 0, -cp.span, 0.0)

@@ -4,9 +4,10 @@ A run is a JSON document: build the plane, build the curve and its normal,
 validate the pair, apply one operation, emit CSV/SVG/report outputs. Runs
 are deterministic: identical configs produce byte-identical outputs.
 
-Exit codes: 0 success, 2 config or expression error, 3 validation failure
-(plane convexity, orthogonality residual), 4 numerical non-convergence,
-5 operation precondition unmet.
+Exit codes: 0 success; an error exits with the code and the stderr label
+of its class in `errors.py`: 2 config or expression error, 3 validation
+failure (plane convexity, orthogonality residual), 4 numerical
+non-convergence, 5 operation precondition unmet or output refused.
 """
 
 from __future__ import annotations
@@ -20,104 +21,86 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import catalog
-from .analysis import (
-    LegendreCurve,
-    circular_curvature,
-    contact_implies_curvature_match,
-    contact_order,
-    curvature_pair,
-    legendre_from_curve,
-    make_legendre,
-    singularity_report,
-    transfer_legendre,
-)
+from .analysis import (circular_curvature, contact_implies_curvature_match, contact_order,
+                       curvature_pair, legendre_from_curve, make_legendre,
+                       singularity_report, transfer_legendre)
 from .curves import ParamCurve
 from .derived import evolute, involute, parallel, pedal
 from .emit import emit_csv, emit_report, emit_svg
-from .errors import (
-    ConfigError,
-    DegenerateFrame,
-    DegenerateLine,
-    ExpressionDomainError,
-    GeometryError,
-    IoError,
-    KappaVanishes,
-    LimitsDisagree,
-    MethodsDisagree,
-    NoConvergence,
-    NotAFront,
-    NotAnIsometry,
-    NotClosed,
-    NotUnit,
-    OutOfDomain,
-    ParseError,
-    PlaneValidationError,
-    PreconditionViolated,
-    ResidualViolation,
-    RhoDegenerate,
-    SingularPoint,
-    ZeroVector,
-)
+from .errors import ConfigError, GeometryError, ParseError
 from .expressions import compile_expression
 from .plane import NormSpec, build_plane
 from .synthesis import SynthesisSpec, synthesize
 
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_VALIDATION = 3
-EXIT_NUMERIC = 4
-EXIT_PRECONDITION = 5
-
 MIN_SAMPLES = 8     # the shortest grid the detectors' noise estimate accepts
 
-_VALIDATION_ERRORS = (PlaneValidationError, ResidualViolation, LimitsDisagree)
-_NUMERIC_ERRORS = (NoConvergence, MethodsDisagree, DegenerateFrame)
-_PRECONDITION_ERRORS = (KappaVanishes, RhoDegenerate, NotAFront, NotClosed,
-                        PreconditionViolated, DegenerateLine, SingularPoint,
-                        NotUnit, ZeroVector, OutOfDomain, NotAnIsometry)
+_REQUIRED = object()
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numbers(value):
+    return isinstance(value, list) and all(map(_is_number, value))
+
+
+def _floats(values):
+    return tuple(float(v) for v in values)
+
+
+# kind -> (what a value must be, its check, its conversion)
+_KINDS = {
+    "number": ("a number", _is_number, float),
+    "integer": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), int),
+    "flag": ("true or false", lambda v: isinstance(v, bool), bool),
+    "text": ("a string", lambda v: isinstance(v, str), str),
+    "pair": ("two numbers", lambda v: _numbers(v) and len(v) == 2, _floats),
+    "numbers": ("a list of numbers", _numbers, _floats),
+}
+
+# section -> the keys it may hold; a section is read as the kind of its name
+_SECTIONS = {
+    "config": ("norm", "curve", "operation", "output"),
+    "norm": ("kind", "p", "coefficients", "grid"),
+    "curve": ("kind", "samples", "closed", "x", "y", "domain", "name", "a", "b",
+              "path", "alpha", "kappa", "gamma0", "eta0_angle"),
+    "operation": ("kind", "d", "point", "curve2", "t0", "u0", "kmax", "norm"),
+    "output": ("csv", "svg", "report"),
+}
+
+
+def _read(cfg, key, kind, default=_REQUIRED):
+    """cfg[key] as a value of `kind`, or `default` when the key is absent.
+
+    A missing required key, a value of the wrong kind and a key unknown to
+    its section raise ConfigError naming the key.
+    """
+    if key not in cfg:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing key {key!r}")
+        return default
+    return _check(cfg[key], key, kind)
+
+
+def _check(value, key, kind):
+    if kind in _SECTIONS:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{key!r} must be a JSON object, got {value!r}")
+        for name in value:
+            if name not in _SECTIONS[kind]:
+                raise ConfigError(f"unknown key {name!r} in {key!r}")
+        return value
+    what, ok, convert = _KINDS[kind]
+    if not ok(value):
+        raise ConfigError(f"{key!r} must be {what}, got {value!r}")
+    return convert(value)
 
 
 def _norm_spec(cfg) -> NormSpec:
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ConfigError("norm config needs a 'kind'")
-    coefficients = cfg.get("coefficients", [])
-    if not isinstance(coefficients, list):
-        raise ConfigError(f"norm 'coefficients' must be a list, got {coefficients!r}")
-    try:
-        p = float(cfg.get("p", 2.0))
-        table_size = int(cfg.get("grid", 4096))
-        coefficients = tuple(float(c) for c in coefficients)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"norm 'p', 'grid' and 'coefficients' must be numbers: {exc}") from exc
-    return NormSpec(
-        kind=cfg["kind"],
-        p=p,
-        coefficients=coefficients,
-        table_size=table_size,
-    )
-
-
-def _section(cfg, key, default):
-    """cfg[key] (or `default`), which must be a JSON object."""
-    value = cfg.get(key, default)
-    if not isinstance(value, dict):
-        raise ConfigError(f"'{key}' must be a JSON object, got {value!r}")
-    return value
-
-
-def _samples(value):
-    if isinstance(value, bool) or not isinstance(value, int) or value < MIN_SAMPLES:
-        raise ConfigError(f"'samples' must be an integer >= {MIN_SAMPLES}, got {value!r}")
-    return value
-
-
-def _domain(value):
-    try:
-        t0, t1 = (float(v) for v in value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"curve domain must be two numbers [t0, t1], got {value!r}") from exc
-    return t0, t1
+    return NormSpec(_read(cfg, "kind", "text"), _read(cfg, "p", "number", 2.0),
+                    _read(cfg, "coefficients", "numbers", ()),
+                    _read(cfg, "grid", "integer", 4096))
 
 
 def _curve_from_csv(path, closed, samples):
@@ -144,43 +127,43 @@ def _curve_from_csv(path, closed, samples):
 
 
 def build_curve_and_pair(plane, ccfg, samples_override=None):
-    if not isinstance(ccfg, dict):
-        raise ConfigError(f"a curve must be a JSON object, got {ccfg!r}")
-    kind = ccfg.get("kind")
-    samples = _samples(ccfg.get("samples", 2048) if samples_override is None
-                       else samples_override)
+    samples = (_read(ccfg, "samples", "integer", 2048) if samples_override is None
+               else samples_override)
+    if samples < MIN_SAMPLES:
+        raise ConfigError(f"'samples' must be an integer >= {MIN_SAMPLES}, got {samples!r}")
+    kind = _read(ccfg, "kind", "text")
     if kind == "expression":
-        fx = compile_expression(ccfg["x"])
-        fy = compile_expression(ccfg["y"])
-        domain = _domain(ccfg["domain"])
+        fx = compile_expression(_read(ccfg, "x", "text"))
+        fy = compile_expression(_read(ccfg, "y", "text"))
+        domain = _read(ccfg, "domain", "pair")
 
         def pos(t):
             t = np.asarray(t, dtype=float)
             return np.stack([np.broadcast_to(fx(t), t.shape),
                              np.broadcast_to(fy(t), t.shape)], axis=-1)
 
-        curve = ParamCurve(pos, domain, closed=bool(ccfg.get("closed", False)),
+        curve = ParamCurve(pos, domain, closed=_read(ccfg, "closed", "flag", False),
                            samples=samples, name="expression")
         return legendre_from_curve(plane, curve)
     if kind == "catalog":
-        name = ccfg["name"]
-        params = {k: ccfg[k] for k in ("a", "b") if k in ccfg}
+        name = _read(ccfg, "name", "text")
+        params = {k: _read(ccfg, k, "number") for k in ("a", "b") if k in ccfg}
         curve = catalog.get_curve(name, plane=plane, samples=samples, **params)
         normal = catalog.get_normal(name, plane=plane)
         if normal is not None:
             return make_legendre(plane, curve, normal)
         return legendre_from_curve(plane, curve)
     if kind == "csv":
-        curve = _curve_from_csv(ccfg["path"], bool(ccfg.get("closed", False)),
-                                samples)
+        curve = _curve_from_csv(_read(ccfg, "path", "text"),
+                                _read(ccfg, "closed", "flag", False), samples)
         return legendre_from_curve(plane, curve)
     if kind == "synthesis":
-        domain = _domain(ccfg.get("domain", (0.0, 2.0 * np.pi)))
+        domain = _read(ccfg, "domain", "pair", (0.0, 2.0 * np.pi))
         spec = SynthesisSpec(
-            alpha=compile_expression(ccfg["alpha"]),
-            kappa=compile_expression(ccfg["kappa"]),
-            gamma0=tuple(float(v) for v in ccfg.get("gamma0", (0.0, 0.0))),
-            eta0=tuple(plane.circle_point(float(ccfg.get("eta0_angle", 0.0)))),
+            alpha=compile_expression(_read(ccfg, "alpha", "text")),
+            kappa=compile_expression(_read(ccfg, "kappa", "text")),
+            gamma0=_read(ccfg, "gamma0", "pair", (0.0, 0.0)),
+            eta0=tuple(plane.circle_point(_read(ccfg, "eta0_angle", "number", 0.0))),
             length=domain[1] - domain[0],
             steps=samples,
         )
@@ -188,93 +171,43 @@ def build_curve_and_pair(plane, ccfg, samples_override=None):
     raise ConfigError(f"unknown curve kind {kind!r}")
 
 
-def _analysis_outputs(L: LegendreCurve, report_extra=None, require_maslov=False):
-    cp = curvature_pair(L)
-    rep = singularity_report(L)
-    if require_maslov and rep.maslov is None:
-        # surface the reason instead of emitting a null index
-        raise rep.maslov_error
-    rep_dict = rep.to_json_dict()
-    if report_extra:
-        rep_dict.update(report_extra)
-    k = circular_curvature(cp)
-    ts = cp.ts
-    pts = L.gamma.point(ts)
-    markers = {
-        "cusps": L.gamma.point(np.asarray([c.t for c in rep.cusps]))
-        if rep.cusps else np.zeros((0, 2)),
-        "vertices": L.gamma.point(np.asarray([v.t for v in rep.vertices]))
-        if rep.vertices else np.zeros((0, 2)),
-        "inflections": L.gamma.point(np.asarray([i.t for i in rep.inflections]))
-        if rep.inflections else np.zeros((0, 2)),
-    }
-    return cp, rep_dict, k, ts, pts, markers
+# operation kind -> the pair it derives from L
+_DERIVED = {
+    "parallel": lambda L, op: parallel(L, _read(op, "d", "number", 0.0)),
+    "evolute": lambda L, op: evolute(L).pair,
+    "involute": lambda L, op: involute(L, _read(op, "d", "number", 0.0)),
+    "transfer": lambda L, op: transfer_legendre(
+        L, build_plane(_norm_spec(_read(op, "norm", "norm")))),
+}
 
 
 def run(config: dict, out_dir: str = None, samples: int = None) -> int:
     """Execute one configuration; returns the exit code."""
-    if not isinstance(config, dict):
-        raise ConfigError("config must be a JSON object")
-    plane = build_plane(_norm_spec(config.get("norm", {"kind": "euclidean"})))
-    L = build_curve_and_pair(plane, config.get("curve", {}), samples)
-    op = _section(config, "operation", {"kind": "analyze"})
-    kind = op.get("kind", "analyze")
-    outputs = dict(_section(config, "output", {}))
-    if out_dir:
-        outputs = {k: os.path.join(out_dir, v) for k, v in outputs.items()}
+    config = _check(config, "config", "config")
+    plane = build_plane(_norm_spec(_read(config, "norm", "norm", {"kind": "euclidean"})))
+    L = build_curve_and_pair(plane, _read(config, "curve", "curve", {}), samples)
+    op = _read(config, "operation", "operation", {"kind": "analyze"})
+    kind = _read(op, "kind", "text", "analyze")
+    output = _read(config, "output", "output", {})
+    outputs = {k: os.path.join(out_dir or "", _read(output, k, "text")) for k in output}
 
-    legend = [f"op: {kind}", f"curve: {L.gamma.name}",
-              f"norm: {plane.spec.kind}"]
+    legend = [f"op: {kind}", f"curve: {L.gamma.name}", f"norm: {plane.spec.kind}"]
 
     if kind in ("analyze", "maslov"):
-        cp, rep_dict, k, ts, pts, markers = _analysis_outputs(
-            L, require_maslov=kind == "maslov")
-        result_curves = [{"points": pts, "closed": L.closed}]
-        _emit(outputs, ts, pts, cp, k, rep_dict, result_curves, markers, legend)
-        return EXIT_OK
-
-    if kind == "parallel":
-        Ld = parallel(L, float(op.get("d", 0.0)))
-        return _emit_derived(outputs, L, Ld, legend)
-
-    if kind == "evolute":
-        frame = evolute(L)
-        return _emit_derived(outputs, L, frame.pair, legend)
-
-    if kind == "involute":
-        Li = involute(L, float(op.get("d", 0.0)))
-        return _emit_derived(outputs, L, Li, legend)
-
-    if kind == "transfer":
-        plane2 = build_plane(_norm_spec(op["norm"]))
-        Lt = transfer_legendre(L, plane2)
-        return _emit_derived(outputs, L, Lt, legend)
-
-    if kind == "pedal":
-        point = tuple(float(v) for v in op.get("point", (0.0, 0.0)))
-        res = pedal(L, point)
-        ts = res.gamma_p.grid()
-        pts = res.gamma_p.point(ts)
-        rep_extra = {"frontal_claimed": bool(res.frontal_claimed),
-                     "singular_parameters": [float(t) for t in res.singular_ts]}
-        if res.pair is not None:
-            cp, rep_dict, k, ts, pts, markers = _analysis_outputs(res.pair, rep_extra)
-        else:
-            cp, k, markers = None, None, {"cusps": np.zeros((0, 2)),
-                                          "vertices": np.zeros((0, 2)),
-                                          "inflections": np.zeros((0, 2))}
-            rep_dict = rep_extra
-        base = L.gamma.point(L.grid())
-        curves = [{"points": base, "closed": L.closed},
-                  {"points": pts, "closed": res.gamma_p.closed}]
-        _emit(outputs, ts, pts, cp, k, rep_dict, curves, markers, legend)
-        return EXIT_OK
-
-    if kind == "contact":
-        L2 = build_curve_and_pair(plane, op["curve2"], samples)
-        t0 = float(op.get("t0", 0.0))
-        u0 = float(op.get("u0", 0.0))
-        kmax = int(op.get("kmax", 4))
+        _emit(outputs, legend, L.gamma, L, require_maslov=kind == "maslov")
+    elif kind in _DERIVED:
+        Ld = _DERIVED[kind](L, op)
+        _emit(outputs, legend, Ld.gamma, Ld, base=L)
+    elif kind == "pedal":
+        res = pedal(L, _read(op, "point", "pair", (0.0, 0.0)))
+        extra = {"frontal_claimed": bool(res.frontal_claimed),
+                 "singular_parameters": [float(t) for t in res.singular_ts]}
+        _emit(outputs, legend, res.gamma_p, res.pair, base=L, extra=extra)
+    elif kind == "contact":
+        L2 = build_curve_and_pair(plane, _read(op, "curve2", "curve"), samples)
+        t0 = _read(op, "t0", "number", 0.0)
+        u0 = _read(op, "u0", "number", 0.0)
+        kmax = _read(op, "kmax", "integer", 4)
         order = contact_order(L, t0, L2, u0, kmax)
         rep = {"contact_order": order, "t0": t0, "u0": u0, "kmax": kmax}
         if order >= 1:
@@ -283,31 +216,43 @@ def run(config: dict, out_dir: str = None, samples: int = None) -> int:
                 str(j): match["residuals"][j] for j in sorted(match["residuals"])}
         if outputs.get("report"):
             emit_report(outputs["report"], rep)
-        return EXIT_OK
-
-    raise ConfigError(f"unknown operation kind {kind!r}")
-
-
-def _emit_derived(outputs, L_base, L_out, legend):
-    cp, rep_dict, k, ts, pts, markers = _analysis_outputs(L_out)
-    base_pts = L_base.gamma.point(L_base.grid())
-    curves = [{"points": base_pts, "closed": L_base.closed},
-              {"points": pts, "closed": L_out.closed}]
-    _emit(outputs, ts, pts, cp, k, rep_dict, curves, markers, legend)
-    return EXIT_OK
+    else:
+        raise ConfigError(f"unknown operation kind {kind!r}")
+    return 0
 
 
-def _emit(outputs, ts, pts, cp, k, rep_dict, curves, markers, legend):
+def _emit(outputs, legend, curve, L, base=None, extra=None, require_maslov=False):
+    """Write the requested CSV, report and SVG of `curve`.
+
+    `L` is the pair analysed along `curve`; None emits the curve with no
+    curvature and no events. `base` is a pair drawn beneath the curve and
+    `extra` is merged into the report.
+    """
+    if L is None:
+        ts, cp, report, events = curve.grid(), None, {}, ((), (), ())
+    else:
+        cp = curvature_pair(L)
+        rep = singularity_report(L)
+        if require_maslov and rep.maslov is None:
+            # surface the reason instead of emitting a null index
+            raise rep.maslov_error
+        ts, report = cp.ts, rep.to_json_dict()
+        events = (rep.cusps, rep.vertices, rep.inflections)
+    report.update(extra or {})
+    pts = curve.point(ts)
     if outputs.get("csv"):
-        emit_csv(outputs["csv"], ts, pts,
-                 None if cp is None else cp.alpha,
-                 None if cp is None else cp.kappa, k)
+        emit_csv(outputs["csv"], ts, pts, *((None, None, None) if cp is None else
+                                            (cp.alpha, cp.kappa, circular_curvature(cp))))
     if outputs.get("report"):
-        emit_report(outputs["report"], rep_dict)
+        emit_report(outputs["report"], report)
     if outputs.get("svg"):
-        emit_svg(outputs["svg"], curves, cusps=markers["cusps"],
-                 vertices=markers["vertices"], inflections=markers["inflections"],
-                 legend=legend)
+        cusps, vertices, inflections = (
+            curve.point(np.asarray([e.t for e in found])) if found else np.zeros((0, 2))
+            for found in events)
+        drawn = [] if base is None else [{"points": base.gamma.point(base.grid()),
+                                          "closed": base.closed}]
+        emit_svg(outputs["svg"], drawn + [{"points": pts, "closed": curve.closed}],
+                 cusps=cusps, vertices=vertices, inflections=inflections, legend=legend)
 
 
 def load_config(path: str) -> dict:
@@ -337,25 +282,9 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         return run(config, out_dir=args.out, samples=args.samples)
-    except (ParseError, ConfigError, ExpressionDomainError, KeyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except _VALIDATION_ERRORS as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except _NUMERIC_ERRORS as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except _PRECONDITION_ERRORS as exc:
-        print(f"precondition error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except IoError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except GeometryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 if __name__ == "__main__":
     sys.exit(main())

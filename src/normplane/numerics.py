@@ -90,10 +90,21 @@ def differentiate(f, t, order, h, domain=None, closed=False):
 def wrap(t, t0, period):
     """t reduced into [t0, t0 + period) on a closed curve; unchanged on an
     open one (period None), and when it lies there already (np.mod is the
-    costly part of a grid evaluation)."""
+    costly part of a grid evaluation). A tiny negative offset, which np.mod
+    rounds up to the period, maps to t0; a scalar stays a scalar."""
     if period is None or (np.all(t >= t0) and np.all(t < t0 + period)):
         return t
-    return t0 + np.mod(t - t0, period)
+    t = t0 + np.mod(t - t0, period)
+    return np.where(t < t0 + period, t, t0)[()]
+
+
+def index_runs(idx, n, closed):
+    """Runs of consecutive indices of an n-node grid; on a closed grid a run
+    through the seam is one run, its indices before the seam negative."""
+    runs = np.split(idx, np.nonzero(np.diff(idx) > 1)[0] + 1) if idx.size else []
+    if closed and len(runs) > 1 and runs[0][0] == 0 and runs[-1][-1] == n - 1:
+        runs = [np.concatenate([runs[-1] - n, runs[0]])] + runs[1:-1]
+    return runs
 
 
 def merge_events(ts, tol, t0, period):

@@ -500,3 +500,24 @@ def test_degenerate_points_do_not_depend_on_the_seam(euclidean, sign, steps):
     assert rep.counts["vertices"] == 4
     ts = [v.t for v in rep.vertices]
     assert all(0.0 <= t < 2.0 * np.pi for t in ts)
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["seam-at-zero", "seam-shifted"])
+def test_a_dip_across_the_seam_is_searched_once(euclidean, sign, monkeypatch):
+    # |alpha| of 1 - cos 2t has one valley through the seam and one at pi;
+    # each valley is refined by one golden search, wherever the seam falls
+    from normplane import analysis, numerics
+    from normplane.synthesis import SynthesisSpec, synthesize
+
+    spec = SynthesisSpec(lambda t: 1.0 + sign * np.cos(2.0 * np.asarray(t)),
+                         lambda t: np.ones_like(np.asarray(t, dtype=float)),
+                         (0.0, 0.0), (1.0, 0.0), 2.0 * np.pi, 2048)
+    cp = curvature_pair(synthesize(euclidean, spec))
+    calls = []
+    search = numerics.golden_minimize
+    monkeypatch.setattr(numerics, "golden_minimize",
+                        lambda *args, **kw: calls.append(args) or search(*args, **kw))
+    _, degenerate = analysis._detect_cusps(cp)
+    assert len(calls) == 2
+    assert len(degenerate) == 2
+    assert all(0.0 <= t < 2.0 * np.pi for t in degenerate)

@@ -285,6 +285,7 @@ def test_astroid_analyze_non_euclidean(tmp_path, norm):
 
 
 _CIRCLE = {"kind": "catalog", "name": "circle"}
+_CIRCLE_64 = {**_CIRCLE, "samples": 64}
 
 
 @pytest.mark.parametrize("config, extra, marker", [
@@ -308,13 +309,52 @@ _CIRCLE = {"kind": "catalog", "name": "circle"}
      "config error:"),
     ({"curve": {"kind": "expression", "x": "sqrt(t)", "y": "t",
                 "domain": [-1.0, 1.0]}}, (), "config error: expression domain error"),
+    ({"curve": _CIRCLE_64, "operation": {"kind": "parallel", "d": "abc"}}, (),
+     "config error: 'd'"),
+    ({"curve": _CIRCLE_64, "operation": {"kind": "parallel", "d": None}}, (),
+     "config error: 'd'"),
+    ({"curve": _CIRCLE_64, "operation": {"kind": "pedal", "point": "ab"}}, (),
+     "config error: 'point'"),
+    ({"curve": _CIRCLE_64, "operation": {"kind": "contact", "curve2": _CIRCLE_64,
+                                         "kmax": "x"}}, (), "config error: 'kmax'"),
+    ({"curve": _CIRCLE_64, "operation": {"kind": "contact", "curve2": _CIRCLE_64,
+                                         "t0": None}}, (), "config error: 't0'"),
+    ({"curve": {"kind": "catalog", "name": "ellipse", "a": "x"}}, (),
+     "config error: 'a'"),
+    ({"curve": {"kind": "expression", "x": 3, "y": "t", "domain": [0.0, 1.0]}}, (),
+     "config error: 'x'"),
+    ({"curve": {"kind": "synthesis", "alpha": "1", "kappa": "1", "gamma0": [1]}}, (),
+     "config error: 'gamma0'"),
+    ({"curve": {"kind": "synthesis", "alpha": "1", "kappa": "1", "eta0_angle": "x"}},
+     (), "config error: 'eta0_angle'"),
+    ({"curve": _CIRCLE_64, "output": {"csv": 3}}, (), "config error: 'csv'"),
+    ({"curve": _CIRCLE_64, "operation": {"kind": "pedal", "point": [1]}}, (),
+     "config error: 'point'"),
+    ({"curve": {"kind": "expression", "x": "cos(t)", "y": "sin(t)",
+                "domain": [0.0, 6.283185307179586], "closed": "no"}}, (),
+     "config error: 'closed'"),
+    ({"curve": {**_CIRCLE, "sampels": 512}}, (), "config error: unknown key 'sampels'"),
+    ({"curve": _CIRCLE_64, "outputs": {}}, (), "config error: unknown key 'outputs'"),
+    ({"norm": {"kind": "lp", "P": 3.0}}, (), "config error: unknown key 'P'"),
+    ({"curve": {**_CIRCLE_64, "radius": 2.0}}, (), "config error: unknown key 'radius'"),
+    ({"curve": _CIRCLE_64, "operation": {"kind": "parallel", "dist": 0.3}}, (),
+     "config error: unknown key 'dist'"),
+    ({"curve": _CIRCLE_64, "output": {"png": "out.png"}}, (),
+     "config error: unknown key 'png'"),
+    ({"norm": {"kind": 3}}, (), "config error: 'kind'"),
 ], ids=["p-not-a-number", "top-level-list", "one-element-domain",
         "samples-zero", "samples-one", "samples-not-a-number",
         "samples-not-an-integer", "samples-flag-zero", "samples-flag-one",
         "samples-flag-not-a-number", "curve-not-an-object",
         "operation-not-an-object", "output-not-an-object",
         "coefficients-not-numbers", "coefficients-not-a-list",
-        "expression-outside-its-domain"])
+        "expression-outside-its-domain", "offset-not-a-number", "offset-null",
+        "pedal-point-text", "kmax-not-a-number", "t0-null", "catalog-a-text",
+        "expression-x-number", "gamma0-one-number", "eta0-angle-text",
+        "output-path-number", "pedal-point-one-number", "closed-text",
+        "samples-typo", "unknown-top-level-key", "unknown-norm-key",
+        "unknown-curve-key", "unknown-operation-key", "unknown-output-key",
+        "norm-kind-number"])
 def test_malformed_config_exits_2(tmp_path, capsys, config, extra, marker):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -338,6 +378,50 @@ def test_unwritable_output_exits_5(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "io error:" in err
     assert "Traceback" not in err
+
+
+# the exit code and stderr label of every error class
+_EXITS = {
+    (2, "config error"): {"InputError", "ConfigError", "ParseError",
+                          "ExpressionDomainError"},
+    (3, "validation error"): {"ValidationError", "PlaneValidationError",
+                              "ConvexityViolation", "PositivityViolation",
+                              "BadParameter", "ResidualViolation", "LimitsDisagree"},
+    (4, "numerical error"): {"NumericalError", "NoConvergence", "MethodsDisagree",
+                             "DegenerateFrame"},
+    (5, "precondition error"): {"PreconditionError", "KappaVanishes", "RhoDegenerate",
+                                "NotAFront", "NotClosed", "PreconditionViolated",
+                                "DegenerateLine", "SingularPoint", "NotUnit",
+                                "ZeroVector", "OutOfDomain", "NotAnIsometry"},
+    (5, "io error"): {"IoError"},
+    (4, "error"): {"GeometryError"},
+}
+
+
+def test_every_error_class_keeps_its_exit_code_and_label(tmp_path, capsys, monkeypatch):
+    from normplane import cli
+    from normplane.errors import GeometryError, ParseError
+
+    classes, todo = [], [GeometryError]
+    while todo:
+        cls = todo.pop()
+        classes.append(cls)
+        todo.extend(cls.__subclasses__())
+    want = {name: code for code, names in _EXITS.items() for name in names}
+    assert sorted(c.__name__ for c in classes) == sorted(want)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}")
+    for cls in classes:
+        exc = cls("boom", 0) if issubclass(cls, ParseError) else cls("boom")
+
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "run", fail)
+        code, label = want[cls.__name__]
+        assert (cls.exit_code, cls.label) == (code, label)
+        assert main(["run", str(cfg)]) == code
+        assert capsys.readouterr().err == f"{label}: boom\n"
 
 
 def test_lp_below_two_circle_analyze(tmp_path):

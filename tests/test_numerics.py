@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import brentq
 
 from normplane.errors import NoConvergence
-from normplane.numerics import brent_root, merge_events, polish_dips, wrap
+from normplane.numerics import brent_root, index_runs, merge_events, polish_dips, wrap
 
 # polynomials evaluate to the same bits in batch and one point at a time
 
@@ -101,6 +101,9 @@ def test_wrap_reduces_into_the_period():
     assert wrap(inside, 0.0, two_pi) is inside
     t = np.array([-3.0, 7.0])
     assert wrap(t, 0.0, None) is t
+    # np.mod rounds a tiny negative offset up to the period
+    w = wrap(-1e-17, 0.0, two_pi)
+    assert w == 0.0 and isinstance(w, float)
 
 
 def test_merge_events_counts_one_event_across_the_seam():
@@ -111,6 +114,14 @@ def test_merge_events_counts_one_event_across_the_seam():
     assert merge_events([two_pi + 3.0, -1e-10], 1e-9, 0.0, two_pi) \
         == [3.0, two_pi - 1e-10]
     assert merge_events([1.0, 0.0, 5.0 + 1e-10], 1e-9, 0.0, None) == [0.0, 1.0, 5.0 + 1e-10]
+    assert merge_events([-1e-17, 3.0], 1e-9, 0.0, two_pi) == [0.0, 3.0]
+
+
+def test_index_runs_joins_the_run_through_the_seam():
+    idx = np.array([0, 1, 5, 6, 8, 9])
+    assert [r.tolist() for r in index_runs(idx, 10, closed=True)] == [[-2, -1, 0, 1], [5, 6]]
+    assert [r.tolist() for r in index_runs(idx, 10, closed=False)] == [[0, 1], [5, 6], [8, 9]]
+    assert index_runs(np.array([], dtype=int), 10, closed=True) == []
 
 
 def test_polish_dips_stays_inside_an_open_domain():
