@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from math import isfinite
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -37,8 +38,8 @@ MIN_SAMPLES = 8     # the shortest grid the detectors' noise estimate accepts
 _REQUIRED = object()
 
 
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_number(value):    # json.load reads NaN and Infinity, which JSON does not have
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and isfinite(value)
 
 
 def _numbers(value):
@@ -51,7 +52,7 @@ def _floats(values):
 
 # kind -> (what a value must be, its check, its conversion)
 _KINDS = {
-    "number": ("a number", _is_number, float),
+    "number": ("a finite number", _is_number, float),
     "integer": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), int),
     "flag": ("true or false", lambda v: isinstance(v, bool), bool),
     "text": ("a string", lambda v: isinstance(v, str), str),

@@ -342,6 +342,8 @@ _CIRCLE_64 = {**_CIRCLE, "samples": 64}
     ({"curve": _CIRCLE_64, "output": {"png": "out.png"}}, (),
      "config error: unknown key 'png'"),
     ({"norm": {"kind": 3}}, (), "config error: 'kind'"),
+    ({"curve": _CIRCLE_64, "operation": {"kind": "parallel", "d": float("nan")}}, (),
+     "config error: 'd'"),
 ], ids=["p-not-a-number", "top-level-list", "one-element-domain",
         "samples-zero", "samples-one", "samples-not-a-number",
         "samples-not-an-integer", "samples-flag-zero", "samples-flag-one",
@@ -354,7 +356,7 @@ _CIRCLE_64 = {**_CIRCLE, "samples": 64}
         "output-path-number", "pedal-point-one-number", "closed-text",
         "samples-typo", "unknown-top-level-key", "unknown-norm-key",
         "unknown-curve-key", "unknown-operation-key", "unknown-output-key",
-        "norm-kind-number"])
+        "norm-kind-number", "offset-nan"])
 def test_malformed_config_exits_2(tmp_path, capsys, config, extra, marker):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
