@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .curves import NormalField, ParamCurve, extend_normal
+from .curves import Jet, NormalField, ParamCurve, extend_normal
 from .errors import (
     BadParameter,
     DegenerateFrame,
@@ -500,18 +500,8 @@ def singularity_report(L: LegendreCurve) -> SingularityReport:
                              maslov_error=maslov_error)
 
 
-def lateral_tangent_sign(L: LegendreCurve, t0: float, offset: float = 1e-3) -> str:
-    """Independent cusp classification from [gamma'(t0-offset), gamma'(t0+offset)];
-    negative means zig."""
-    w1 = L.gamma.derivative(t0 - offset, 1)
-    w2 = L.gamma.derivative(t0 + offset, 1)
-    return "zig" if float(symplectic(w1, w2)) < 0.0 else "zag"
-
-
 def pair_jets(L: LegendreCurve, t: float, order: int):
     """Jets of the curve and of its normal at t, validated finite."""
-    from .curves import Jet
-
     g = Jet(t, tuple([L.gamma.point(t)]
                      + [L.gamma.derivative(t, k) for k in range(1, order + 1)]))
     e = Jet(t, tuple([L.eta(t)]

@@ -19,7 +19,6 @@ import sys
 from math import isfinite
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import catalog
 from .analysis import (circular_curvature, contact_implies_curvature_match, contact_order,
@@ -116,6 +115,7 @@ def _curve_from_csv(path, closed, samples):
     pts = np.stack([raw["x"], raw["y"]], axis=-1).astype(float)
     if len(ts) < MIN_SAMPLES:
         raise ConfigError(f"csv curve needs at least {MIN_SAMPLES} samples")
+    from scipy.interpolate import CubicSpline  # only CSV and synthesized curves load scipy
     if closed:
         ts = np.append(ts, ts[0] + (ts[1] - ts[0]) * len(ts))
         pts = np.vstack([pts, pts[:1]])

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 import os
 
 import numpy as np
@@ -13,8 +12,11 @@ from .errors import IoError
 CSV_HEADER = "t,x,y,alpha,kappa,k"
 
 
-def _fmt(x):
-    return "%.17g" % float(x)
+# a row's format by the finiteness bits of its alpha, kappa, k cells (4, 2, 1):
+# "%.0s" prints a non-finite cell as an empty one
+_ROW_FORMATS = tuple(
+    "%.17g,%.17g,%.17g," + ",".join("%.17g" if code & bit else "%.0s" for bit in (4, 2, 1))
+    for code in range(8))
 
 
 def emit_csv(path, ts, xy, alpha=None, kappa=None, k=None):
@@ -30,12 +32,12 @@ def emit_csv(path, ts, xy, alpha=None, kappa=None, k=None):
         return np.asarray(c, dtype=float)
 
     table = np.column_stack([ts, xy, col(alpha), col(kappa), col(k)])
+    codes = np.isfinite(table[:, 3:]) @ np.array([4, 2, 1])
     lines = [CSV_HEADER]
     # one row at a time as Python floats: a whole-table tolist() would hold
     # every cell as a float object at once
-    for t, x, y, *fields in map(np.ndarray.tolist, table):
-        lines.append(",".join([_fmt(t), _fmt(x), _fmt(y)]
-                              + [_fmt(c) if math.isfinite(c) else "" for c in fields]))
+    for code, row in zip(codes.tolist(), map(np.ndarray.tolist, table)):
+        lines.append(_ROW_FORMATS[code] % tuple(row))
     _write_text(path, "\n".join(lines) + "\n")
 
 

@@ -1,4 +1,5 @@
-"""Small numerical kernels: finite differences, line search, quadrature, crossings."""
+"""Small numerical kernels: finite differences, line search, quadrature,
+crossings, monotone interpolation."""
 
 from __future__ import annotations
 
@@ -284,6 +285,49 @@ def sign_crossings(ts, vals, noise, refine, period=None):
     return merge_events(roots, 1e-9, ts[0], period)
 
 
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point slope at an end node, kept shape preserving."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def pchip(x, y):
+    """Monotone cubic Hermite interpolant (Fritsch & Carlson, SIAM J. Numer.
+    Anal. 17, 1980) through (x_i, y_i), x strictly increasing, n >= 3; returns
+    q -> y(q). Bit for bit scipy's PchipInterpolator: its node slopes and end
+    rule, CubicHermiteSpline's coefficients, PPoly's interval search and term
+    order (the end cubics extrapolate). One row (x_i, c3, c2, c1, c0) per
+    interval keeps a query to one search and one row gather."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+    d = np.zeros_like(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    table = np.column_stack([x[:-1], y[:-1], d[:-1], (m - d[:-1]) / h - t, t / h])
+    inner = x[1:-1]
+
+    def evaluate(q):
+        q = np.asarray(q, dtype=float)
+        x0, c3, c2, c1, c0 = np.take(table, np.searchsorted(inner, q, side="right"),
+                                     axis=0).T
+        s = q - x0
+        ss = s * s
+        return c3 + c2 * s + c1 * ss + c0 * (ss * s)
+
+    return evaluate
+
+
 def unwrap_mod(raw, period):
     """Continuous lift of angles known only modulo `period`."""
     raw = np.asarray(raw, dtype=float)
@@ -293,39 +337,3 @@ def unwrap_mod(raw, period):
     out[0] = raw[0]
     out[1:] = raw[0] + np.cumsum(jumps)
     return out
-
-
-def _point_segment_dist2(points, seg_a, seg_b):
-    """Squared distances from each point to the nearest of the given segments."""
-    d = seg_b - seg_a                      # (m, 2)
-    l2 = np.maximum(np.einsum("ij,ij->i", d, d), 1e-300)
-    best = np.full(len(points), np.inf)
-    chunk = max(1, 262144 // max(len(d), 1))
-    for s in range(0, len(points), chunk):
-        p = points[s:s + chunk]
-        ap = p[:, None, :] - seg_a[None, :, :]          # (c, m, 2)
-        tt = np.clip(np.einsum("cmj,mj->cm", ap, d) / l2, 0.0, 1.0)
-        diff = ap - tt[..., None] * d[None, :, :]
-        best[s:s + chunk] = np.min(np.einsum("cmj,cmj->cm", diff, diff), axis=1)
-    return best
-
-
-def hausdorff_polyline(pts_a, pts_b, closed_a=False, closed_b=False):
-    """Symmetric Hausdorff distance between two sampled curves.
-
-    Point-to-polyline distances are used on both sides so the result measures
-    geometric deviation rather than sampling phase.
-    """
-    pts_a = np.asarray(pts_a, dtype=float)
-    pts_b = np.asarray(pts_b, dtype=float)
-
-    def segs(p, closed):
-        if closed:
-            return p, np.roll(p, -1, axis=0)
-        return p[:-1], p[1:]
-
-    a0, a1 = segs(pts_a, closed_a)
-    b0, b1 = segs(pts_b, closed_b)
-    d_ab = np.sqrt(np.max(_point_segment_dist2(pts_a, b0, b1)))
-    d_ba = np.sqrt(np.max(_point_segment_dist2(pts_b, a0, a1)))
-    return max(d_ab, d_ba)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     BadParameter,
@@ -22,7 +21,7 @@ from .errors import (
     PositivityViolation,
     ZeroVector,
 )
-from .numerics import TWO_PI, gauss5_segments, golden_minimize, unwrap_mod
+from .numerics import TWO_PI, gauss5_segments, golden_minimize, pchip, unwrap_mod
 
 UNIT_TOL = 1e-9
 
@@ -205,7 +204,7 @@ class NormedPlane:
         self._u_nodes = u
         if np.any(np.diff(u) <= 0.0):
             raise ConvexityViolation("arc length is not strictly increasing")
-        self._theta_of_u = PchipInterpolator(u, th)
+        self._theta_of_u = pchip(u, th)
 
         psi = unwrap_mod(np.arctan2(d1[:, 1], d1[:, 0]), TWO_PI)
         if np.any(np.diff(psi) <= 0.0):
@@ -216,7 +215,7 @@ class NormedPlane:
             raise ConvexityViolation("tangent angle winding differs from one turn")
         self._psi_nodes = psi
         self._d1_nodes = d1
-        self._theta_of_psi = PchipInterpolator(psi, th)
+        self._theta_of_psi = pchip(psi, th)
 
         norm_on_circle = self.norm(c)
         if np.max(np.abs(norm_on_circle - 1.0)) > 1e-12:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .analysis import LegendreCurve, make_legendre
 from .curves import NormalField, ParamCurve
@@ -76,6 +75,7 @@ def synthesize(plane: NormedPlane, spec: SynthesisSpec) -> LegendreCurve:
     steps_xy = h / 6.0 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
     gamma_nodes = np.vstack([p, p + np.cumsum(steps_xy, axis=0)])
 
+    from scipy.interpolate import CubicSpline  # only synthesized and CSV curves load scipy
     t_nodes = np.linspace(0.0, c, m + 1)
     u_of_t = CubicSpline(t_nodes, u_nodes)
     pos = CubicSpline(t_nodes, gamma_nodes)

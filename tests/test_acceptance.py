@@ -19,7 +19,6 @@ from normplane.analysis import (
     contact_implies_curvature_match,
     contact_order,
     curvature_pair,
-    lateral_tangent_sign,
     legendre_from_curve,
     make_legendre,
     maslov_index,
@@ -38,9 +37,9 @@ from normplane.derived import (
     pedal,
 )
 from normplane.errors import KappaVanishes, PreconditionViolated
-from normplane.numerics import _point_segment_dist2, hausdorff_polyline
 from normplane.plane import is_birkhoff_orthogonal, symplectic
 from normplane.synthesis import SynthesisSpec, apply_linear_map, synthesize
+from oracles import hausdorff_polyline, lateral_tangent_sign, point_segment_dist2
 
 TWO_PI = 2.0 * np.pi
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -238,7 +237,7 @@ def test_criterion_07_evolute(ellipse_pair, l3):
     # offset-family singular points lie on the evolute
     swept = evolute_as_parallel_singularities(ellipse_pair, n_offsets=512)
     ev = frame.evolute.point(np.linspace(0.0, TWO_PI, 4096, endpoint=False))
-    dists = np.sqrt(_point_segment_dist2(swept, ev, np.roll(ev, -1, axis=0)))
+    dists = np.sqrt(point_segment_dist2(swept, ev, np.roll(ev, -1, axis=0)))
     assert np.max(dists) < 1e-3
 
     for t0 in (0.7, 2.2):

@@ -7,7 +7,6 @@ from normplane.analysis import (
     contact_implies_curvature_match,
     contact_order,
     curvature_pair,
-    lateral_tangent_sign,
     legendre_from_curve,
     make_legendre,
     maslov_index,
@@ -18,6 +17,7 @@ from normplane.analysis import (
 from normplane.curves import ParamCurve
 from normplane.errors import NotClosed, PreconditionViolated
 from normplane.plane import symplectic
+from oracles import lateral_tangent_sign
 
 TWO_PI = 2.0 * np.pi
 

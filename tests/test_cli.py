@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -29,6 +31,20 @@ def test_circle_analyze(tmp_path):
     report = json.loads((tmp_path / "out" / "circle.json").read_text())
     assert list(report.keys()) == ["cusps", "inflections", "vertices", "maslov",
                                    "counts", "is_front", "is_immersion"]
+
+
+def test_import_and_catalog_run_do_not_load_scipy(tmp_path):
+    # a fresh interpreter: this one has loaded scipy for other tests
+    script = (
+        "import sys\n"
+        "from normplane import cli\n"
+        f"assert cli.main(['run', {_cfg('circle_analyze.json')!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(HERE, os.pardir, "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_astroid_report_contents(tmp_path):
@@ -249,6 +265,31 @@ def test_csv_format_and_masking(tmp_path):
     assert "\r" not in text
     with pytest.raises(IoError):
         emit_csv(tmp_path / "empty.csv", np.array([]), np.zeros((0, 2)))
+
+
+def test_csv_rows_match_a_cell_by_cell_reference(tmp_path):
+    # every finiteness pattern of the alpha, kappa, k cells, each cell as
+    # "%.17g" or, when not finite, empty
+    rng = np.random.default_rng(3)
+    n = 400
+    ts = np.linspace(-1.0, 1.0, n)
+    xy = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-300, 300, (n, 2))
+    xy[7] = (np.nan, -0.0)
+    fields = rng.normal(size=(3, n)) * 10.0 ** rng.integers(-300, 300, (3, n))
+    bad = rng.random((3, n)) < 0.3
+    fields[bad] = rng.choice([np.nan, np.inf, -np.inf], int(bad.sum()))
+    fields[:, 0] = -0.0
+    emit_csv(tmp_path / "x.csv", ts, xy, *fields)
+
+    def cell(v):
+        return "%.17g" % v if np.isfinite(v) else ""
+
+    want = ["t,x,y,alpha,kappa,k"] + [
+        ",".join(["%.17g" % v for v in (ts[i], *xy[i])] + [cell(v) for v in fields[:, i]])
+        for i in range(n)]
+    assert (tmp_path / "x.csv").read_text() == "\n".join(want) + "\n"
+    assert {tuple(np.isfinite(fields[:, i])) for i in range(n)} == {
+        (a, b, c) for a in (False, True) for b in (False, True) for c in (False, True)}
 
 
 def test_svg_structure(tmp_path):

@@ -21,9 +21,9 @@ from normplane.derived import (
     vertex_residual,
 )
 from normplane.errors import DegenerateLine, KappaVanishes, RhoDegenerate
-from normplane.numerics import _point_segment_dist2
 from normplane.plane import symplectic
 from normplane.synthesis import SynthesisSpec, apply_linear_map, synthesize
+from oracles import point_segment_dist2
 
 TWO_PI = 2.0 * np.pi
 
@@ -33,7 +33,7 @@ def _dist_to_polyline(points, poly, closed=True):
     b = np.roll(poly, -1, axis=0) if closed else None
     if not closed:
         a, b = poly[:-1], poly[1:]
-    return np.sqrt(_point_segment_dist2(np.atleast_2d(points), a, b))
+    return np.sqrt(point_segment_dist2(np.atleast_2d(points), a, b))
 
 
 # -- parallels ---------------------------------------------------------------

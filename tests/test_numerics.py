@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from normplane.errors import NoConvergence
-from normplane.numerics import brent_root, index_runs, merge_events, polish_dips, wrap
+from normplane.numerics import brent_root, index_runs, merge_events, pchip, polish_dips, wrap
+from normplane.plane import NormSpec, build_plane
 
 # polynomials evaluate to the same bits in batch and one point at a time
 
@@ -131,3 +133,41 @@ def test_polish_dips_stays_inside_an_open_domain():
     assert abs(t_open[0]) < 1e-9 and np.array_equal(f_open, t_open)
     t_closed, _ = polish_dips(lambda t: t, ts, [0], 0.25, (0.0, 1.0), closed=True)
     assert abs(t_closed[0] + 0.25) < 1e-9
+
+
+def _assert_pchip_is_scipys(x, y, queries):
+    ours, theirs = pchip(x, y), PchipInterpolator(x, y)
+    assert np.array_equal(ours(queries), theirs(queries))
+    for q in queries[::97].tolist() + [x[0], x[-1]]:
+        assert ours(q) == theirs(q)
+        zero_d = ours(np.array(q))
+        assert np.shape(zero_d) == () and zero_d == theirs(np.array(q))
+
+
+@pytest.mark.parametrize("spec", [
+    NormSpec("euclidean"), NormSpec("lp", p=1.5), NormSpec("lp", p=3.0),
+    NormSpec("lp", p=6.0), NormSpec("fourier_radial", coefficients=(1.0, 0.08)),
+    NormSpec("lp", p=3.0, table_size=512)], ids=lambda s: f"{s.kind}-{s.p}-{s.table_size}")
+def test_pchip_matches_scipy_bit_for_bit(spec):
+    plane = build_plane(spec)
+    rng = np.random.default_rng(0)
+    for nodes in (plane._u_nodes, plane._psi_nodes):
+        queries = np.concatenate([
+            rng.uniform(nodes[0], nodes[-1], 100_000), nodes,
+            np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf),
+            [nodes[0], nodes[-1]]])
+        _assert_pchip_is_scipys(nodes, plane._theta_nodes, queries)
+
+
+def test_pchip_matches_scipy_where_the_data_turn():
+    # zero and sign-changing secant slopes and both end-slope corrections,
+    # which the monotone plane tables never reach
+    rng = np.random.default_rng(1)
+    x = np.cumsum(rng.uniform(0.1, 1.0, 200))
+    y = rng.normal(size=200)
+    y[50:53] = 0.25
+    queries = np.concatenate([rng.uniform(x[0] - 1.0, x[-1] + 1.0, 10_000), x])
+    _assert_pchip_is_scipys(x, y, queries)
+    for ends in ([0.0, 1.0, 3.0, 2.9], [0.0, 1.0, -1.0, 0.0], [1.0, 1.0, 2.0, 3.0]):
+        _assert_pchip_is_scipys(np.array([0.0, 1.0, 1.5, 3.0]), np.array(ends),
+                                np.linspace(-0.5, 3.5, 41))
