@@ -425,12 +425,10 @@ def maslov_index(L: LegendreCurve) -> dict:
     """
     if not L.closed:
         raise NotClosed("the zigzag invariant needs a closed front")
-    cp = curvature_pair(L)
-    _require_front(cp)
-
-    cusps, degenerate = _detect_cusps(cp)
-    word = _zigzag_word(cusps, degenerate)
-    return _zigzag_invariant(cp, word, _detect_inflections(cp))
+    rep = singularity_report(L)
+    if rep.maslov is None:
+        raise rep.maslov_error
+    return rep.maslov
 
 
 def _zigzag_word(cusps, degenerate):
@@ -475,7 +473,6 @@ def singularity_report(L: LegendreCurve) -> SingularityReport:
 
     maslov, maslov_error = None, NotClosed("the zigzag invariant needs a closed front")
     if L.closed:
-        # the detectors above already ran on cp; maslov_index would rerun them
         try:
             maslov, maslov_error = _zigzag_invariant(
                 cp, _zigzag_word(cusps, degenerate), inflections), None

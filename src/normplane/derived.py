@@ -309,10 +309,7 @@ def pedal_envelope_residual(L: LegendreCurve, p, t, v,
         g = ped.gamma_p.point(t)
         w = g - np.asarray(p, dtype=float)
     dg = ped.gamma_p.derivative(t, 1)
-    b = plane.birkhoff(w)
-    chi_rate = symplectic(w, dg) / (w[0] ** 2 + w[1] ** 2)
-    theta = np.arctan2(w[1], w[0])
-    db = plane._db_dtheta(theta) * chi_rate
+    b, db = plane.unit_tangent_with_derivative(w, dg)
     v = np.asarray(v, dtype=float)
     F = symplectic(g - v, b)
     dF = symplectic(dg, b) + symplectic(g - v, db)

@@ -24,6 +24,8 @@ from .errors import (
 from .numerics import TWO_PI, gauss5_segments, golden_minimize, pchip, unwrap_mod
 
 UNIT_TOL = 1e-9
+# relative slack of is_birkhoff_orthogonal's line search
+ORTHO_TOL = 1e-7
 
 # tangent_theta: Newton steps before the bisection fallback, the step size
 # accepted as converged, the turning rate below which a direction counts as a
@@ -52,6 +54,13 @@ def _swept_angle(w0, w):
 def _direction_gap(w, chi):
     """Angle of w minus chi, wrapped into [-pi, pi)."""
     return (np.arctan2(w[..., 1], w[..., 0]) - chi + np.pi) % TWO_PI - np.pi
+
+
+def _angle(v, message):
+    """arg v, refusing a zero vector with ZeroVector(message)."""
+    if np.any(np.hypot(v[..., 0], v[..., 1]) == 0.0):
+        raise ZeroVector(message)
+    return np.arctan2(v[..., 1], v[..., 0])
 
 
 def _turning_rate(d1, d2):
@@ -152,23 +161,27 @@ class NormedPlane:
 
     # -- radial boundary -------------------------------------------------
 
-    def circle_point(self, theta):
+    def circle_jet(self, theta, order):
+        """[c, c', c''][:order + 1] at theta, from one profile jet."""
         theta = np.asarray(theta, dtype=float)
-        r = self._profile.r(theta)
-        return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+        r = self._profile.jet(theta, order)
+        c, s = np.cos(theta), np.sin(theta)
+        out = [np.stack([r[0] * c, r[0] * s], axis=-1)]
+        if order >= 1:
+            out.append(np.stack([r[1] * c - r[0] * s, r[1] * s + r[0] * c], axis=-1))
+        if order >= 2:
+            out.append(np.stack([(r[2] - r[0]) * c - 2.0 * r[1] * s,
+                                 (r[2] - r[0]) * s + 2.0 * r[1] * c], axis=-1))
+        return out
+
+    def circle_point(self, theta):
+        return self.circle_jet(theta, 0)[0]
 
     def circle_d1(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        r, r1 = self._profile.jet(theta, 1)
-        c, s = np.cos(theta), np.sin(theta)
-        return np.stack([r1 * c - r * s, r1 * s + r * c], axis=-1)
+        return self.circle_jet(theta, 1)[1]
 
     def circle_d2(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        r, r1, r2 = self._profile.jet(theta, 2)
-        c, s = np.cos(theta), np.sin(theta)
-        return np.stack([(r2 - r) * c - 2.0 * r1 * s,
-                         (r2 - r) * s + 2.0 * r1 * c], axis=-1)
+        return self.circle_jet(theta, 2)[2]
 
     # -- build ------------------------------------------------------------
 
@@ -180,15 +193,14 @@ class NormedPlane:
 
         # the seam node theta = 2 pi repeats theta = 0; re-evaluating it would
         # let sign(sin 2 pi) = -1 leak an r' error (lp with p < 2) into psi
-        c = self.circle_point(th[:-1])
-        d1 = self.circle_d1(th[:-1])
+        c, d1 = self.circle_jet(th[:-1], 1)
         c, d1 = np.vstack([c, c[:1]]), np.vstack([d1, d1[:1]])
 
         if np.min(symplectic(c, d1)) <= 1e-9:
             raise ConvexityViolation("[c, c'] must stay positive on the unit circle")
         # lp circles with odd p have isolated axis points of zero turning, so
         # strictness is enforced through monotonicity of psi, not pointwise
-        turning = symplectic(self.circle_d1(fine), self.circle_d2(fine))
+        turning = symplectic(*self.circle_jet(fine, 2)[1:])
         if np.min(turning) < -1e-9:
             raise ConvexityViolation("boundary turns clockwise somewhere: not convex")
 
@@ -237,10 +249,7 @@ class NormedPlane:
     def birkhoff(self, v):
         """The unit vector b(v) supporting the circle through v, [v, b(v)] > 0."""
         v = np.asarray(v, dtype=float)
-        if np.any(np.hypot(v[..., 0], v[..., 1]) == 0.0):
-            raise ZeroVector("birkhoff map needs a nonzero vector")
-        theta = np.arctan2(v[..., 1], v[..., 0])
-        w = self.circle_d1(theta)
+        w = self.circle_d1(_angle(v, "birkhoff map needs a nonzero vector"))
         return w / self.norm(w)[..., None]
 
     def arclength_of_theta(self, theta):
@@ -267,9 +276,6 @@ class NormedPlane:
     def unit_circle_point(self, u):
         """Arc-length parametrization of the unit circle."""
         return self.circle_point(self.theta_of_arclength(u))
-
-    def _psi_prime(self, theta):
-        return _turning_rate(self.circle_d1(theta), self.circle_d2(theta))
 
     def tangent_theta(self, chi):
         """theta whose tangent direction has angle chi.
@@ -316,8 +322,8 @@ class NormedPlane:
         active = np.ones(chi.shape, dtype=bool)
         converged = np.zeros(chi.shape, dtype=bool)
         for _ in range(NEWTON_STEPS):
-            w = self.circle_d1(theta)
-            rate = _turning_rate(w, self.circle_d2(theta))
+            _, w, wp = self.circle_jet(theta, 2)
+            rate = _turning_rate(w, wp)
             excess = _swept_angle(w_lo, w) - target
             hi = np.where(excess > 0.0, theta, hi)
             lo = np.where(excess > 0.0, lo, theta)
@@ -350,10 +356,7 @@ class NormedPlane:
     def normal_from_tangent(self, w):
         """Unit z whose supporting direction b(z) is positively parallel to w."""
         w = np.asarray(w, dtype=float)
-        if np.any(np.hypot(w[..., 0], w[..., 1]) == 0.0):
-            raise ZeroVector("tangent direction must be nonzero")
-        chi = np.arctan2(w[..., 1], w[..., 0])
-        return self.circle_point(self.tangent_theta(chi))
+        return self.circle_point(self.tangent_theta(_angle(w, "tangent direction must be nonzero")))
 
     def normal_from_tangent_with_derivative(self, w, dw):
         """(z, dz/dt, psi_rate) for z = normal_from_tangent(w(t)), w' = dw.
@@ -364,29 +367,27 @@ class NormedPlane:
         """
         w = np.asarray(w, dtype=float)
         dw = np.asarray(dw, dtype=float)
-        if np.any(np.hypot(w[..., 0], w[..., 1]) == 0.0):
-            raise ZeroVector("tangent direction must be nonzero")
-        chi = np.arctan2(w[..., 1], w[..., 0])
-        theta = self.tangent_theta(chi)
+        theta = self.tangent_theta(_angle(w, "tangent direction must be nonzero"))
         chi_rate = symplectic(w, dw) / (w[..., 0] ** 2 + w[..., 1] ** 2)
-        psi_rate = self._psi_prime(theta)
+        z, d1, d2 = self.circle_jet(theta, 2)
+        psi_rate = _turning_rate(d1, d2)
         theta_rate = chi_rate / np.where(np.abs(psi_rate) < 1e-300, 1e-300, psi_rate)
-        return (self.circle_point(theta), self.circle_d1(theta) * theta_rate[..., None],
-                psi_rate)
+        return z, d1 * theta_rate[..., None], psi_rate
 
     def unit_tangent_with_derivative(self, v, dv):
-        """(xi, dxi/dt) for xi = b(v(t)) along a unit field v with rate dv.
+        """(xi, dxi/dt) for xi = b(v(t)) along a field v with rate dv.
 
-        Uses the analytic derivative of b along the circle, so it stays
-        well conditioned even where the turning rate vanishes.
+        v may be any nonzero field, unit or not: b depends on the direction
+        of v only, and its rate on the angular rate [v, dv]/|v|^2. Uses the
+        analytic derivative of b along the circle, so it stays well
+        conditioned even where the turning rate vanishes.
         """
         v = np.asarray(v, dtype=float)
         dv = np.asarray(dv, dtype=float)
-        theta = np.arctan2(v[..., 1], v[..., 0])
+        theta = _angle(v, "birkhoff map needs a nonzero vector")
         theta_rate = symplectic(v, dv) / (v[..., 0] ** 2 + v[..., 1] ** 2)
-        w = self.circle_d1(theta)
-        xi = w / self.norm(w)[..., None]
-        return xi, self._db_dtheta(theta) * theta_rate[..., None]
+        _, w, wp = self.circle_jet(theta, 2)
+        return w / self.norm(w)[..., None], self._db(w, wp) * theta_rate[..., None]
 
     def birkhoff_inverse(self, w):
         """Inverse of b restricted to the unit circle; w must be unit."""
@@ -412,15 +413,13 @@ class NormedPlane:
             out[nz] = ns[nz] * symplectic(z, xh)
         return float(out[0]) if scalar else out.reshape(n.shape)
 
-    def antinorm_supremum(self, x, refine=True):
+    def antinorm_supremum(self, x):
         """Direct sampled-sup oracle for the anti-norm over the circle table."""
         x = np.asarray(x, dtype=float)
         th = self._theta_nodes[:-1]
         c = self.circle_point(th)
         vals = np.abs(symplectic(x, c))
         j = int(np.argmax(vals))
-        if not refine:
-            return float(vals[j])
         # parabolic refinement through the three nodes around the argmax
         f = lambda t: float(np.abs(symplectic(x, self.circle_point(t))))
         tm, t0, tp = th[j] - self._dtheta, th[j], th[j] + self._dtheta
@@ -439,10 +438,9 @@ class NormedPlane:
         theta = np.arctan2(v[..., 1], v[..., 0])
         return self._rho_at_theta(theta)
 
-    def _db_dtheta(self, theta):
-        """d/dtheta of b(c(theta)) = c'(theta)/||c'(theta)||."""
-        w = self.circle_d1(theta)
-        wp = self.circle_d2(theta)
+    def _db(self, w, wp):
+        """d/dtheta of b(c(theta)) = c'(theta)/||c'(theta)||, from w = c'(theta)
+        and wp = c''(theta)."""
         e2 = w[..., 0] ** 2 + w[..., 1] ** 2
         e = np.sqrt(e2)
         de = (w[..., 0] * wp[..., 0] + w[..., 1] * wp[..., 1]) / e
@@ -454,8 +452,8 @@ class NormedPlane:
         return wp / n[..., None] - w * (dn / (n * n))[..., None]
 
     def _rho_at_theta(self, theta):
-        n = self.norm(self.circle_d1(theta))
-        return self.norm(self._db_dtheta(theta)) / n
+        _, w, wp = self.circle_jet(theta, 2)
+        return self.norm(self._db(w, wp)) / self.norm(w)
 
     def radon_defect(self):
         """sup over circle nodes of |b(b(v)) + v|; zero iff orthogonality is symmetric."""
@@ -469,8 +467,9 @@ def build_plane(spec: NormSpec) -> NormedPlane:
     return NormedPlane(spec)
 
 
-def is_birkhoff_orthogonal(plane: NormedPlane, x, y, tol=1e-7) -> bool:
-    """Brute-force test of ||x + t y|| >= ||x|| by golden-section line search.
+def is_birkhoff_orthogonal(plane: NormedPlane, x, y) -> bool:
+    """Brute-force test of ||x + t y|| >= ||x|| (1 - ORTHO_TOL) by
+    golden-section line search.
 
     Serves as the independent oracle for the birkhoff map.
     """
@@ -481,9 +480,8 @@ def is_birkhoff_orthogonal(plane: NormedPlane, x, y, tol=1e-7) -> bool:
     if nx == 0.0 or ny == 0.0:
         raise ZeroVector("orthogonality test needs nonzero vectors")
     span = 4.0 * nx / ny
-    _, fmin = golden_minimize(lambda t: float(plane.norm(x + t * y)), -span, span,
-                              iters=200)
-    return fmin >= nx * (1.0 - tol)
+    _, fmin = golden_minimize(lambda t: float(plane.norm(x + t * y)), -span, span)
+    return fmin >= nx * (1.0 - ORTHO_TOL)
 
 
 def transfer_unit(plane1: NormedPlane, plane2: NormedPlane, v):

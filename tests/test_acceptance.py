@@ -294,7 +294,7 @@ def test_criterion_11_plane_oracles(euclidean, l3):
     angles = rng.uniform(0.0, TWO_PI, 64)
     vs = np.stack([np.cos(angles), np.sin(angles)], -1)
     for v in vs:
-        assert is_birkhoff_orthogonal(l3, v, l3.birkhoff(v), 1e-7)
+        assert is_birkhoff_orthogonal(l3, v, l3.birkhoff(v))
     xs = rng.normal(size=(64, 2)) * rng.uniform(0.2, 5.0, (64, 1))
     for x in xs:
         sup = l3.antinorm_supremum(x)

@@ -110,7 +110,7 @@ def test_induced_normal_satisfies_oracle(euclidean, l3, fourier_oval):
         etas = nf(ts)
         d1 = curve.derivative(ts, 1)
         for e, w in zip(etas, d1):
-            assert is_birkhoff_orthogonal(plane, e, w, 1e-7)
+            assert is_birkhoff_orthogonal(plane, e, w)
 
 
 def test_closed_normal_field_wraps_its_parameter():

@@ -109,7 +109,7 @@ def test_birkhoff_oracle_64_random_directions(euclidean, l3, fourier_oval):
     vs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
     for plane in (euclidean, l3, fourier_oval):
         for v in vs:
-            assert is_birkhoff_orthogonal(plane, v, plane.birkhoff(v), 1e-7)
+            assert is_birkhoff_orthogonal(plane, v, plane.birkhoff(v))
 
 
 def test_birkhoff_oracle_rejects_non_orthogonal(euclidean):
@@ -290,3 +290,48 @@ def test_tangent_theta_matches_bisection_reference(spec):
 
     one = plane.tangent_theta(0.3)
     assert isinstance(one, np.ndarray) and one.shape == ()
+
+
+@pytest.mark.parametrize("spec", [
+    NormSpec("euclidean"),
+    NormSpec("lp", p=3.0),
+    NormSpec("lp", p=1.5),
+    NormSpec("fourier_radial", coefficients=(1.0, 0.08)),
+], ids=["euclidean", "lp3", "lp1.5", "fourier"])
+def test_circle_jet_matches_centred_differences(spec):
+    plane = build_plane(spec)
+    # off-axis angles in every quadrant: lp1.5 clamps r'' next to the axes
+    th = np.concatenate([np.linspace(0.15, 1.42, 9) + k * np.pi / 2.0 for k in range(4)])
+    c, d1, d2 = plane.circle_jet(th, 2)
+    h = 1e-4
+    ahead, behind = plane.circle_point(th + h), plane.circle_point(th - h)
+    assert np.max(np.abs((ahead - behind) / (2.0 * h) - d1)) < 1e-6
+    assert np.max(np.abs((ahead - 2.0 * c + behind) / (h * h) - d2)) < 1e-6
+    # the lower orders and the single-derivative views are the same numbers
+    for order in (0, 1):
+        for got, want in zip(plane.circle_jet(th, order), (c, d1, d2)):
+            assert np.array_equal(got, want)
+    assert np.array_equal(plane.circle_point(th), c)
+    assert np.array_equal(plane.circle_d1(th), d1)
+    assert np.array_equal(plane.circle_d2(th), d2)
+
+
+def test_unit_tangent_with_derivative_on_a_non_unit_field(euclidean, l3, fourier_oval):
+    # v(t) = s(t) (cos phi(t), sin phi(t)) with s from 1 to 3: never unit
+    def field(t):
+        phi = t + 0.3 * np.sin(2.0 * t)
+        u = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+        du = np.stack([-np.sin(phi), np.cos(phi)], axis=-1) * (1.0 + 0.6 * np.cos(2.0 * t))[:, None]
+        s = 2.0 + np.sin(t)
+        return s[:, None] * u, np.cos(t)[:, None] * u + s[:, None] * du
+
+    t = np.linspace(0.0, TWO_PI, 41)[:-1] + 0.05
+    h = 1e-5
+    for plane in (euclidean, l3, fourier_oval):
+        v, dv = field(t)
+        xi, dxi = plane.unit_tangent_with_derivative(v, dv)
+        assert np.array_equal(xi, plane.birkhoff(v))
+        fd = (plane.birkhoff(field(t + h)[0]) - plane.birkhoff(field(t - h)[0])) / (2.0 * h)
+        assert np.max(np.abs(fd - dxi)) < 1e-6
+        with pytest.raises(ZeroVector):
+            plane.unit_tangent_with_derivative(np.zeros(2), np.ones(2))
