@@ -133,17 +133,25 @@ def make_legendre(plane: NormedPlane, gamma: ParamCurve, eta: NormalField,
 
 def legendre_from_curve(plane: NormedPlane, curve: ParamCurve) -> LegendreCurve:
     """Build the pair with the curve's left normal, extended through isolated
-    singular points, and refuse it where its tangent line jumps: a chord of
-    xi = b(eta) (parallel to gamma', so smooth under any norm, unlike eta)
-    longer than 0.5 and than 3 times both neighbouring chords (a coarse grid
-    of a smooth tangent line has even chords, 0.765 on the 8-sample circle)."""
+    singular points, and refuse it where its tangent line jumps. The jump is
+    read on xi = b(eta), parallel to gamma' and so smooth under any norm,
+    unlike eta: one chord, or two neighbouring chords, spanning more than 0.5
+    and each longer than 3 times the chords beside them. A corner between
+    grid nodes makes one long chord; one on a node, whose tangent lies
+    between the two sides, splits it in two. A coarse grid of a smooth
+    tangent line has even chords (0.765 on the 8-sample circle)."""
     L = make_legendre(plane, curve, extend_normal(plane, curve))
     xi = plane.birkhoff(L.pair.eta)
     if curve.closed:
         xi = np.concatenate([xi, xi[:1]])
-    chords = np.linalg.norm(np.diff(xi, axis=0), axis=1)
-    beside = np.pad(chords, 1, mode="wrap" if curve.closed else "constant")
-    jumps = (chords > 0.5) & (chords > 3.0 * np.maximum(beside[:-2], beside[2:]))
+    # d[k + 2] is the chord from sample k to k + 1; outside an open curve, 0
+    d = np.pad(np.diff(xi, axis=0), ((2, 2), (0, 0)),
+               mode="wrap" if curve.closed else "constant")
+    size = np.hypot(d[:, 0], d[:, 1])
+    left, first, second, right = size[1:-3], size[2:-2], size[3:-1], size[4:]
+    span = np.hypot(*(d[2:-2] + d[3:-1]).T)
+    jumps = (((first > 0.5) & (first > 3.0 * np.maximum(left, second)))
+             | ((span > 0.5) & (np.minimum(first, second) > 3.0 * np.maximum(left, right))))
     if np.any(jumps):
         t_bad = float(L.pair.ts[int(np.argmax(jumps))])
         raise LimitsDisagree(

@@ -115,7 +115,7 @@ def _curve_from_csv(path, closed, samples):
     pts = np.stack([raw["x"], raw["y"]], axis=-1).astype(float)
     if len(ts) < MIN_SAMPLES:
         raise ConfigError(f"csv curve needs at least {MIN_SAMPLES} samples")
-    from scipy.interpolate import CubicSpline  # only CSV and synthesized curves load scipy
+    from scipy.interpolate import CubicSpline  # only CSV curves load scipy (no workload times them)
     if closed:
         ts = np.append(ts, ts[0] + (ts[1] - ts[0]) * len(ts))
         pts = np.vstack([pts, pts[:1]])

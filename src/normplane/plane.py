@@ -37,6 +37,11 @@ TURNING_RATE_MIN = 1e-2
 TANGENT_BLOCK = 8192
 THETA_RESOLUTION = 1e-15
 
+# theta_of_arclength: most Newton steps, and the arc-length residual relative
+# to max(1, length) at which it stops early
+ARCLENGTH_STEPS = 4
+ARCLENGTH_TOL = 1e-13
+
 
 def symplectic(a, b):
     """Fixed area form [a, b] = a_x b_y - a_y b_x."""
@@ -188,7 +193,8 @@ class NormedPlane:
     def _build_tables(self):
         th = self._theta_nodes
         fine = np.linspace(0.0, TWO_PI, 4 * self._n, endpoint=False)
-        if np.min(self._profile.r(fine)) <= 0.0:
+        r, r1, r2 = self._profile.jet(fine, 2)
+        if np.min(r) <= 0.0:
             raise PositivityViolation("radial profile must be strictly positive")
 
         # the seam node theta = 2 pi repeats theta = 0; re-evaluating it would
@@ -199,9 +205,9 @@ class NormedPlane:
         if np.min(symplectic(c, d1)) <= 1e-9:
             raise ConvexityViolation("[c, c'] must stay positive on the unit circle")
         # lp circles with odd p have isolated axis points of zero turning, so
-        # strictness is enforced through monotonicity of psi, not pointwise
-        turning = symplectic(*self.circle_jet(fine, 2)[1:])
-        if np.min(turning) < -1e-9:
+        # strictness is enforced through monotonicity of psi, not pointwise;
+        # [c', c''] = r^2 + 2 r'^2 - r r''
+        if np.min(r * r + 2.0 * r1 * r1 - r * r2) < -1e-9:
             raise ConvexityViolation("boundary turns clockwise somewhere: not convex")
 
         half = self._n // 2
@@ -263,13 +269,21 @@ class NormedPlane:
         return base + local
 
     def theta_of_arclength(self, u):
-        """Inverse of u(theta), exact to ~1e-12 via monotone-cubic init + Newton."""
+        """Inverse of u(theta), exact to ~1e-12 via monotone-cubic init + Newton.
+
+        Newton stops once max |u(theta) - u| <= ARCLENGTH_TOL max(1, length),
+        after at most ARCLENGTH_STEPS steps; the residual of the theta
+        returned is the one the convergence check reads, so a regular norm
+        costs two arc-length passes."""
         u = np.mod(np.asarray(u, dtype=float), self.length)
         theta = np.asarray(self._theta_of_u(u), dtype=float)
-        for _ in range(4):
+        scale = max(1.0, self.length)
+        for step in range(ARCLENGTH_STEPS + 1):
             F = self.arclength_of_theta(theta) - u
+            if step == ARCLENGTH_STEPS or np.max(np.abs(F)) <= ARCLENGTH_TOL * scale:
+                break
             theta = theta - F / self.norm(self.circle_d1(theta))
-        if np.max(np.abs(self.arclength_of_theta(theta) - u)) > 1e-9 * max(1.0, self.length):
+        if np.max(np.abs(F)) > 1e-9 * scale:
             raise NoConvergence("arc-length inversion did not converge")
         return np.mod(theta, TWO_PI)
 

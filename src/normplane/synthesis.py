@@ -6,7 +6,14 @@ arc-length parametrization of the unit circle, and the curve integrates
 gamma' = alpha b(eta). Both integrals use the classical 4th-order one-step
 scheme with fixed step; since the right-hand sides depend only on t (and on
 the accumulated u), all stage values are evaluated on the half-step grid in
-one vectorized pass.
+one vectorized pass per stage, which inverts the stage arc lengths to circle
+angles theta with one `theta_of_arclength` call.
+
+Between the nodes the pair is carried by cubic Hermite pieces whose node
+slopes the integration already has: the turning angle theta(t), with
+theta' = kappa / ||c'(theta)||, and gamma(t), with gamma' = alpha b(c(theta)).
+The normal is then eta(t) = c(theta(t)): one profile jet per point, unit by
+construction, with no arc-length inversion per query.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import numpy as np
 from .analysis import LegendreCurve, make_legendre
 from .curves import NormalField, ParamCurve
 from .errors import BadParameter, NotAnIsometry, NotUnit
+from .numerics import TWO_PI, hermite, unwrap_mod
 from .plane import NormedPlane
 
 
@@ -59,36 +67,43 @@ def synthesize(plane: NormedPlane, spec: SynthesisSpec) -> LegendreCurve:
                                        + k_half[2::2]))
 
     # gamma' = alpha(t) b(phi(u0 + u)): stage u-values per classical RK4
-    kn, km, kp = k_half[0:-1:2], k_half[1::2], k_half[2::2]
+    kn, km = k_half[0:-1:2], k_half[1::2]
     un = u_nodes[:-1]
     u_s2 = un + 0.5 * h * kn          # stage 2 (midpoint, Euler half step)
     u_s3 = un + 0.5 * h * km          # stage 3 (midpoint, stage-2 slope)
     u_s4 = un + h * km                # stage 4 (endpoint, stage-3 slope)
 
-    def xi_at(u):
-        return plane.birkhoff(plane.unit_circle_point(np.mod(u0 + u, plane.length)))
+    def frame(u):
+        """theta of the arc length u0 + u, b(c(theta)) and du/dtheta = ||c'(theta)||."""
+        theta = plane.theta_of_arclength(u0 + u)
+        w = plane.circle_d1(theta)
+        speed = plane.norm(w)
+        return theta, w / speed[:, None], speed
 
-    f1 = a_half[0:-1:2, None] * xi_at(un)
-    f2 = a_half[1::2, None] * xi_at(u_s2)
-    f3 = a_half[1::2, None] * xi_at(u_s3)
-    f4 = a_half[2::2, None] * xi_at(u_s4)
+    theta_n, xi_n, speed_n = frame(u_nodes)
+    f1 = a_half[0:-1:2, None] * xi_n[:-1]
+    f2 = a_half[1::2, None] * frame(u_s2)[1]
+    f3 = a_half[1::2, None] * frame(u_s3)[1]
+    f4 = a_half[2::2, None] * frame(u_s4)[1]
     steps_xy = h / 6.0 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
     gamma_nodes = np.vstack([p, p + np.cumsum(steps_xy, axis=0)])
 
-    from scipy.interpolate import CubicSpline  # only synthesized and CSV curves load scipy
+    # cubic Hermite pieces through the nodes, with the slopes the integration
+    # knows: theta' = kappa / ||c'(theta)||, gamma' = alpha b(c(theta))
     t_nodes = np.linspace(0.0, c, m + 1)
-    u_of_t = CubicSpline(t_nodes, u_nodes)
-    pos = CubicSpline(t_nodes, gamma_nodes)
+    theta_of_t = hermite(t_nodes, unwrap_mod(theta_n, TWO_PI), k_half[::2] / speed_n)
+    pos = hermite(t_nodes, gamma_nodes, a_half[::2, None] * xi_n)
 
     def eta_eval(t):
-        return plane.unit_circle_point(np.mod(u0 + u_of_t(t), plane.length))
+        return plane.circle_point(theta_of_t(t))
 
     def xi_eval(t):
-        return plane.birkhoff(eta_eval(t))
+        w = plane.circle_d1(theta_of_t(t))
+        return w / plane.norm(w)[..., None]
 
     def eta_jet(t):
-        e = eta_eval(t)
-        return e, np.asarray(spec.kappa(t), dtype=float)[..., None] * plane.birkhoff(e)
+        e, w = plane.circle_jet(theta_of_t(t), 1)
+        return e, np.asarray(spec.kappa(t), dtype=float)[..., None] * (w / plane.norm(w)[..., None])
 
     def gamma_d1(t):
         t = np.asarray(t, dtype=float)
@@ -98,8 +113,8 @@ def synthesize(plane: NormedPlane, spec: SynthesisSpec) -> LegendreCurve:
     d_seam = float(np.max(np.abs(gamma_d1(0.0) - gamma_d1(c))))
     closed = seam < 1e-9 and d_seam < 1e-6
 
-    curve = ParamCurve(lambda t: np.asarray(pos(t), dtype=float), (0.0, c),
-                       closed=closed, derivatives=(gamma_d1,), name="synthesized")
+    curve = ParamCurve(pos, (0.0, c), closed=closed, derivatives=(gamma_d1,),
+                       name="synthesized")
     eta = NormalField(eta_eval, (0.0, c), closed, "analytic", eta_jet)
     return make_legendre(plane, curve, eta)
 

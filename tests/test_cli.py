@@ -34,11 +34,18 @@ def test_circle_analyze(tmp_path):
 
 
 def test_import_and_catalog_run_do_not_load_scipy(tmp_path):
-    # a fresh interpreter: this one has loaded scipy for other tests
+    # a fresh interpreter, which cannot import scipy (this one has loaded it
+    # for other tests): a catalog run and a synthesized run both exit 0
     script = (
         "import sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'scipy' or name.startswith('scipy.'):\n"
+        "            raise ImportError('scipy is blocked: ' + name)\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
         "from normplane import cli\n"
-        f"assert cli.main(['run', {_cfg('circle_analyze.json')!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+        f"for config in {[_cfg('circle_analyze.json'), _cfg('synth_front_analyze.json')]!r}:\n"
+        f"    assert cli.main(['run', config, '--out', {str(tmp_path)!r}]) == 0, config\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
     env = dict(os.environ, PYTHONPATH=os.path.join(HERE, os.pardir, "src"))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,

@@ -289,7 +289,7 @@ def _kink_analytic(n):
                       derivatives=(lambda t: np.stack([2.0 * np.abs(t), 2.0 * np.asarray(t)], -1),))
 
 
-@pytest.mark.parametrize("n", [64, 256, 2048])
+@pytest.mark.parametrize("n", [64, 65, 256, 257, 2048, 2049])
 @pytest.mark.parametrize("make", [_corner, _kink, _kink_analytic],
                          ids=["abs_t", "t_abs_t", "t_abs_t_analytic"])
 def test_corners_are_refused_at_every_grid(euclidean, make, n):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 from scipy.optimize import brentq
 
 from normplane.errors import NoConvergence
-from normplane.numerics import brent_root, index_runs, merge_events, pchip, polish_dips, wrap
+from normplane.numerics import (brent_root, hermite, index_runs, merge_events, pchip,
+                                polish_dips, wrap)
 from normplane.plane import NormSpec, build_plane
 
 # polynomials evaluate to the same bits in batch and one point at a time
@@ -171,3 +172,18 @@ def test_pchip_matches_scipy_where_the_data_turn():
     for ends in ([0.0, 1.0, 3.0, 2.9], [0.0, 1.0, -1.0, 0.0], [1.0, 1.0, 2.0, 3.0]):
         _assert_pchip_is_scipys(np.array([0.0, 1.0, 1.5, 3.0]), np.array(ends),
                                 np.linspace(-0.5, 3.5, 41))
+
+
+def test_hermite_reproduces_a_cubic():
+    cubic = lambda t: np.stack([2.0 - t + 0.5 * t ** 2 - 0.25 * t ** 3, 1.0 + 3.0 * t ** 3], -1)
+    slope = lambda t: np.stack([-1.0 + t - 0.75 * t ** 2, 9.0 * t ** 2], -1)
+    x = np.cumsum(np.random.default_rng(2).uniform(0.1, 0.5, 30)) - 3.0
+    q = np.linspace(x[0] - 0.5, x[-1] + 0.5, 1001)
+    vector = hermite(x, cubic(x), slope(x))
+    assert vector(q).shape == (1001, 2) and vector(0.3).shape == (2,)
+    assert np.allclose(vector(q), cubic(q), rtol=1e-13, atol=1e-13)
+    scalar = hermite(x, cubic(x)[:, 0], slope(x)[:, 0])
+    assert scalar(q).shape == (1001,) and np.shape(scalar(0.3)) == ()
+    assert np.allclose(scalar(q), cubic(q)[:, 0], rtol=1e-13, atol=1e-13)
+    assert np.array_equal(scalar(q), vector(q)[:, 0])
+    assert np.array_equal(vector(q), CubicHermiteSpline(x, cubic(x), slope(x))(q))

@@ -233,6 +233,26 @@ def test_plane_tables_self_consistent(l3, fourier_oval):
         assert np.max(np.abs(back - np.mod(th[:-1], TWO_PI))) < 1e-8
 
 
+@pytest.mark.parametrize("spec, regular", [
+    (NormSpec("euclidean"), True), (NormSpec("lp", p=3.0), True),
+    (NormSpec("lp", p=1.5), False),
+    (NormSpec("fourier_radial", coefficients=(1.0, 0.08)), True)],
+    ids=["euclidean", "lp3", "lp1.5", "fourier"])
+def test_theta_of_arclength_round_trip_stops_once_converged(spec, regular, monkeypatch):
+    plane = build_plane(spec)
+    u = np.random.default_rng(3).uniform(0.0, plane.length, 100_000)
+    passes = []
+    forward = plane.arclength_of_theta
+    monkeypatch.setattr(plane, "arclength_of_theta",
+                        lambda theta: passes.append(1) or forward(theta))
+    theta = plane.theta_of_arclength(u)
+    monkeypatch.undo()
+    gap = (plane.arclength_of_theta(theta) - u + plane.length / 2.0) % plane.length
+    assert np.max(np.abs(gap - plane.length / 2.0)) <= 1e-12 * plane.length
+    # the seed's residual, then that of one Newton step; never more than 5
+    assert len(passes) <= (3 if regular else 5)
+
+
 def _bisection_tangent_theta(plane, chi):
     """Reference inverse of the supporting map: 42 lock-step bisection steps
     on the psi table cell of each direction."""
