@@ -85,12 +85,13 @@ class LegendreCurve:
         return self.gamma.closed
 
 
-def _frame_values(eta, xi, eta_rate, d1):
-    """(alpha, kappa) from gamma' = alpha xi and eta' = kappa xi, xi = b(eta)."""
+def _frame_values(eta, xi, d1, *eta_rate):
+    """alpha from gamma' = alpha xi, and kappa from eta' = kappa xi when the
+    rate eta' is given; xi = b(eta)."""
     denom = symplectic(eta, xi)
     if np.min(denom) < 1e-10:
         raise DegenerateFrame("[eta, xi] collapsed; plane tables corrupt")
-    return symplectic(eta, d1) / denom, symplectic(eta, eta_rate) / denom
+    return tuple(symplectic(eta, v) / denom for v in (d1,) + eta_rate)
 
 
 def make_legendre(plane: NormedPlane, gamma: ParamCurve, eta: NormalField,
@@ -121,13 +122,19 @@ def make_legendre(plane: NormedPlane, gamma: ParamCurve, eta: NormalField,
         raise ResidualViolation(
             f"orthogonality residual {res:.3e} exceeds {residual_tol:.1e}")
 
-    def values_at(t):
-        e_t, rate_t = eta.value_and_rate(t)
-        return _frame_values(e_t, plane.birkhoff(e_t), rate_t, gamma.derivative(t, 1))
+    def frame_at(t, e_t, *rate_t):
+        return _frame_values(e_t, plane.birkhoff(e_t), gamma.derivative(t, 1), *rate_t)
 
-    alpha, kappa = _frame_values(e, xi, e_rate, d1)
-    pair = CurvaturePair(ts, alpha, kappa, e, values_at, gamma.span, gamma.closed,
-                         gamma.domain)
+    def values_at(t):
+        return frame_at(t, *eta.value_and_rate(t))
+
+    def alpha_at(t):
+        # alpha needs the normal only, not its rate
+        return frame_at(t, eta(t))[0]
+
+    alpha, kappa = _frame_values(e, xi, d1, e_rate)
+    pair = CurvaturePair(ts, alpha, kappa, e, values_at, alpha_at, gamma.span,
+                         gamma.closed, gamma.domain)
     return LegendreCurve(plane, gamma, eta, res, pair)
 
 
@@ -168,6 +175,7 @@ class CurvaturePair:
     kappa: np.ndarray
     eta: np.ndarray          # the normal field on ts
     values_at: Callable      # t -> (alpha(t), kappa(t))
+    alpha_at: Callable       # t -> alpha(t), bit for bit values_at(t)[0]
     span: float
     closed: bool
     domain: tuple
@@ -187,9 +195,6 @@ class CurvaturePair:
     @property
     def kappa_scale(self):
         return max(float(np.max(np.abs(self.kappa))), 1e-300)
-
-    def alpha_at(self, t):
-        return self.values_at(t)[0]
 
     def kappa_at(self, t):
         return self.values_at(t)[1]

@@ -11,6 +11,10 @@ from .errors import IoError
 
 CSV_HEADER = "t,x,y,alpha,kappa,k"
 
+# rows per `%` call of emit_csv: one format and one argument tuple per block,
+# so the table is never held as Python floats all at once
+EMIT_BLOCK = 1024
+
 
 # a row's format by the finiteness bits of its alpha, kappa, k cells (4, 2, 1):
 # "%.0s" prints a non-finite cell as an empty one
@@ -34,10 +38,9 @@ def emit_csv(path, ts, xy, alpha=None, kappa=None, k=None):
     table = np.column_stack([ts, xy, col(alpha), col(kappa), col(k)])
     codes = np.isfinite(table[:, 3:]) @ np.array([4, 2, 1])
     lines = [CSV_HEADER]
-    # one row at a time as Python floats: a whole-table tolist() would hold
-    # every cell as a float object at once
-    for code, row in zip(codes.tolist(), map(np.ndarray.tolist, table)):
-        lines.append(_ROW_FORMATS[code] % tuple(row))
+    for s in range(0, len(table), EMIT_BLOCK):
+        fmt = "\n".join([_ROW_FORMATS[code] for code in codes[s:s + EMIT_BLOCK].tolist()])
+        lines.append(fmt % tuple(table[s:s + EMIT_BLOCK].ravel().tolist()))
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -85,7 +88,9 @@ def emit_svg(path, curves, cusps=(), vertices=(), inflections=(), legend=()):
         if pts.size == 0:
             continue
         color = c.get("color", palette[i % len(palette)])
-        d = "M " + " L ".join(f"{sx(p)} {sy(p)}" for p in pts)
+        # x and the flipped y of every point, formatted in one call
+        xy = np.column_stack([pts[:, 0], (lo[1] + hi[1]) - pts[:, 1]])
+        d = "M " + " L ".join(["%.6g %.6g"] * len(xy)) % tuple(xy.ravel().tolist())
         if c.get("closed"):
             d += " Z"
         out.append(f'<path d="{d}" fill="none" stroke="{color}" '

@@ -3,11 +3,20 @@ crossings, cubic Hermite and monotone interpolation."""
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import NoConvergence
 
 TWO_PI = 2.0 * np.pi
+
+# parameters per stencil block of `differentiate`: 7 points each, so one call
+# of `f` sees at most 7168 points (7175 when one parameter is left over). `f`
+# is evaluated point by point, and BLAS reduces the stencils of a full block
+# to the bits it gives them inside a whole batch, so the blocks change no bit
+# of the result
+DIFF_BLOCK = 1024
 
 # 5-point Gauss-Legendre rule on [0, 1]
 _G5_X = np.array([
@@ -25,9 +34,14 @@ def fd_weights(offsets, order):
 
     Fornberg's recursion on arbitrary nodes; exact for polynomials up to
     degree len(offsets)-1, so a 7-point stencil is at least 4th-order
-    accurate for derivative orders up to 3.
+    accurate for derivative orders up to 3. Computed once per (offsets,
+    order) and shared, read-only.
     """
-    x = np.asarray(offsets, dtype=float)
+    return _fornberg(tuple(np.asarray(offsets, dtype=float).tolist()), int(order))
+
+
+@lru_cache(maxsize=256)
+def _fornberg(x, order):
     n = len(x)
     if order >= n:
         raise ValueError("stencil too short for requested order")
@@ -52,7 +66,9 @@ def fd_weights(offsets, order):
                 c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
             c[j, 0] = c4 * c[j, 0] / c3
         c1 = c2
-    return c[:, order]
+    w = c[:, order]
+    w.flags.writeable = False
+    return w
 
 
 def differentiate(f, t, order, h, domain=None, closed=False):
@@ -60,29 +76,34 @@ def differentiate(f, t, order, h, domain=None, closed=False):
 
     The window t + {-3h..3h} is shifted to stay inside an open domain; closed
     domains sample through the wrap instead. `t` may be scalar or an array.
+    `f` sees the stencils of at most DIFF_BLOCK (+ 1) parameters per call.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    t_flat = t_arr.ravel()
     base = np.arange(-3, 4, dtype=float)
     if closed or domain is None:
-        shifts = np.zeros(t_arr.shape, dtype=int)
+        shifts = np.zeros(t_flat.shape, dtype=int)
     else:
         t0, t1 = domain
-        lo = np.ceil(np.maximum(0.0, (t0 - (t_arr - 3.0 * h)) / h - 1e-9)).astype(int)
-        hi = np.ceil(np.maximum(0.0, ((t_arr + 3.0 * h) - t1) / h - 1e-9)).astype(int)
+        lo = np.ceil(np.maximum(0.0, (t0 - (t_flat - 3.0 * h)) / h - 1e-9)).astype(int)
+        hi = np.ceil(np.maximum(0.0, ((t_flat + 3.0 * h) - t1) / h - 1e-9)).astype(int)
         shifts = lo - hi
     out = None
     for s in np.unique(shifts):
-        mask = shifts == s
         offs = (base + s) * h
         w = fd_weights(offs, order)
-        ts = t_arr[mask][:, None] + offs[None, :]
-        vals = f(ts.ravel())
-        vals = np.asarray(vals, dtype=float)
-        vals = vals.reshape(ts.shape + vals.shape[1:])
-        acc = np.tensordot(w, np.moveaxis(vals, 1, 0), axes=(0, 0))
-        if out is None:
-            out = np.zeros(t_arr.shape + acc.shape[1:])
-        out[mask] = acc
+        idx = np.nonzero(shifts == s)[0]
+        # no last block of one parameter: BLAS would reduce it by its dot
+        # product, whose bits differ from its matrix-vector product's
+        for rows in np.split(idx, range(DIFF_BLOCK, idx.size - 1, DIFF_BLOCK)):
+            ts = t_flat[rows][:, None] + offs[None, :]
+            vals = np.asarray(f(ts.ravel()), dtype=float)
+            vals = vals.reshape(ts.shape + vals.shape[1:])
+            acc = np.tensordot(w, np.moveaxis(vals, 1, 0), axes=(0, 0))
+            if out is None:
+                out = np.zeros(t_flat.shape + acc.shape[1:])
+            out[rows] = acc
+    out = out.reshape(t_arr.shape + out.shape[1:])
     if np.isscalar(t) or np.asarray(t).ndim == 0:
         return out[0]
     return out
@@ -90,13 +111,18 @@ def differentiate(f, t, order, h, domain=None, closed=False):
 
 def wrap(t, t0, period):
     """t reduced into [t0, t0 + period) on a closed curve; unchanged on an
-    open one (period None), and when it lies there already (np.mod is the
-    costly part of a grid evaluation). A tiny negative offset, which np.mod
-    rounds up to the period, maps to t0; a scalar stays a scalar."""
-    if period is None or (np.all(t >= t0) and np.all(t < t0 + period)):
+    open one (period None). Parameters that lie there already keep every
+    bit, whatever else the array holds, so a batch wraps as its elements
+    would one by one (np.mod of an in-range grid is also the costly part of
+    an evaluation). A tiny negative offset, which np.mod rounds up to the
+    period, maps to t0; a scalar stays a scalar."""
+    if period is None:
         return t
-    t = t0 + np.mod(t - t0, period)
-    return np.where(t < t0 + period, t, t0)[()]
+    inside = (t >= t0) & (t < t0 + period)
+    if np.all(inside):
+        return t
+    moved = t0 + np.mod(t - t0, period)
+    return np.where(inside, t, np.where(moved < t0 + period, moved, t0))[()]
 
 
 def index_runs(idx, n, closed):

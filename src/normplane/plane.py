@@ -73,6 +73,15 @@ def _turning_rate(d1, d2):
     return symplectic(d1, d2) / (d1[..., 0] ** 2 + d1[..., 1] ** 2)
 
 
+class TangentTheta(np.ndarray):
+    """The angles theta that NormedPlane.tangent_theta returns. `jet` is the
+    circle jet [c, c', c''] at them, of shape (3,) + theta.shape + (2,), so
+    a caller needs no second evaluation of the circle; an array computed
+    from these angles is a TangentTheta whose `jet` is None."""
+
+    jet = None
+
+
 @dataclass(frozen=True)
 class NormSpec:
     """Recipe for a norm: 'euclidean', 'lp' (needs p > 1), or 'fourier_radial'
@@ -113,8 +122,10 @@ class _RadialProfile:
         if self.kind == "euclidean":
             return [np.ones_like(theta)] + [np.zeros_like(theta) for _ in range(order)]
         if self.kind == "fourier_radial":
-            out = [np.zeros_like(theta) for _ in range(order + 1)]
-            for k, a in enumerate(self.coef):
+            # the k = 0 term is the constant coef[0]: no cos(0 theta) to evaluate
+            out = [np.full_like(theta, self.coef[0])] + [np.zeros_like(theta)
+                                                         for _ in range(order)]
+            for k, a in enumerate(self.coef[1:], start=1):
                 w = 2.0 * k
                 cos = np.cos(w * theta)
                 out[0] = out[0] + a * cos
@@ -167,16 +178,21 @@ class NormedPlane:
     # -- radial boundary -------------------------------------------------
 
     def circle_jet(self, theta, order):
-        """[c, c', c''][:order + 1] at theta, from one profile jet."""
+        """[c, c', c''][:order + 1] at theta, from one profile jet, as one
+        array of shape (order + 1,) + theta.shape + (2,)."""
         theta = np.asarray(theta, dtype=float)
         r = self._profile.jet(theta, order)
         c, s = np.cos(theta), np.sin(theta)
-        out = [np.stack([r[0] * c, r[0] * s], axis=-1)]
+        out = np.empty((order + 1,) + theta.shape + (2,))
+        out[0, ..., 0] = r[0] * c
+        out[0, ..., 1] = r[0] * s
         if order >= 1:
-            out.append(np.stack([r[1] * c - r[0] * s, r[1] * s + r[0] * c], axis=-1))
+            out[1, ..., 0] = r[1] * c - r[0] * s
+            out[1, ..., 1] = r[1] * s + r[0] * c
         if order >= 2:
-            out.append(np.stack([(r[2] - r[0]) * c - 2.0 * r[1] * s,
-                                 (r[2] - r[0]) * s + 2.0 * r[1] * c], axis=-1))
+            curl = r[2] - r[0]
+            out[2, ..., 0] = curl * c - 2.0 * r[1] * s
+            out[2, ..., 1] = curl * s + 2.0 * r[1] * c
         return out
 
     def circle_point(self, theta):
@@ -302,6 +318,9 @@ class NormedPlane:
         turning rate falls below TURNING_RATE_MIN, or that do not converge
         within NEWTON_STEPS, are solved by bisection on their whole cell.
         Large batches are processed in blocks of TANGENT_BLOCK directions.
+        Returns a TangentTheta in [0, 2 pi): the circle jet at the angles
+        returned comes with them, and its c' is the one the convergence
+        check reads.
         """
         chi = np.asarray(chi, dtype=float)
         shape = chi.shape
@@ -310,7 +329,9 @@ class NormedPlane:
         for s in range(0, chi.size, TANGENT_BLOCK):
             theta[s:s + TANGENT_BLOCK] = self._tangent_theta_block(
                 chi[s:s + TANGENT_BLOCK])
-        miss = np.abs(_direction_gap(self.circle_d1(theta), chi)) > 1e-9
+        theta = np.mod(theta, TWO_PI)
+        jet = self.circle_jet(theta, 2)
+        miss = np.abs(_direction_gap(jet[1], chi)) > 1e-9
         if np.any(miss):
             # at the axis points of lp with p < 2, psi rises like
             # |theta - theta*|^(p - 1): the float theta nearest the root can
@@ -321,7 +342,9 @@ class NormedPlane:
             above = _direction_gap(self.circle_d1(t + THETA_RESOLUTION), c)
             if not np.all((below <= 0.0) & (above >= 0.0)):
                 raise NoConvergence("supporting-direction inversion did not converge")
-        return np.mod(theta, TWO_PI).reshape(shape)
+        out = theta.reshape(shape).view(TangentTheta)
+        out.jet = jet.reshape((3,) + shape + (2,))
+        return out
 
     def _tangent_theta_block(self, chi):
         psi0 = self._psi_nodes[0]
@@ -370,7 +393,7 @@ class NormedPlane:
     def normal_from_tangent(self, w):
         """Unit z whose supporting direction b(z) is positively parallel to w."""
         w = np.asarray(w, dtype=float)
-        return self.circle_point(self.tangent_theta(_angle(w, "tangent direction must be nonzero")))
+        return self.tangent_theta(_angle(w, "tangent direction must be nonzero")).jet[0]
 
     def normal_from_tangent_with_derivative(self, w, dw):
         """(z, dz/dt, psi_rate) for z = normal_from_tangent(w(t)), w' = dw.
@@ -381,9 +404,8 @@ class NormedPlane:
         """
         w = np.asarray(w, dtype=float)
         dw = np.asarray(dw, dtype=float)
-        theta = self.tangent_theta(_angle(w, "tangent direction must be nonzero"))
+        z, d1, d2 = self.tangent_theta(_angle(w, "tangent direction must be nonzero")).jet
         chi_rate = symplectic(w, dw) / (w[..., 0] ** 2 + w[..., 1] ** 2)
-        z, d1, d2 = self.circle_jet(theta, 2)
         psi_rate = _turning_rate(d1, d2)
         theta_rate = chi_rate / np.where(np.abs(psi_rate) < 1e-300, 1e-300, psi_rate)
         return z, d1 * theta_rate[..., None], psi_rate

@@ -299,6 +299,38 @@ def test_csv_rows_match_a_cell_by_cell_reference(tmp_path):
         (a, b, c) for a in (False, True) for b in (False, True) for c in (False, True)}
 
 
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 16384])
+def test_csv_and_svg_paths_match_a_per_row_reference(tmp_path, n):
+    # emit formats by the block; the reference formats one row (one point) at a time
+    rng = np.random.default_rng(n)
+    ts = np.linspace(0.0, 1.0, n)
+    xy = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-5, 5, (n, 2))
+    xy[0, 1] = -0.0
+    fields = rng.normal(size=(3, n))
+    bad = rng.random((3, n)) < 0.2
+    fields[bad] = rng.choice([np.nan, np.inf, -np.inf], int(bad.sum()))
+    emit_csv(tmp_path / "x.csv", ts, xy, *fields)
+    rows = ["t,x,y,alpha,kappa,k"]
+    for i in range(n):
+        cells = ["%.17g" % v for v in (ts[i], *xy[i])]
+        cells += ["%.17g" % v if np.isfinite(v) else "" for v in fields[:, i]]
+        rows.append(",".join(cells))
+    assert (tmp_path / "x.csv").read_text() == "\n".join(rows) + "\n"
+
+    # the wider curve sets the view box; y is flipped about its centre
+    curves = [{"points": xy, "closed": True}, {"points": 3.0 * xy[::-1]}]
+    emit_svg(tmp_path / "x.svg", curves)
+    allpts = np.vstack([xy, 3.0 * xy])
+    lo, hi = allpts.min(axis=0), allpts.max(axis=0)
+    margin = 0.05 * np.maximum(hi - lo, 1e-9)
+    lo, hi = lo - margin, hi + margin
+    paths = ["M " + " L ".join("%.6g %.6g" % (p[0], lo[1] + hi[1] - p[1]) for p in c["points"])
+             for c in curves]
+    svg = (tmp_path / "x.svg").read_text()
+    assert [line.split('"')[1] for line in svg.split("\n") if line.startswith("<path")] == [
+        paths[0] + " Z", paths[1]]
+
+
 def test_svg_structure(tmp_path):
     path = tmp_path / "fig.svg"
     ts = np.linspace(0.0, 2.0 * np.pi, 100)

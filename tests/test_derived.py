@@ -6,6 +6,7 @@ from normplane.analysis import (
     curvature_pair,
     legendre_from_curve,
     singularity_report,
+    transfer_legendre,
 )
 from normplane.curves import ParamCurve, extend_normal, induced_normal
 from normplane.derived import (
@@ -404,3 +405,31 @@ def test_value_and_rate_is_value_and_derivative(request, name):
         eta, rate = field.value_and_rate(t)
         assert np.array_equal(eta, field(t))
         assert np.array_equal(rate, field.derivative(t, 1))
+
+
+# pairs of every kind of normal field: with and without a jet, built and derived
+_PAIRS = {
+    "induced-lp3": lambda fx: legendre_from_curve(fx("l3"), catalog.ellipse(samples=256)),
+    "extended-t2t3": lambda fx: fx("t2t3_pair"),
+    "astroid": lambda fx: fx("astroid_pair"),
+    "transferred": lambda fx: transfer_legendre(fx("ellipse_pair"), fx("l3")),
+    "pedal": lambda fx: pedal(fx("ellipse_pair"), (0.1, 0.2)).pair,
+    "evolute": lambda fx: evolute(fx("ellipse_pair")).pair,
+    "involute": lambda fx: involute(fx("circle_pair"), 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PAIRS))
+def test_alpha_at_is_the_first_part_of_values_at(request, monkeypatch, name):
+    # alpha_at reads the normal alone, values_at its jet: the same bits
+    L = _PAIRS[name](request.getfixturevalue)
+    cp = curvature_pair(L)
+    ts = np.linspace(*cp.domain, 257)
+    for t in (ts, 0.37):
+        assert np.array_equal(cp.alpha_at(t), cp.values_at(t)[0])
+    # one value of the normal per point: no jet, no finite difference of it
+    points = []
+    evaluate = L.eta.evaluate
+    monkeypatch.setattr(L.eta, "evaluate", lambda t: points.append(np.size(t)) or evaluate(t))
+    cp.alpha_at(ts)
+    assert points == [ts.size]

@@ -1,11 +1,18 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 from scipy.optimize import brentq
 
+from normplane import catalog, numerics
+from normplane.analysis import curvature_pair, legendre_from_curve
+from normplane.curves import ParamCurve
+from normplane.derived import evolute
 from normplane.errors import NoConvergence
-from normplane.numerics import (brent_root, hermite, index_runs, merge_events, pchip,
-                                polish_dips, wrap)
+from normplane.numerics import (DIFF_BLOCK, brent_root, differentiate, fd_weights, hermite,
+                                index_runs, merge_events, pchip, polish_dips, wrap)
 from normplane.plane import NormSpec, build_plane
 
 # polynomials evaluate to the same bits in batch and one point at a time
@@ -187,3 +194,82 @@ def test_hermite_reproduces_a_cubic():
     assert np.allclose(scalar(q), cubic(q)[:, 0], rtol=1e-13, atol=1e-13)
     assert np.array_equal(scalar(q), vector(q)[:, 0])
     assert np.array_equal(vector(q), CubicHermiteSpline(x, cubic(x), slope(x))(q))
+
+
+def test_wrap_keeps_the_bits_of_in_range_parameters_of_any_batch():
+    # t0 + mod(t - t0) moves an in-range t by an ulp when t0 != 0; a batch
+    # must wrap as its elements would one by one
+    t0, period = -1.0, 2.0 * np.pi
+    inside = np.round(np.random.default_rng(2).uniform(t0, t0 + period, 1000), 3)
+    batch = np.concatenate([inside, [t0 - 0.25, t0 + period + 0.5]])
+    got = wrap(batch, t0, period)
+    assert np.array_equal(got[:-2], inside)
+    assert np.array_equal(got, [wrap(t, t0, period) for t in batch.tolist()])
+    assert np.all((got >= t0) & (got < t0 + period))
+
+
+def test_fd_weights_are_computed_once_per_stencil_and_read_only():
+    offsets = (np.arange(-3, 4) + 1) * 0.0123
+    w = fd_weights(offsets, 2)
+    assert fd_weights(list(offsets), 2) is w and not w.flags.writeable
+    assert fd_weights(offsets, 1) is not w
+    # a quadratic's second derivative is exact
+    assert w @ (offsets ** 2) == pytest.approx(2.0, rel=1e-9)
+    # the cache fills when a stencil is first used, not when the module loads
+    code = "import normplane.cli, normplane.numerics as n; print(n._fornberg.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "0"
+
+
+def test_differentiate_calls_f_on_bounded_blocks():
+    sizes = []
+
+    def f(s):
+        sizes.append(s.size)
+        return np.sin(s)
+
+    for n, largest in ((3 * DIFF_BLOCK + 5, DIFF_BLOCK), (2 * DIFF_BLOCK + 1, DIFF_BLOCK + 1)):
+        sizes.clear()
+        t = np.linspace(0.0, 1.0, n)
+        d = differentiate(f, t, 1, 1e-4)
+        assert max(sizes) == 7 * largest and sum(sizes) == 7 * n
+        assert np.max(np.abs(d - np.cos(t))) < 1e-9
+
+
+def _open_curve_rate(fx, ts):
+    # finite-difference derivatives only; stencils shift inside [0, 1] at both ends
+    curve = ParamCurve(lambda t: np.stack([t ** 2 + 0.1 * t, np.sin(3.0 * t)], -1), (0.0, 1.0))
+    return curve.derivative(ts, 2)
+
+
+def _closed_curve_rate(fx, ts):
+    # a closed domain that does not start at 0: stencils run through the seam
+    t0 = -1.0
+    curve = ParamCurve(lambda t: np.stack([2.0 * np.cos(t), np.sin(t)], -1),
+                       (t0, t0 + 2.0 * np.pi), closed=True)
+    return curve.derivative(t0 + (ts - ts[0]) * (2.0 * np.pi / (ts[-1] - ts[0])), 1)
+
+
+def _pair_ratio_rate(fx, ts):
+    # a scalar field through the lp3 supporting-map inversion
+    cp = curvature_pair(legendre_from_curve(fx("l3"), catalog.ellipse(samples=256)))
+    return cp.ratio_rate_at(ts * (2.0 * np.pi / ts[-1]))
+
+
+def _evolute_second_rate(fx, ts):
+    # a finite difference of the evolute's d1, itself a finite difference
+    e = evolute(legendre_from_curve(fx("euclidean"), catalog.ellipse(samples=256))).evolute
+    return e.derivative(ts * (2.0 * np.pi / ts[-1]), 2)
+
+
+@pytest.mark.parametrize("n", [DIFF_BLOCK - 1, DIFF_BLOCK, DIFF_BLOCK + 1, 2 * DIFF_BLOCK + 1,
+                               3 * DIFF_BLOCK + 5])
+@pytest.mark.parametrize("rate", [_open_curve_rate, _closed_curve_rate, _pair_ratio_rate,
+                                  _evolute_second_rate],
+                         ids=["open-curve", "closed-seam", "pair-ratio", "evolute-fd-of-fd"])
+def test_blocked_differentiate_equals_one_block(request, monkeypatch, rate, n):
+    ts = np.linspace(0.0, 1.0, n)
+    blocked = rate(request.getfixturevalue, ts)
+    monkeypatch.setattr(numerics, "DIFF_BLOCK", 10 * n)
+    assert np.array_equal(blocked, rate(request.getfixturevalue, ts))

@@ -355,3 +355,32 @@ def test_unit_tangent_with_derivative_on_a_non_unit_field(euclidean, l3, fourier
         assert np.max(np.abs(fd - dxi)) < 1e-6
         with pytest.raises(ZeroVector):
             plane.unit_tangent_with_derivative(np.zeros(2), np.ones(2))
+
+
+@pytest.mark.parametrize("spec, root_at_two_pi", [
+    (NormSpec("euclidean"), False),
+    (NormSpec("lp", p=3.0), True),
+    (NormSpec("lp", p=1.5), True),
+    (NormSpec("fourier_radial", coefficients=(1.0, 0.08)), True),
+], ids=["euclidean", "lp3", "lp1.5", "fourier"])
+def test_tangent_theta_returns_the_circle_jet_at_its_angles(spec, root_at_two_pi):
+    plane = build_plane(spec)
+    psi0 = plane._psi_nodes[0]
+    # the direction just below psi0 lifts into the last psi cell, whose root
+    # is theta = 2 pi for these norms; it is returned as 0
+    below = np.nextafter(psi0, -np.inf)
+    assert (plane._tangent_theta_block(np.array([below]))[0] == TWO_PI) == root_at_two_pi
+    rng = np.random.default_rng(11)
+    chi = np.concatenate([[below, psi0], np.arange(8) * (np.pi / 4.0),
+                          rng.uniform(-np.pi, np.pi, 500)])
+    theta = plane.tangent_theta(chi)
+    assert np.all((theta >= 0.0) & (theta < TWO_PI))
+    for got in (theta, plane.tangent_theta(below), plane.tangent_theta(chi.reshape(2, -1))):
+        want = plane.circle_jet(np.asarray(got), 2)
+        assert got.jet.shape == want.shape and np.array_equal(got.jet, want)
+    # both normal builders return the circle at the angles tangent_theta returns
+    w = rng.normal(size=(50, 2))
+    at = np.asarray(plane.tangent_theta(np.arctan2(w[:, 1], w[:, 0])))
+    assert np.array_equal(plane.normal_from_tangent(w), plane.circle_point(at))
+    z = plane.normal_from_tangent_with_derivative(w, rng.normal(size=(50, 2)))[0]
+    assert np.array_equal(z, plane.circle_point(at))
