@@ -24,20 +24,14 @@ from .derived import (
     EvoluteFrame,
     PedalResult,
     evolute,
-    evolute_as_parallel_singularities,
     involute,
-    normal_envelope_residual,
-    osculating_data,
     parallel,
     pedal,
-    pedal_envelope_residual,
-    vertex_residual,
 )
 from .plane import (
     NormSpec,
     NormedPlane,
     build_plane,
-    is_birkhoff_orthogonal,
     symplectic,
     transfer_unit,
 )

@@ -73,10 +73,6 @@ class LegendreCurve:
     residual: float
     pair: CurvaturePair
 
-    def xi(self, t):
-        """Induced tangent direction b(eta(t))."""
-        return self.plane.birkhoff(self.eta(t))
-
     def grid(self):
         return self.gamma.grid()
 
@@ -102,12 +98,13 @@ def make_legendre(plane: NormedPlane, gamma: ParamCurve, eta: NormalField,
 
     Orthogonality is vacuous where gamma' vanishes, so points whose speed
     sits below the numerical noise floor of the pair (relative to the faster
-    of gamma and eta) are excluded rather than divided through.
+    of gamma and eta) are excluded rather than divided through. NaN fails
+    both checks, and a pair that is not finite on the grid is refused.
     """
     ts = gamma.grid()
     e, e_rate = eta.value_and_rate(ts)
     unit_err = float(np.max(np.abs(plane.norm(e) - 1.0)))
-    if unit_err > 1e-8:
+    if not unit_err <= 1e-8:
         raise ResidualViolation(f"normal field is not unit (max error {unit_err:.2e})")
     d1 = gamma.derivative(ts, 1)
     xi = plane.birkhoff(e)
@@ -118,7 +115,7 @@ def make_legendre(plane: NormedPlane, gamma: ParamCurve, eta: NormalField,
     vals = np.abs(symplectic(d1, xi)) / (speeds + 1e-12)
     vals[speeds < floor] = 0.0
     res = float(np.max(vals))
-    if res >= residual_tol:
+    if not res < residual_tol:
         raise ResidualViolation(
             f"orthogonality residual {res:.3e} exceeds {residual_tol:.1e}")
 
@@ -133,6 +130,8 @@ def make_legendre(plane: NormedPlane, gamma: ParamCurve, eta: NormalField,
         return frame_at(t, eta(t))[0]
 
     alpha, kappa = _frame_values(e, xi, d1, e_rate)
+    if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(kappa))):
+        raise ResidualViolation("curvature pair is not finite on the grid")
     pair = CurvaturePair(ts, alpha, kappa, e, values_at, alpha_at, gamma.span,
                          gamma.closed, gamma.domain)
     return LegendreCurve(plane, gamma, eta, res, pair)

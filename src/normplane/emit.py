@@ -87,7 +87,7 @@ def emit_svg(path, curves, cusps=(), vertices=(), inflections=(), legend=()):
         pts = np.asarray(c["points"], dtype=float)
         if pts.size == 0:
             continue
-        color = c.get("color", palette[i % len(palette)])
+        color = palette[i % len(palette)]
         # x and the flipped y of every point, formatted in one call
         xy = np.column_stack([pts[:, 0], (lo[1] + hi[1]) - pts[:, 1]])
         d = "M " + " L ".join(["%.6g %.6g"] * len(xy)) % tuple(xy.ravel().tolist())

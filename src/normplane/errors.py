@@ -111,10 +111,6 @@ class PreconditionViolated(PreconditionError):
     """An operation's precondition does not hold for the given inputs."""
 
 
-class DegenerateLine(PreconditionError):
-    """A pedal line direction is undefined because the base point was hit."""
-
-
 class ConfigError(InputError):
     """A run configuration is malformed or references unknown entities."""
 

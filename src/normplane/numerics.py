@@ -18,6 +18,11 @@ TWO_PI = 2.0 * np.pi
 # of the result
 DIFF_BLOCK = 1024
 
+# golden_minimize: most steps, and the bracket width relative to
+# 1 + |a| + |b| at which it stops
+GOLDEN_ITERS = 200
+GOLDEN_TOL = 1e-12
+
 # 5-point Gauss-Legendre rule on [0, 1]
 _G5_X = np.array([
     0.5 - 0.45308992296933199640, 0.5 - 0.26923465505284154552, 0.5,
@@ -164,14 +169,15 @@ def polish_dips(f, ts, idx, step, domain, closed):
     return t_min, f_min
 
 
-def golden_minimize(f, a, b, iters=200, tol=1e-12):
-    """Golden-section minimum of a scalar unimodal function on [a, b]."""
+def golden_minimize(f, a, b):
+    """Golden-section minimum of a scalar unimodal function on [a, b]: at most
+    GOLDEN_ITERS steps, until the bracket is below GOLDEN_TOL relative."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if b - a < tol * (1.0 + abs(a) + abs(b)):
+    for _ in range(GOLDEN_ITERS):
+        if b - a < GOLDEN_TOL * (1.0 + abs(a) + abs(b)):
             break
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1

@@ -21,11 +21,9 @@ from .errors import (
     PositivityViolation,
     ZeroVector,
 )
-from .numerics import TWO_PI, gauss5_segments, golden_minimize, pchip, unwrap_mod
+from .numerics import TWO_PI, gauss5_segments, pchip, unwrap_mod
 
 UNIT_TOL = 1e-9
-# relative slack of is_birkhoff_orthogonal's line search
-ORTHO_TOL = 1e-7
 
 # tangent_theta: Newton steps before the bisection fallback, the step size
 # accepted as converged, the turning rate below which a direction counts as a
@@ -71,15 +69,6 @@ def _angle(v, message):
 def _turning_rate(d1, d2):
     """psi' = [c', c'']/|c'|^2, the rate of the tangent angle along the circle."""
     return symplectic(d1, d2) / (d1[..., 0] ** 2 + d1[..., 1] ** 2)
-
-
-class TangentTheta(np.ndarray):
-    """The angles theta that NormedPlane.tangent_theta returns. `jet` is the
-    circle jet [c, c', c''] at them, of shape (3,) + theta.shape + (2,), so
-    a caller needs no second evaluation of the circle; an array computed
-    from these angles is a TangentTheta whose `jet` is None."""
-
-    jet = None
 
 
 @dataclass(frozen=True)
@@ -210,6 +199,8 @@ class NormedPlane:
         th = self._theta_nodes
         fine = np.linspace(0.0, TWO_PI, 4 * self._n, endpoint=False)
         r, r1, r2 = self._profile.jet(fine, 2)
+        if not np.all(np.isfinite(r) & np.isfinite(r1) & np.isfinite(r2)):
+            raise BadParameter("radial profile or its derivatives are not finite")
         if np.min(r) <= 0.0:
             raise PositivityViolation("radial profile must be strictly positive")
 
@@ -318,9 +309,10 @@ class NormedPlane:
         turning rate falls below TURNING_RATE_MIN, or that do not converge
         within NEWTON_STEPS, are solved by bisection on their whole cell.
         Large batches are processed in blocks of TANGENT_BLOCK directions.
-        Returns a TangentTheta in [0, 2 pi): the circle jet at the angles
-        returned comes with them, and its c' is the one the convergence
-        check reads.
+        Returns (theta, jet): theta in [0, 2 pi), and the circle jet
+        [c, c', c''] at it, of shape (3,) + theta.shape + (2,), so a caller
+        needs no second evaluation of the circle; its c' is the one the
+        convergence check reads.
         """
         chi = np.asarray(chi, dtype=float)
         shape = chi.shape
@@ -342,9 +334,7 @@ class NormedPlane:
             above = _direction_gap(self.circle_d1(t + THETA_RESOLUTION), c)
             if not np.all((below <= 0.0) & (above >= 0.0)):
                 raise NoConvergence("supporting-direction inversion did not converge")
-        out = theta.reshape(shape).view(TangentTheta)
-        out.jet = jet.reshape((3,) + shape + (2,))
-        return out
+        return theta.reshape(shape), jet.reshape((3,) + shape + (2,))
 
     def _tangent_theta_block(self, chi):
         psi0 = self._psi_nodes[0]
@@ -393,7 +383,7 @@ class NormedPlane:
     def normal_from_tangent(self, w):
         """Unit z whose supporting direction b(z) is positively parallel to w."""
         w = np.asarray(w, dtype=float)
-        return self.tangent_theta(_angle(w, "tangent direction must be nonzero")).jet[0]
+        return self.tangent_theta(_angle(w, "tangent direction must be nonzero"))[1][0]
 
     def normal_from_tangent_with_derivative(self, w, dw):
         """(z, dz/dt, psi_rate) for z = normal_from_tangent(w(t)), w' = dw.
@@ -404,7 +394,7 @@ class NormedPlane:
         """
         w = np.asarray(w, dtype=float)
         dw = np.asarray(dw, dtype=float)
-        z, d1, d2 = self.tangent_theta(_angle(w, "tangent direction must be nonzero")).jet
+        _, (z, d1, d2) = self.tangent_theta(_angle(w, "tangent direction must be nonzero"))
         chi_rate = symplectic(w, dw) / (w[..., 0] ** 2 + w[..., 1] ** 2)
         psi_rate = _turning_rate(d1, d2)
         theta_rate = chi_rate / np.where(np.abs(psi_rate) < 1e-300, 1e-300, psi_rate)
@@ -423,7 +413,8 @@ class NormedPlane:
         theta = _angle(v, "birkhoff map needs a nonzero vector")
         theta_rate = symplectic(v, dv) / (v[..., 0] ** 2 + v[..., 1] ** 2)
         _, w, wp = self.circle_jet(theta, 2)
-        return w / self.norm(w)[..., None], self._db(w, wp) * theta_rate[..., None]
+        norm_w, db = self._db(w, wp)
+        return w / norm_w[..., None], db * theta_rate[..., None]
 
     def birkhoff_inverse(self, w):
         """Inverse of b restricted to the unit circle; w must be unit."""
@@ -449,23 +440,6 @@ class NormedPlane:
             out[nz] = ns[nz] * symplectic(z, xh)
         return float(out[0]) if scalar else out.reshape(n.shape)
 
-    def antinorm_supremum(self, x):
-        """Direct sampled-sup oracle for the anti-norm over the circle table."""
-        x = np.asarray(x, dtype=float)
-        th = self._theta_nodes[:-1]
-        c = self.circle_point(th)
-        vals = np.abs(symplectic(x, c))
-        j = int(np.argmax(vals))
-        # parabolic refinement through the three nodes around the argmax
-        f = lambda t: float(np.abs(symplectic(x, self.circle_point(t))))
-        tm, t0, tp = th[j] - self._dtheta, th[j], th[j] + self._dtheta
-        fm, f0, fp = f(tm), vals[j], f(tp)
-        denom = fm - 2.0 * f0 + fp
-        if denom < 0.0:
-            t_star = t0 + 0.5 * self._dtheta * (fm - fp) / denom
-            return max(f0, f(t_star))
-        return float(f0)
-
     def rho(self, v):
         """Distortion ||Db_v(b(v))|| of the supporting map along the circle."""
         v = np.asarray(v, dtype=float)
@@ -475,8 +449,9 @@ class NormedPlane:
         return self._rho_at_theta(theta)
 
     def _db(self, w, wp):
-        """d/dtheta of b(c(theta)) = c'(theta)/||c'(theta)||, from w = c'(theta)
-        and wp = c''(theta)."""
+        """(||w||, d/dtheta of b(c(theta)) = c'(theta)/||c'(theta)||), from
+        w = c'(theta) and wp = c''(theta), with one profile jet at arg w;
+        ||w|| is hypot(w)/r, as in `norm`."""
         e2 = w[..., 0] ** 2 + w[..., 1] ** 2
         e = np.sqrt(e2)
         de = (w[..., 0] * wp[..., 0] + w[..., 1] * wp[..., 1]) / e
@@ -485,11 +460,13 @@ class NormedPlane:
         r, r1 = self._profile.jet(ang, 1)
         n = e / r
         dn = de / r - e * r1 * dang / (r * r)
-        return wp / n[..., None] - w * (dn / (n * n))[..., None]
+        return (np.hypot(w[..., 0], w[..., 1]) / r,
+                wp / n[..., None] - w * (dn / (n * n))[..., None])
 
     def _rho_at_theta(self, theta):
         _, w, wp = self.circle_jet(theta, 2)
-        return self.norm(self._db(w, wp)) / self.norm(w)
+        norm_w, db = self._db(w, wp)
+        return self.norm(db) / norm_w
 
     def radon_defect(self):
         """sup over circle nodes of |b(b(v)) + v|; zero iff orthogonality is symmetric."""
@@ -501,23 +478,6 @@ class NormedPlane:
 def build_plane(spec: NormSpec) -> NormedPlane:
     """Validate a norm specification and build its cached geometry."""
     return NormedPlane(spec)
-
-
-def is_birkhoff_orthogonal(plane: NormedPlane, x, y) -> bool:
-    """Brute-force test of ||x + t y|| >= ||x|| (1 - ORTHO_TOL) by
-    golden-section line search.
-
-    Serves as the independent oracle for the birkhoff map.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    nx = float(plane.norm(x))
-    ny = float(plane.norm(y))
-    if nx == 0.0 or ny == 0.0:
-        raise ZeroVector("orthogonality test needs nonzero vectors")
-    span = 4.0 * nx / ny
-    _, fmin = golden_minimize(lambda t: float(plane.norm(x + t * y)), -span, span)
-    return fmin >= nx * (1.0 - ORTHO_TOL)
 
 
 def transfer_unit(plane1: NormedPlane, plane2: NormedPlane, v):

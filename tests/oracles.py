@@ -1,9 +1,186 @@
-"""Independent geometric oracles that only the tests use: distances between
-sampled curves and a cusp classification read off the curve alone."""
+"""Independent geometric oracles that only the tests use: characterizations
+from the paper (orthogonality, the anti-norm as a supremum, envelopes of line
+families, osculating circles, the parallel sweep of the evolute) that check
+what the package computes, distances between sampled curves, and a cusp
+classification read off the curve alone. They use public normplane names
+only, so they do not share the code they check."""
 
 import numpy as np
 
+from normplane.analysis import REL_ZERO, curvature_pair, scalar_derivative
+from normplane.errors import KappaVanishes, SingularPoint, ZeroVector
+from normplane.numerics import golden_minimize
 from normplane.plane import symplectic
+
+# relative slack of is_birkhoff_orthogonal's line search
+ORTHO_TOL = 1e-7
+# offsets d of the parallel family that evolute_as_parallel_singularities sweeps
+N_OFFSETS = 512
+
+
+class DegenerateLine(Exception):
+    """A pedal line direction is undefined because the base point was hit."""
+
+
+def is_birkhoff_orthogonal(plane, x, y) -> bool:
+    """Brute-force test of ||x + t y|| >= ||x|| (1 - ORTHO_TOL) by
+    golden-section line search: the independent oracle for the birkhoff map."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    nx = float(plane.norm(x))
+    ny = float(plane.norm(y))
+    if nx == 0.0 or ny == 0.0:
+        raise ZeroVector("orthogonality test needs nonzero vectors")
+    span = 4.0 * nx / ny
+    _, fmin = golden_minimize(lambda t: float(plane.norm(x + t * y)), -span, span)
+    return fmin >= nx * (1.0 - ORTHO_TOL)
+
+
+def antinorm_supremum(plane, x):
+    """Sampled sup over the unit circle of |[x, c]| for the anti-norm of x, on
+    plane.spec.table_size nodes with a parabolic refinement of the argmax."""
+    x = np.asarray(x, dtype=float)
+    n = int(plane.spec.table_size)
+    step = 2.0 * np.pi / n
+    th = np.linspace(0.0, 2.0 * np.pi, n + 1)[:-1]
+    vals = np.abs(symplectic(x, plane.circle_point(th)))
+    j = int(np.argmax(vals))
+
+    def f(t):
+        return float(np.abs(symplectic(x, plane.circle_point(t))))
+
+    fm, f0, fp = f(th[j] - step), vals[j], f(th[j] + step)
+    denom = fm - 2.0 * f0 + fp
+    if denom < 0.0:
+        return max(f0, f(th[j] + 0.5 * step * (fm - fp) / denom))
+    return float(f0)
+
+
+def evolute_as_parallel_singularities(L) -> np.ndarray:
+    """Singular points swept by the parallel family; should trace the evolute.
+
+    Offsets cover the range of -alpha/kappa expanded by 1%. Crossings of
+    alpha + d kappa are located by inverse-linear interpolation on the grid,
+    which is ample for the 1e-3 sweep tolerance.
+    """
+    cp = curvature_pair(L)
+    if np.min(np.abs(cp.kappa)) <= REL_ZERO * cp.kappa_scale:
+        raise KappaVanishes("the parallel sweep needs a nonvanishing kappa")
+    ratio = -cp.alpha / cp.kappa
+    lo, hi = float(np.min(ratio)), float(np.max(ratio))
+    pad = 0.005 * max(hi - lo, 1e-12)
+    ds = np.linspace(lo - pad, hi + pad, N_OFFSETS)
+
+    alpha, kappa, eta_pts = cp.alpha, cp.kappa, cp.eta
+    gamma_pts = L.gamma.point(cp.ts)
+    points = []
+    for d in ds:
+        f = alpha + d * kappa
+        idx = np.nonzero(f[:-1] * f[1:] < 0.0)[0]
+        if L.closed and f[-1] * f[0] < 0.0:
+            idx = np.append(idx, len(f) - 1)
+        for i in idx:
+            j = (i + 1) % len(f)
+            frac = f[i] / (f[i] - f[j])
+            g = gamma_pts[i] + frac * (gamma_pts[j] - gamma_pts[i])
+            e = eta_pts[i] + frac * (eta_pts[j] - eta_pts[i])
+            points.append(g + d * e)
+    return np.asarray(points)
+
+
+def normal_envelope_residual(L, t, v):
+    """(F, dF/dt) for the normal-line family F(t, v) = [gamma(t) - v, eta(t)].
+
+    Both vanish exactly when v is the center of curvature at t.
+    """
+    v = np.asarray(v, dtype=float)
+    g = L.gamma.point(t)
+    e = L.eta(t)
+    F = symplectic(g - v, e)
+    dF = symplectic(L.gamma.derivative(t, 1), e) + symplectic(g - v, L.eta.derivative(t, 1))
+    return F, dF
+
+
+def pedal_envelope_residual(L, p, t, v, ped, allow_limit=False):
+    """(F, dF/dt) for the pedal line family F = [gamma_p - v, b(gamma_p - p)]
+    of the pedal `ped` of L from p.
+
+    Both vanish exactly when v = gamma(t), reconstructing the base curve
+    from its pedal. Raises DegenerateLine when gamma_p(t) hits p, unless a
+    one-sided limit is allowed.
+    """
+    plane = L.plane
+    p = np.asarray(p, dtype=float)
+    g = ped.gamma_p.point(t)
+    w = g - p
+    scale = max(float(np.max(plane.norm(ped.gamma_p.point(ped.gamma_p.grid()) - p))), 1.0)
+    if float(plane.norm(w)) < 1e-9 * scale:
+        if not allow_limit:
+            raise DegenerateLine("pedal point coincides with the base point")
+        t = t + 1e-5 * ped.gamma_p.span
+        g = ped.gamma_p.point(t)
+        w = g - p
+    dg = ped.gamma_p.derivative(t, 1)
+    b, db = plane.unit_tangent_with_derivative(w, dg)
+    v = np.asarray(v, dtype=float)
+    F = symplectic(g - v, b)
+    dF = symplectic(dg, b) + symplectic(g - v, db)
+    return float(F), float(dF)
+
+
+def osculating_data(L, t) -> dict:
+    """Center/radius of the best-fitting circle plus distance-squared checks.
+
+    D(s) = ||gamma(s) - center||^2 in the plane's norm, differentiated in
+    the arc-length variable; both derivatives vanish at the true center.
+    """
+    cp = curvature_pair(L)
+    a = float(cp.alpha_at(t))
+    k = float(cp.kappa_at(t))
+    if abs(a) <= REL_ZERO * cp.alpha_scale:
+        raise SingularPoint(f"t = {t:.6g} is a singular parameter")
+    if abs(k) <= REL_ZERO * cp.kappa_scale:
+        raise KappaVanishes(f"kappa vanishes at t = {t:.6g}")
+    center = L.gamma.point(t) - (a / k) * L.eta(t)
+    d1, d2 = distance_squared_rates(L, t, center)
+    return {"center": center, "radius": abs(a / k), "D1": d1, "D2": d2}
+
+
+def distance_squared_rates(L, t, point):
+    """First and second arc-length derivatives of ||gamma - point||^2 at t."""
+    plane, gamma = L.plane, L.gamma
+    point = np.asarray(point, dtype=float)
+
+    def dist2(s):
+        return plane.norm(gamma.point(s) - point) ** 2
+
+    def speed(s):
+        return plane.norm(gamma.derivative(s, 1))
+
+    def rate(f, order):
+        return float(scalar_derivative(f, t, order, gamma.span,
+                                       domain=gamma.domain, closed=gamma.closed))
+
+    v = float(speed(t))
+    D1 = rate(dist2, 1) / v
+    D2 = (rate(dist2, 2) - D1 * rate(speed, 1)) / (v * v)
+    return D1, D2
+
+
+def vertex_residual(L, t) -> float:
+    """Second t-derivative of the normal-line function at the evolute point.
+
+    Vanishes exactly at vertices; cross-validates the vertex detector.
+    """
+    cp = curvature_pair(L)
+    k = float(cp.kappa_at(t))
+    if abs(k) <= REL_ZERO * cp.kappa_scale:
+        raise KappaVanishes(f"kappa vanishes at t = {t:.6g}")
+    a = float(cp.alpha_at(t))
+    g2 = L.gamma.derivative(t, 2)
+    e = L.eta(t)
+    e2 = L.eta.derivative(t, 2)
+    return float(symplectic(g2, e) + (a / k) * symplectic(e, e2))
 
 
 def point_segment_dist2(points, seg_a, seg_b):

@@ -14,8 +14,8 @@ from normplane.analysis import (
     singularity_report,
     transfer_legendre,
 )
-from normplane.curves import ParamCurve
-from normplane.errors import NotClosed, PreconditionViolated
+from normplane.curves import NormalField, ParamCurve
+from normplane.errors import NotClosed, PreconditionViolated, ResidualViolation
 from normplane.plane import symplectic
 from oracles import lateral_tangent_sign
 
@@ -54,7 +54,7 @@ def test_self_circle_pair_equals_speed(l3_circle_pair, fourier_oval):
 def test_frame_reconstruction_residuals(astroid_pair, ellipse_pair):
     for pair in (astroid_pair, ellipse_pair):
         cp = curvature_pair(pair)
-        xi = pair.xi(cp.ts)
+        xi = pair.plane.birkhoff(pair.eta(cp.ts))
         d1 = pair.gamma.derivative(cp.ts, 1)
         de = pair.eta.derivative(cp.ts, 1)
         scale_a = max(1.0, float(np.max(np.abs(cp.alpha))))
@@ -92,7 +92,7 @@ def _independent_circular_curvature(pair, ts, h=1e-3):
 
     def u_of(t):
         d1 = pair.gamma.derivative(t, 1)
-        theta = plane.tangent_theta(np.arctan2(d1[..., 1], d1[..., 0]))
+        theta, _ = plane.tangent_theta(np.arctan2(d1[..., 1], d1[..., 0]))
         return plane.arclength_of_theta(theta)
 
     du = u_of(ts + h) - u_of(ts - h)
@@ -411,7 +411,7 @@ def test_transferred_pair_satisfies_orthogonality(astroid_pair, l3):
     moved = transfer_legendre(astroid_pair, l3)
     ts = np.linspace(0.1, 1.4, 16)
     d1 = moved.gamma.derivative(ts, 1)
-    xi = moved.xi(ts)
+    xi = moved.plane.birkhoff(moved.eta(ts))
     assert np.max(np.abs(symplectic(d1, xi))) < 1e-6
 
 
@@ -467,6 +467,32 @@ def test_pair_values_invert_the_supporting_map_once_per_point(l3, monkeypatch):
     assert sum(points) == len(ts)
     cp.values_at(1.0)
     assert sum(points) == len(ts) + 1
+
+
+@pytest.mark.parametrize("poisoned, marker", [
+    ("normal", "not unit"),
+    ("tangent", "orthogonality residual nan"),
+    ("normal rate", "not finite"),
+])
+def test_make_legendre_refuses_a_nan_on_the_grid(euclidean, poisoned, marker):
+    # a NaN at one grid node of the normal, the tangent or the normal's rate
+    # is refused by the check that reads it, not sampled into the pair
+    t_bad = catalog.circle(samples=64).grid()[5]
+
+    def poison(part, values, t):
+        values = np.array(values, dtype=float)
+        if part == poisoned:
+            values[np.asarray(t) == t_bad] = np.nan
+        return values
+
+    base = catalog.circle(samples=64)
+    curve = ParamCurve(base.position, base.domain, True,
+                       (lambda t: poison("tangent", base.derivative(t, 1), t),), 64)
+    normal = NormalField(euclidean.circle_point, base.domain, True, "analytic",
+                         lambda t: (poison("normal", euclidean.circle_point(t), t),
+                                    poison("normal rate", euclidean.circle_d1(t), t)))
+    with pytest.raises(ResidualViolation, match=marker):
+        make_legendre(euclidean, curve, normal)
 
 
 def test_pair_is_sampled_in_the_pass_that_validates_it(fourier_oval, monkeypatch):

@@ -1,0 +1,37 @@
+"""The package exports the paper's operations; the checks of those operations
+live in tests/oracles.py and read only public normplane names."""
+
+import ast
+import os
+
+import normplane
+from normplane import derived, errors, plane
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+ORACLES = {
+    plane: ("is_birkhoff_orthogonal", "ORTHO_TOL", "TangentTheta"),
+    derived: ("evolute_as_parallel_singularities", "normal_envelope_residual",
+              "pedal_envelope_residual", "vertex_residual", "osculating_data",
+              "distance_squared_rates"),
+    errors: ("DegenerateLine",),
+}
+
+
+def test_oracles_live_with_the_tests_and_read_public_names_only():
+    for module, names in ORACLES.items():
+        for name in names:
+            assert not hasattr(normplane, name), name
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert not hasattr(plane.NormedPlane, "antinorm_supremum")
+    assert not hasattr(normplane.LegendreCurve, "xi")
+
+    with open(os.path.join(HERE, "oracles.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("normplane"):
+            private += [a.name for a in node.names if a.name.startswith("_")]
+        elif isinstance(node, ast.Attribute) and node.attr[:1] == "_" != node.attr[1:2]:
+            private.append(node.attr)
+    assert private == []

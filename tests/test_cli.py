@@ -473,7 +473,7 @@ _EXITS = {
                              "DegenerateFrame"},
     (5, "precondition error"): {"PreconditionError", "KappaVanishes", "RhoDegenerate",
                                 "NotAFront", "NotClosed", "PreconditionViolated",
-                                "DegenerateLine", "SingularPoint", "NotUnit",
+                                "SingularPoint", "NotUnit",
                                 "ZeroVector", "OutOfDomain", "NotAnIsometry"},
     (5, "io error"): {"IoError"},
     (4, "error"): {"GeometryError"},
@@ -548,6 +548,30 @@ def test_catalog_smoke_matrix_exits_with_a_documented_code(tmp_path, norm, curve
 def test_corner_reject_config_exits_3(tmp_path, capsys):
     assert _run(tmp_path, "corner_reject.json") == 3
     assert "jumps" in capsys.readouterr().err
+
+
+_HUGE_P = {"kind": "lp", "p": 1e300}
+
+
+@pytest.mark.parametrize("config", [
+    "huge_domain_reject.json",
+    "huge_p_reject.json",
+    {"norm": _HUGE_P, "curve": {"kind": "catalog", "name": "circle"}},
+    {"norm": _HUGE_P, "curve": {"kind": "synthesis", "alpha": "cos(3*t)", "kappa": "1",
+                                "domain": [0.0, 6.283185307179586]}},
+], ids=["expression-domain", "lp-unit-circle", "lp-catalog-circle", "lp-synthesis"])
+def test_non_finite_profile_or_pair_exits_3(tmp_path, capsys, config):
+    # NaN used to pass every check and reach the detectors as a traceback
+    if isinstance(config, str):
+        path = _cfg(config)
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(config, operation={"kind": "analyze"},
+                                        output={"report": "out.json"})))
+    with np.errstate(all="ignore"):
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "validation error:" in err and "Traceback" not in err
 
 
 _ENDPOINT_DIPS = {"x-dip": ("t^2 + 0.0001*t", "t^3"),

@@ -15,7 +15,8 @@ from normplane.curves import (
 )
 from normplane.errors import BadParameter, LimitsDisagree, OutOfDomain, SingularPoint
 from normplane.numerics import differentiate, fd_weights, golden_minimize, merge_events
-from normplane.plane import NormSpec, build_plane, is_birkhoff_orthogonal
+from normplane.plane import NormSpec, build_plane
+from oracles import is_birkhoff_orthogonal
 
 TWO_PI = 2.0 * np.pi
 
