@@ -4,7 +4,6 @@ curve synthesis from curvature, cusp/zigzag classification, and derived
 curves (parallels, evolutes, involutes, pedals)."""
 
 from .analysis import (
-    CurvaturePair,
     ProjectiveCurvatureMap,
     LegendreCurve,
     SingularityReport,

@@ -15,11 +15,11 @@ ways from (alpha, kappa).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .curves import Jet, NormalField, ParamCurve, extend_normal
+from .curves import FD_STEP_FACTOR, NormalField, ParamCurve, extend_normal
 from .errors import (
     BadParameter,
     DegenerateFrame,
@@ -39,14 +39,10 @@ RESIDUAL_TOL = 1e-5
 REL_ZERO = 1e-6          # relative threshold below which a sampled field counts as zero
 NOISE_FLOOR = 1e-7       # relative noise floor for crossing admission
 
-# steps for scalar finite differences, per derivative order; higher orders
-# use wider steps to stay above the roundoff floor of the evaluators
-SCALAR_FD_STEPS = {1: 1e-4, 2: 8e-4, 3: 3e-3}
-
-
-def scalar_derivative(f, t, order, span, domain=None, closed=False):
-    h = span * SCALAR_FD_STEPS[order]
-    return differentiate(f, t, order, h, domain=domain, closed=closed)
+# steps for scalar finite differences relative to the span, per derivative
+# order; higher orders use wider steps to stay above the roundoff floor of
+# the evaluators
+SCALAR_FD_STEPS = {1: FD_STEP_FACTOR, 2: 8e-4, 3: 3e-3}
 
 
 def sampled_noise_floor(values):
@@ -64,21 +60,77 @@ def sampled_noise_floor(values):
 
 @dataclass
 class LegendreCurve:
-    """A validated (curve, unit normal) pair over one normed plane, with its
-    curvature pair sampled in the pass that validated it."""
+    """A validated (curve, unit normal) pair over one normed plane with its
+    curvature pair: gamma' = alpha xi and eta' = kappa xi, xi = b(eta).
+
+    `alpha`, `kappa` and the normals are sampled on the grid `ts` in the pass
+    that validated the pair; the methods evaluate the pair at any parameter.
+    """
 
     plane: NormedPlane
     gamma: ParamCurve
     eta: NormalField
     residual: float
-    pair: CurvaturePair
+    ts: np.ndarray
+    alpha: np.ndarray
+    kappa: np.ndarray
+    normals: np.ndarray      # eta on ts
 
-    def grid(self):
-        return self.gamma.grid()
+    @property
+    def span(self):
+        return self.gamma.span
+
+    @property
+    def domain(self):
+        return self.gamma.domain
 
     @property
     def closed(self):
         return self.gamma.closed
+
+    @property
+    def period(self):
+        return self.gamma.period
+
+    def seam_gap(self, a, b):
+        """|a - b|, measured the short way around the seam of a closed pair."""
+        return np.abs(wrap(np.asarray(a, dtype=float) - b, -0.5 * self.span, self.period))
+
+    @property
+    def alpha_scale(self):
+        return max(float(np.max(np.abs(self.alpha))), 1e-300)
+
+    @property
+    def kappa_scale(self):
+        return max(float(np.max(np.abs(self.kappa))), 1e-300)
+
+    def _frame_at(self, t, e, *rate):
+        return _frame_values(e, self.plane.birkhoff(e), self.gamma.derivative(t, 1), *rate)
+
+    def values_at(self, t):
+        """(alpha(t), kappa(t)) from one evaluation of the normal's jet."""
+        return self._frame_at(t, *self.eta.value_and_rate(t))
+
+    def alpha_at(self, t):
+        """alpha(t) from the normal alone, bit for bit values_at(t)[0]."""
+        return self._frame_at(t, self.eta(t))[0]
+
+    def kappa_at(self, t):
+        return self.values_at(t)[1]
+
+    def ratio_at(self, t):
+        """alpha/kappa, the signed curvature radius field."""
+        a, k = self.values_at(t)
+        return a / k
+
+    def rate_at(self, f, t, order=1):
+        """Derivative of the given order of a field f along the pair, a
+        finite difference at the step SCALAR_FD_STEPS[order] of the span."""
+        return differentiate(f, t, order, self.span * SCALAR_FD_STEPS[order],
+                             domain=self.domain, closed=self.closed)
+
+    def ratio_rate_at(self, t):
+        return self.rate_at(self.ratio_at, t)
 
 
 def _frame_values(eta, xi, d1, *eta_rate):
@@ -119,22 +171,10 @@ def make_legendre(plane: NormedPlane, gamma: ParamCurve, eta: NormalField,
         raise ResidualViolation(
             f"orthogonality residual {res:.3e} exceeds {residual_tol:.1e}")
 
-    def frame_at(t, e_t, *rate_t):
-        return _frame_values(e_t, plane.birkhoff(e_t), gamma.derivative(t, 1), *rate_t)
-
-    def values_at(t):
-        return frame_at(t, *eta.value_and_rate(t))
-
-    def alpha_at(t):
-        # alpha needs the normal only, not its rate
-        return frame_at(t, eta(t))[0]
-
     alpha, kappa = _frame_values(e, xi, d1, e_rate)
     if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(kappa))):
         raise ResidualViolation("curvature pair is not finite on the grid")
-    pair = CurvaturePair(ts, alpha, kappa, e, values_at, alpha_at, gamma.span,
-                         gamma.closed, gamma.domain)
-    return LegendreCurve(plane, gamma, eta, res, pair)
+    return LegendreCurve(plane, gamma, eta, res, ts, alpha, kappa, e)
 
 
 def legendre_from_curve(plane: NormedPlane, curve: ParamCurve) -> LegendreCurve:
@@ -147,7 +187,7 @@ def legendre_from_curve(plane: NormedPlane, curve: ParamCurve) -> LegendreCurve:
     between the two sides, splits it in two. A coarse grid of a smooth
     tangent line has even chords (0.765 on the 8-sample circle)."""
     L = make_legendre(plane, curve, extend_normal(plane, curve))
-    xi = plane.birkhoff(L.pair.eta)
+    xi = plane.birkhoff(L.normals)
     if curve.closed:
         xi = np.concatenate([xi, xi[:1]])
     # d[k + 2] is the chord from sample k to k + 1; outside an open curve, 0
@@ -159,70 +199,19 @@ def legendre_from_curve(plane: NormedPlane, curve: ParamCurve) -> LegendreCurve:
     jumps = (((first > 0.5) & (first > 3.0 * np.maximum(left, second)))
              | ((span > 0.5) & (np.minimum(first, second) > 3.0 * np.maximum(left, right))))
     if np.any(jumps):
-        t_bad = float(L.pair.ts[int(np.argmax(jumps))])
+        t_bad = float(L.ts[int(np.argmax(jumps))])
         raise LimitsDisagree(
             f"normal field jumps after t = {t_bad:.6g}: tangent lines do not join")
     return L
 
 
-@dataclass
-class CurvaturePair:
-    """Sampled (alpha, kappa) and normal, and the pointwise evaluator of the frame."""
-
-    ts: np.ndarray
-    alpha: np.ndarray
-    kappa: np.ndarray
-    eta: np.ndarray          # the normal field on ts
-    values_at: Callable      # t -> (alpha(t), kappa(t))
-    alpha_at: Callable       # t -> alpha(t), bit for bit values_at(t)[0]
-    span: float
-    closed: bool
-    domain: tuple
-
-    @property
-    def period(self):
-        return self.span if self.closed else None
-
-    def seam_gap(self, a, b):
-        """|a - b|, measured the short way around the seam of a closed pair."""
-        return np.abs(wrap(np.asarray(a, dtype=float) - b, -0.5 * self.span, self.period))
-
-    @property
-    def alpha_scale(self):
-        return max(float(np.max(np.abs(self.alpha))), 1e-300)
-
-    @property
-    def kappa_scale(self):
-        return max(float(np.max(np.abs(self.kappa))), 1e-300)
-
-    def kappa_at(self, t):
-        return self.values_at(t)[1]
-
-    def ratio_at(self, t):
-        """alpha/kappa, the signed curvature radius field."""
-        a, k = self.values_at(t)
-        return a / k
-
-    def ratio_rate_at(self, t):
-        return scalar_derivative(self.ratio_at, t, 1, self.span,
-                                 domain=self.domain, closed=self.closed)
-
-    def alpha_rate_at(self, t):
-        return scalar_derivative(self.alpha_at, t, 1, self.span,
-                                 domain=self.domain, closed=self.closed)
-
-    def kappa_rate_at(self, t):
-        return scalar_derivative(self.kappa_at, t, 1, self.span,
-                                 domain=self.domain, closed=self.closed)
+def curvature_pair(L: LegendreCurve) -> LegendreCurve:
+    """The pair itself: (alpha, kappa) of gamma' = alpha xi and
+    eta' = kappa xi, sampled on the grid when the pair was validated."""
+    return L
 
 
-def curvature_pair(L: LegendreCurve) -> CurvaturePair:
-    """(alpha, kappa) of gamma' = alpha xi and eta' = kappa xi, sampled on
-    the grid when the pair was validated."""
-    return L.pair
-
-
-def circular_curvature(cp: CurvaturePair) -> np.ndarray:
+def circular_curvature(cp: LegendreCurve) -> np.ndarray:
     """kappa/alpha where alpha is resolvably nonzero, NaN elsewhere."""
     mask = np.abs(cp.alpha) > REL_ZERO * cp.alpha_scale
     out = np.full_like(cp.alpha, np.nan)
@@ -239,7 +228,7 @@ class ProjectiveCurvatureMap:
     total_change: float
 
 
-def projective_curvature_map(cp: CurvaturePair) -> ProjectiveCurvatureMap:
+def projective_curvature_map(cp: LegendreCurve) -> ProjectiveCurvatureMap:
     raw = np.arctan2(cp.kappa, cp.alpha)
     theta = unwrap_mod(raw, np.pi)
     jumps = np.abs(np.diff(theta))
@@ -296,7 +285,7 @@ class SingularityReport:
         }
 
 
-def _immersion_gap(cp: CurvaturePair):
+def _immersion_gap(cp: LegendreCurve):
     """Smallest joint magnitude of (alpha, kappa), refined between nodes."""
     rel = np.maximum(np.abs(cp.alpha) / cp.alpha_scale,
                      np.abs(cp.kappa) / cp.kappa_scale)
@@ -318,13 +307,13 @@ def _immersion_gap(cp: CurvaturePair):
     return best, t_best
 
 
-def _require_front(cp: CurvaturePair):
+def _require_front(cp: LegendreCurve):
     gap, t_bad = _immersion_gap(cp)
     if gap < REL_ZERO:
         raise NotAFront(f"alpha and kappa both vanish near t = {t_bad:.6g}")
 
 
-def _detect_cusps(cp: CurvaturePair):
+def _detect_cusps(cp: LegendreCurve):
     """Refined alpha crossings split into ordinary cusps and degenerate zeros."""
     floor = max(NOISE_FLOOR * cp.alpha_scale, sampled_noise_floor(cp.alpha))
     roots = sign_crossings(cp.ts, cp.alpha, floor, cp.alpha_at, period=cp.period)
@@ -332,7 +321,7 @@ def _detect_cusps(cp: CurvaturePair):
         np.gradient(cp.alpha, cp.ts)))), 1e-300)
     cusps, degenerate = [], []
     if roots:
-        rates = cp.alpha_rate_at(np.asarray(roots)).tolist()
+        rates = cp.rate_at(cp.alpha_at, np.asarray(roots)).tolist()
         kvals = cp.kappa_at(np.asarray(roots)).tolist()
         for t, da, kv in zip(roots, rates, kvals):
             if abs(da) > REL_ZERO * arate_scale and abs(kv) > REL_ZERO * cp.kappa_scale:
@@ -353,24 +342,24 @@ def _detect_cusps(cp: CurvaturePair):
     for t_star, a_star in zip(*polish_dips(abs_alpha, cp.ts, fresh, step,
                                            cp.domain, cp.closed)):
         if (a_star <= REL_ZERO * cp.alpha_scale
-                and abs(float(cp.alpha_rate_at(t_star))) <= REL_ZERO * arate_scale):
+                and abs(float(cp.rate_at(cp.alpha_at, t_star))) <= REL_ZERO * arate_scale):
             degenerate.append(t_star)
     return cusps, merge_events(degenerate, 4.0 * step, cp.domain[0], cp.period)
 
 
-def _detect_inflections(cp: CurvaturePair):
+def _detect_inflections(cp: LegendreCurve):
     floor = max(NOISE_FLOOR * cp.kappa_scale, sampled_noise_floor(cp.kappa))
     roots = sign_crossings(cp.ts, cp.kappa, floor, cp.kappa_at, period=cp.period)
     if not roots:
         return []
     avals = cp.alpha_at(np.asarray(roots)).tolist()
-    rates = cp.kappa_rate_at(np.asarray(roots)).tolist()
+    rates = cp.rate_at(cp.kappa_at, np.asarray(roots)).tolist()
     return [Inflection(t, "flip" if av * dk > 0.0 else "flop")
             for t, av, dk in zip(roots, avals, rates)
             if abs(av) > REL_ZERO * cp.alpha_scale]
 
 
-def _detect_vertices(cp: CurvaturePair, degenerate_singular):
+def _detect_vertices(cp: LegendreCurve, degenerate_singular):
     """Critical points of alpha/kappa on windows where kappa is resolvable."""
     ok = np.abs(cp.kappa) > REL_ZERO * cp.kappa_scale
     roots = []
@@ -452,7 +441,7 @@ def _zigzag_word(cusps, degenerate):
     return _reduce_cyclic_word(["a" if c.kind == "zig" else "b" for c in cusps])
 
 
-def _zigzag_invariant(cp: CurvaturePair, word: int, infl) -> dict:
+def _zigzag_invariant(cp: LegendreCurve, word: int, infl) -> dict:
     """Check the word against the flip/flop and rotation counts (see
     maslov_index) and return all three."""
     n_flip = sum(1 for i in infl if i.kind == "flip")
@@ -509,13 +498,16 @@ def singularity_report(L: LegendreCurve) -> SingularityReport:
                              maslov_error=maslov_error)
 
 
-def pair_jets(L: LegendreCurve, t: float, order: int):
-    """Jets of the curve and of its normal at t, validated finite."""
-    g = Jet(t, tuple([L.gamma.point(t)]
-                     + [L.gamma.derivative(t, k) for k in range(1, order + 1)]))
-    e = Jet(t, tuple([L.eta(t)]
-                     + [L.eta.derivative(t, k) for k in range(1, order + 1)]))
-    return g, e
+def _pair_derivatives(L: LegendreCurve, t: float, order: int):
+    """Derivatives 0..order of the curve and of its normal at t, each
+    refused unless finite."""
+    out = []
+    for value, derivative in ((L.gamma.point, L.gamma.derivative), (L.eta, L.eta.derivative)):
+        d = np.asarray([value(t)] + [derivative(t, k) for k in range(1, order + 1)])
+        if not np.all(np.isfinite(d)):
+            raise BadParameter("jet entries must be finite")
+        out.append(d)
+    return out
 
 
 def contact_order(L1: LegendreCurve, t0: float, L2: LegendreCurve, u0: float,
@@ -523,10 +515,8 @@ def contact_order(L1: LegendreCurve, t0: float, L2: LegendreCurve, u0: float,
     """Largest j <= kmax with pair derivatives 0..j-1 agreeing componentwise."""
     if not 1 <= kmax <= 4:
         raise BadParameter("kmax must be between 1 and 4")
-    j1, f1 = pair_jets(L1, t0, kmax - 1)
-    j2, f2 = pair_jets(L2, u0, kmax - 1)
-    g1, e1 = np.asarray(j1.derivs), np.asarray(f1.derivs)
-    g2, e2 = np.asarray(j2.derivs), np.asarray(f2.derivs)
+    g1, e1 = _pair_derivatives(L1, t0, kmax - 1)
+    g2, e2 = _pair_derivatives(L2, u0, kmax - 1)
     scale = max(float(np.max(np.abs(np.concatenate([g1, e1, g2, e2])))), 1e-300)
     tol = 1e-5 * scale
     j = 0
@@ -545,19 +535,15 @@ def contact_implies_curvature_match(L1: LegendreCurve, t0: float,
     """
     if contact_order(L1, t0, L2, u0, kmax=k) < k:
         raise PreconditionViolated("pairs do not have the required contact order")
-    cp1 = curvature_pair(L1)
-    cp2 = curvature_pair(L2)
     residuals = {}
     for j in range(k):
         vals = []
-        for cp, t in ((cp1, t0), (cp2, u0)):
+        for L, t in ((L1, t0), (L2, u0)):
             if j == 0:
-                a, kk = float(cp.alpha_at(t)), float(cp.kappa_at(t))
+                a, kk = float(L.alpha_at(t)), float(L.kappa_at(t))
             else:
-                a = float(scalar_derivative(cp.alpha_at, t, j, cp.span,
-                                            domain=cp.domain, closed=cp.closed))
-                kk = float(scalar_derivative(cp.kappa_at, t, j, cp.span,
-                                             domain=cp.domain, closed=cp.closed))
+                a = float(L.rate_at(L.alpha_at, t, j))
+                kk = float(L.rate_at(L.kappa_at, t, j))
             vals.append((a, kk))
         residuals[j] = max(abs(vals[0][0] - vals[1][0]), abs(vals[0][1] - vals[1][1]))
     return {"order": k, "residuals": residuals}

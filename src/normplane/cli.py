@@ -250,7 +250,7 @@ def _emit(outputs, legend, curve, L, base=None, extra=None, require_maslov=False
         cusps, vertices, inflections = (
             curve.point(np.asarray([e.t for e in found])) if found else np.zeros((0, 2))
             for found in events)
-        drawn = [] if base is None else [{"points": base.gamma.point(base.grid()),
+        drawn = [] if base is None else [{"points": base.gamma.point(base.ts),
                                           "closed": base.closed}]
         emit_svg(outputs["svg"], drawn + [{"points": pts, "closed": curve.closed}],
                  cusps=cusps, vertices=vertices, inflections=inflections, legend=legend)

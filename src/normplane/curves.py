@@ -8,7 +8,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BadParameter, LimitsDisagree, OutOfDomain, SingularPoint
-from .numerics import brent_root, differentiate, merge_events, polish_dips, wrap
+from .numerics import brent_root, differentiate, fd_weights, merge_events, polish_dips, wrap
 from .plane import NormedPlane, symplectic
 
 FD_STEP_FACTOR = 1e-4          # derivative stencil step, relative to the domain span
@@ -36,6 +36,13 @@ class ParamCurve:
         t0, t1 = self.domain
         if not (np.isfinite(t0) and np.isfinite(t1) and t1 > t0):
             raise BadParameter("curve domain must be a finite increasing interval")
+        # the derivative stencils must have finite weights at the domain's step
+        offsets = np.arange(-3.0, 4.0) * (self.span * FD_STEP_FACTOR)
+        with np.errstate(all="ignore"):
+            weights = [fd_weights(offsets, order) for order in (1, 2, 3)]
+        if not np.all(np.isfinite(weights)):
+            raise BadParameter(f"curve domain [{t0:g}, {t1:g}] is too long or too short "
+                               "for finite-difference derivatives")
         if self.closed:
             seam = np.linalg.norm(np.asarray(self.position(t0), dtype=float)
                                   - np.asarray(self.position(t1), dtype=float))
@@ -315,16 +322,3 @@ def extend_normal(plane: NormedPlane, curve: ParamCurve) -> NormalField:
     return NormalField(evaluate, curve.domain, curve.closed,
                        "extended_through_singularities", jet)
 
-
-@dataclass
-class Jet:
-    """Derivatives d0..dk of a curve/pair component at one parameter."""
-
-    t: float
-    derivs: tuple
-
-    def __post_init__(self):
-        if len(self.derivs) > 5:
-            raise BadParameter("jet order is limited to 4")
-        if not all(np.all(np.isfinite(d)) for d in self.derivs):
-            raise BadParameter("jet entries must be finite")

@@ -7,14 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import (
-    CurvaturePair,
-    LegendreCurve,
-    REL_ZERO,
-    curvature_pair,
-    make_legendre,
-    _require_front,
-)
+from .analysis import LegendreCurve, REL_ZERO, make_legendre, _require_front
 from .curves import NormalField, ParamCurve, normal_jet
 from .errors import KappaVanishes, RhoDegenerate
 from .numerics import gauss5_segments, sign_crossings
@@ -25,22 +18,21 @@ RHO_FLOOR = 1e-6
 RHO_MASK = 1e-3
 
 
-def _require_kappa(cp: CurvaturePair):
-    if np.min(np.abs(cp.kappa)) <= REL_ZERO * cp.kappa_scale:
-        t_bad = float(cp.ts[int(np.argmin(np.abs(cp.kappa)))])
+def _require_kappa(L: LegendreCurve):
+    if np.min(np.abs(L.kappa)) <= REL_ZERO * L.kappa_scale:
+        t_bad = float(L.ts[int(np.argmin(np.abs(L.kappa)))])
         raise KappaVanishes(f"kappa vanishes near t = {t_bad:.6g}")
-    prod = cp.kappa[:-1] * cp.kappa[1:]
-    if cp.closed:
-        prod = np.append(prod, cp.kappa[-1] * cp.kappa[0])
+    prod = L.kappa[:-1] * L.kappa[1:]
+    if L.closed:
+        prod = np.append(prod, L.kappa[-1] * L.kappa[0])
     if np.any(prod < 0.0):
-        t_bad = float(cp.ts[int(np.argmax(prod < 0.0))])
+        t_bad = float(L.ts[int(np.argmax(prod < 0.0))])
         raise KappaVanishes(f"kappa changes sign near t = {t_bad:.6g}")
 
 
 def parallel(L: LegendreCurve, d: float) -> LegendreCurve:
     """Offset curve gamma + d eta with the same normal field."""
-    cp = curvature_pair(L)
-    _require_front(cp)
+    _require_front(L)
     gamma, eta = L.gamma, L.eta
 
     def pos(t):
@@ -62,15 +54,15 @@ class EvoluteFrame:
     evolute: ParamCurve
     nu: NormalField
     pair: LegendreCurve
-    base: CurvaturePair
+    base: LegendreCurve
 
     def predicted(self):
         """(rho(nu) > RHO_MASK, (alpha/kappa)', kappa/rho(nu)) on the base
         grid, the last NaN where rho is degenerate."""
-        cp = self.base
-        rho_vals = self.pair.plane.rho(self.pair.pair.eta)
-        pred_kappa = np.where(rho_vals > RHO_FLOOR, cp.kappa / rho_vals, np.nan)
-        return rho_vals > RHO_MASK, cp.ratio_rate_at(cp.ts), pred_kappa
+        base = self.base
+        rho_vals = self.pair.plane.rho(self.pair.normals)
+        pred_kappa = np.where(rho_vals > RHO_FLOOR, base.kappa / rho_vals, np.nan)
+        return rho_vals > RHO_MASK, base.ratio_rate_at(base.ts), pred_kappa
 
 
 def evolute(L: LegendreCurve) -> EvoluteFrame:
@@ -80,17 +72,16 @@ def evolute(L: LegendreCurve) -> EvoluteFrame:
     ((alpha/kappa)', kappa/rho(nu)) with rho the circle distortion, masked
     where rho falls below RHO_MASK.
     """
-    cp = curvature_pair(L)
-    _require_front(cp)
-    _require_kappa(cp)
+    _require_front(L)
+    _require_kappa(L)
     plane, gamma, eta = L.plane, L.gamma, L.eta
 
     def pos(t):
-        g = cp.ratio_at(t)
+        g = L.ratio_at(t)
         return gamma.point(t) - np.asarray(g)[..., None] * eta(t)
 
     def d1(t):
-        dg = cp.ratio_rate_at(t)
+        dg = L.ratio_rate_at(t)
         return -np.asarray(dg)[..., None] * eta(t)
 
     e_curve = ParamCurve(pos, gamma.domain, gamma.closed, (d1,), gamma.samples,
@@ -106,7 +97,7 @@ def evolute(L: LegendreCurve) -> EvoluteFrame:
 
     nu = NormalField(nu_eval, gamma.domain, gamma.closed, "induced_regular", nu_jet)
     frame = make_legendre(plane, e_curve, nu, residual_tol=1e-4)
-    return EvoluteFrame(e_curve, nu, frame, cp)
+    return EvoluteFrame(e_curve, nu, frame, L)
 
 
 def involute(L: LegendreCurve, d: float) -> LegendreCurve:
@@ -116,25 +107,24 @@ def involute(L: LegendreCurve, d: float) -> LegendreCurve:
     gamma. Requires nonvanishing kappa and nondegenerate distortion along
     eta (the xi rate is proportional to rho).
     """
-    cp = curvature_pair(L)
-    _require_front(cp)
-    _require_kappa(cp)
+    _require_front(L)
+    _require_kappa(L)
     plane, gamma, eta = L.plane, L.gamma, L.eta
 
-    rho_vals = plane.rho(cp.eta)
+    rho_vals = plane.rho(L.normals)
     if np.min(rho_vals) <= RHO_FLOOR:
-        t_bad = float(cp.ts[int(np.argmin(rho_vals))])
+        t_bad = float(L.ts[int(np.argmin(rho_vals))])
         raise RhoDegenerate(f"distortion vanishes along eta near t = {t_bad:.6g}")
 
     t0 = gamma.domain[0]
-    ts = cp.ts
-    seg = gauss5_segments(cp.alpha_at, ts[:-1], ts[1:])
+    ts = L.ts
+    seg = gauss5_segments(L.alpha_at, ts[:-1], ts[1:])
     A_nodes = np.concatenate([[0.0], np.cumsum(seg)])
 
     def A_at(t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         j = np.clip(np.searchsorted(ts, t_arr) - 1, 0, len(ts) - 2)
-        out = A_nodes[j] + gauss5_segments(cp.alpha_at, ts[j], t_arr)
+        out = A_nodes[j] + gauss5_segments(L.alpha_at, ts[j], t_arr)
         if np.isscalar(t) or np.asarray(t).ndim == 0:
             return float(out[0])
         return out
@@ -179,7 +169,6 @@ def pedal(L: LegendreCurve, p) -> PedalResult:
     distortion rho, and the singular parameters are the kappa zeros when p
     is off the curve.
     """
-    cp = curvature_pair(L)
     plane, gamma, eta = L.plane, L.gamma, L.eta
     p = np.asarray(p, dtype=float)
 
@@ -216,12 +205,12 @@ def pedal(L: LegendreCurve, p) -> PedalResult:
     curve = ParamCurve(pos, gamma.domain, gamma.closed, (d1,), gamma.samples,
                        name="pedal")
 
-    ts = cp.ts
+    ts = L.ts
     min_dist = float(np.min(plane.norm(gamma.point(ts) - p)))
     claimed = min_dist > 1e-6
 
-    singular = sign_crossings(ts, cp.kappa, 1e-7 * cp.kappa_scale, cp.kappa_at,
-                              period=cp.period)
+    singular = sign_crossings(ts, L.kappa, 1e-7 * L.kappa_scale, L.kappa_at,
+                              period=L.period)
 
     pair = None
     if claimed:

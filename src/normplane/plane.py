@@ -198,7 +198,8 @@ class NormedPlane:
     def _build_tables(self):
         th = self._theta_nodes
         fine = np.linspace(0.0, TWO_PI, 4 * self._n, endpoint=False)
-        r, r1, r2 = self._profile.jet(fine, 2)
+        with np.errstate(all="ignore"):     # a profile that overflows is refused here
+            r, r1, r2 = self._profile.jet(fine, 2)
         if not np.all(np.isfinite(r) & np.isfinite(r1) & np.isfinite(r2)):
             raise BadParameter("radial profile or its derivatives are not finite")
         if np.min(r) <= 0.0:

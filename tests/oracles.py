@@ -7,7 +7,7 @@ only, so they do not share the code they check."""
 
 import numpy as np
 
-from normplane.analysis import REL_ZERO, curvature_pair, scalar_derivative
+from normplane.analysis import REL_ZERO, curvature_pair
 from normplane.errors import KappaVanishes, SingularPoint, ZeroVector
 from normplane.numerics import golden_minimize
 from normplane.plane import symplectic
@@ -71,7 +71,7 @@ def evolute_as_parallel_singularities(L) -> np.ndarray:
     pad = 0.005 * max(hi - lo, 1e-12)
     ds = np.linspace(lo - pad, hi + pad, N_OFFSETS)
 
-    alpha, kappa, eta_pts = cp.alpha, cp.kappa, cp.eta
+    alpha, kappa, eta_pts = cp.alpha, cp.kappa, cp.normals
     gamma_pts = L.gamma.point(cp.ts)
     points = []
     for d in ds:
@@ -158,8 +158,7 @@ def distance_squared_rates(L, t, point):
         return plane.norm(gamma.derivative(s, 1))
 
     def rate(f, order):
-        return float(scalar_derivative(f, t, order, gamma.span,
-                                       domain=gamma.domain, closed=gamma.closed))
+        return float(L.rate_at(f, t, order))
 
     v = float(speed(t))
     D1 = rate(dist2, 1) / v

@@ -368,7 +368,7 @@ def test_reparametrized_circle_contact_exactly_two(euclidean, circle_pair):
     assert all(r < 1e-4 for r in rep["residuals"].values())
     # order-1 curvature data differ: the second pair is not unit speed
     cpo = curvature_pair(other)
-    assert abs(float(cpo.alpha_rate_at(0.0)) - 2.0) < 1e-4
+    assert abs(float(cpo.rate_at(cpo.alpha_at, 0.0)) - 2.0) < 1e-4
 
 
 # -- norm transfer -----------------------------------------------------------
@@ -505,7 +505,7 @@ def test_pair_is_sampled_in_the_pass_that_validates_it(fourier_oval, monkeypatch
     L = legendre_from_curve(fourier_oval, catalog.ellipse(2.0, 1.0, samples=256))
     cp = curvature_pair(L)
     assert sum(points) == 256
-    assert cp is L.pair and curvature_pair(L) is cp
+    assert cp is L
     assert np.array_equal(np.stack(cp.values_at(cp.ts)), np.stack([cp.alpha, cp.kappa]))
 
 

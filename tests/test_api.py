@@ -2,6 +2,7 @@
 live in tests/oracles.py and read only public normplane names."""
 
 import ast
+import dataclasses
 import os
 
 import normplane
@@ -35,3 +36,13 @@ def test_oracles_live_with_the_tests_and_read_public_names_only():
         elif isinstance(node, ast.Attribute) and node.attr[:1] == "_" != node.attr[1:2]:
             private.append(node.attr)
     assert private == []
+
+
+def test_the_validated_pair_is_its_own_curvature_pair(circle_pair):
+    # one object: the evaluators are methods, and the only callable it holds
+    # is the normal field eta itself
+    assert not hasattr(normplane, "CurvaturePair")
+    assert normplane.curvature_pair(circle_pair) is circle_pair
+    for field in dataclasses.fields(normplane.LegendreCurve):
+        value = getattr(circle_pair, field.name)
+        assert not callable(value) or isinstance(value, normplane.NormalField), field.name

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -572,6 +573,15 @@ def test_non_finite_profile_or_pair_exits_3(tmp_path, capsys, config):
         assert main(["run", str(path), "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert "validation error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("config", ["huge_domain_reject.json", "huge_p_reject.json"])
+def test_non_finite_refusals_print_one_line_and_no_warning(tmp_path, capsys, config):
+    # the profile and the stencil weights are checked before numpy can warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run(tmp_path, config) == 3
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 _ENDPOINT_DIPS = {"x-dip": ("t^2 + 0.0001*t", "t^3"),

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from normplane import catalog
-from normplane.analysis import legendre_from_curve, make_legendre
+from normplane.analysis import contact_order, legendre_from_curve, make_legendre
 from normplane.curves import (
     SINGULAR_SPEED_FACTOR,
-    Jet,
     NormalField,
     ParamCurve,
     extend_normal,
@@ -231,11 +230,22 @@ def test_legendre_residual_values(euclidean, astroid_pair):
                          np.inf).residual < 1e-6
 
 
-def test_jet_validation():
-    with pytest.raises(BadParameter):
-        Jet(0.0, tuple(np.zeros(2) for _ in range(6)))
-    with pytest.raises(BadParameter):
-        Jet(0.0, (np.array([np.nan, 0.0]),))
+def test_contact_order_reads_finite_derivatives_up_to_kmax(euclidean):
+    # a circle whose third derivative is NaN: contact to order 3 reads the
+    # derivatives up to the second only, order 4 reads the NaN and is refused
+    circle = ParamCurve(lambda t: np.stack([np.cos(t), np.sin(t)], -1), (0.0, TWO_PI),
+                        closed=True,
+                        derivatives=(lambda t: np.stack([-np.sin(t), np.cos(t)], -1),
+                                     lambda t: np.stack([-np.cos(t), -np.sin(t)], -1),
+                                     lambda t: np.full(np.shape(t) + (2,), np.nan)),
+                        samples=64)
+    L = legendre_from_curve(euclidean, circle)
+    assert contact_order(L, 0.5, L, 0.5, kmax=3) == 3
+    with pytest.raises(BadParameter, match="finite"):
+        contact_order(L, 0.5, L, 0.5, kmax=4)
+    for kmax in (0, 5):
+        with pytest.raises(BadParameter, match="kmax"):
+            contact_order(L, 0.5, L, 0.5, kmax=kmax)
 
 
 def test_extended_normal_rate_keeps_its_sign_at_flat_directions(l3):
@@ -309,7 +319,7 @@ def test_coarse_smooth_pairs_still_build(euclidean):
                          (euclidean, catalog.ellipse(2.0, 1.0, samples=16)),
                          (lp15, catalog.circle(samples=12))):
         L = legendre_from_curve(plane, curve)
-        xi = plane.birkhoff(L.pair.eta)
+        xi = plane.birkhoff(L.normals)
         assert np.max(np.linalg.norm(np.diff(xi, axis=0), axis=1)) > 0.5
 
 
@@ -329,7 +339,7 @@ def test_steep_normals_of_smooth_curves_still_build(p, n):
     # between two nodes; the tangent line does not jump there
     plane = build_plane(NormSpec("lp", p=p))
     L = legendre_from_curve(plane, _shifted_circle(n))
-    chords = np.linalg.norm(np.diff(L.pair.eta, axis=0), axis=1)
+    chords = np.linalg.norm(np.diff(L.normals, axis=0), axis=1)
     assert np.max(chords) > 0.5 and np.max(chords) > 3.0 * np.median(chords)
 
 
