@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -48,8 +48,8 @@ class ParamCurve:
                                   - np.asarray(self.position(t1), dtype=float))
             if seam > 1e-9:
                 raise BadParameter(f"closed curve endpoints differ by {seam:.3e}")
-            d0 = self._raw_derivative(t0, 1)
-            d1 = self._raw_derivative(t1, 1)
+            d0, = self._raw_derivative(t0, (1,))
+            d1, = self._raw_derivative(t1, (1,))
             if np.max(np.abs(d0 - d1)) > 1e-6 * max(1.0, float(np.max(np.abs(d0)))):
                 raise BadParameter("closed curve derivative seam mismatch")
 
@@ -74,32 +74,57 @@ class ParamCurve:
     def point(self, t):
         return np.asarray(self.position(self._wrap(t)), dtype=float)
 
-    def _raw_derivative(self, t, order):
-        if len(self.derivatives) >= order and self.derivatives[order - 1] is not None:
-            return np.asarray(self.derivatives[order - 1](self._wrap(t)), dtype=float)
-        base_order = 0
-        base = self.position
-        for m in range(order - 1, 0, -1):
+    def _base_order(self, order):
+        """`order` when it has an analytic evaluator, else the highest order
+        below it that has one (0 is the position)."""
+        for m in range(order, 0, -1):
             if len(self.derivatives) >= m and self.derivatives[m - 1] is not None:
-                base_order = m
-                base = self.derivatives[m - 1]
-                break
-        h = self.span * FD_STEP_FACTOR
-        return differentiate(lambda s: np.asarray(base(self._wrap(s)), dtype=float),
-                             t, order - base_order, h,
-                             domain=self.domain, closed=self.closed)
+                return m
+        return 0
+
+    def _raw_derivative(self, t, orders):
+        """The derivatives of the given orders at t, as a tuple. An order
+        without an analytic evaluator is a finite difference of its base
+        order; orders with one base read one stencil evaluation of it."""
+        out = {}
+        by_base = {}
+        for order in orders:
+            m = self._base_order(order)
+            if m == order:
+                out[order] = np.asarray(self.derivatives[m - 1](self._wrap(t)), dtype=float)
+            else:
+                by_base.setdefault(m, []).append(order)
+        for m, group in by_base.items():
+            base = self.position if m == 0 else self.derivatives[m - 1]
+            values = differentiate(lambda s: np.asarray(base(self._wrap(s)), dtype=float),
+                                   t, tuple(order - m for order in group),
+                                   self.span * FD_STEP_FACTOR,
+                                   domain=self.domain, closed=self.closed)
+            out.update(zip(group, values))
+        return tuple(out[order] for order in orders)
 
     def derivative(self, t, order):
-        """Derivative of the given order (1..3)."""
-        if order not in (1, 2, 3):
+        """Derivative of the given order (1..3); for a tuple of orders, the
+        tuple of derivatives, those that are finite differences of one
+        evaluator taken from one stencil evaluation."""
+        orders = order if isinstance(order, tuple) else (order,)
+        if not orders or any(k not in (1, 2, 3) for k in orders):
             raise BadParameter("derivative order must be 1, 2 or 3")
         self._wrap(t)
-        return self._raw_derivative(t, order)
+        out = self._raw_derivative(t, orders)
+        return out if isinstance(order, tuple) else out[0]
 
     def grid(self):
         """Default analysis grid; excludes the duplicate endpoint when closed."""
         t0, t1 = self.domain
         return np.linspace(t0, t1, self.samples, endpoint=not self.closed)
+
+
+def _read_only(values):
+    """A read-only float view of values."""
+    view = np.asarray(values, dtype=float).view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass
@@ -110,8 +135,16 @@ class NormalField:
     parameter is passed as a one-element array and unpacked here, and a
     closed field's parameter is wrapped into its domain first. `jet`,
     when given, maps t to (eta(t), eta'(t)) in one evaluation, and its first
-    part equals `evaluate` bit for bit; without it the rate is a finite
-    difference of `evaluate`.
+    part must equal `evaluate` bit for bit; without it the rate is a finite
+    difference of `evaluate`, and `value_and_rate` reads the value from the
+    centre of the same stencil.
+
+    The field keeps its last jet: one (eta, eta') pair, keyed by the exact
+    bytes and shape of the wrapped parameters it was evaluated at. A call or
+    a `value_and_rate` at those parameters reads it instead of evaluating
+    again, which is why the jet's first part must be `evaluate`'s bits. The
+    kept arrays are read-only views, so a caller that writes into them fails
+    instead of changing a later read.
     """
 
     evaluate: Callable
@@ -119,13 +152,23 @@ class NormalField:
     closed: bool
     provenance: str
     jet: Optional[Callable] = None
+    _kept: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def _param(self, t):
         return wrap(np.atleast_1d(np.asarray(t, dtype=float)), self.domain[0], self.period)
 
+    def _recall(self, p):
+        """The kept (eta, eta') if it was evaluated at the parameters p."""
+        kept = self._kept
+        if kept is not None and kept[0] == p.shape and kept[1] == p.tobytes():
+            return kept[2]
+        return None
+
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        eta = np.asarray(self.evaluate(self._param(t)), dtype=float)
+        p = self._param(t)
+        kept = self._recall(p)
+        eta = kept[0] if kept is not None else np.asarray(self.evaluate(p), dtype=float)
         return eta if t.ndim else eta[0]
 
     @property
@@ -137,18 +180,28 @@ class NormalField:
         return self.span if self.closed else None
 
     def value_and_rate(self, t):
-        """(eta(t), eta'(t)), from one jet evaluation when the field has one."""
+        """(eta(t), eta'(t)), from one jet evaluation when the field has one,
+        else from one stencil evaluation."""
         if self.jet is None:
-            return self(t), self.derivative(t, 1)
+            return differentiate(self._evaluate_at, t, (0, 1), self.span * FD_STEP_FACTOR,
+                                 domain=self.domain, closed=self.closed)
         t = np.asarray(t, dtype=float)
-        eta, rate = (np.asarray(v, dtype=float) for v in self.jet(self._param(t)))
+        p = self._param(t)
+        kept = self._recall(p)
+        if kept is None:
+            kept = tuple(_read_only(v) for v in self.jet(p))
+            self._kept = (p.shape, p.tobytes(), kept)
+        eta, rate = kept
         return (eta, rate) if t.ndim else (eta[0], rate[0])
+
+    def _evaluate_at(self, s):
+        return np.asarray(self.evaluate(self._param(s)), dtype=float)
 
     def derivative(self, t, order=1):
         h = self.span * FD_STEP_FACTOR
         if self.jet is None:
-            return differentiate(lambda s: np.asarray(self.evaluate(self._param(s)), dtype=float),
-                                 t, order, h, domain=self.domain, closed=self.closed)
+            return differentiate(self._evaluate_at, t, order, h,
+                                 domain=self.domain, closed=self.closed)
         if order == 1:
             return self.value_and_rate(t)[1]
         rate = lambda s: self.value_and_rate(s)[1]
@@ -198,8 +251,8 @@ def _left_normal(plane: NormedPlane, curve: ParamCurve) -> NormalField:
         return plane.normal_from_tangent(curve.derivative(t, 1))
 
     return NormalField(left, curve.domain, curve.closed, "induced_regular",
-                       lambda t: normal_jet(plane, curve, t, curve.derivative(t, 1),
-                                            curve.derivative(t, 2), left))
+                       lambda t: normal_jet(plane, curve, t, *curve.derivative(t, (1, 2)),
+                                            left))
 
 
 def induced_normal(plane: NormedPlane, curve: ParamCurve) -> NormalField:
@@ -287,8 +340,8 @@ def extend_normal(plane: NormedPlane, curve: ParamCurve) -> NormalField:
 
     delta = curve.span * 1e-6
 
-    def evaluate(t):
-        w = curve.derivative(t, 1)
+    def from_tangent(t, w):
+        # the field at t from gamma'(t) = w
         near = plane.norm(w) < 1e-6 * smax
         out = np.empty(t.shape + (2,))
         if np.any(~near):
@@ -298,6 +351,9 @@ def extend_normal(plane: NormedPlane, curve: ParamCurve) -> NormalField:
             mid = 0.5 * (signed(t[near] - delta) + signed(t[near] + delta))
             out[near] = mid / plane.norm(mid)[..., None]
         return out
+
+    def evaluate(t):
+        return from_tangent(t, curve.derivative(t, 1))
 
     h = curve.span * FD_STEP_FACTOR
 
@@ -314,7 +370,7 @@ def extend_normal(plane: NormedPlane, curve: ParamCurve) -> NormalField:
                                        curve.derivative(t[far], 2), left)
             z[far], dz[far] = z_far * sign, dz_far * sign
         if np.any(~far):
-            z[~far] = evaluate(t[~far])
+            z[~far] = from_tangent(t[~far], w[~far])
             dz[~far] = differentiate(evaluate, t[~far], 1, h,
                                      domain=curve.domain, closed=curve.closed)
         return z, dz

@@ -81,8 +81,10 @@ def evolute(L: LegendreCurve) -> EvoluteFrame:
         return gamma.point(t) - np.asarray(g)[..., None] * eta(t)
 
     def d1(t):
-        dg = L.ratio_rate_at(t)
-        return -np.asarray(dg)[..., None] * eta(t)
+        # eta(t) first: it reads the jet of eta that nu's jet kept at t,
+        # which the stencils of the ratio's rate replace
+        e = eta(t)
+        return -np.asarray(L.ratio_rate_at(t))[..., None] * e
 
     e_curve = ParamCurve(pos, gamma.domain, gamma.closed, (d1,), gamma.samples,
                          name="evolute")
@@ -139,15 +141,16 @@ def involute(L: LegendreCurve, d: float) -> LegendreCurve:
         A = np.asarray(A_at(t), dtype=float)
         return gamma.point(t) - (A - d)[..., None] * xi_eval(t)
 
+    xi_field = NormalField(xi_eval, gamma.domain, gamma.closed, "analytic", xi_jet)
+
     def d1(t):
         A = np.asarray(A_at(t), dtype=float)
-        return (d - A)[..., None] * xi_jet(t)[1]
+        return (d - A)[..., None] * xi_field.value_and_rate(t)[1]
 
     span_A = float(A_nodes[-1])
     closed = bool(gamma.closed and abs(span_A) < 1e-9)
     curve = ParamCurve(pos, gamma.domain, closed, (d1,), gamma.samples,
                        name=f"involute[{d}]")
-    xi_field = NormalField(xi_eval, gamma.domain, gamma.closed, "analytic", xi_jet)
     return make_legendre(plane, curve, xi_field)
 
 

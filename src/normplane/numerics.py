@@ -82,7 +82,17 @@ def differentiate(f, t, order, h, domain=None, closed=False):
     The window t + {-3h..3h} is shifted to stay inside an open domain; closed
     domains sample through the wrap instead. `t` may be scalar or an array.
     `f` sees the stencils of at most DIFF_BLOCK (+ 1) parameters per call.
+    `order` may be a tuple of orders, all read from one evaluation of the
+    stencils and returned as a tuple; order 0 is the value of f at t itself,
+    the stencil point at offset 0 (f is called at t apart from the stencil
+    only where a shifted window leaves it out: t outside an open domain).
     """
+    if isinstance(order, tuple):
+        return _differentiate(f, t, order, h, domain, closed)
+    return _differentiate(f, t, (order,), h, domain, closed)[0]
+
+
+def _differentiate(f, t, orders, h, domain, closed):
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     t_flat = t_arr.ravel()
     base = np.arange(-3, 4, dtype=float)
@@ -93,10 +103,10 @@ def differentiate(f, t, order, h, domain=None, closed=False):
         lo = np.ceil(np.maximum(0.0, (t0 - (t_flat - 3.0 * h)) / h - 1e-9)).astype(int)
         hi = np.ceil(np.maximum(0.0, ((t_flat + 3.0 * h) - t1) / h - 1e-9)).astype(int)
         shifts = lo - hi
-    out = None
+    outs = [None] * len(orders)
     for s in np.unique(shifts):
         offs = (base + s) * h
-        w = fd_weights(offs, order)
+        weights = [None if order == 0 else fd_weights(offs, order) for order in orders]
         idx = np.nonzero(shifts == s)[0]
         # no last block of one parameter: BLAS would reduce it by its dot
         # product, whose bits differ from its matrix-vector product's
@@ -104,14 +114,19 @@ def differentiate(f, t, order, h, domain=None, closed=False):
             ts = t_flat[rows][:, None] + offs[None, :]
             vals = np.asarray(f(ts.ravel()), dtype=float)
             vals = vals.reshape(ts.shape + vals.shape[1:])
-            acc = np.tensordot(w, np.moveaxis(vals, 1, 0), axes=(0, 0))
-            if out is None:
-                out = np.zeros(t_flat.shape + acc.shape[1:])
-            out[rows] = acc
-    out = out.reshape(t_arr.shape + out.shape[1:])
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return out[0]
-    return out
+            for k, w in enumerate(weights):
+                if w is not None:
+                    acc = np.tensordot(w, np.moveaxis(vals, 1, 0), axes=(0, 0))
+                elif abs(s) <= 3:
+                    acc = vals[:, 3 - s]
+                else:
+                    acc = np.asarray(f(t_flat[rows]), dtype=float)
+                if outs[k] is None:
+                    outs[k] = np.zeros(t_flat.shape + acc.shape[1:])
+                outs[k][rows] = acc
+    scalar = np.isscalar(t) or np.asarray(t).ndim == 0
+    return tuple(out[0] if scalar else out.reshape(t_arr.shape + out.shape[1:])
+                 for out in outs)
 
 
 def wrap(t, t0, period):

@@ -105,8 +105,10 @@ class _RadialProfile:
                 raise BadParameter("fourier_radial needs at least one coefficient")
             self.coef = np.asarray(spec.coefficients, dtype=float)
 
-    def jet(self, theta, order):
-        """[r, r', r''][:order + 1] at theta; the orders share their work."""
+    def jet(self, theta, order, cos_sin=None):
+        """[r, r', r''][:order + 1] at theta; the orders share their work.
+        `cos_sin`, when given, is (cos theta, sin theta), which lp reads
+        instead of evaluating them again."""
         theta = np.asarray(theta, dtype=float)
         if self.kind == "euclidean":
             return [np.ones_like(theta)] + [np.zeros_like(theta) for _ in range(order)]
@@ -124,7 +126,7 @@ class _RadialProfile:
                     out[2] = out[2] - a * w * w * cos
             return out
         p = self.p
-        c, s = np.cos(theta), np.sin(theta)
+        c, s = (np.cos(theta), np.sin(theta)) if cos_sin is None else cos_sin
         ac, asn = np.abs(c), np.abs(s)
         cp, sp = ac ** p, asn ** p
         g = cp + sp
@@ -170,8 +172,8 @@ class NormedPlane:
         """[c, c', c''][:order + 1] at theta, from one profile jet, as one
         array of shape (order + 1,) + theta.shape + (2,)."""
         theta = np.asarray(theta, dtype=float)
-        r = self._profile.jet(theta, order)
         c, s = np.cos(theta), np.sin(theta)
+        r = self._profile.jet(theta, order, (c, s))
         out = np.empty((order + 1,) + theta.shape + (2,))
         out[0, ..., 0] = r[0] * c
         out[0, ..., 1] = r[0] * s
@@ -299,7 +301,7 @@ class NormedPlane:
         """Arc-length parametrization of the unit circle."""
         return self.circle_point(self.theta_of_arclength(u))
 
-    def tangent_theta(self, chi):
+    def tangent_theta(self, chi, order=2):
         """theta whose tangent direction has angle chi.
 
         Each direction is solved inside its psi table cell by Newton on the
@@ -309,11 +311,13 @@ class NormedPlane:
         (lp with odd p), where Newton is ill-conditioned: directions whose
         turning rate falls below TURNING_RATE_MIN, or that do not converge
         within NEWTON_STEPS, are solved by bisection on their whole cell.
-        Large batches are processed in blocks of TANGENT_BLOCK directions.
-        Returns (theta, jet): theta in [0, 2 pi), and the circle jet
-        [c, c', c''] at it, of shape (3,) + theta.shape + (2,), so a caller
-        needs no second evaluation of the circle; its c' is the one the
-        convergence check reads.
+        Each Newton step evaluates the circle at the directions still live
+        only. Large batches are processed in blocks of TANGENT_BLOCK
+        directions. Returns (theta, jet): theta in [0, 2 pi), and the circle
+        jet [c, c', c''][:order + 1] at it (order 1 or 2), of shape
+        (order + 1,) + theta.shape + (2,), so a caller needs no second
+        evaluation of the circle; its c' is the one the convergence check
+        reads.
         """
         chi = np.asarray(chi, dtype=float)
         shape = chi.shape
@@ -323,7 +327,7 @@ class NormedPlane:
             theta[s:s + TANGENT_BLOCK] = self._tangent_theta_block(
                 chi[s:s + TANGENT_BLOCK])
         theta = np.mod(theta, TWO_PI)
-        jet = self.circle_jet(theta, 2)
+        jet = self.circle_jet(theta, order)
         miss = np.abs(_direction_gap(jet[1], chi)) > 1e-9
         if np.any(miss):
             # at the axis points of lp with p < 2, psi rises like
@@ -335,7 +339,7 @@ class NormedPlane:
             above = _direction_gap(self.circle_d1(t + THETA_RESOLUTION), c)
             if not np.all((below <= 0.0) & (above >= 0.0)):
                 raise NoConvergence("supporting-direction inversion did not converge")
-        return theta.reshape(shape), jet.reshape((3,) + shape + (2,))
+        return theta.reshape(shape), jet.reshape((order + 1,) + shape + (2,))
 
     def _tangent_theta_block(self, chi):
         psi0 = self._psi_nodes[0]
@@ -345,27 +349,30 @@ class NormedPlane:
         cell_hi = self._theta_nodes[j + 1]
         target = lift - self._psi_nodes[j]
         w_lo = self._d1_nodes[j]
-        lo, hi = cell_lo, cell_hi
-        theta = np.clip(self._theta_of_psi(lift), lo, hi)
-        active = np.ones(chi.shape, dtype=bool)
+        theta = np.clip(self._theta_of_psi(lift), cell_lo, cell_hi)
         converged = np.zeros(chi.shape, dtype=bool)
+        # the live directions: their indices, iterates, brackets and targets
+        live = np.arange(chi.size)
+        th, lo, hi, w0, aim = theta, cell_lo, cell_hi, w_lo, target
         for _ in range(NEWTON_STEPS):
-            _, w, wp = self.circle_jet(theta, 2)
+            _, w, wp = self.circle_jet(th, 2)
             rate = _turning_rate(w, wp)
-            excess = _swept_angle(w_lo, w) - target
-            hi = np.where(excess > 0.0, theta, hi)
-            lo = np.where(excess > 0.0, lo, theta)
+            excess = _swept_angle(w0, w) - aim
+            hi = np.where(excess > 0.0, th, hi)
+            lo = np.where(excess > 0.0, lo, th)
             steep = rate > TURNING_RATE_MIN
             step = excess / np.where(steep, rate, 1.0)
-            newton = theta - step
+            newton = th - step
             safe = steep & (newton >= lo) & (newton <= hi)
-            theta = np.where(active, np.where(safe, newton, 0.5 * (lo + hi)), theta)
+            th = np.where(safe, newton, 0.5 * (lo + hi))
+            theta[live] = th
             done = safe & (np.abs(step) <= NEWTON_TOL)
-            converged |= active & done
+            converged[live[done]] = True
             # flat points leave Newton for good: the bisection below takes them
-            active &= steep & ~done
-            if not np.any(active):
+            keep = steep & ~done
+            if not np.any(keep):
                 break
+            live, th, lo, hi, w0, aim = (a[keep] for a in (live, th, lo, hi, w0, aim))
         flat = ~converged
         if np.any(flat):
             theta[flat] = self._bisect_cell(cell_lo[flat], cell_hi[flat],
@@ -384,7 +391,7 @@ class NormedPlane:
     def normal_from_tangent(self, w):
         """Unit z whose supporting direction b(z) is positively parallel to w."""
         w = np.asarray(w, dtype=float)
-        return self.tangent_theta(_angle(w, "tangent direction must be nonzero"))[1][0]
+        return self.tangent_theta(_angle(w, "tangent direction must be nonzero"), 1)[1][0]
 
     def normal_from_tangent_with_derivative(self, w, dw):
         """(z, dz/dt, psi_rate) for z = normal_from_tangent(w(t)), w' = dw.

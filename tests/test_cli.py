@@ -55,6 +55,18 @@ def test_import_and_catalog_run_do_not_load_scipy(tmp_path):
     assert done.stdout.strip().splitlines()[-1] == "[]"
 
 
+def test_expression_analyze(tmp_path):
+    # the shipped expression config: a closed regular curve given by text
+    assert _run(tmp_path, "expression_analyze.json") == 0
+    rows = np.genfromtxt(tmp_path / "out" / "expression.csv", delimiter=",", names=True)
+    t = rows["t"]
+    assert np.max(np.abs(rows["x"] - (np.cos(t) + 0.3 * np.cos(2.0 * t)))) < 1e-12
+    assert np.max(np.abs(rows["y"] - (np.sin(t) - 0.3 * np.sin(2.0 * t)))) < 1e-12
+    assert np.min(rows["alpha"]) > 0.0
+    report = json.loads((tmp_path / "out" / "expression.json").read_text())
+    assert report["cusps"] == [] and report["is_front"]
+
+
 def test_astroid_report_contents(tmp_path):
     assert _run(tmp_path, "astroid_analyze.json") == 0
     report = json.loads((tmp_path / "out" / "astroid.json").read_text())

@@ -401,3 +401,28 @@ def test_extended_pair_inverts_the_supporting_map_once_per_point(l3, monkeypatch
                         lambda chi: points.append(np.size(chi)) or invert(chi))
     legendre_from_curve(l3, catalog.cusp_t2t3(samples=256))
     assert sum(points) == 256
+
+
+def test_expression_derivatives_read_one_position_stencil(euclidean):
+    # gamma' and gamma'' of a curve given by its position alone are both
+    # finite differences of it: one 7-point stencil per parameter serves both
+    points = []
+
+    def position(t):
+        points.append(np.size(t))
+        return np.stack([np.cos(t) + 0.3 * np.cos(2.0 * t), np.sin(t) - 0.3 * np.sin(2.0 * t)], -1)
+
+    curve = ParamCurve(position, (0.0, TWO_PI), closed=True, samples=64)
+    ts = curve.grid()
+    apart = curve.derivative(ts, 1), curve.derivative(ts, 2)
+    field = induced_normal(euclidean, curve)
+    points.clear()
+    field.value_and_rate(ts)
+    assert sum(points) == 7 * ts.size
+    points.clear()
+    both = curve.derivative(ts, (1, 2))
+    assert sum(points) == 7 * ts.size
+    assert all(np.array_equal(a, b) for a, b in zip(both, apart))
+    assert np.array_equal(curve.derivative(0.5, (2, 1))[0], curve.derivative(0.5, 2))
+    with pytest.raises(BadParameter):
+        curve.derivative(ts, (1, 4))

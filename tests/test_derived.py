@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,7 @@ from normplane.analysis import (
     singularity_report,
     transfer_legendre,
 )
-from normplane.curves import ParamCurve, extend_normal, induced_normal
+from normplane.curves import NormalField, ParamCurve, extend_normal, induced_normal
 from normplane.derived import evolute, involute, parallel, pedal
 from normplane.errors import KappaVanishes, RhoDegenerate
 from normplane.plane import symplectic
@@ -405,6 +408,73 @@ def test_value_and_rate_is_value_and_derivative(request, name):
         assert np.array_equal(rate, field.derivative(t, 1))
 
 
+@pytest.mark.parametrize("name", sorted(_JET_FIELDS))
+def test_the_jet_begins_with_the_bits_of_evaluate(request, name):
+    # a field's kept jet answers its calls, so the two must agree bit for bit
+    field = _JET_FIELDS[name](request.getfixturevalue)
+    p = field._param(np.linspace(field.domain[0], field.domain[1], 257))
+    assert np.array_equal(np.asarray(field.jet(p)[0]), np.asarray(field.evaluate(p)))
+
+
+def _fresh(field):
+    return NormalField(field.evaluate, field.domain, field.closed, field.provenance, field.jet)
+
+
+@pytest.mark.parametrize("name", sorted(_JET_FIELDS))
+def test_the_kept_jet_gives_the_bits_of_a_fresh_field(request, name):
+    field = _JET_FIELDS[name](request.getfixturevalue)
+    t0, t1 = field.domain
+    ts = np.linspace(t0, t1, 101)[1:-1]
+    queries = [ts, ts, ts[::3], ts, t0 + 0.37 * (t1 - t0), t0 + 0.37 * (t1 - t0)]
+    if field.closed:
+        queries += [ts + (t1 - t0), ts - 2.5 * (t1 - t0), ts]
+    for t in queries:
+        want = _fresh(field).value_and_rate(t)
+        for got in (field.value_and_rate(t), field.value_and_rate(t)):
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert np.array_equal(field(t), want[0])
+        assert np.array_equal(field(t), _fresh(field)(t))
+    # the kept arrays are read-only: a write raises instead of changing a later read
+    eta, rate = field.value_and_rate(ts)
+    for kept in (eta, rate, field(ts), field.value_and_rate(0.37 * t1)[0]):
+        with pytest.raises(ValueError):
+            kept[0] = 0.0
+    want = _fresh(field).value_and_rate(ts)
+    assert np.array_equal(field.value_and_rate(ts)[0], want[0])
+    assert np.array_equal(field(ts), want[0])
+
+
+def test_threads_sharing_a_field_read_their_own_bits(l3):
+    # the kept jet is replaced by one assignment and read through one
+    # reference: threads that share a field, each at its own parameters,
+    # always get their own bits
+    field = induced_normal(l3, catalog.ellipse())
+    grids = [np.linspace(0.1 * k, 6.0, 64 + k) for k in range(4)]
+    wants = [_fresh(field).value_and_rate(ts) for ts in grids]
+    failures = []
+
+    def work(k):
+        for _ in range(25):
+            got = field.value_and_rate(grids[k])
+            value = field(grids[k])
+            if not (np.array_equal(got[0], wants[k][0]) and np.array_equal(got[1], wants[k][1])
+                    and np.array_equal(value, wants[k][0])):
+                failures.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(grids))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+
+
 # pairs of every kind of normal field: with and without a jet, built and derived
 _PAIRS = {
     "induced-lp3": lambda fx: legendre_from_curve(fx("l3"), catalog.ellipse(samples=256)),
@@ -431,3 +501,52 @@ def test_alpha_at_is_the_first_part_of_values_at(request, monkeypatch, name):
     monkeypatch.setattr(L.eta, "evaluate", lambda t: points.append(np.size(t)) or evaluate(t))
     cp.alpha_at(ts)
     assert points == [ts.size]
+
+
+# derived pairs by the base pair
+_DERIVED = {
+    "evolute": lambda L: evolute(L).pair,
+    "involute": lambda L: involute(L, 0.5),
+    "parallel": lambda L: parallel(L, 0.3),
+    "pedal": lambda L: pedal(L, (0.1, 0.2)).pair,
+}
+
+# supporting-map inversions per point of one values_at call on a fresh pair,
+# the base's eta and the derived normal together:
+#   evolute   eta's jet, shared by nu's jet and the evolute's gamma' (1), nu
+#             itself (1), the 7-point stencil of (alpha/kappa)' (7)
+#   involute  eta's jet, shared by xi's jet and the involute's gamma' (1),
+#             alpha at the 5 Gauss nodes of A (5)
+#   parallel  eta's jet, shared with gamma' + d eta' (1)
+#   pedal     the jetless nu's 7-point stencil, eta and nu at each (14),
+#             eta's jet for gamma_p' (1)
+_INVERSIONS_PER_POINT = {"evolute": 9, "involute": 6, "parallel": 1, "pedal": 15}
+
+
+@pytest.mark.parametrize("name", sorted(_DERIVED))
+def test_derived_pair_values_invert_the_supporting_map_a_fixed_number_of_times(
+        fourier_oval, monkeypatch, name):
+    pair = _DERIVED[name](legendre_from_curve(fourier_oval, catalog.ellipse(2.0, 1.0, samples=256)))
+    ts = np.linspace(0.1, 6.0, 50)
+    points = []
+    invert = fourier_oval.tangent_theta
+    monkeypatch.setattr(fourier_oval, "tangent_theta",
+                        lambda chi, *order: points.append(np.size(chi)) or invert(chi, *order))
+    pair.values_at(ts)
+    assert sum(points) == _INVERSIONS_PER_POINT[name] * ts.size
+
+
+def test_a_field_without_a_jet_evaluates_seven_points_per_point(ellipse_pair, l3, monkeypatch):
+    # the value is the centre of the stencil that gives the rate
+    eta = transfer_legendre(ellipse_pair, l3).eta
+    assert eta.jet is None
+    ts = np.linspace(0.1, 6.0, 50)
+    want = eta(ts), eta.derivative(ts, 1)
+    points = []
+    evaluate = eta.evaluate
+    monkeypatch.setattr(eta, "evaluate", lambda t: points.append(np.size(t)) or evaluate(t))
+    got = eta.value_and_rate(ts)
+    assert sum(points) == 7 * ts.size
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    value, rate = eta.value_and_rate(1.0)
+    assert value.shape == rate.shape == (2,) and np.array_equal(value, eta(1.0))

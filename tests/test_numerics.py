@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -217,7 +218,8 @@ def test_fd_weights_are_computed_once_per_stencil_and_read_only():
     assert w @ (offsets ** 2) == pytest.approx(2.0, rel=1e-9)
     # the cache fills when a stencil is first used, not when the module loads
     code = "import normplane.cli, normplane.numerics as n; print(n._fornberg.cache_info().currsize)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "0"
 
@@ -273,3 +275,26 @@ def test_blocked_differentiate_equals_one_block(request, monkeypatch, rate, n):
     blocked = rate(request.getfixturevalue, ts)
     monkeypatch.setattr(numerics, "DIFF_BLOCK", 10 * n)
     assert np.array_equal(blocked, rate(request.getfixturevalue, ts))
+
+
+@pytest.mark.parametrize("domain, closed, t", [
+    (None, False, np.linspace(-1.0, 2.0, 2100)),
+    ((0.0, 1.0), False, np.linspace(0.0, 1.0, 1500)),
+    ((0.0, 2.0 * np.pi), True, np.linspace(0.0, 2.0 * np.pi, 777, endpoint=False)),
+    ((0.0, 1.0), False, np.array([-1e-12, 0.0, 0.5, 1.0, 1.0 + 1e-12])),
+    ((0.0, 1.0), False, 0.9999),
+], ids=["free", "open-shifted", "closed", "just-outside-open", "scalar"])
+def test_differentiate_reads_several_orders_from_one_stencil(domain, closed, t):
+    def curve(s):
+        return np.stack([np.sin(3.0 * s), _quintic(s)], -1)
+
+    counted = _Counted(curve)
+    h = 1e-4
+    got = differentiate(counted, t, (0, 1, 2), h, domain=domain, closed=closed)
+    outside = np.sum((np.asarray(t) < 0.0) | (np.asarray(t) > 1.0)) if domain == (0.0, 1.0) else 0
+    assert sum(counted.sizes) == 7 * np.size(t) + outside
+    # order 0 is f at t; the others are the single-order results, bit for bit
+    assert np.array_equal(got[0], curve(np.asarray(t, dtype=float)))
+    for k in (1, 2):
+        want = differentiate(curve, t, k, h, domain=domain, closed=closed)
+        assert got[k].shape == want.shape and np.array_equal(got[k], want)

@@ -392,3 +392,52 @@ def test_tangent_theta_returns_the_circle_jet_at_its_angles(spec, root_at_two_pi
     assert np.array_equal(plane.normal_from_tangent(w), plane.circle_point(at))
     z = plane.normal_from_tangent_with_derivative(w, rng.normal(size=(50, 2)))[0]
     assert np.array_equal(z, plane.circle_point(at))
+
+
+@pytest.mark.parametrize("spec", [
+    NormSpec("lp", p=3.0),
+    NormSpec("lp", p=1.5),
+    NormSpec("fourier_radial", coefficients=(1.0, 0.08)),
+], ids=["lp3", "lp1.5", "fourier"])
+def test_tangent_theta_of_a_batch_is_its_directions_one_by_one(spec, monkeypatch):
+    # Newton steps only the directions still live, so a batch must give each
+    # direction the bits of its own call: random directions, and the axis
+    # directions and their neighbours, where lp3's turning rate vanishes and
+    # the bisection takes over
+    plane = build_plane(spec)
+    axes = np.arange(4) * (np.pi / 2.0)
+    near = np.concatenate([axes + d for d in (0.0, 1e-12, -1e-12, 1e-7, -1e-7)])
+    rng = np.random.default_rng(5)
+    chi = np.concatenate([near, rng.uniform(-np.pi, np.pi, 300)])
+    bisected = []
+    bisect = plane._bisect_cell
+    monkeypatch.setattr(plane, "_bisect_cell",
+                        lambda lo, *rest: bisected.append(lo.size) or bisect(lo, *rest))
+    theta, jet = plane.tangent_theta(chi)
+    if spec.p == 3.0:
+        assert sum(bisected) >= 4
+    for i, c in enumerate(chi):
+        one, one_jet = plane.tangent_theta(c)
+        assert one == theta[i] and np.array_equal(one_jet, jet[:, i])
+    # the order-1 jet is the order-2 jet without c''
+    theta1, jet1 = plane.tangent_theta(chi, 1)
+    assert np.array_equal(theta1, theta) and np.array_equal(jet1, jet[:2])
+
+
+@pytest.mark.parametrize("spec", [
+    NormSpec("euclidean"),
+    NormSpec("lp", p=3.0),
+    NormSpec("lp", p=1.5),
+    NormSpec("fourier_radial", coefficients=(1.0, 0.08)),
+], ids=["euclidean", "lp3", "lp1.5", "fourier"])
+def test_normal_from_tangent_is_the_first_part_of_its_jet(spec):
+    # normal_from_tangent asks for the circle to order 1 only: the same bits
+    plane = build_plane(spec)
+    rng = np.random.default_rng(23)
+    w = np.concatenate([[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+                        rng.normal(size=(400, 2))])
+    dw = rng.normal(size=w.shape)
+    assert np.array_equal(plane.normal_from_tangent(w),
+                          plane.normal_from_tangent_with_derivative(w, dw)[0])
+    assert np.array_equal(plane.normal_from_tangent(w[7]),
+                          plane.normal_from_tangent_with_derivative(w[7], dw[7])[0])
