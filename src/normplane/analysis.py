@@ -223,7 +223,6 @@ def circular_curvature(cp: LegendreCurve) -> np.ndarray:
 class ProjectiveCurvatureMap:
     """Continuous angle lift of the direction [alpha : kappa]."""
 
-    ts: np.ndarray
     theta: np.ndarray
     total_change: float
 
@@ -239,7 +238,7 @@ def projective_curvature_map(cp: LegendreCurve) -> ProjectiveCurvatureMap:
     if np.max(jumps) > np.pi / 2.0 - 1e-9:
         raise MethodsDisagree("projective lift under-resolved; refine the grid")
     total = (theta[-1] + closing) - theta[0] if cp.closed else theta[-1] - theta[0]
-    return ProjectiveCurvatureMap(cp.ts, theta, float(total))
+    return ProjectiveCurvatureMap(theta, float(total))
 
 
 @dataclass
@@ -268,7 +267,6 @@ class SingularityReport:
     vertices: list
     maslov: Optional[dict]
     counts: dict
-    is_front: bool
     is_immersion: bool
     maslov_error: Optional[GeometryError] = None   # why maslov is None; not reported
 
@@ -280,7 +278,7 @@ class SingularityReport:
             "vertices": [{"t": v.t, "regular": bool(v.regular)} for v in self.vertices],
             "maslov": self.maslov,
             "counts": self.counts,
-            "is_front": bool(self.is_front),
+            "is_front": True,   # _require_front refuses a pair that is not
             "is_immersion": bool(self.is_immersion),
         }
 
@@ -492,9 +490,8 @@ def singularity_report(L: LegendreCurve) -> SingularityReport:
         "all_vertices": bool(all_vertices),
         "genericity_verified": False,
     }
-    # is_front holds whenever a report exists: _require_front raised otherwise
     return SingularityReport(cusps, inflections, vertices, maslov, counts,
-                             is_front=True, is_immersion=not (cusps or degenerate),
+                             is_immersion=not (cusps or degenerate),
                              maslov_error=maslov_error)
 
 
@@ -556,5 +553,5 @@ def transfer_legendre(L: LegendreCurve, plane2: NormedPlane) -> LegendreCurve:
     def evaluate(t):
         return plane2.normal_from_tangent(plane1.birkhoff(L.eta(t)))
 
-    eta2 = NormalField(evaluate, L.gamma.domain, L.gamma.closed, "transferred")
+    eta2 = NormalField(evaluate, L.gamma.domain, L.gamma.closed)
     return make_legendre(plane2, L.gamma, eta2)

@@ -16,17 +16,10 @@ def _xy(x, y):
 
 
 def circle(samples=2048):
-    return ParamCurve(
-        lambda t: _xy(np.cos(t), np.sin(t)), (0.0, TWO_PI), closed=True,
-        derivatives=(
-            lambda t: _xy(-np.sin(t), np.cos(t)),
-            lambda t: _xy(-np.cos(t), -np.sin(t)),
-            lambda t: _xy(np.sin(t), -np.cos(t)),
-        ),
-        samples=samples, name="circle")
+    return ellipse(1.0, 1.0, samples, name="circle")
 
 
-def ellipse(a=2.0, b=1.0, samples=2048):
+def ellipse(a=2.0, b=1.0, samples=2048, name=None):
     if a <= 0.0 or b <= 0.0:
         raise BadParameter("ellipse needs positive semi-axes")
     return ParamCurve(
@@ -36,7 +29,7 @@ def ellipse(a=2.0, b=1.0, samples=2048):
             lambda t: _xy(-a * np.cos(t), -b * np.sin(t)),
             lambda t: _xy(a * np.sin(t), -b * np.cos(t)),
         ),
-        samples=samples, name=f"ellipse({a},{b})")
+        samples=samples, name=name or f"ellipse({a},{b})")
 
 
 def astroid(samples=2048):
@@ -56,7 +49,7 @@ def astroid(samples=2048):
 def astroid_normal():
     """Closed-form smooth normal of the astroid (unit in the Euclidean norm)."""
     return NormalField(
-        lambda t: _xy(np.sin(t), np.cos(t)), (0.0, TWO_PI), True, "analytic",
+        lambda t: _xy(np.sin(t), np.cos(t)), (0.0, TWO_PI), True,
         lambda t: (_xy(np.sin(t), np.cos(t)), _xy(np.cos(t), -np.sin(t))))
 
 
@@ -83,11 +76,13 @@ def unit_circle_of_norm(plane: NormedPlane, samples=2048):
 
 def unit_circle_normal(plane: NormedPlane):
     """A Minkowski circle is its own normal field."""
-    return NormalField(plane.circle_point, (0.0, TWO_PI), True, "analytic",
+    return NormalField(plane.circle_point, (0.0, TWO_PI), True,
                        lambda t: plane.circle_jet(t, 1))
 
 
-def get_curve(name: str, plane: NormedPlane = None, samples=2048, **params) -> ParamCurve:
+def get_curve(name: str, plane: NormedPlane, samples=2048, **params) -> ParamCurve:
+    if params and name != "ellipse":
+        raise ConfigError(f"catalog curve {name!r} takes no {next(iter(params))!r}")
     if name == "circle":
         return circle(samples)
     if name == "ellipse":
@@ -97,16 +92,14 @@ def get_curve(name: str, plane: NormedPlane = None, samples=2048, **params) -> P
     if name == "cusp_t2t3":
         return cusp_t2t3(samples)
     if name == "unit_circle_of_norm":
-        if plane is None:
-            raise ConfigError("unit_circle_of_norm needs the plane")
         return unit_circle_of_norm(plane, samples)
     raise ConfigError(f"unknown catalog curve {name!r}")
 
 
-def get_normal(name: str, plane: NormedPlane = None):
+def get_normal(name: str, plane: NormedPlane):
     """Shipped analytic normal fields, where the catalog knows one."""
-    if name == "astroid" and (plane is None or plane.spec.kind == "euclidean"):
+    if name == "astroid" and plane.spec.kind == "euclidean":
         return astroid_normal()
-    if name == "unit_circle_of_norm" and plane is not None:
+    if name == "unit_circle_of_norm":
         return unit_circle_normal(plane)
     return None

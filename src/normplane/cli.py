@@ -149,8 +149,8 @@ def build_curve_and_pair(plane, ccfg, samples_override=None):
     if kind == "catalog":
         name = _read(ccfg, "name", "text")
         params = {k: _read(ccfg, k, "number") for k in ("a", "b") if k in ccfg}
-        curve = catalog.get_curve(name, plane=plane, samples=samples, **params)
-        normal = catalog.get_normal(name, plane=plane)
+        curve = catalog.get_curve(name, plane, samples, **params)
+        normal = catalog.get_normal(name, plane)
         if normal is not None:
             return make_legendre(plane, curve, normal)
         return legendre_from_curve(plane, curve)
@@ -165,7 +165,7 @@ def build_curve_and_pair(plane, ccfg, samples_override=None):
             kappa=compile_expression(_read(ccfg, "kappa", "text")),
             gamma0=_read(ccfg, "gamma0", "pair", (0.0, 0.0)),
             eta0=tuple(plane.circle_point(_read(ccfg, "eta0_angle", "number", 0.0))),
-            length=domain[1] - domain[0],
+            domain=domain,
             steps=samples,
         )
         return synthesize(plane, spec)

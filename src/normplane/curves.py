@@ -19,10 +19,10 @@ SINGULAR_SPEED_FACTOR = 1e-7   # grid point is singular below this fraction of m
 class ParamCurve:
     """A smooth curve t -> (x, y) on [t0, t1] with derivative access to order 3.
 
-    `position` must accept scalars and arrays. Analytic derivative evaluators
-    may be supplied for orders 1..3 (a shorter tuple is fine); missing orders
-    fall back to 4th-order finite differences, sampling through the wrap for
-    closed curves and shifting the stencil inside the domain for open ones.
+    `position` must accept scalars and arrays. `derivatives` holds analytic
+    evaluators of the orders 1..k, k <= 3; the orders above k fall back to
+    4th-order finite differences, sampling through the wrap for closed
+    curves and shifting the stencil inside the domain for open ones.
     """
 
     position: Callable
@@ -74,27 +74,15 @@ class ParamCurve:
     def point(self, t):
         return np.asarray(self.position(self._wrap(t)), dtype=float)
 
-    def _base_order(self, order):
-        """`order` when it has an analytic evaluator, else the highest order
-        below it that has one (0 is the position)."""
-        for m in range(order, 0, -1):
-            if len(self.derivatives) >= m and self.derivatives[m - 1] is not None:
-                return m
-        return 0
-
     def _raw_derivative(self, t, orders):
-        """The derivatives of the given orders at t, as a tuple. An order
-        without an analytic evaluator is a finite difference of its base
-        order; orders with one base read one stencil evaluation of it."""
-        out = {}
-        by_base = {}
-        for order in orders:
-            m = self._base_order(order)
-            if m == order:
-                out[order] = np.asarray(self.derivatives[m - 1](self._wrap(t)), dtype=float)
-            else:
-                by_base.setdefault(m, []).append(order)
-        for m, group in by_base.items():
+        """The derivatives of the given orders at t, as a tuple. The orders
+        above the analytic evaluators are finite differences of the highest
+        one (the position when there are none), read from one stencil."""
+        m = len(self.derivatives)
+        out = {order: np.asarray(self.derivatives[order - 1](self._wrap(t)), dtype=float)
+               for order in orders if order <= m}
+        group = [order for order in orders if order > m]
+        if group:
             base = self.position if m == 0 else self.derivatives[m - 1]
             values = differentiate(lambda s: np.asarray(base(self._wrap(s)), dtype=float),
                                    t, tuple(order - m for order in group),
@@ -150,7 +138,6 @@ class NormalField:
     evaluate: Callable
     domain: tuple
     closed: bool
-    provenance: str
     jet: Optional[Callable] = None
     _kept: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
@@ -250,7 +237,7 @@ def _left_normal(plane: NormedPlane, curve: ParamCurve) -> NormalField:
     def left(t):
         return plane.normal_from_tangent(curve.derivative(t, 1))
 
-    return NormalField(left, curve.domain, curve.closed, "induced_regular",
+    return NormalField(left, curve.domain, curve.closed,
                        lambda t: normal_jet(plane, curve, t, *curve.derivative(t, (1, 2)),
                                             left))
 
@@ -375,6 +362,5 @@ def extend_normal(plane: NormedPlane, curve: ParamCurve) -> NormalField:
                                      domain=curve.domain, closed=curve.closed)
         return z, dz
 
-    return NormalField(evaluate, curve.domain, curve.closed,
-                       "extended_through_singularities", jet)
+    return NormalField(evaluate, curve.domain, curve.closed, jet)
 

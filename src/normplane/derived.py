@@ -97,7 +97,7 @@ def evolute(L: LegendreCurve) -> EvoluteFrame:
                            lambda s: plane.normal_from_tangent(eta(s)))
         return -z, -dz
 
-    nu = NormalField(nu_eval, gamma.domain, gamma.closed, "induced_regular", nu_jet)
+    nu = NormalField(nu_eval, gamma.domain, gamma.closed, nu_jet)
     frame = make_legendre(plane, e_curve, nu, residual_tol=1e-4)
     return EvoluteFrame(e_curve, nu, frame, L)
 
@@ -141,7 +141,7 @@ def involute(L: LegendreCurve, d: float) -> LegendreCurve:
         A = np.asarray(A_at(t), dtype=float)
         return gamma.point(t) - (A - d)[..., None] * xi_eval(t)
 
-    xi_field = NormalField(xi_eval, gamma.domain, gamma.closed, "analytic", xi_jet)
+    xi_field = NormalField(xi_eval, gamma.domain, gamma.closed, xi_jet)
 
     def d1(t):
         A = np.asarray(A_at(t), dtype=float)
@@ -220,6 +220,6 @@ def pedal(L: LegendreCurve, p) -> PedalResult:
         def nu_eval(t):
             return plane.normal_from_tangent(zeta_at(t, eta(t))[0])
 
-        nu_field = NormalField(nu_eval, gamma.domain, gamma.closed, "induced_regular")
+        nu_field = NormalField(nu_eval, gamma.domain, gamma.closed)
         pair = make_legendre(plane, curve, nu_field)
     return PedalResult(curve, claimed, list(singular), pair)

@@ -10,12 +10,11 @@ full unary expression on the left):
     primary := number | 't' | 'pi' | 'e' | func '(' expr ')' | '(' expr ')'
 
 Functions: sin cos tan asin acos atan sinh cosh exp log sqrt abs sign.
+A value outside a partial function's domain raises at evaluation.
 Trees are plain tuples so equality and round-tripping are structural.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -28,12 +27,7 @@ FUNCTIONS = {
     "exp": np.exp, "log": np.log, "sqrt": np.sqrt,
     "abs": np.abs, "sign": np.sign,
 }
-GUARDED = ("log", "sqrt", "asin", "acos")
 CONSTANTS = {"pi": np.pi, "e": np.e}
-
-
-class DomainWarning(UserWarning):
-    """A parsed expression uses a partial function; errors surface at eval."""
 
 
 class _Lexer:
@@ -111,18 +105,7 @@ def parse_expression(text):
     tok = lx.peek()
     if tok[0] != "eof":
         raise ParseError(f"trailing input at offset {tok[2]}", tok[2], ("eof",))
-    for fn in GUARDED:
-        if _uses(tree, fn):
-            warnings.warn(
-                f"expression uses {fn}(); domain violations raise at evaluation",
-                DomainWarning, stacklevel=2)
     return tree
-
-
-def _uses(tree, fn):
-    if tree[0] == "call":
-        return tree[1] == fn or _uses(tree[2], fn)
-    return any(_uses(sub, fn) for sub in tree[1:] if isinstance(sub, tuple))
 
 
 def _parse_expr(lx):
@@ -239,7 +222,5 @@ def to_text(tree):
 
 def compile_expression(text):
     """Parse once, return a vectorized evaluator of t."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DomainWarning)
-        tree = parse_expression(text)
+    tree = parse_expression(text)
     return lambda t: evaluate(tree, t)

@@ -216,23 +216,25 @@ def gauss5_segments(fn, a, b):
     return span * (vals @ _G5_W)
 
 
-# relative part of Brent's convergence half-width, as in scipy's brentq
+# Brent's iteration cap, and the relative part of its convergence half-width
+# as in scipy's brentq
+BRENT_ITERS = 120
 BRENT_RTOL = 4.0 * np.finfo(float).eps
 
 
-def brent_root(f, a, b, fa, fb, xtol=1e-12, maxiter=120):
+def brent_root(f, a, b, fa, fb, xtol=1e-12):
     """Roots of f in the brackets [a_i, b_i], refined in lock-step.
 
     Brent's method step for step as scipy's brentq codes it (Zeros/brentq.c,
     after Brent 1973, ch. 4): the same secant / inverse quadratic / bisection
-    choice, the half-width delta = (xtol + BRENT_RTOL |x|)/2 and `maxiter`
+    choice, the half-width delta = (xtol + BRENT_RTOL |x|)/2 and BRENT_ITERS
     iterations. All brackets advance together: each iteration makes one call
     of the array-capable `f` on the brackets still open. The endpoint values
     `fa`, `fb` are taken as given and never re-evaluated, so a caller holding
     sampled values seeds the solver with exactly the signs it bracketed on.
     Each pair must have opposite signs or a zero; a zero endpoint is its own
     root. Returns an array of roots in bracket order; raises NoConvergence if
-    a bracket is still open after `maxiter` iterations.
+    a bracket is still open after BRENT_ITERS iterations.
     """
     xpre = np.array(a, dtype=float).ravel()
     xcur = np.array(b, dtype=float).ravel()
@@ -248,7 +250,7 @@ def brent_root(f, a, b, fa, fb, xtol=1e-12, maxiter=120):
     fblk = np.zeros_like(xcur)
     spre = np.zeros_like(xcur)
     scur = np.zeros_like(xcur)
-    for _ in range(maxiter):
+    for _ in range(BRENT_ITERS):
         # keep [xcur, xblk] a sign-change bracket
         fresh = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
         xblk = np.where(fresh, xpre, xblk)
@@ -294,7 +296,7 @@ def brent_root(f, a, b, fa, fb, xtol=1e-12, maxiter=120):
             raise NoConvergence("function value is NaN in Brent refinement")
     if idx.size:
         raise NoConvergence(
-            f"Brent refinement did not converge in {maxiter} iterations "
+            f"Brent refinement did not converge in {BRENT_ITERS} iterations "
             f"on {idx.size} bracket(s)")
     return roots
 

@@ -100,19 +100,18 @@ class _RadialProfile:
                     "lp norm requires p > 1: the unit ball is not smooth and "
                     "strictly convex otherwise")
             self.p = p
-        if kind == "fourier_radial":
-            if not spec.coefficients:
+        else:   # the euclidean profile is the fourier profile r = 1
+            coefficients = spec.coefficients if kind == "fourier_radial" else (1.0,)
+            if not coefficients:
                 raise BadParameter("fourier_radial needs at least one coefficient")
-            self.coef = np.asarray(spec.coefficients, dtype=float)
+            self.coef = np.asarray(coefficients, dtype=float)
 
     def jet(self, theta, order, cos_sin=None):
         """[r, r', r''][:order + 1] at theta; the orders share their work.
         `cos_sin`, when given, is (cos theta, sin theta), which lp reads
         instead of evaluating them again."""
         theta = np.asarray(theta, dtype=float)
-        if self.kind == "euclidean":
-            return [np.ones_like(theta)] + [np.zeros_like(theta) for _ in range(order)]
-        if self.kind == "fourier_radial":
+        if self.kind != "lp":
             # the k = 0 term is the constant coef[0]: no cos(0 theta) to evaluate
             out = [np.full_like(theta, self.coef[0])] + [np.zeros_like(theta)
                                                          for _ in range(order)]
@@ -143,9 +142,6 @@ class _RadialProfile:
             e = -1.0 / p
             out.append(e * (e - 1.0) * g ** (e - 2.0) * g1 ** 2 + e * g ** (e - 1.0) * g2)
         return out
-
-    def r(self, theta):
-        return self.jet(theta, 0)[0]
 
 
 class NormedPlane:
@@ -260,7 +256,7 @@ class NormedPlane:
         v = np.asarray(v, dtype=float)
         mag = np.hypot(v[..., 0], v[..., 1])
         theta = np.arctan2(v[..., 1], v[..., 0])
-        return mag / self._profile.r(theta)
+        return mag / self._profile.jet(theta, 0)[0]
 
     def birkhoff(self, v):
         """The unit vector b(v) supporting the circle through v, [v, b(v)] > 0."""

@@ -1,6 +1,6 @@
 """Reconstruction of a curve/normal pair from a prescribed curvature pair.
 
-Given smooth alpha, kappa on [0, c] and initial data (point p, unit normal
+Given smooth alpha, kappa on [t0, t1] and initial data (point p, unit normal
 v), the normal is eta(t) = phi(u0 + integral of kappa) with phi the
 arc-length parametrization of the unit circle, and the curve integrates
 gamma' = alpha b(eta). Both integrals use the classical 4th-order one-step
@@ -32,20 +32,22 @@ from .plane import NormedPlane
 
 @dataclass
 class SynthesisSpec:
-    """Curvature-pair data for reconstruction on [0, length]."""
+    """Curvature-pair data for reconstruction on domain = (t0, t1); the
+    initial data are the point and unit normal at t0."""
 
     alpha: Callable
     kappa: Callable
     gamma0: tuple
     eta0: tuple
-    length: float
+    domain: tuple
     steps: int = 4096
 
 
 def synthesize(plane: NormedPlane, spec: SynthesisSpec) -> LegendreCurve:
     """Unique pair with curvature (alpha, kappa) and the given initial data."""
-    if spec.length <= 0.0:
-        raise BadParameter("synthesis length must be positive")
+    t0, t1 = map(float, spec.domain)
+    if not t1 > t0:
+        raise BadParameter("synthesis domain must be an increasing interval")
     v = np.asarray(spec.eta0, dtype=float)
     if abs(float(plane.norm(v)) - 1.0) > 1e-9:
         raise NotUnit("initial normal must be a unit vector of the plane")
@@ -55,9 +57,8 @@ def synthesize(plane: NormedPlane, spec: SynthesisSpec) -> LegendreCurve:
         raise BadParameter("steps must be at least 8")
 
     u0 = float(plane.arclength_of_theta(np.arctan2(v[1], v[0])))
-    c = float(spec.length)
-    h = c / m
-    t_half = np.linspace(0.0, c, 2 * m + 1)
+    h = (t1 - t0) / m
+    t_half = np.linspace(t0, t1, 2 * m + 1)
     k_half = np.asarray(spec.kappa(t_half), dtype=float)
     a_half = np.asarray(spec.alpha(t_half), dtype=float)
 
@@ -90,7 +91,7 @@ def synthesize(plane: NormedPlane, spec: SynthesisSpec) -> LegendreCurve:
 
     # cubic Hermite pieces through the nodes, with the slopes the integration
     # knows: theta' = kappa / ||c'(theta)||, gamma' = alpha b(c(theta))
-    t_nodes = np.linspace(0.0, c, m + 1)
+    t_nodes = np.linspace(t0, t1, m + 1)
     theta_of_t = hermite(t_nodes, unwrap_mod(theta_n, TWO_PI), k_half[::2] / speed_n)
     pos = hermite(t_nodes, gamma_nodes, a_half[::2, None] * xi_n)
 
@@ -110,12 +111,12 @@ def synthesize(plane: NormedPlane, spec: SynthesisSpec) -> LegendreCurve:
         return np.asarray(spec.alpha(t), dtype=float)[..., None] * xi_eval(t)
 
     seam = float(np.linalg.norm(gamma_nodes[-1] - gamma_nodes[0]))
-    d_seam = float(np.max(np.abs(gamma_d1(0.0) - gamma_d1(c))))
+    d_seam = float(np.max(np.abs(gamma_d1(t0) - gamma_d1(t1))))
     closed = seam < 1e-9 and d_seam < 1e-6
 
-    curve = ParamCurve(pos, (0.0, c), closed=closed, derivatives=(gamma_d1,),
+    curve = ParamCurve(pos, (t0, t1), closed=closed, derivatives=(gamma_d1,),
                        name="synthesized")
-    eta = NormalField(eta_eval, (0.0, c), closed, "analytic", eta_jet)
+    eta = NormalField(eta_eval, (t0, t1), closed, eta_jet)
     return make_legendre(plane, curve, eta)
 
 
@@ -141,11 +142,9 @@ def apply_linear_map(L: LegendreCurve, matrix, is_isometry_of_plane: bool = Fals
     def mapped(f):
         return lambda t: np.asarray(f(t), dtype=float) @ M.T
 
-    derivs = tuple(None if d is None else mapped(d) for d in gamma.derivatives)
     new_gamma = ParamCurve(mapped(gamma.position), gamma.domain, gamma.closed,
-                           derivs, gamma.samples, gamma.name)
+                           tuple(map(mapped, gamma.derivatives)), gamma.samples, gamma.name)
     jet = None if eta.jet is None else (
         lambda t: tuple(np.asarray(part, dtype=float) @ M.T for part in eta.jet(t)))
-    new_eta = NormalField(mapped(eta.evaluate), eta.domain, eta.closed,
-                          "user_supplied", jet)
+    new_eta = NormalField(mapped(eta.evaluate), eta.domain, eta.closed, jet)
     return make_legendre(plane, new_gamma, new_eta)

@@ -82,5 +82,5 @@ def maslov_pair(euclidean, maslov_coefficients):
         return a0 + a1 * np.cos(t) + a2 * np.cos(2.0 * t)
 
     spec = SynthesisSpec(alpha, np.sin, (0.3, -0.2),
-                         (np.cos(0.5), np.sin(0.5)), TWO_PI)
+                         (np.cos(0.5), np.sin(0.5)), (0.0, TWO_PI))
     return synthesize(euclidean, spec)

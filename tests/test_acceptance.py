@@ -119,7 +119,7 @@ def test_criterion_03_minkowski_circle(l3):
     eta0 = l3.circle_point(1.0)
     spec = SynthesisSpec(lambda t: 2.0 * np.ones_like(np.asarray(t, dtype=float)),
                          lambda t: np.ones_like(np.asarray(t, dtype=float)),
-                         (0.5, -0.25), eta0, l3.length)
+                         (0.5, -0.25), eta0, (0.0, l3.length))
     L = synthesize(l3, spec)
     center = np.asarray([0.5, -0.25]) - 2.0 * L.eta(0.0)
     ts = np.linspace(0.0, l3.length, 1025)
@@ -138,7 +138,7 @@ def test_criterion_04_round_trips(euclidean, astroid_pair):
          (0.2, 0.1), (1.0, 0.0)),
     ]
     for name, alpha, kappa, p0, v0 in fixtures:
-        L = synthesize(euclidean, SynthesisSpec(alpha, kappa, p0, v0, TWO_PI))
+        L = synthesize(euclidean, SynthesisSpec(alpha, kappa, p0, v0, (0.0, TWO_PI)))
         cp = curvature_pair(L)
         assert np.max(np.abs(cp.alpha - alpha(cp.ts))) < 1e-5, name
         assert np.max(np.abs(cp.kappa - kappa(cp.ts))) < 1e-5, name
@@ -146,12 +146,12 @@ def test_criterion_04_round_trips(euclidean, astroid_pair):
     # gamma round trip against the closed forms
     ts = np.linspace(0.0, TWO_PI, 413)
     circ = synthesize(euclidean, SynthesisSpec(ones, ones, (1.0, 0.0), (1.0, 0.0),
-                                               TWO_PI))
+                                               (0.0, TWO_PI)))
     assert np.max(np.abs(circ.gamma.point(ts)
                          - np.stack([np.cos(ts), np.sin(ts)], -1))) < 1e-5
     ast = synthesize(euclidean, SynthesisSpec(lambda t: 1.5 * np.sin(2.0 * t),
                                               lambda t: -ones(t), (1.0, 0.0),
-                                              (0.0, 1.0), TWO_PI))
+                                              (0.0, 1.0), (0.0, TWO_PI)))
     assert np.max(np.abs(ast.gamma.point(ts)
                          - np.stack([np.cos(ts) ** 3, np.sin(ts) ** 3], -1))) < 1e-5
 
@@ -159,13 +159,13 @@ def test_criterion_04_round_trips(euclidean, astroid_pair):
     cpa = curvature_pair(astroid_pair)
     L2 = synthesize(euclidean, SynthesisSpec(
         cpa.alpha_at, cpa.kappa_at, tuple(astroid_pair.gamma.point(0.0)),
-        tuple(astroid_pair.eta(0.0)), TWO_PI, steps=2048))
+        tuple(astroid_pair.eta(0.0)), (0.0, TWO_PI), steps=2048))
     assert np.max(np.abs(L2.gamma.point(ts) - astroid_pair.gamma.point(ts))) < 1e-5
 
     errs = []
     for steps in (256, 512, 1024):
         L = synthesize(euclidean, SynthesisSpec(ones, ones, (1.0, 0.0), (1.0, 0.0),
-                                                TWO_PI, steps=steps))
+                                                (0.0, TWO_PI), steps=steps))
         tn = np.linspace(0.0, TWO_PI, steps + 1)
         errs.append(float(np.max(np.abs(
             L.gamma.point(tn) - np.stack([np.cos(tn), np.sin(tn)], -1)))))
@@ -229,7 +229,7 @@ def test_criterion_07_evolute(ellipse_pair, l3):
                  synthesize(l3, SynthesisSpec(
                      lambda t: 1.1 + 0.3 * np.cos(t),
                      lambda t: 1.0 + 0.25 * np.sin(t),
-                     (0.0, 0.0), tuple(l3.circle_point(0.8)), 4.0))):
+                     (0.0, 0.0), tuple(l3.circle_point(0.8)), (0.0, 4.0)))):
         fr = evolute(pair)
         cp = curvature_pair(fr.pair)
         ok, pred_a, pred_k = fr.predicted()
@@ -278,7 +278,7 @@ def test_criterion_09_osculating(ellipse_pair, l3_circle_pair):
 def test_criterion_10_isometries(l3):
     L = synthesize(l3, SynthesisSpec(lambda t: 1.2 + 0.3 * np.cos(t),
                                      lambda t: 1.0 + 0.2 * np.sin(t),
-                                     (0.0, 0.0), tuple(l3.circle_point(0.7)), 3.0))
+                                     (0.0, 0.0), tuple(l3.circle_point(0.7)), (0.0, 3.0)))
     cp = curvature_pair(L)
     quarter = np.array([[0.0, -1.0], [1.0, 0.0]])
     cpr = curvature_pair(apply_linear_map(L, quarter, is_isometry_of_plane=True))

@@ -210,7 +210,6 @@ def test_is_immersion_means_no_singular_points(euclidean, circle_pair, ellipse_p
                            (legendre_from_curve(euclidean, degenerate), False)):
         rep = singularity_report(pair)
         assert rep.is_immersion is immersed
-        assert rep.is_front
 
 
 def test_not_a_front_when_alpha_and_kappa_vanish_together(euclidean):
@@ -218,7 +217,7 @@ def test_not_a_front_when_alpha_and_kappa_vanish_together(euclidean):
     from normplane.synthesis import SynthesisSpec, synthesize
     ramp = lambda t: np.asarray(t, dtype=float) - 1.0
     L = synthesize(euclidean, SynthesisSpec(ramp, ramp, (0.0, 0.0), (1.0, 0.0),
-                                            2.0))
+                                            (0.0, 2.0)))
     with pytest.raises(NotAFront):
         singularity_report(L)
 
@@ -275,7 +274,7 @@ def test_maslov_nonzero_fixture(euclidean):
     alpha = lambda t: (coef[0] + coef[1] * np.cos(t) + coef[2] * np.cos(2.0 * t)
                        + coef[3] * np.cos(3.0 * t))
     L = synthesize(euclidean, SynthesisSpec(alpha, np.sin, (0.1, 0.2),
-                                            (np.cos(0.5), np.sin(0.5)), TWO_PI))
+                                            (np.cos(0.5), np.sin(0.5)), (0.0, TWO_PI)))
     assert L.gamma.closed
     assert maslov_index(L) == {"word_reduction": 1, "flip_flop": 1, "rotation": 1}
     rep = singularity_report(L)
@@ -488,7 +487,7 @@ def test_make_legendre_refuses_a_nan_on_the_grid(euclidean, poisoned, marker):
     base = catalog.circle(samples=64)
     curve = ParamCurve(base.position, base.domain, True,
                        (lambda t: poison("tangent", base.derivative(t, 1), t),), 64)
-    normal = NormalField(euclidean.circle_point, base.domain, True, "analytic",
+    normal = NormalField(euclidean.circle_point, base.domain, True,
                          lambda t: (poison("normal", euclidean.circle_point(t), t),
                                     poison("normal rate", euclidean.circle_d1(t), t)))
     with pytest.raises(ResidualViolation, match=marker):
@@ -518,7 +517,7 @@ def test_degenerate_points_do_not_depend_on_the_seam(euclidean, sign, steps):
 
     spec = SynthesisSpec(lambda t: 1.0 + sign * np.cos(2.0 * np.asarray(t)),
                          lambda t: np.ones_like(np.asarray(t, dtype=float)),
-                         (0.0, 0.0), (1.0, 0.0), 2.0 * np.pi, steps)
+                         (0.0, 0.0), (1.0, 0.0), (0.0, 2.0 * np.pi), steps)
     L = synthesize(euclidean, spec)
     assert L.closed
     rep = singularity_report(L)
@@ -537,7 +536,7 @@ def test_a_dip_across_the_seam_is_searched_once(euclidean, sign, monkeypatch):
 
     spec = SynthesisSpec(lambda t: 1.0 + sign * np.cos(2.0 * np.asarray(t)),
                          lambda t: np.ones_like(np.asarray(t, dtype=float)),
-                         (0.0, 0.0), (1.0, 0.0), 2.0 * np.pi, 2048)
+                         (0.0, 0.0), (1.0, 0.0), (0.0, 2.0 * np.pi), 2048)
     cp = curvature_pair(synthesize(euclidean, spec))
     calls = []
     search = numerics.golden_minimize

@@ -3,6 +3,7 @@ live in tests/oracles.py and read only public normplane names."""
 
 import ast
 import dataclasses
+import inspect
 import os
 
 import normplane
@@ -46,3 +47,25 @@ def test_the_validated_pair_is_its_own_curvature_pair(circle_pair):
     for field in dataclasses.fields(normplane.LegendreCurve):
         value = getattr(circle_pair, field.name)
         assert not callable(value) or isinstance(value, normplane.NormalField), field.name
+
+
+def test_settings_that_nothing_varies_or_reads_are_gone():
+    from normplane import analysis, catalog, expressions, numerics
+
+    def fields(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    assert "provenance" not in fields(normplane.NormalField)
+    assert not hasattr(normplane.ParamCurve, "_base_order")
+    assert "maxiter" not in inspect.signature(numerics.brent_root).parameters
+    assert numerics.BRENT_ITERS == 120
+    for getter in (catalog.get_curve, catalog.get_normal):
+        assert inspect.signature(getter).parameters["plane"].default is inspect.Parameter.empty
+    assert catalog.circle().position.__qualname__.startswith("ellipse.")
+    assert not hasattr(plane._RadialProfile, "r")
+    assert plane._RadialProfile(plane.NormSpec("euclidean")).coef.tolist() == [1.0]
+    for name in ("DomainWarning", "GUARDED", "_uses"):
+        assert not hasattr(expressions, name), name
+    assert "is_front" not in fields(analysis.SingularityReport)
+    assert "ts" not in fields(analysis.ProjectiveCurvatureMap)
+    assert "length" not in fields(normplane.SynthesisSpec)

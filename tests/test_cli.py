@@ -437,6 +437,11 @@ _CIRCLE_64 = {**_CIRCLE, "samples": 64}
     ({"norm": {"kind": 3}}, (), "config error: 'kind'"),
     ({"curve": _CIRCLE_64, "operation": {"kind": "parallel", "d": float("nan")}}, (),
      "config error: 'd'"),
+    ({"curve": {**_CIRCLE_64, "a": 3.0, "b": 0.5}}, (),
+     "config error: catalog curve 'circle' takes no 'a'"),
+    *(({"curve": {"kind": "catalog", "name": name, "b": 0.5}}, (),
+       f"config error: catalog curve {name!r} takes no 'b'")
+      for name in ("astroid", "cusp_t2t3", "unit_circle_of_norm")),
 ], ids=["p-not-a-number", "top-level-list", "one-element-domain",
         "samples-zero", "samples-one", "samples-not-a-number",
         "samples-not-an-integer", "samples-flag-zero", "samples-flag-one",
@@ -449,7 +454,8 @@ _CIRCLE_64 = {**_CIRCLE, "samples": 64}
         "output-path-number", "pedal-point-one-number", "closed-text",
         "samples-typo", "unknown-top-level-key", "unknown-norm-key",
         "unknown-curve-key", "unknown-operation-key", "unknown-output-key",
-        "norm-kind-number", "offset-nan"])
+        "norm-kind-number", "offset-nan", "circle-semi-axes", "astroid-semi-axis",
+        "cusp-semi-axis", "unit-circle-semi-axis"])
 def test_malformed_config_exits_2(tmp_path, capsys, config, extra, marker):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -622,3 +628,16 @@ def test_speed_dips_at_an_open_endpoint_stay_in_the_domain(tmp_path, curve, norm
 def test_lp_below_two_circle_pedal(tmp_path, samples):
     # the pedal reads the circle's normal at t1, which is the normal at t0
     assert _run(tmp_path, "l15_circle_pedal.json", ("--samples", str(samples))) == 0
+
+
+def test_synthesis_starts_at_the_start_of_its_domain(tmp_path):
+    assert _run(tmp_path, "synth_shifted_domain.json") == 0
+    rows = np.genfromtxt(tmp_path / "out" / "synth_shifted.csv", delimiter=",", names=True)
+    assert rows["t"][0] == 1.0 and rows["t"][-1] < 1.0 + 2.0 * np.pi
+    assert np.max(np.abs(rows["alpha"] - np.cos(3.0 * rows["t"]))) < 1e-5
+
+
+def test_catalog_param_reject_config_exits_2(tmp_path, capsys):
+    assert _run(tmp_path, "catalog_param_reject.json") == 2
+    assert capsys.readouterr().err == "config error: catalog curve 'circle' takes no 'a'\n"
+    assert not (tmp_path / "out").exists()

@@ -40,6 +40,19 @@ def test_derivative_circle_first_order():
     assert np.max(np.abs(c.derivative(0.0, 1) - np.array([0.0, 1.0]))) < 1e-10
 
 
+def test_catalog_circle_is_the_literal_cosine_and_sine():
+    c = catalog.circle()
+    t = np.linspace(-1.0, 7.0, 1001)
+    cos, sin = np.cos(t), np.sin(t)
+    assert c.name == "circle" and c.domain == (0.0, TWO_PI) and c.closed
+    assert len(c.derivatives) == 3
+    d1, d2, d3 = (d(t) for d in c.derivatives)
+    for got, want in ((c.position(t), (cos, sin)), (d1, (-sin, cos)),
+                      (d2, (-cos, -sin)), (d3, (sin, -cos))):
+        want = np.stack(want, axis=-1)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_derivative_astroid_hand_value():
     c = _plain(catalog.astroid())
     got = c.derivative(np.pi / 4.0, 1)
@@ -83,7 +96,6 @@ def test_induced_normal_circle(euclidean):
     ts = np.linspace(0.0, TWO_PI, 64, endpoint=False)
     want = np.stack([np.cos(ts), np.sin(ts)], -1)
     assert np.max(np.abs(nf(ts) - want)) < 1e-9
-    assert nf.provenance == "induced_regular"
 
 
 def test_induced_normal_l3_self_circle(l3):
@@ -203,7 +215,6 @@ def test_extend_equals_induced_on_regular_curves(euclidean, l3, fourier_oval):
         z, dz = normal_jet(plane, curve, ts, curve.derivative(ts, 1),
                            curve.derivative(ts, 2), left)
         for eta in (induced_normal(plane, curve), extend_normal(plane, curve)):
-            assert eta.provenance == "induced_regular"
             value, rate = eta.value_and_rate(ts)
             assert np.array_equal(eta(ts), left(ts))
             assert np.array_equal(value, z) and np.array_equal(rate, dz)
@@ -221,9 +232,9 @@ def test_normal_sign_convention_left(euclidean):
 def test_legendre_residual_values(euclidean, astroid_pair):
     circle = catalog.circle()
     good = NormalField(lambda t: np.stack([np.cos(t), np.sin(t)], -1),
-                       (0.0, TWO_PI), True, "analytic")
+                       (0.0, TWO_PI), True)
     bad = NormalField(lambda t: np.stack([-np.sin(t), np.cos(t)], -1),
-                      (0.0, TWO_PI), True, "analytic")
+                      (0.0, TWO_PI), True)
     assert make_legendre(euclidean, circle, good, np.inf).residual < 1e-8
     assert make_legendre(euclidean, circle, bad, np.inf).residual > 0.5
     assert make_legendre(euclidean, astroid_pair.gamma, astroid_pair.eta,
@@ -349,7 +360,6 @@ def test_t2t3_builds_on_coarse_grids(euclidean, l3, n):
     # offset cubed at a smooth cusp, far above a fixed 1e-4 on coarse grids
     for plane in (euclidean, l3):
         eta = legendre_from_curve(plane, catalog.cusp_t2t3(samples=n)).eta
-        assert eta.provenance == "extended_through_singularities"
         assert np.max(np.abs(eta(-1e-3) - eta(1e-3))) < 0.1
     ts = np.linspace(-0.95, 0.95, 41)
     want = np.stack([3.0 * ts, -2.0 * np.ones_like(ts)], -1)

@@ -137,7 +137,7 @@ def test_evolute_frame_curvature_l3(l3, l3_circle_pair):
     alpha = lambda t: 1.1 + 0.3 * np.cos(t)
     kappa = lambda t: 1.0 + 0.25 * np.sin(t)
     L = synthesize(l3, SynthesisSpec(alpha, kappa, (0.0, 0.0),
-                                     tuple(l3.circle_point(0.8)), 4.0))
+                                     tuple(l3.circle_point(0.8)), (0.0, 4.0)))
     frame2 = evolute(L)
     cp2 = curvature_pair(frame2.pair)
     ok2, pa2, pk2 = frame2.predicted()
@@ -227,7 +227,7 @@ def test_involute_l3_sector_round_trip(l3):
     alpha = lambda t: 1.0 + 0.2 * np.sin(t)
     kappa = lambda t: 0.5 + 0.1 * np.cos(t)
     L = synthesize(l3, SynthesisSpec(alpha, kappa, (0.0, 0.0),
-                                     tuple(l3.circle_point(0.6)), 1.0))
+                                     tuple(l3.circle_point(0.6)), (0.0, 1.0)))
     inv = involute(L, 0.3)
     frame = evolute(inv)
     ts = np.linspace(0.0, 1.0, 101)
@@ -417,7 +417,7 @@ def test_the_jet_begins_with_the_bits_of_evaluate(request, name):
 
 
 def _fresh(field):
-    return NormalField(field.evaluate, field.domain, field.closed, field.provenance, field.jet)
+    return NormalField(field.evaluate, field.domain, field.closed, field.jet)
 
 
 @pytest.mark.parametrize("name", sorted(_JET_FIELDS))

@@ -1,11 +1,8 @@
-import warnings
-
 import numpy as np
 import pytest
 
 from normplane.errors import ExpressionDomainError, ParseError
 from normplane.expressions import (
-    DomainWarning,
     compile_expression,
     evaluate,
     parse_expression,
@@ -13,32 +10,26 @@ from normplane.expressions import (
 )
 
 
-def _parse(text):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DomainWarning)
-        return parse_expression(text)
-
-
 def test_basic_values():
-    assert evaluate(_parse("cos(t)^3"), 0.0) == pytest.approx(1.0)
-    assert evaluate(_parse("1+2*3"), 0.0) == pytest.approx(7.0)
-    assert evaluate(_parse("2^3^2"), 0.0) == pytest.approx(512.0)  # right assoc
-    assert evaluate(_parse("(1+2)*3"), 0.0) == pytest.approx(9.0)
-    assert evaluate(_parse("pi"), 0.0) == pytest.approx(np.pi)
-    assert evaluate(_parse("e"), 0.0) == pytest.approx(np.e)
-    assert evaluate(_parse("1.5e-2"), 0.0) == pytest.approx(0.015)
+    assert evaluate(parse_expression("cos(t)^3"), 0.0) == pytest.approx(1.0)
+    assert evaluate(parse_expression("1+2*3"), 0.0) == pytest.approx(7.0)
+    assert evaluate(parse_expression("2^3^2"), 0.0) == pytest.approx(512.0)  # right assoc
+    assert evaluate(parse_expression("(1+2)*3"), 0.0) == pytest.approx(9.0)
+    assert evaluate(parse_expression("pi"), 0.0) == pytest.approx(np.pi)
+    assert evaluate(parse_expression("e"), 0.0) == pytest.approx(np.e)
+    assert evaluate(parse_expression("1.5e-2"), 0.0) == pytest.approx(0.015)
 
 
 def test_signed_power_composite():
-    tree = _parse("abs(cos(t))^1.5*sign(cos(t))")
+    tree = parse_expression("abs(cos(t))^1.5*sign(cos(t))")
     assert evaluate(tree, np.pi) == pytest.approx(-1.0)
     assert evaluate(tree, 0.0) == pytest.approx(1.0)
 
 
 def test_unary_minus_binds_before_power():
     # factor := unary ('^' factor)?  so -2^2 parses as (-2)^2
-    assert evaluate(_parse("-2^2"), 0.0) == pytest.approx(4.0)
-    assert evaluate(_parse("-(2^2)"), 0.0) == pytest.approx(-4.0)
+    assert evaluate(parse_expression("-2^2"), 0.0) == pytest.approx(4.0)
+    assert evaluate(parse_expression("-(2^2)"), 0.0) == pytest.approx(-4.0)
 
 
 def test_vectorized_evaluation():
@@ -49,33 +40,31 @@ def test_vectorized_evaluation():
 
 def test_parse_error_offset_and_expected():
     with pytest.raises(ParseError) as err:
-        _parse("1/(1+t")
+        parse_expression("1/(1+t")
     assert err.value.offset == 6
     assert ")" in err.value.expected
 
 
 def test_parse_error_cases():
     with pytest.raises(ParseError):
-        _parse("2t")          # no implicit multiplication
+        parse_expression("2t")          # no implicit multiplication
     with pytest.raises(ParseError):
-        _parse("sin 3")       # function needs parentheses
+        parse_expression("sin 3")       # function needs parentheses
     with pytest.raises(ParseError):
-        _parse("bogus(t)")
+        parse_expression("bogus(t)")
     with pytest.raises(ParseError):
-        _parse("1+")
+        parse_expression("1+")
     with pytest.raises(ParseError):
-        _parse("")
+        parse_expression("")
 
 
-def test_guarded_functions_warn_at_parse_and_raise_at_eval():
-    with pytest.warns(DomainWarning):
-        tree = parse_expression("log(t)")
+def test_guarded_functions_raise_at_eval():
     with pytest.raises(ExpressionDomainError):
-        evaluate(tree, -1.0)
+        evaluate(parse_expression("log(t)"), -1.0)
     with pytest.raises(ExpressionDomainError):
-        evaluate(_parse("sqrt(t)"), -4.0)
+        evaluate(parse_expression("sqrt(t)"), -4.0)
     with pytest.raises(ExpressionDomainError):
-        evaluate(_parse("1/t"), 0.0)
+        evaluate(parse_expression("1/t"), 0.0)
 
 
 def _random_tree(rng, depth):
@@ -102,4 +91,4 @@ def test_parse_pretty_print_fixed_point():
     rng = np.random.default_rng(42)
     for _ in range(100):
         tree = _random_tree(rng, int(rng.integers(1, 7)))
-        assert _parse(to_text(tree)) == tree
+        assert parse_expression(to_text(tree)) == tree

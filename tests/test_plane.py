@@ -185,6 +185,21 @@ def test_radon_defect(euclidean, l3, fourier_round):
     assert l3.radon_defect() > 0.1
 
 
+def test_euclidean_plane_is_the_round_fourier_plane_bit_for_bit(euclidean, fourier_round):
+    rng = np.random.default_rng(3)
+    v = rng.normal(size=(512, 2))
+    v[:4] = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+    unit = v / np.hypot(v[:, 0], v[:, 1])[:, None]
+    chi = np.arctan2(v[:, 1], v[:, 0])
+    for method, arg in (("norm", v), ("birkhoff", v), ("rho", unit), ("norm", v[0])):
+        got, want = getattr(euclidean, method)(arg), getattr(fourier_round, method)(arg)
+        assert np.array_equal(got, want), method
+    for order in (1, 2):
+        (th, jet), (th_r, jet_r) = (p.tangent_theta(chi, order)
+                                    for p in (euclidean, fourier_round))
+        assert np.array_equal(th, th_r) and np.array_equal(jet, jet_r)
+
+
 def test_radon_antinorm_coupling_round_plane(fourier_round):
     thetas = np.linspace(0.0, TWO_PI, 64, endpoint=False)
     pts = fourier_round.circle_point(thetas)

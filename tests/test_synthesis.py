@@ -17,7 +17,7 @@ def _ones(t):
 
 
 def test_unit_circle_reconstruction(euclidean):
-    spec = SynthesisSpec(_ones, _ones, (1.0, 0.0), (1.0, 0.0), TWO_PI)
+    spec = SynthesisSpec(_ones, _ones, (1.0, 0.0), (1.0, 0.0), (0.0, TWO_PI))
     L = synthesize(euclidean, spec)
     ts = np.linspace(0.0, TWO_PI, 413)
     want = np.stack([np.cos(ts), np.sin(ts)], -1)
@@ -28,7 +28,7 @@ def test_unit_circle_reconstruction(euclidean):
 
 def test_astroid_reconstruction(euclidean):
     spec = SynthesisSpec(lambda t: 1.5 * np.sin(2.0 * t), lambda t: -_ones(t),
-                         (1.0, 0.0), (0.0, 1.0), TWO_PI)
+                         (1.0, 0.0), (0.0, 1.0), (0.0, TWO_PI))
     L = synthesize(euclidean, spec)
     ts = np.linspace(0.0, TWO_PI, 413)
     want = np.stack([np.cos(ts) ** 3, np.sin(ts) ** 3], -1)
@@ -38,7 +38,7 @@ def test_astroid_reconstruction(euclidean):
 def test_minkowski_circle_characterization(l3):
     eta0 = l3.circle_point(1.0)
     spec = SynthesisSpec(lambda t: 2.0 * _ones(t), _ones, (0.5, -0.25), eta0,
-                         l3.length)
+                         (0.0, l3.length))
     L = synthesize(l3, spec)
     center = np.array([0.5, -0.25]) - 2.0 * L.eta(0.0)
     ts = np.linspace(0.0, l3.length, 801)
@@ -49,14 +49,14 @@ def test_minkowski_circle_characterization(l3):
 def test_requires_unit_initial_normal(euclidean):
     with pytest.raises(NotUnit):
         synthesize(euclidean, SynthesisSpec(_ones, _ones, (0.0, 0.0), (2.0, 0.0),
-                                            1.0))
+                                            (0.0, 1.0)))
 
 
 def test_round_trip_synthesis_then_analysis(euclidean, l3):
     alpha = lambda t: 1.3 + 0.4 * np.cos(t) - 0.2 * np.sin(2.0 * t)
     kappa = lambda t: 0.9 + 0.3 * np.sin(t) + 0.1 * np.cos(2.0 * t)
     for plane, v in ((euclidean, (1.0, 0.0)), (l3, tuple(l3.circle_point(0.7)))):
-        L = synthesize(plane, SynthesisSpec(alpha, kappa, (0.2, 0.1), v, TWO_PI))
+        L = synthesize(plane, SynthesisSpec(alpha, kappa, (0.2, 0.1), v, (0.0, TWO_PI)))
         cp = curvature_pair(L)
         assert np.max(np.abs(cp.alpha - alpha(cp.ts))) < 1e-5
         assert np.max(np.abs(cp.kappa - kappa(cp.ts))) < 1e-5
@@ -66,7 +66,7 @@ def test_round_trip_analysis_then_synthesis(astroid_pair, euclidean):
     cp = curvature_pair(astroid_pair)
     spec = SynthesisSpec(cp.alpha_at, cp.kappa_at,
                          tuple(astroid_pair.gamma.point(0.0)),
-                         tuple(astroid_pair.eta(0.0)), TWO_PI, steps=2048)
+                         tuple(astroid_pair.eta(0.0)), (0.0, TWO_PI), steps=2048)
     L = synthesize(euclidean, spec)
     ts = np.linspace(0.0, TWO_PI, 301)
     assert np.max(np.abs(L.gamma.point(ts) - astroid_pair.gamma.point(ts))) < 1e-5
@@ -79,7 +79,7 @@ def test_round_trip_property_random_trig(a1, b1, a2, k0):
     alpha = lambda t: 1.0 + a1 * np.cos(t) + b1 * np.sin(t)
     kappa = lambda t: k0 + a2 * np.sin(2.0 * t)
     L = synthesize(_EUCLID, SynthesisSpec(alpha, kappa, (0.0, 0.0), (1.0, 0.0),
-                                          TWO_PI, steps=512))
+                                          (0.0, TWO_PI), steps=512))
     cp = curvature_pair(L)
     assert np.max(np.abs(cp.alpha - alpha(cp.ts))) < 1e-5
     assert np.max(np.abs(cp.kappa - kappa(cp.ts))) < 1e-5
@@ -89,18 +89,18 @@ def test_uniqueness_under_step_refinement(euclidean):
     alpha = lambda t: 1.0 + 0.2 * np.sin(t)
     kappa = lambda t: 0.8 + 0.1 * np.cos(2.0 * t)
     a = synthesize(euclidean, SynthesisSpec(alpha, kappa, (0.0, 0.0), (1.0, 0.0),
-                                            TWO_PI, steps=2048))
+                                            (0.0, TWO_PI), steps=2048))
     b = synthesize(euclidean, SynthesisSpec(alpha, kappa, (0.0, 0.0), (1.0, 0.0),
-                                            TWO_PI, steps=4096))
+                                            (0.0, TWO_PI), steps=4096))
     ts = np.linspace(0.0, TWO_PI, 301)
     assert np.max(np.abs(a.gamma.point(ts) - b.gamma.point(ts))) < 1e-6
 
 
 def test_perturbed_initial_normal_moves_solution(euclidean):
     base = synthesize(euclidean, SynthesisSpec(_ones, _ones, (1.0, 0.0), (1.0, 0.0),
-                                               TWO_PI))
+                                               (0.0, TWO_PI)))
     turned = synthesize(euclidean, SynthesisSpec(_ones, _ones, (1.0, 0.0),
-                                                 (np.cos(0.2), np.sin(0.2)), TWO_PI))
+                                                 (np.cos(0.2), np.sin(0.2)), (0.0, TWO_PI)))
     ts = np.linspace(0.5, 2.5, 64)
     assert np.max(np.abs(base.gamma.point(ts) - turned.gamma.point(ts))) > 1e-2
 
@@ -109,7 +109,7 @@ def test_fourth_order_convergence(euclidean):
     errs = []
     for steps in (256, 512, 1024):
         L = synthesize(euclidean, SynthesisSpec(_ones, _ones, (1.0, 0.0),
-                                                (1.0, 0.0), TWO_PI, steps=steps))
+                                                (1.0, 0.0), (0.0, TWO_PI), steps=steps))
         tn = np.linspace(0.0, TWO_PI, steps + 1)
         want = np.stack([np.cos(tn), np.sin(tn)], -1)
         errs.append(float(np.max(np.abs(L.gamma.point(tn) - want))))
@@ -130,7 +130,7 @@ def test_l3_quarter_turn_invariance_and_swap_negation(l3):
     alpha = lambda t: 1.2 + 0.3 * np.cos(t)
     kappa = lambda t: 1.0 + 0.2 * np.sin(t)
     L = synthesize(l3, SynthesisSpec(alpha, kappa, (0.0, 0.0),
-                                     tuple(l3.circle_point(0.7)), 3.0))
+                                     tuple(l3.circle_point(0.7)), (0.0, 3.0)))
     cp = curvature_pair(L)
 
     quarter = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -155,3 +155,23 @@ def test_non_isometry_rejected(circle_pair, l3, euclidean):
     L = legendre_from_curve(l3, catalog.unit_circle_of_norm(l3))
     with pytest.raises(NotAnIsometry):
         apply_linear_map(L, rot, is_isometry_of_plane=True)
+
+
+def test_synthesis_integrates_from_the_start_of_its_domain(euclidean):
+    # the pair on [t0, t1] is the pair of the shifted data on [0, t1 - t0], shifted
+    t0 = 1.0
+    alpha = lambda t: np.cos(3.0 * np.asarray(t, dtype=float))
+    kappa = lambda t: 1.0 + 0.2 * np.sin(np.asarray(t, dtype=float))
+    L = synthesize(euclidean, SynthesisSpec(alpha, kappa, (0.0, 0.0), (1.0, 0.0),
+                                            (t0, t0 + TWO_PI), steps=1024))
+    ref = synthesize(euclidean, SynthesisSpec(lambda s: alpha(s + t0), lambda s: kappa(s + t0),
+                                              (0.0, 0.0), (1.0, 0.0), (0.0, TWO_PI),
+                                              steps=1024))
+    assert L.gamma.domain == L.eta.domain == (t0, t0 + TWO_PI)
+    ts = np.linspace(t0, t0 + TWO_PI, 301)
+    assert np.max(np.abs(L.gamma.point(ts) - ref.gamma.point(ts - t0))) < 1e-9
+    assert np.max(np.abs(L.eta(ts) - ref.eta(ts - t0))) < 1e-9
+    cp = curvature_pair(L)
+    assert cp.ts[0] == t0 and abs(cp.alpha[0] - np.cos(3.0)) < 1e-5
+    assert np.max(np.abs(cp.alpha - alpha(cp.ts))) < 1e-5
+    assert np.max(np.abs(cp.kappa - kappa(cp.ts))) < 1e-5
