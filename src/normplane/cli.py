@@ -59,22 +59,33 @@ _KINDS = {
     "numbers": ("a list of numbers", _numbers, _floats),
 }
 
-# section -> the keys it may hold; a section is read as the kind of its name
+# section -> the keys every kind of it reads; a section is read as the kind of its name
 _SECTIONS = {
     "config": ("norm", "curve", "operation", "output"),
-    "norm": ("kind", "p", "coefficients", "grid"),
-    "curve": ("kind", "samples", "closed", "x", "y", "domain", "name", "a", "b",
-              "path", "alpha", "kappa", "gamma0", "eta0_angle"),
-    "operation": ("kind", "d", "point", "curve2", "t0", "u0", "kmax", "norm"),
+    "norm": ("kind", "grid"),
+    "curve": ("kind", "samples"),
+    "operation": ("kind",),
     "output": ("csv", "svg", "report"),
+}
+
+# section -> its kinds -> the keys each kind reads besides its section's
+_KIND_KEYS = {
+    "norm": {"euclidean": (), "lp": ("p",), "fourier_radial": ("coefficients",)},
+    "curve": {"expression": ("x", "y", "domain", "closed"), "catalog": ("name", "a", "b"),
+              "csv": ("path", "closed"),
+              "synthesis": ("alpha", "kappa", "gamma0", "eta0_angle", "domain")},
+    "operation": {"analyze": (), "maslov": (), "evolute": (), "involute": ("d",),
+                  "parallel": ("d",), "pedal": ("point",), "transfer": ("norm",),
+                  "contact": ("curve2", "t0", "u0", "kmax")},
 }
 
 
 def _read(cfg, key, kind, default=_REQUIRED):
     """cfg[key] as a value of `kind`, or `default` when the key is absent.
 
-    A missing required key, a value of the wrong kind and a key unknown to
-    its section raise ConfigError naming the key.
+    A missing required key, a value of the wrong kind, an unknown kind of a
+    section and a key that its section's kind does not read raise
+    ConfigError naming the kind or the key.
     """
     if key not in cfg:
         if default is _REQUIRED:
@@ -87,9 +98,18 @@ def _check(value, key, kind):
     if kind in _SECTIONS:
         if not isinstance(value, dict):
             raise ConfigError(f"{key!r} must be a JSON object, got {value!r}")
+        keys, kinds = _SECTIONS[kind], _KIND_KEYS.get(kind, {})
+        if kinds:
+            # an operation with no kind is analyze
+            chosen = _read(value, "kind", "text", "analyze" if kind == "operation" else _REQUIRED)
+            if chosen not in kinds:
+                raise ConfigError(f"unknown {kind} kind {chosen!r}")
+            keys += kinds[chosen]
         for name in value:
-            if name not in _SECTIONS[kind]:
-                raise ConfigError(f"unknown key {name!r} in {key!r}")
+            if name not in keys:   # a key that another kind reads names this kind
+                foreign = any(name in more for more in kinds.values())
+                raise ConfigError(f"unknown key {name!r} in {key!r}"
+                                  + (f" of kind {chosen!r}" if foreign else ""))
         return value
     what, ok, convert = _KINDS[kind]
     if not ok(value):
@@ -158,18 +178,16 @@ def build_curve_and_pair(plane, ccfg, samples_override=None):
         curve = _curve_from_csv(_read(ccfg, "path", "text"),
                                 _read(ccfg, "closed", "flag", False), samples)
         return legendre_from_curve(plane, curve)
-    if kind == "synthesis":
-        domain = _read(ccfg, "domain", "pair", (0.0, 2.0 * np.pi))
-        spec = SynthesisSpec(
-            alpha=compile_expression(_read(ccfg, "alpha", "text")),
-            kappa=compile_expression(_read(ccfg, "kappa", "text")),
-            gamma0=_read(ccfg, "gamma0", "pair", (0.0, 0.0)),
-            eta0=tuple(plane.circle_point(_read(ccfg, "eta0_angle", "number", 0.0))),
-            domain=domain,
-            steps=samples,
-        )
-        return synthesize(plane, spec)
-    raise ConfigError(f"unknown curve kind {kind!r}")
+    domain = _read(ccfg, "domain", "pair", (0.0, 2.0 * np.pi))    # synthesis
+    spec = SynthesisSpec(
+        alpha=compile_expression(_read(ccfg, "alpha", "text")),
+        kappa=compile_expression(_read(ccfg, "kappa", "text")),
+        gamma0=_read(ccfg, "gamma0", "pair", (0.0, 0.0)),
+        eta0=tuple(plane.circle_point(_read(ccfg, "eta0_angle", "number", 0.0))),
+        domain=domain,
+        steps=samples,
+    )
+    return synthesize(plane, spec)
 
 
 # operation kind -> the pair it derives from L
@@ -204,7 +222,7 @@ def run(config: dict, out_dir: str = None, samples: int = None) -> int:
         extra = {"frontal_claimed": bool(res.frontal_claimed),
                  "singular_parameters": [float(t) for t in res.singular_ts]}
         _emit(outputs, legend, res.gamma_p, res.pair, base=L, extra=extra)
-    elif kind == "contact":
+    else:   # contact
         L2 = build_curve_and_pair(plane, _read(op, "curve2", "curve"), samples)
         t0 = _read(op, "t0", "number", 0.0)
         u0 = _read(op, "u0", "number", 0.0)
@@ -217,8 +235,6 @@ def run(config: dict, out_dir: str = None, samples: int = None) -> int:
                 str(j): match["residuals"][j] for j in sorted(match["residuals"])}
         if outputs.get("report"):
             emit_report(outputs["report"], rep)
-    else:
-        raise ConfigError(f"unknown operation kind {kind!r}")
     return 0
 
 

@@ -15,6 +15,20 @@ FD_STEP_FACTOR = 1e-4          # derivative stencil step, relative to the domain
 SINGULAR_SPEED_FACTOR = 1e-7   # grid point is singular below this fraction of max speed
 
 
+def check_domain(domain):
+    """Refuse a curve domain that is not a finite increasing interval, or
+    whose derivative stencils would not have finite weights at its step."""
+    t0, t1 = domain
+    if not (np.isfinite(t0) and np.isfinite(t1) and t1 > t0):
+        raise BadParameter("curve domain must be a finite increasing interval")
+    offsets = np.arange(-3.0, 4.0) * ((t1 - t0) * FD_STEP_FACTOR)
+    with np.errstate(all="ignore"):
+        weights = [fd_weights(offsets, order) for order in (1, 2, 3)]
+    if not np.all(np.isfinite(weights)):
+        raise BadParameter(f"curve domain [{t0:g}, {t1:g}] is too long or too short "
+                           "for finite-difference derivatives")
+
+
 @dataclass
 class ParamCurve:
     """A smooth curve t -> (x, y) on [t0, t1] with derivative access to order 3.
@@ -33,23 +47,18 @@ class ParamCurve:
     name: str = ""
 
     def __post_init__(self):
+        check_domain(self.domain)
         t0, t1 = self.domain
-        if not (np.isfinite(t0) and np.isfinite(t1) and t1 > t0):
-            raise BadParameter("curve domain must be a finite increasing interval")
-        # the derivative stencils must have finite weights at the domain's step
-        offsets = np.arange(-3.0, 4.0) * (self.span * FD_STEP_FACTOR)
-        with np.errstate(all="ignore"):
-            weights = [fd_weights(offsets, order) for order in (1, 2, 3)]
-        if not np.all(np.isfinite(weights)):
-            raise BadParameter(f"curve domain [{t0:g}, {t1:g}] is too long or too short "
-                               "for finite-difference derivatives")
         if self.closed:
             seam = np.linalg.norm(np.asarray(self.position(t0), dtype=float)
                                   - np.asarray(self.position(t1), dtype=float))
             if seam > 1e-9:
                 raise BadParameter(f"closed curve endpoints differ by {seam:.3e}")
-            d0, = self._raw_derivative(t0, (1,))
-            d1, = self._raw_derivative(t1, (1,))
+            # gamma' at both ends, read without the wrap that maps t1 to t0
+            ends = np.array([t0, t1])
+            d0, d1 = (np.asarray(self.derivatives[0](ends), dtype=float) if self.derivatives
+                      else differentiate(self.position, ends, 1, self.span * FD_STEP_FACTOR,
+                                         domain=self.domain))
             if np.max(np.abs(d0 - d1)) > 1e-6 * max(1.0, float(np.max(np.abs(d0)))):
                 raise BadParameter("closed curve derivative seam mismatch")
 

@@ -203,23 +203,6 @@ def _eval(tree, t):
     return np.power(va, vb)
 
 
-def to_text(tree):
-    """Fully parenthesized rendering; parse(to_text(tree)) == tree."""
-    kind = tree[0]
-    if kind == "num":
-        return repr(tree[1])
-    if kind == "var":
-        return "t"
-    if kind == "const":
-        return tree[1]
-    if kind == "neg":
-        return f"-({to_text(tree[1])})"
-    if kind == "call":
-        return f"{tree[1]}({to_text(tree[2])})"
-    _, op, a, b = tree
-    return f"({to_text(a)}){op}({to_text(b)})"
-
-
 def compile_expression(text):
     """Parse once, return a vectorized evaluator of t."""
     tree = parse_expression(text)

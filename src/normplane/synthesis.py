@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .analysis import LegendreCurve, make_legendre
-from .curves import NormalField, ParamCurve
+from .curves import NormalField, ParamCurve, check_domain
 from .errors import BadParameter, NotAnIsometry, NotUnit
 from .numerics import TWO_PI, hermite, unwrap_mod
 from .plane import NormedPlane
@@ -46,8 +46,7 @@ class SynthesisSpec:
 def synthesize(plane: NormedPlane, spec: SynthesisSpec) -> LegendreCurve:
     """Unique pair with curvature (alpha, kappa) and the given initial data."""
     t0, t1 = map(float, spec.domain)
-    if not t1 > t0:
-        raise BadParameter("synthesis domain must be an increasing interval")
+    check_domain((t0, t1))    # before the integration can overflow
     v = np.asarray(spec.eta0, dtype=float)
     if abs(float(plane.norm(v)) - 1.0) > 1e-9:
         raise NotUnit("initial normal must be a unit vector of the plane")

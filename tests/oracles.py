@@ -1,9 +1,10 @@
 """Independent geometric oracles that only the tests use: characterizations
 from the paper (orthogonality, the anti-norm as a supremum, envelopes of line
 families, osculating circles, the parallel sweep of the evolute) that check
-what the package computes, distances between sampled curves, and a cusp
-classification read off the curve alone. They use public normplane names
-only, so they do not share the code they check."""
+what the package computes, distances between sampled curves, a cusp
+classification read off the curve alone, and a printer of expression trees
+that the parser must read back. They use public normplane names only, so they
+do not share the code they check."""
 
 import numpy as np
 
@@ -224,3 +225,21 @@ def lateral_tangent_sign(L, t0, offset=1e-3):
     w1 = L.gamma.derivative(t0 - offset, 1)
     w2 = L.gamma.derivative(t0 + offset, 1)
     return "zig" if float(symplectic(w1, w2)) < 0.0 else "zag"
+
+
+def to_text(tree):
+    """Fully parenthesized rendering of an expression tree;
+    parse_expression(to_text(tree)) == tree."""
+    kind = tree[0]
+    if kind == "num":
+        return repr(tree[1])
+    if kind == "var":
+        return "t"
+    if kind == "const":
+        return tree[1]
+    if kind == "neg":
+        return f"-({to_text(tree[1])})"
+    if kind == "call":
+        return f"{tree[1]}({to_text(tree[2])})"
+    _, op, a, b = tree
+    return f"({to_text(a)}){op}({to_text(b)})"

@@ -7,7 +7,7 @@ import inspect
 import os
 
 import normplane
-from normplane import derived, errors, plane
+from normplane import derived, errors, expressions, plane
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -17,6 +17,7 @@ ORACLES = {
               "pedal_envelope_residual", "vertex_residual", "osculating_data",
               "distance_squared_rates"),
     errors: ("DegenerateLine",),
+    expressions: ("to_text",),
 }
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from normplane.cli import main
 from normplane.emit import emit_csv, emit_svg
@@ -641,3 +644,158 @@ def test_catalog_param_reject_config_exits_2(tmp_path, capsys):
     assert _run(tmp_path, "catalog_param_reject.json") == 2
     assert capsys.readouterr().err == "config error: catalog curve 'circle' takes no 'a'\n"
     assert not (tmp_path / "out").exists()
+
+
+# each kind -> every key it reads, written out here and not read from cli
+_READS = {
+    "norm": {"euclidean": ("kind", "grid"), "lp": ("kind", "grid", "p"),
+             "fourier_radial": ("kind", "grid", "coefficients")},
+    "curve": {"expression": ("kind", "samples", "x", "y", "domain", "closed"),
+              "catalog": ("kind", "samples", "name", "a", "b"),
+              "csv": ("kind", "samples", "path", "closed"),
+              "synthesis": ("kind", "samples", "alpha", "kappa", "gamma0", "eta0_angle",
+                            "domain")},
+    "operation": {"analyze": ("kind",), "maslov": ("kind",), "evolute": ("kind",),
+                  "involute": ("kind", "d"), "parallel": ("kind", "d"),
+                  "pedal": ("kind", "point"), "transfer": ("kind", "norm"),
+                  "contact": ("kind", "curve2", "t0", "u0", "kmax")},
+}
+_ACCEPTED = [(section, kind, key) for section, kinds in _READS.items()
+             for kind, keys in kinds.items() for key in keys]
+_FOREIGN = [(section, kind, key) for section, kinds in _READS.items()
+            for kind, keys in kinds.items()
+            for key in sorted(set().union(*kinds.values()) - set(keys))]
+
+
+def _exit_and_stderr(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    return main(["run", str(cfg), "--out", str(tmp_path)]), capsys.readouterr().err
+
+
+def test_the_kinds_read_46_pairs_of_the_132_their_sections_held():
+    assert (len(_ACCEPTED), len(_FOREIGN)) == (46, 86)
+
+
+@pytest.mark.parametrize("section, kind, key", _FOREIGN,
+                         ids=["-".join(pair) for pair in _FOREIGN])
+def test_a_key_of_another_kind_exits_2(tmp_path, capsys, section, kind, key):
+    # {"kind": "euclidean", "p": 3.0} used to run the Euclidean plane
+    code, err = _exit_and_stderr(tmp_path, capsys,
+                                 {"curve": _CIRCLE_64, section: {"kind": kind, key: 1.0}})
+    assert code == 2
+    assert err == f"config error: unknown key {key!r} in {section!r} of kind {kind!r}\n"
+
+
+@pytest.mark.parametrize("section, kind, key",
+                         [pair for pair in _ACCEPTED if pair[2] != "kind"],
+                         ids=["-".join(pair) for pair in _ACCEPTED if pair[2] != "kind"])
+def test_a_key_of_its_own_kind_is_read(tmp_path, capsys, section, kind, key):
+    # null is no value of any key, so the run stops at the read, not at the key check
+    code, err = _exit_and_stderr(tmp_path, capsys,
+                                 {"curve": _CIRCLE_64, section: {"kind": kind, key: None}})
+    assert code == 2 and err.startswith("config error: ")
+    assert "unknown" not in err
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"norm": {"kind": "l2"}}, "unknown norm kind 'l2'"),
+    ({"curve": {"kind": "spline"}}, "unknown curve kind 'spline'"),
+    ({"operation": {"kind": "rotate"}}, "unknown operation kind 'rotate'"),
+    ({"operation": {"kind": "contact", "curve2": {"kind": "spline"}}},
+     "unknown curve kind 'spline'"),
+    ({"operation": {"kind": "transfer", "norm": {"kind": "l2"}}}, "unknown norm kind 'l2'"),
+    ({"operation": {"kind": "contact", "curve2": {**_CIRCLE_64, "x": "t"}}},
+     "unknown key 'x' in 'curve2' of kind 'catalog'"),
+    ({"operation": {"kind": "transfer", "norm": {"kind": "euclidean", "p": 3.0}}},
+     "unknown key 'p' in 'norm' of kind 'euclidean'"),
+    ({"operation": {"d": 0.3}}, "unknown key 'd' in 'operation' of kind 'analyze'"),
+], ids=["norm", "curve", "operation", "curve2", "transfer-norm", "curve2-foreign-key",
+        "transfer-norm-foreign-key", "kindless-operation-is-analyze"])
+def test_unknown_kinds_and_foreign_keys_exit_2_where_they_are_read(tmp_path, capsys,
+                                                                   config, message):
+    # an unknown norm kind used to exit 3, from the radial profile
+    code, err = _exit_and_stderr(tmp_path, capsys, {"curve": _CIRCLE_64, **config})
+    assert (code, err) == (2, f"config error: {message}\n")
+
+
+@pytest.mark.parametrize("name, message", [
+    ("foreign_key_reject.json", "unknown key 'p' in 'norm' of kind 'euclidean'"),
+    ("unknown_norm_kind_reject.json", "unknown norm kind 'l2'"),
+])
+def test_shipped_kind_rejects_exit_2(tmp_path, capsys, name, message):
+    assert _run(tmp_path, name) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+# valid values first and last, which Hypothesis draws most often, and
+# values that a run may refuse between them
+_TWO_PI = 2.0 * np.pi
+_DOMAINS = st.sampled_from([[0.0, _TWO_PI], [-1.0, 1.0], [0.0, 1e300], [0.0, 1.0],
+                            [0.0, _TWO_PI]])
+_TEXTS = st.sampled_from(["cos(t)", "sin(t)", "t", "sqrt(t)", "cos(", "t^3",
+                          "1 + 0.5*sin(t)", "cos(3*t)", "1"])
+_NORMS = {"euclidean": {},
+          "lp": {"p": st.one_of(st.floats(1.5, 6.0), st.sampled_from([0.5, 1.2, 7.0]))},
+          "fourier_radial": {"coefficients": st.sampled_from(
+              [[1.0, 0.08], [1.0, 0.9], [1.0], [1.0, 0.08, 0.01]])}}
+_CURVES = {"catalog": {"name": st.sampled_from(["circle", "ellipse", "astroid", "nope",
+                                                "cusp_t2t3", "unit_circle_of_norm"]),
+                       "a": st.floats(-0.5, 3.0), "b": st.floats(-0.5, 3.0)},
+           "expression": {"x": _TEXTS, "y": _TEXTS, "domain": _DOMAINS,
+                          "closed": st.booleans()},
+           "synthesis": {"alpha": _TEXTS, "kappa": _TEXTS, "domain": _DOMAINS,
+                         "gamma0": st.sampled_from([[0.0, 0.0], [1.0, 2.0]]),
+                         "eta0_angle": st.floats(-7.0, 7.0)}}
+
+
+@st.composite
+def _section(draw, kinds, always=()):
+    """A section of a drawn kind with a drawn subset of that kind's own keys.
+    One section in four is spoilt: an unknown kind, or a value of the wrong
+    type for one of its keys."""
+    kind = draw(st.sampled_from(sorted(kinds)))
+    keys = [key for key in sorted(kinds[kind]) if key in always or draw(st.booleans())]
+    body = {"kind": kind, **{key: draw(kinds[kind][key]) for key in keys}}
+    if draw(st.integers(0, 3)) == 3:
+        spoilt = draw(st.sampled_from(["kind"] + keys))
+        body[spoilt] = "nope" if spoilt == "kind" else draw(
+            st.sampled_from(["x", None, [1.0], True, float("nan")]))
+    return body
+
+
+# curves stay at 64 samples or fewer: samples is always given, as are the
+# keys that a kind requires
+_SAMPLES = {"samples": st.sampled_from([16, 8, 32, 64])}
+_CURVE = _section({kind: {**keys, **_SAMPLES} for kind, keys in _CURVES.items()},
+                  always=("samples", "name", "x", "y", "domain", "alpha", "kappa"))
+_NORM = _section({kind: {**keys, "grid": st.sampled_from([256, 512])}
+                  for kind, keys in _NORMS.items()}, always=("grid",))
+_POINTS = st.floats(-1.0, 7.0)
+_OPERATION = _section({
+    "analyze": {}, "maslov": {}, "evolute": {}, "involute": {"d": st.floats(-1.0, 1.0)},
+    "parallel": {"d": st.floats(-1.0, 1.0)},
+    "pedal": {"point": st.sampled_from([[0.1, 0.2], [1.0, 0.0], [0.0, 0.0]])},
+    "transfer": {"norm": _NORM},
+    "contact": {"curve2": _CURVE, "t0": _POINTS, "u0": _POINTS,
+                "kmax": st.sampled_from([1, 0, 2, 4])}})
+
+
+@given(norm=_NORM, curve=_CURVE, operation=_OPERATION)
+@settings(max_examples=50, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_drawn_configs_exit_with_a_documented_code(tmp_path, norm, curve, operation):
+    # each kind with its own keys: whatever the values, a run ends in a
+    # documented exit code with no traceback and no warning
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"norm": norm, "curve": curve, "operation": operation,
+                               "output": {"csv": "o.csv", "svg": "o.svg",
+                                          "report": "o.json"}}))
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(["run", str(cfg), "--out", str(tmp_path)])
+    assert code in (0, 2, 3, 4, 5)
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+    assert [str(w.message) for w in caught] == []

@@ -86,9 +86,33 @@ def test_derivative_out_of_domain():
 
 
 def test_closed_curve_seam_validated():
-    with pytest.raises(BadParameter):
+    with pytest.raises(BadParameter, match="closed curve endpoints differ by 1.995"):
         ParamCurve(lambda t: np.stack([np.cos(t), np.sin(t)], -1), (0.0, 3.0),
                    closed=True)
+    # (cos t, sin t + 1e-8 t) misses its start by 2 pi 1e-8 > 1e-9
+    with pytest.raises(BadParameter, match="closed curve endpoints differ by 6.283e-08"):
+        ParamCurve(lambda t: np.stack([np.cos(t), np.sin(t) + 1e-8 * t], -1),
+                   (0.0, TWO_PI), closed=True)
+
+
+def _drop(t):
+    """x = t (2 pi - t), y = sin t: both ends at the origin, gamma' = (2 pi, 1)
+    at t = 0 and (-2 pi, 1) at t = 2 pi."""
+    return np.stack([t * (TWO_PI - t), np.sin(t)], -1)
+
+
+def _drop_d1(t):
+    return np.stack([TWO_PI - 2.0 * t, np.cos(t)], -1)
+
+
+@pytest.mark.parametrize("derivatives", [(_drop_d1,), ()], ids=["analytic", "fd"])
+def test_closed_curve_derivative_seam_is_read_at_both_ends(derivatives):
+    # the check must not wrap t1 to t0, which compares gamma'(t0) with itself
+    with pytest.raises(BadParameter, match="closed curve derivative seam mismatch"):
+        ParamCurve(_drop, (0.0, TWO_PI), closed=True, derivatives=derivatives)
+    open_drop = ParamCurve(_drop, (0.0, TWO_PI), derivatives=derivatives)
+    assert np.allclose(open_drop.derivative(np.array([0.0, TWO_PI]), 1),
+                       [[TWO_PI, 1.0], [-TWO_PI, 1.0]])
 
 
 def test_induced_normal_circle(euclidean):

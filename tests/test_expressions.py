@@ -2,12 +2,8 @@ import numpy as np
 import pytest
 
 from normplane.errors import ExpressionDomainError, ParseError
-from normplane.expressions import (
-    compile_expression,
-    evaluate,
-    parse_expression,
-    to_text,
-)
+from normplane.expressions import compile_expression, evaluate, parse_expression
+from oracles import to_text
 
 
 def test_basic_values():

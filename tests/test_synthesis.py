@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from normplane import catalog
 from normplane.analysis import curvature_pair, legendre_from_curve
-from normplane.errors import NotAnIsometry, NotUnit
+from normplane.errors import BadParameter, NotAnIsometry, NotUnit
 from normplane.plane import NormSpec, build_plane
 from normplane.synthesis import SynthesisSpec, apply_linear_map, synthesize
 
@@ -24,6 +26,16 @@ def test_unit_circle_reconstruction(euclidean):
     assert np.max(np.abs(L.gamma.point(ts) - want)) < 1e-7
     assert L.gamma.closed
     assert L.residual < 1e-5
+
+
+@pytest.mark.parametrize("domain", [(0.0, 1e300), (0.0, 1e-300)])
+def test_a_domain_without_finite_stencils_is_refused_before_the_integration(domain):
+    # the integration used to overflow first, and numpy warned on stderr
+    spec = SynthesisSpec(_ones, _ones, (0.0, 0.0), (1.0, 0.0), domain)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadParameter, match="too long or too short"):
+            synthesize(_EUCLID, spec)
 
 
 def test_astroid_reconstruction(euclidean):
