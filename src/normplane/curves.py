@@ -37,6 +37,13 @@ class ParamCurve:
     evaluators of the orders 1..k, k <= 3; the orders above k fall back to
     4th-order finite differences, sampling through the wrap for closed
     curves and shifting the stencil inside the domain for open ones.
+
+    The curve keeps its last derivative evaluation, the way `NormalField`
+    keeps its last jet: read-only arrays of the orders held, keyed by the
+    exact bytes and shape of the parameters as given, before any wrap, so a
+    parameter outside a closed domain never reads the derivatives of its
+    wrapped twin. A call at those parameters reads the orders held and
+    evaluates only the others.
     """
 
     position: Callable
@@ -45,6 +52,7 @@ class ParamCurve:
     derivatives: tuple = ()
     samples: int = 2048
     name: str = ""
+    _kept: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_domain(self.domain)
@@ -107,8 +115,17 @@ class ParamCurve:
         orders = order if isinstance(order, tuple) else (order,)
         if not orders or any(k not in (1, 2, 3) for k in orders):
             raise BadParameter("derivative order must be 1, 2 or 3")
-        self._wrap(t)
-        out = self._raw_derivative(t, orders)
+        t = np.asarray(t, dtype=float)
+        key = (t.shape, t.tobytes())
+        kept = self._kept
+        held = kept[1] if kept is not None and kept[0] == key else {}
+        missing = tuple(k for k in orders if k not in held)
+        if missing:
+            self._wrap(t)
+            held = dict(held)
+            held.update(zip(missing, map(_read_only, self._raw_derivative(t, missing))))
+            self._kept = (key, held)
+        out = tuple(held[k] for k in orders)
         return out if isinstance(order, tuple) else out[0]
 
     def grid(self):

@@ -4,7 +4,9 @@ A plane is represented by a positive radial profile r(theta): the unit circle
 is c(theta) = r(theta) (cos theta, sin theta). All derived objects (arc
 length, supporting directions, anti-norm, distortion) are built from cached
 tables over a uniform theta grid plus local Newton polishing, so point
-queries are deterministic and accurate to ~1e-12 in theta.
+queries are deterministic and accurate to ~1e-12 in theta. A plane build
+makes the tangent-angle tables; the arc-length table is built on its first
+read, since only the arc-length parametrization of the circle needs it.
 """
 
 from __future__ import annotations
@@ -160,6 +162,7 @@ class NormedPlane:
         self._n = n
         self._dtheta = TWO_PI / n
         self._theta_nodes = np.linspace(0.0, TWO_PI, n + 1)
+        self._arclength = None
         self._build_tables()
 
     # -- radial boundary -------------------------------------------------
@@ -205,7 +208,7 @@ class NormedPlane:
 
         # the seam node theta = 2 pi repeats theta = 0; re-evaluating it would
         # let sign(sin 2 pi) = -1 leak an r' error (lp with p < 2) into psi
-        c, d1 = self.circle_jet(th[:-1], 1)
+        c, d1, d2 = self.circle_jet(th[:-1], 2)
         c, d1 = np.vstack([c, c[:1]]), np.vstack([d1, d1[:1]])
 
         if np.min(symplectic(c, d1)) <= 1e-9:
@@ -220,15 +223,6 @@ class NormedPlane:
         sym = np.max(np.abs(c[:half] + c[half:2 * half]))
         if sym > 1e-10 * np.max(np.abs(c)):
             raise BadParameter("radial profile is not centrally symmetric")
-
-        u = np.zeros(self._n + 1)
-        u[1:] = np.cumsum(gauss5_segments(lambda t: self.norm(self.circle_d1(t)),
-                                          th[:-1], th[1:]))
-        self.length = float(u[-1])
-        self._u_nodes = u
-        if np.any(np.diff(u) <= 0.0):
-            raise ConvexityViolation("arc length is not strictly increasing")
-        self._theta_of_u = pchip(u, th)
 
         psi = unwrap_mod(np.arctan2(d1[:, 1], d1[:, 0]), TWO_PI)
         if np.any(np.diff(psi) <= 0.0):
@@ -245,9 +239,32 @@ class NormedPlane:
         if np.max(np.abs(norm_on_circle - 1.0)) > 1e-12:
             raise NoConvergence("norm/boundary self-consistency check failed")
 
-        rho = self._rho_at_theta(th[:-1])
+        rho = self._rho_of(d1[:-1], d2)
         if np.max(np.abs(rho[:half] - rho[half:])) > 1e-6 * max(1.0, np.max(rho)):
             raise NoConvergence("distortion table is not centrally symmetric")
+
+    def _arclength_table(self):
+        """(u on the theta nodes, the length, the monotone-cubic inverse of u),
+        built on the first read and published as one tuple."""
+        table = self._arclength
+        if table is None:
+            th = self._theta_nodes
+            u = np.zeros(self._n + 1)
+            u[1:] = np.cumsum(gauss5_segments(lambda t: self.norm(self.circle_d1(t)),
+                                              th[:-1], th[1:]))
+            if np.any(np.diff(u) <= 0.0):
+                raise ConvexityViolation("arc length is not strictly increasing")
+            table = self._arclength = (u, float(u[-1]), pchip(u, th))
+        return table
+
+    @property
+    def _u_nodes(self):
+        return self._arclength_table()[0]
+
+    @property
+    def length(self):
+        """Arc length of the unit circle."""
+        return self._arclength_table()[1]
 
     # -- basic queries ----------------------------------------------------
 
@@ -281,9 +298,10 @@ class NormedPlane:
         after at most ARCLENGTH_STEPS steps; the residual of the theta
         returned is the one the convergence check reads, so a regular norm
         costs two arc-length passes."""
-        u = np.mod(np.asarray(u, dtype=float), self.length)
-        theta = np.asarray(self._theta_of_u(u), dtype=float)
-        scale = max(1.0, self.length)
+        _, length, theta_of_u = self._arclength_table()
+        u = np.mod(np.asarray(u, dtype=float), length)
+        theta = np.asarray(theta_of_u(u), dtype=float)
+        scale = max(1.0, length)
         for step in range(ARCLENGTH_STEPS + 1):
             F = self.arclength_of_theta(theta) - u
             if step == ARCLENGTH_STEPS or np.max(np.abs(F)) <= ARCLENGTH_TOL * scale:
@@ -449,8 +467,8 @@ class NormedPlane:
         v = np.asarray(v, dtype=float)
         if np.max(np.abs(self.norm(v) - 1.0)) > UNIT_TOL:
             raise NotUnit("rho expects a unit vector")
-        theta = np.arctan2(v[..., 1], v[..., 0])
-        return self._rho_at_theta(theta)
+        _, w, wp = self.circle_jet(np.arctan2(v[..., 1], v[..., 0]), 2)
+        return self._rho_of(w, wp)
 
     def _db(self, w, wp):
         """(||w||, d/dtheta of b(c(theta)) = c'(theta)/||c'(theta)||), from
@@ -467,8 +485,8 @@ class NormedPlane:
         return (np.hypot(w[..., 0], w[..., 1]) / r,
                 wp / n[..., None] - w * (dn / (n * n))[..., None])
 
-    def _rho_at_theta(self, theta):
-        _, w, wp = self.circle_jet(theta, 2)
+    def _rho_of(self, w, wp):
+        """rho at the circle point whose c' and c'' are w and wp."""
         norm_w, db = self._db(w, wp)
         return self.norm(db) / norm_w
 

@@ -1,17 +1,18 @@
 """Independent geometric oracles that only the tests use: characterizations
 from the paper (orthogonality, the anti-norm as a supremum, envelopes of line
 families, osculating circles, the parallel sweep of the evolute) that check
-what the package computes, distances between sampled curves, a cusp
-classification read off the curve alone, and a printer of expression trees
-that the parser must read back. They use public normplane names only, so they
+what the package computes, the unit circle's arc-length table built at
+once, distances between sampled curves, a cusp classification read off the
+curve alone, and a printer of expression trees that the parser must read
+back. They use public normplane names only, so they
 do not share the code they check."""
 
 import numpy as np
 
 from normplane.analysis import REL_ZERO, curvature_pair
 from normplane.errors import KappaVanishes, SingularPoint, ZeroVector
-from normplane.numerics import golden_minimize
-from normplane.plane import symplectic
+from normplane.numerics import gauss5_segments, golden_minimize, pchip
+from normplane.plane import ARCLENGTH_STEPS, ARCLENGTH_TOL, symplectic
 
 # relative slack of is_birkhoff_orthogonal's line search
 ORTHO_TOL = 1e-7
@@ -55,6 +56,44 @@ def antinorm_supremum(plane, x):
     if denom < 0.0:
         return max(f0, f(th[j] + 0.5 * step * (fm - fp) / denom))
     return float(f0)
+
+
+class EagerArclength:
+    """The unit circle's arc-length table of a plane, built at once with the
+    expressions a plane build used when it made the table itself: u on the
+    table's theta nodes by 5-point Gauss of ||c'||, the length u(2 pi) and
+    the monotone-cubic inverse, with u(theta) and its Newton inverse read
+    from them. A table the plane builds on first read must equal it bit for
+    bit."""
+
+    def __init__(self, plane):
+        n = int(plane.spec.table_size)
+        self.n, self.dtheta = n, 2.0 * np.pi / n
+        self.plane = plane
+        self.nodes = np.linspace(0.0, 2.0 * np.pi, n + 1)
+        self.u = np.zeros(n + 1)
+        self.u[1:] = np.cumsum(gauss5_segments(self.speed, self.nodes[:-1], self.nodes[1:]))
+        self.length = float(self.u[-1])
+        self.theta_of_u = pchip(self.u, self.nodes)
+
+    def speed(self, theta):
+        return self.plane.norm(self.plane.circle_d1(theta))
+
+    def arclength_of_theta(self, theta):
+        th = np.mod(np.asarray(theta, dtype=float), 2.0 * np.pi)
+        j = np.clip((th / self.dtheta).astype(int), 0, self.n - 1)
+        return self.u[j] + gauss5_segments(self.speed, self.nodes[j], th)
+
+    def theta_of_arclength(self, u):
+        u = np.mod(np.asarray(u, dtype=float), self.length)
+        theta = np.asarray(self.theta_of_u(u), dtype=float)
+        for step in range(ARCLENGTH_STEPS + 1):
+            F = self.arclength_of_theta(theta) - u
+            if (step == ARCLENGTH_STEPS
+                    or np.max(np.abs(F)) <= ARCLENGTH_TOL * max(1.0, self.length)):
+                break
+            theta = theta - F / self.speed(theta)
+        return np.mod(theta, 2.0 * np.pi)
 
 
 def evolute_as_parallel_singularities(L) -> np.ndarray:

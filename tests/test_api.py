@@ -12,7 +12,7 @@ from normplane import derived, errors, expressions, plane
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 ORACLES = {
-    plane: ("is_birkhoff_orthogonal", "ORTHO_TOL", "TangentTheta"),
+    plane: ("is_birkhoff_orthogonal", "ORTHO_TOL", "TangentTheta", "EagerArclength"),
     derived: ("evolute_as_parallel_singularities", "normal_envelope_residual",
               "pedal_envelope_residual", "vertex_residual", "osculating_data",
               "distance_squared_rates"),

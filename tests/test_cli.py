@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -799,3 +800,48 @@ def test_drawn_configs_exit_with_a_documented_code(tmp_path, norm, curve, operat
     assert code in (0, 2, 3, 4, 5)
     assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
     assert [str(w.message) for w in caught] == []
+
+
+# --samples at valid counts and at the spoilt 0, 7 and -1, with outputs in a
+# new nested directory or under a regular file
+_FLAG_CURVES = st.sampled_from([
+    {"kind": "catalog", "name": "circle"}, {"kind": "catalog", "name": "ellipse"},
+    {"kind": "expression", "x": "cos(t)", "y": "2*sin(t)", "domain": [0.0, _TWO_PI],
+     "closed": True},
+    {"kind": "synthesis", "alpha": "cos(3*t)", "kappa": "1"}])
+_FLAG_RUNS = itertools.count()
+
+
+@given(curve=_FLAG_CURVES, samples=st.one_of(st.integers(8, 64), st.sampled_from([0, 7, -1])),
+       blocked=st.booleans())
+@settings(max_examples=50, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_drawn_samples_and_output_paths_exit_with_their_code(tmp_path, curve, samples,
+                                                             blocked):
+    run = tmp_path / f"run{next(_FLAG_RUNS)}"
+    run.mkdir()
+    cfg = run / "cfg.json"
+    cfg.write_text(json.dumps({"norm": {"kind": "euclidean", "grid": 256}, "curve": curve,
+                               "output": {"csv": "o.csv", "svg": "o.svg",
+                                          "report": "o.json"}}))
+    if blocked:
+        (run / "file").write_text("")
+    out = run / ("file" if blocked else "new") / "nested"
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(["run", str(cfg), "--out", str(out), "--samples", str(samples)])
+    assert code == (2 if samples < 8 else 5 if blocked else 0)
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+    assert [str(w.message) for w in caught] == []
+    if code == 0:
+        assert sorted(os.listdir(out)) == ["o.csv", "o.json", "o.svg"]
+
+
+@pytest.mark.parametrize("value", ["1.5", "x", "1e3", ""])
+def test_a_non_integer_samples_flag_exits_2(tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", _cfg("circle_analyze.json"), "--out", str(tmp_path), "--samples", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--samples: invalid int value" in err and "Traceback" not in err

@@ -16,7 +16,7 @@ from normplane.plane import (
     symplectic,
     transfer_unit,
 )
-from oracles import antinorm_supremum, is_birkhoff_orthogonal
+from oracles import EagerArclength, antinorm_supremum, is_birkhoff_orthogonal
 
 TWO_PI = 2.0 * np.pi
 
@@ -253,6 +253,74 @@ def test_plane_tables_self_consistent(l3, fourier_oval):
         assert np.all(np.diff(u[:-1]) > 0.0)
         back = plane.theta_of_arclength(u[:-1])
         assert np.max(np.abs(back - np.mod(th[:-1], TWO_PI))) < 1e-8
+
+
+def test_the_arclength_table_is_built_on_its_first_read_only(monkeypatch):
+    import normplane.plane as plane_module
+
+    # segments per call of the plane's 5-point Gauss quadrature
+    calls = []
+    quadrature = plane_module.gauss5_segments
+    monkeypatch.setattr(plane_module, "gauss5_segments",
+                        lambda fn, a, b: calls.append(np.size(b)) or quadrature(fn, a, b))
+    plane = build_plane(NormSpec("lp", p=3.0, table_size=512))
+    assert calls == []
+    length = plane.length
+    assert calls == [512]
+    assert plane.length == length and plane._u_nodes[-1] == length
+    plane.theta_of_arclength(0.3 * length)
+    assert calls[:1] == [512] and all(size == 1 for size in calls[1:])
+
+
+_ARCLENGTH_SPECS = [
+    NormSpec("euclidean"), NormSpec("lp", p=1.5), NormSpec("lp", p=3.0),
+    NormSpec("lp", p=6.0), NormSpec("fourier_radial", coefficients=(1.0, 0.08)),
+    NormSpec("lp", p=3.0, table_size=512)]
+
+
+@pytest.mark.parametrize("first", ["theta_of_arclength", "arclength_of_theta", "length"])
+@pytest.mark.parametrize("spec", _ARCLENGTH_SPECS,
+                         ids=lambda s: f"{s.kind}-{s.p}-{s.table_size}")
+def test_the_deferred_arclength_table_is_the_eager_one_bit_for_bit(spec, first):
+    plane = build_plane(spec)
+    eager = EagerArclength(plane)
+    rng = np.random.default_rng(7)
+    us = rng.uniform(-1.0, 8.0, 1000)
+    thetas = rng.uniform(-7.0, 7.0, 1000)
+    # whichever read builds the table, it is the same table
+    reads = {"theta_of_arclength": lambda: plane.theta_of_arclength(us),
+             "arclength_of_theta": lambda: plane.arclength_of_theta(thetas),
+             "length": lambda: plane.length}
+    reads[first]()
+    assert plane.length == eager.length
+    assert np.array_equal(plane._u_nodes, eager.u)
+    assert np.array_equal(plane.arclength_of_theta(thetas), eager.arclength_of_theta(thetas))
+    assert np.array_equal(plane.theta_of_arclength(us), eager.theta_of_arclength(us))
+    assert np.array_equal(plane.unit_circle_point(us),
+                          plane.circle_point(eager.theta_of_arclength(us)))
+
+
+def test_a_failing_arclength_table_is_refused_by_its_first_read(tmp_path, capsys,
+                                                                monkeypatch):
+    # every build check passes; the arc-length check runs where the table is
+    # built, keeps its class and message, and publishes no table
+    import normplane.plane as plane_module
+    from normplane.cli import main
+
+    plane = build_plane(NormSpec("euclidean", table_size=256))
+    monkeypatch.setattr(plane_module, "gauss5_segments",
+                        lambda fn, a, b: np.zeros(np.shape(b)))
+    for _ in range(2):
+        with pytest.raises(ConvexityViolation,
+                           match="^arc length is not strictly increasing$") as err:
+            plane.theta_of_arclength(1.0)
+        assert err.value.exit_code == 3
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"curve": {"kind": "synthesis", "alpha": "1", "kappa": "1", '
+                   '"samples": 64}}')
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        "validation error: arc length is not strictly increasing\n")
 
 
 @pytest.mark.parametrize("spec, regular", [
