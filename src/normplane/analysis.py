@@ -137,7 +137,7 @@ def _frame_values(eta, xi, d1, *eta_rate):
     """alpha from gamma' = alpha xi, and kappa from eta' = kappa xi when the
     rate eta' is given; xi = b(eta)."""
     denom = symplectic(eta, xi)
-    if np.min(denom) < 1e-10:
+    if np.any(denom < 1e-10):
         raise DegenerateFrame("[eta, xi] collapsed; plane tables corrupt")
     return tuple(symplectic(eta, v) / denom for v in (d1,) + eta_rate)
 

@@ -3,6 +3,7 @@ crossings, cubic Hermite and monotone interpolation."""
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -81,7 +82,8 @@ def differentiate(f, t, order, h, domain=None, closed=False):
 
     The window t + {-3h..3h} is shifted to stay inside an open domain; closed
     domains sample through the wrap instead. `t` may be scalar or an array.
-    `f` sees the stencils of at most DIFF_BLOCK (+ 1) parameters per call.
+    `f` sees the stencils of at most DIFF_BLOCK (+ 1) parameters per call,
+    each distinct point once (see `_distinct_call`).
     `order` may be a tuple of orders, all read from one evaluation of the
     stencils and returned as a tuple; order 0 is the value of f at t itself,
     the stencil point at offset 0 (f is called at t apart from the stencil
@@ -93,6 +95,8 @@ def differentiate(f, t, order, h, domain=None, closed=False):
 
 
 def _differentiate(f, t, orders, h, domain, closed):
+    if getattr(_DISTINCT, "trial", False):
+        raise _TakesDifferences
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     t_flat = t_arr.ravel()
     base = np.arange(-3, 4, dtype=float)
@@ -104,6 +108,9 @@ def _differentiate(f, t, orders, h, domain, closed):
         hi = np.ceil(np.maximum(0.0, ((t_flat + 3.0 * h) - t1) / h - 1e-9)).astype(int)
         shifts = lo - hi
     outs = [None] * len(orders)
+    if not t_flat.size:
+        empty = np.asarray(f(t_flat), dtype=float)
+        outs = [empty.copy() for _ in orders]
     for s in np.unique(shifts):
         offs = (base + s) * h
         weights = [None if order == 0 else fd_weights(offs, order) for order in orders]
@@ -112,7 +119,7 @@ def _differentiate(f, t, orders, h, domain, closed):
         # product, whose bits differ from its matrix-vector product's
         for rows in np.split(idx, range(DIFF_BLOCK, idx.size - 1, DIFF_BLOCK)):
             ts = t_flat[rows][:, None] + offs[None, :]
-            vals = np.asarray(f(ts.ravel()), dtype=float)
+            vals = _distinct_call(f, ts.ravel())
             vals = vals.reshape(ts.shape + vals.shape[1:])
             for k, w in enumerate(weights):
                 if w is not None:
@@ -127,6 +134,46 @@ def _differentiate(f, t, orders, h, domain, closed):
     scalar = np.isscalar(t) or np.asarray(t).ndim == 0
     return tuple(out[0] if scalar else out.reshape(t_arr.shape + out.shape[1:])
                  for out in outs)
+
+
+class _TakesDifferences(Exception):
+    """Raised by a finite difference taken inside a function that
+    `_distinct_call` is evaluating on distinct parameters only."""
+
+
+# `trial` is set, per thread, while `_distinct_call` evaluates f on distinct
+# parameters only
+_DISTINCT = threading.local()
+
+
+def _distinct_call(f, pts):
+    """f(pts), with f called once per distinct parameter where that gives
+    the same bits. Parameters are told apart by their bits, so -0.0 and 0.0
+    stay two. f evaluates point by point unless it takes a finite difference
+    of its own: BLAS reduces a stencil block of one parameter, and the last
+    parameter of an odd block of 2-vectors, to other bits than it gives them
+    inside a larger block, so such an f sees its batch in full. Its first
+    finite difference ends the distinct evaluation and f is called on pts."""
+    keys = pts.view(np.int64)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    first = np.empty(pts.shape, dtype=bool)
+    first[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    if np.all(first):
+        return np.asarray(f(pts), dtype=float)
+    _DISTINCT.trial = True
+    try:
+        vals = np.asarray(f(pts[order[first]]), dtype=float)
+    except _TakesDifferences:
+        vals = None
+    finally:
+        _DISTINCT.trial = False
+    if vals is None:
+        return np.asarray(f(pts), dtype=float)
+    slot = np.empty(pts.shape, dtype=np.intp)
+    slot[order] = np.cumsum(first) - 1
+    return vals[slot]
 
 
 def wrap(t, t0, period):

@@ -36,6 +36,10 @@ NEWTON_TOL = 1e-10
 TURNING_RATE_MIN = 1e-2
 TANGENT_BLOCK = 8192
 THETA_RESOLUTION = 1e-15
+# the bisection fallback's 42 halvings: rounds of halvings, each round
+# evaluating the circle once at the ends of all its cells
+BISECT_ROUNDS = 7
+BISECT_LEVELS = 6
 
 # theta_of_arclength: most Newton steps, and the arc-length residual relative
 # to max(1, length) at which it stops early
@@ -131,18 +135,19 @@ class _RadialProfile:
         ac, asn = np.abs(c), np.abs(s)
         cp, sp = ac ** p, asn ** p
         g = cp + sp
-        out = [g ** (-1.0 / p)]
+        e = -1.0 / p
+        out = [g ** e]
         if order >= 1:
             g1 = p * (-s * np.sign(c) * ac ** (p - 1.0) + c * np.sign(s) * asn ** (p - 1.0))
-            out.append((-1.0 / p) * g ** (-1.0 / p - 1.0) * g1)
+            ge1 = g ** (e - 1.0)
+            out.append(e * ge1 * g1)
         if order >= 2:
             if p < 2.0:
                 # keep |.|^(p-2) bounded inside the guard band near axis points
                 ac = np.maximum(ac, self.GUARD)
                 asn = np.maximum(asn, self.GUARD)
             g2 = p * (-cp - sp + (p - 1.0) * (s * s * ac ** (p - 2.0) + c * c * asn ** (p - 2.0)))
-            e = -1.0 / p
-            out.append(e * (e - 1.0) * g ** (e - 2.0) * g1 ** 2 + e * g ** (e - 1.0) * g2)
+            out.append(e * (e - 1.0) * g ** (e - 2.0) * g1 ** 2 + e * ge1 * g2)
         return out
 
 
@@ -394,12 +399,28 @@ class NormedPlane:
         return theta
 
     def _bisect_cell(self, lo, hi, w_lo, target):
-        """Root of swept angle = target on [lo, hi] by 42 halvings."""
-        for _ in range(42):
-            mid = 0.5 * (lo + hi)
-            high = _swept_angle(w_lo, self.circle_d1(mid)) > target
-            hi = np.where(high, mid, hi)
-            lo = np.where(high, lo, mid)
+        """Root of swept angle = target on [lo, hi] by 42 halvings, in
+        BISECT_ROUNDS rounds of BISECT_LEVELS. A round splits each bracket
+        into 2^BISECT_LEVELS cells, each end the midpoint 0.5 (lo + hi) of
+        the bracket it halves, evaluates the circle once at all inner ends
+        and walks the halvings down: the midpoints and comparisons of one
+        halving at a time, with one circle evaluation per round."""
+        cells = 1 << BISECT_LEVELS
+        rows = np.arange(lo.size)
+        for _ in range(BISECT_ROUNDS):
+            ends = np.empty((lo.size, cells + 1))
+            ends[:, 0], ends[:, cells] = lo, hi
+            for level in range(BISECT_LEVELS):
+                half = cells >> (level + 1)
+                ends[:, half::2 * half] = 0.5 * (ends[:, :-half:2 * half]
+                                                 + ends[:, 2 * half::2 * half])
+            w = self.circle_d1(ends[:, 1:cells])
+            high = _swept_angle(w_lo[:, None], w) > target[:, None]
+            at = np.zeros(lo.size, dtype=int)
+            for level in range(BISECT_LEVELS):
+                mid = at + (cells >> (level + 1))
+                at = np.where(high[rows, mid - 1], at, mid)
+            lo, hi = ends[rows, at], ends[rows, at + 1]
         return 0.5 * (lo + hi)
 
     def normal_from_tangent(self, w):

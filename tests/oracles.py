@@ -2,16 +2,17 @@
 from the paper (orthogonality, the anti-norm as a supremum, envelopes of line
 families, osculating circles, the parallel sweep of the evolute) that check
 what the package computes, the unit circle's arc-length table built at
-once, distances between sampled curves, a cusp classification read off the
-curve alone, and a printer of expression trees that the parser must read
-back. They use public normplane names only, so they
+once, finite differences that evaluate every stencil point, the lp radial
+jet as its own formula, distances between sampled curves, a cusp
+classification read off the curve alone, and a printer of expression trees
+that the parser must read back. They use public normplane names only, so they
 do not share the code they check."""
 
 import numpy as np
 
 from normplane.analysis import REL_ZERO, curvature_pair
 from normplane.errors import KappaVanishes, SingularPoint, ZeroVector
-from normplane.numerics import gauss5_segments, golden_minimize, pchip
+from normplane.numerics import DIFF_BLOCK, fd_weights, gauss5_segments, golden_minimize, pchip
 from normplane.plane import ARCLENGTH_STEPS, ARCLENGTH_TOL, symplectic
 
 # relative slack of is_birkhoff_orthogonal's line search
@@ -94,6 +95,65 @@ class EagerArclength:
                 break
             theta = theta - F / self.speed(theta)
         return np.mod(theta, 2.0 * np.pi)
+
+
+def differentiate_every_point(f, t, orders, h, domain=None, closed=False):
+    """The tuple of 7-point finite differences of the given orders at t that
+    `numerics.differentiate(f, t, orders, h, domain, closed)` returns, with f
+    called on every stencil point of a block, repeated parameters included:
+    the same windows, blocks and stencil reduction, so its results must
+    equal the package's bit for bit."""
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    t_flat = t_arr.ravel()
+    base = np.arange(-3, 4, dtype=float)
+    if closed or domain is None:
+        shifts = np.zeros(t_flat.shape, dtype=int)
+    else:
+        t0, t1 = domain
+        lo = np.ceil(np.maximum(0.0, (t0 - (t_flat - 3.0 * h)) / h - 1e-9)).astype(int)
+        hi = np.ceil(np.maximum(0.0, ((t_flat + 3.0 * h) - t1) / h - 1e-9)).astype(int)
+        shifts = lo - hi
+    outs = [None] * len(orders)
+    for s in np.unique(shifts):
+        offs = (base + s) * h
+        idx = np.nonzero(shifts == s)[0]
+        for rows in np.split(idx, range(DIFF_BLOCK, idx.size - 1, DIFF_BLOCK)):
+            ts = t_flat[rows][:, None] + offs[None, :]
+            vals = np.asarray(f(ts.ravel()), dtype=float)
+            vals = vals.reshape(ts.shape + vals.shape[1:])
+            for k, order in enumerate(orders):
+                if order:
+                    acc = np.tensordot(fd_weights(offs, order), np.moveaxis(vals, 1, 0),
+                                       axes=(0, 0))
+                elif abs(s) <= 3:
+                    acc = vals[:, 3 - s]
+                else:
+                    acc = np.asarray(f(t_flat[rows]), dtype=float)
+                if outs[k] is None:
+                    outs[k] = np.zeros(t_flat.shape + acc.shape[1:])
+                outs[k][rows] = acc
+    return tuple(out.reshape(t_arr.shape + out.shape[1:]) for out in outs)
+
+
+def lp_radial_jet(p, theta, order, guard):
+    """[r, r', r''][:order + 1] of the lp circle r = (|cos|^p + |sin|^p)^(-1/p),
+    each order by its own power of g = |cos|^p + |sin|^p, with |.|^(p-2)
+    held above `guard` for p < 2: the package's lp jet must give these bits."""
+    c, s = np.cos(theta), np.sin(theta)
+    ac, asn = np.abs(c), np.abs(s)
+    cp, sp = ac ** p, asn ** p
+    g = cp + sp
+    out = [g ** (-1.0 / p)]
+    if order >= 1:
+        g1 = p * (-s * np.sign(c) * ac ** (p - 1.0) + c * np.sign(s) * asn ** (p - 1.0))
+        out.append((-1.0 / p) * g ** (-1.0 / p - 1.0) * g1)
+    if order >= 2:
+        if p < 2.0:
+            ac, asn = np.maximum(ac, guard), np.maximum(asn, guard)
+        g2 = p * (-cp - sp + (p - 1.0) * (s * s * ac ** (p - 2.0) + c * c * asn ** (p - 2.0)))
+        e = -1.0 / p
+        out.append(e * (e - 1.0) * g ** (e - 2.0) * g1 ** 2 + e * g ** (e - 1.0) * g2)
+    return out
 
 
 def evolute_as_parallel_singularities(L) -> np.ndarray:

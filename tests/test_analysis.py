@@ -527,6 +527,18 @@ def test_pair_values_evaluate_gamma_prime_once_per_point(euclidean, l3, monkeypa
     assert calls == [1, 1]        # gamma' and gamma'' of the extended normal's jet
 
 
+def test_an_expression_pair_at_no_parameters_is_empty(euclidean):
+    import normplane.cli as cli
+
+    L = cli.build_curve_and_pair(euclidean, _EXPRESSION, 64)
+    none = np.array([])
+    assert L.gamma.derivative(none, 1).shape == (0, 2)
+    assert [d.shape for d in L.gamma.derivative(np.empty((0, 3)), (1, 2))] == [(0, 3, 2)] * 2
+    assert [v.shape for v in L.values_at(none)] == [(0,), (0,)]
+    assert L.alpha_at(none).shape == (0,)
+    assert L.ratio_rate_at(none).shape == (0,)
+
+
 @pytest.mark.parametrize("poisoned, marker", [
     ("normal", "not unit"),
     ("tangent", "orthogonality residual nan"),

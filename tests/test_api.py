@@ -7,12 +7,14 @@ import inspect
 import os
 
 import normplane
-from normplane import derived, errors, expressions, plane
+from normplane import derived, errors, expressions, numerics, plane
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 ORACLES = {
-    plane: ("is_birkhoff_orthogonal", "ORTHO_TOL", "TangentTheta", "EagerArclength"),
+    plane: ("is_birkhoff_orthogonal", "ORTHO_TOL", "TangentTheta", "EagerArclength",
+            "lp_radial_jet"),
+    numerics: ("differentiate_every_point",),
     derived: ("evolute_as_parallel_singularities", "normal_envelope_residual",
               "pedal_envelope_residual", "vertex_residual", "osculating_data",
               "distance_squared_rates"),

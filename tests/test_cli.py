@@ -276,6 +276,31 @@ def test_pedal_config_matches_shipped(tmp_path):
     assert svg.count("<svg") == 1 and "viewBox" in svg
 
 
+def test_lp3_cusp_evolute_config_bisects_and_evaluates_distinct_points(tmp_path, monkeypatch):
+    # the shipped config that CI byte-compares for both shortcuts: lp3 flat
+    # points take the bisection fallback, and the evolute's nested stencils
+    # repeat parameters
+    from normplane import numerics, plane
+
+    seen = {"bisect": 0, "repeats": 0}
+    bisect, distinct = plane.NormedPlane._bisect_cell, numerics._distinct_call
+
+    def counted_bisect(self, *args):
+        seen["bisect"] += 1
+        return bisect(self, *args)
+
+    def counted_distinct(f, pts):
+        seen["repeats"] += np.unique(pts.view(np.int64)).size < pts.size
+        return distinct(f, pts)
+
+    monkeypatch.setattr(plane.NormedPlane, "_bisect_cell", counted_bisect)
+    monkeypatch.setattr(numerics, "_distinct_call", counted_distinct)
+    assert _run(tmp_path, "evolute_lp3_cusp.json") == 0
+    assert seen["bisect"] > 0 and seen["repeats"] > 0
+    rep = json.loads((tmp_path / "out" / "evolute_lp3_cusp.json").read_text())
+    assert rep["counts"]["vertices"] == 1 and rep["is_front"]
+
+
 def test_csv_format_and_masking(tmp_path):
     path = tmp_path / "x.csv"
     ts = np.array([0.0, 1.0])

@@ -536,6 +536,22 @@ def test_derived_pair_values_invert_the_supporting_map_a_fixed_number_of_times(
     assert sum(points) == _INVERSIONS_PER_POINT[name] * ts.size
 
 
+def test_an_evolute_ratio_rate_inverts_each_distinct_point_once(fourier_oval, monkeypatch):
+    # ratio_rate_at reads the fresh evolute pair at 7 points per parameter: 9
+    # inversions each (see above), 7 of them the stencil of (alpha/kappa)', so
+    # 49 base points per parameter, which repeat bit for bit where
+    # (t + i h) + j h rounds alike. Each distinct base point is inverted once:
+    # 1544 inversions here, where evaluating every point made 63 * 50 = 3150
+    pair = evolute(legendre_from_curve(fourier_oval, catalog.ellipse(2.0, 1.0, samples=256))).pair
+    ts = np.linspace(0.1, 6.0, 50)
+    points = []
+    invert = fourier_oval.tangent_theta
+    monkeypatch.setattr(fourier_oval, "tangent_theta",
+                        lambda chi, *order: points.append(np.size(chi)) or invert(chi, *order))
+    pair.ratio_rate_at(ts)
+    assert sum(points) == 1544
+
+
 def test_a_field_without_a_jet_evaluates_seven_points_per_point(ellipse_pair, l3, monkeypatch):
     # the value is the centre of the stencil that gives the rate
     eta = transfer_legendre(ellipse_pair, l3).eta

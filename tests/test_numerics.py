@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from normplane.errors import NoConvergence
 from normplane.numerics import (DIFF_BLOCK, brent_root, differentiate, fd_weights, hermite,
                                 index_runs, merge_events, pchip, polish_dips, wrap)
 from normplane.plane import NormSpec, build_plane
+from oracles import differentiate_every_point
 
 # polynomials evaluate to the same bits in batch and one point at a time
 
@@ -28,16 +31,22 @@ def _quintic(x):
 
 
 class _Counted:
-    """Array-only callable that records the size of every call."""
+    """Array-only callable that records the size and a copy of the
+    parameters of every call."""
 
     def __init__(self, f):
         self.f = f
         self.sizes = []
+        self.calls = []
 
     def __call__(self, x):
         assert isinstance(x, np.ndarray) and x.ndim == 1
         self.sizes.append(x.size)
+        self.calls.append(np.array(x))
         return self.f(x)
+
+    def bits(self):
+        return [x.view(np.int64) for x in self.calls]
 
 
 @pytest.mark.parametrize("f, brackets", [
@@ -299,3 +308,148 @@ def test_differentiate_reads_several_orders_from_one_stencil(domain, closed, t):
     for k in (1, 2):
         want = differentiate(curve, t, k, h, domain=domain, closed=closed)
         assert got[k].shape == want.shape and np.array_equal(got[k], want)
+
+
+def _nested(differ, f, h, domain, closed):
+    """The rate of f, read along with f itself from one stencil: a function
+    that takes a finite difference of its own."""
+    return lambda s: differ(f, s, (0, 1), h, domain=domain, closed=closed)[1]
+
+
+def test_nested_stencils_call_f_once_per_distinct_parameter():
+    # on a grid of spacing 16h with h a power of two every sum (t + i h) + j h
+    # is exact: the 49 points of a parameter's stencil of stencils are its 13
+    # points t - 6h .. t + 6h, apart from its neighbours'
+    h = 2.0 ** -8
+    t = np.arange(-20, 21) * (16.0 * h)
+    inner = _Counted(_quintic)
+    outer = _Counted(_nested(differentiate, inner, h, None, False))
+    got = differentiate(outer, t, 1, h)
+    assert outer.sizes == [7 * t.size]
+    assert inner.sizes == [13 * t.size]
+    assert np.array_equal(np.sort(inner.calls[0]), np.sort(
+        (t[:, None] + np.arange(-6, 7) * h).ravel()))
+    assert np.array_equal(got, differentiate_every_point(
+        _nested(differentiate_every_point, _quintic, h, None, False), t, (1,), h)[0])
+
+
+def test_a_function_that_takes_differences_sees_its_batch_in_full():
+    # on a grid of spacing h the outer stencils repeat too: 47 distinct of
+    # 7 * 41 = 287 points. The function there takes a finite difference, whose
+    # bits depend on its batch, so its distinct evaluation ends at that
+    # difference and it is called on all 287 points; the pure function below
+    # it is called once per distinct point of the stencils of those 287
+    h = 2.0 ** -8
+    t = np.arange(-20, 21) * h
+    inner = _Counted(_quintic)
+    outer = _Counted(_nested(differentiate, inner, h, None, False))
+    got = differentiate(outer, t, 1, h)
+    assert outer.sizes == [47, 287]
+    assert inner.sizes == [53]
+    assert np.array_equal(np.sort(inner.calls[0]), np.arange(-26, 27) * h)
+    assert np.array_equal(got, differentiate_every_point(
+        _nested(differentiate_every_point, _quintic, h, None, False), t, (1,), h)[0])
+    # the distinct evaluation ends with the difference, and the next one runs
+    assert np.array_equal(differentiate(outer, t, 1, h), got)
+    assert outer.sizes == [47, 287] * 2 and inner.sizes == [53, 53]
+
+
+def test_threads_keep_their_own_distinct_evaluation():
+    # the mark of a distinct evaluation is per thread: a thread whose function
+    # takes differences of its own beside threads whose functions do not
+    # neither refuses another's difference nor ends its distinct evaluation
+    h = 2.0 ** -8
+    jobs = [np.arange(-20, 21) * (h if k % 2 else 16.0 * h) + k * h for k in range(4)]
+
+    def slow_quintic(s):
+        time.sleep(1e-4)    # other threads run while a distinct evaluation is open
+        return _quintic(s)
+
+    def rate(t):
+        return differentiate(_nested(differentiate, slow_quintic, h, None, False), t, 1, h)
+
+    wants = [rate(t) for t in jobs]
+    failures = []
+
+    def work(k):
+        try:
+            for _ in range(20):
+                if not np.array_equal(rate(jobs[k]), wants[k]):
+                    failures.append(k)
+        except Exception as exc:
+            failures.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(jobs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+
+
+def _periodic(s):
+    return np.sin(3.0 * s) + 0.2 * np.cos(s)
+
+
+def _periodic_pair(s):
+    return np.stack([np.sin(3.0 * s), np.cos(s) - 0.1 * np.sin(2.0 * s)], -1)
+
+
+@pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+@pytest.mark.parametrize("domain, closed, t, h", [
+    (None, False, np.arange(-40, 41) * 2.0 ** -8, 2.0 ** -8),
+    ((0.0, 1.0), False, np.linspace(0.0, 1.0, 257), 2.0 ** -8),
+    ((0.0, 1.0), False, np.concatenate([np.arange(40) * 1e-4, 1.0 - np.arange(40) * 1e-4]), 1e-4),
+    ((0.0, 1.0), False, np.linspace(0.0, 1.0, 97), 1e-3),
+    ((-1.0, 2.0 * np.pi - 1.0), True, -1.0 + np.arange(300) * (2.0 * np.pi / 300), 1e-3),
+    ((-1.0, 2.0 * np.pi - 1.0), True, 0.3 + np.arange(51) * 1e-3, 1e-3),
+], ids=["free-exact", "open-shifted-exact", "open-shifted-rounded", "open-apart", "closed",
+        "closed-rounded"])
+def test_distinct_parameters_give_every_point_evaluation_bit_for_bit(vector, domain, closed, t,
+                                                                     h):
+    f = _periodic_pair if vector else _periodic
+    inner = _Counted(f)
+    got = differentiate(_nested(differentiate, inner, h, domain, closed), t, (0, 1, 2), h,
+                        domain=domain, closed=closed)
+    every = _Counted(f)
+    want = differentiate_every_point(_nested(differentiate_every_point, every, h, domain, closed),
+                                     t, (0, 1, 2), h, domain, closed)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a, b)
+    # f sees no parameter twice in a call, and the calls together reach the
+    # parameters that evaluating every point reaches, fewer times
+    for bits in inner.bits():
+        assert np.unique(bits).size == bits.size
+    reached = np.unique(np.concatenate(inner.bits()))
+    assert np.array_equal(reached, np.unique(np.concatenate(every.bits())))
+    assert sum(inner.sizes) < sum(every.sizes)
+
+
+def test_distinct_parameters_keep_minus_zero_apart():
+    f = _Counted(lambda s: np.stack([np.copysign(1.0, s), s], -1))
+    pts = np.array([0.0, -0.0, 0.0, 1.0, -0.0, 1.0])
+    got = numerics._distinct_call(f, pts)
+    assert f.sizes == [3]
+    assert np.array_equal(got[:, 0], [1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
+    assert np.array_equal(np.signbit(got[:, 1]), np.signbit(pts))
+    # parameters that do not repeat go to f as they are, in their order
+    f = _Counted(np.sin)
+    pts = np.array([0.5, -0.0, 0.0, 0.25])
+    numerics._distinct_call(f, pts)
+    assert np.array_equal(f.bits(), [pts.view(np.int64)])
+
+
+@pytest.mark.parametrize("shape", [(0,), (2, 0)])
+def test_differentiate_of_no_parameters_is_empty(shape):
+    t = np.empty(shape)
+    h = 1e-3
+    assert differentiate(np.sin, t, 1, h).shape == shape
+    got = differentiate(_periodic_pair, t, (0, 1, 2), h, domain=(0.0, 1.0))
+    assert [a.shape for a in got] == [shape + (2,)] * 3
+    assert differentiate(_periodic_pair, t, 2, h, closed=True).shape == shape + (2,)

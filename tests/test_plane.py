@@ -16,7 +16,7 @@ from normplane.plane import (
     symplectic,
     transfer_unit,
 )
-from oracles import EagerArclength, antinorm_supremum, is_birkhoff_orthogonal
+from oracles import EagerArclength, antinorm_supremum, is_birkhoff_orthogonal, lp_radial_jet
 
 TWO_PI = 2.0 * np.pi
 
@@ -400,6 +400,48 @@ def test_tangent_theta_matches_bisection_reference(spec):
 
     one, _ = plane.tangent_theta(0.3)
     assert isinstance(one, np.ndarray) and one.shape == ()
+
+
+@pytest.mark.parametrize("spec", [
+    NormSpec("lp", p=3.0),
+    NormSpec("lp", p=1.5),
+    NormSpec("lp", p=6.0),
+    NormSpec("fourier_radial", coefficients=(1.0, 0.08)),
+], ids=["lp3", "lp1.5", "lp6", "fourier"])
+def test_bisect_cell_is_the_one_halving_loop_with_seven_circle_evaluations(spec, monkeypatch):
+    plane = build_plane(spec)
+    axes = np.arange(4) * (np.pi / 2.0)
+    chi = np.concatenate([axes + d for d in (0.0, 1e-12, -1e-12, 1e-7, -1e-7)]
+                         + [np.random.default_rng(5).uniform(-np.pi, np.pi, 200)])
+    psi0 = plane._psi_nodes[0]
+    lift = psi0 + np.mod(chi - psi0, TWO_PI)
+    j = np.clip(np.searchsorted(plane._psi_nodes, lift) - 1, 0, plane._n - 1)
+    lo, hi = plane._theta_nodes[j], plane._theta_nodes[j + 1]
+    assert np.array_equal(plane._d1_nodes[j], plane.circle_d1(lo))
+    calls = []
+    d1 = plane.circle_d1
+    monkeypatch.setattr(plane, "circle_d1", lambda theta: calls.append(1) or d1(theta))
+    w_lo, target = plane._d1_nodes[j], lift - plane._psi_nodes[j]
+    got = plane._bisect_cell(lo, hi, w_lo, target)
+    assert len(calls) == 7
+    monkeypatch.undo()
+    assert np.array_equal(np.mod(got, TWO_PI), _bisection_tangent_theta(plane, chi))
+    # one direction alone has the bits it has in the batch
+    assert np.array_equal(plane._bisect_cell(lo[:1], hi[:1], w_lo[:1], target[:1]), got[:1])
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 6.0])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_lp_radial_jet_keeps_the_bits_of_its_formula(p, order):
+    profile = build_plane(NormSpec("lp", p=p))._profile
+    axes = np.arange(-4, 5) * (np.pi / 2.0)
+    theta = np.concatenate([axes + d for d in (0.0, 1e-12, -1e-12, 1e-7, -1e-7, 1e-3, -1e-3)]
+                           + [np.linspace(-np.pi, np.pi, 1001)])
+    got = profile.jet(theta, order)
+    want = lp_radial_jet(p, theta, order, profile.GUARD)
+    assert len(got) == order + 1
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("spec", [
