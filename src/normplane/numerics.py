@@ -3,7 +3,6 @@ crossings, cubic Hermite and monotone interpolation."""
 
 from __future__ import annotations
 
-import threading
 from functools import lru_cache
 
 import numpy as np
@@ -13,10 +12,8 @@ from .errors import NoConvergence
 TWO_PI = 2.0 * np.pi
 
 # parameters per stencil block of `differentiate`: 7 points each, so one call
-# of `f` sees at most 7168 points (7175 when one parameter is left over). `f`
-# is evaluated point by point, and BLAS reduces the stencils of a full block
-# to the bits it gives them inside a whole batch, so the blocks change no bit
-# of the result
+# of `f` sees at most 7168 points. Even, so a full block is never padded (see
+# `_stencil_sums`), and the blocks change no bit of the result
 DIFF_BLOCK = 1024
 
 # golden_minimize: most steps, and the bracket width relative to
@@ -82,8 +79,9 @@ def differentiate(f, t, order, h, domain=None, closed=False):
 
     The window t + {-3h..3h} is shifted to stay inside an open domain; closed
     domains sample through the wrap instead. `t` may be scalar or an array.
-    `f` sees the stencils of at most DIFF_BLOCK (+ 1) parameters per call,
-    each distinct point once (see `_distinct_call`).
+    `f` sees the stencils of at most DIFF_BLOCK parameters per call, each
+    distinct point once (see `_distinct_call`), and each parameter's result
+    has the same bits in any batch (see `_stencil_sums`).
     `order` may be a tuple of orders, all read from one evaluation of the
     stencils and returned as a tuple; order 0 is the value of f at t itself,
     the stencil point at offset 0 (f is called at t apart from the stencil
@@ -95,8 +93,6 @@ def differentiate(f, t, order, h, domain=None, closed=False):
 
 
 def _differentiate(f, t, orders, h, domain, closed):
-    if getattr(_DISTINCT, "trial", False):
-        raise _TakesDifferences
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     t_flat = t_arr.ravel()
     base = np.arange(-3, 4, dtype=float)
@@ -115,15 +111,13 @@ def _differentiate(f, t, orders, h, domain, closed):
         offs = (base + s) * h
         weights = [None if order == 0 else fd_weights(offs, order) for order in orders]
         idx = np.nonzero(shifts == s)[0]
-        # no last block of one parameter: BLAS would reduce it by its dot
-        # product, whose bits differ from its matrix-vector product's
-        for rows in np.split(idx, range(DIFF_BLOCK, idx.size - 1, DIFF_BLOCK)):
+        for rows in np.split(idx, range(DIFF_BLOCK, idx.size, DIFF_BLOCK)):
             ts = t_flat[rows][:, None] + offs[None, :]
             vals = _distinct_call(f, ts.ravel())
             vals = vals.reshape(ts.shape + vals.shape[1:])
             for k, w in enumerate(weights):
                 if w is not None:
-                    acc = np.tensordot(w, np.moveaxis(vals, 1, 0), axes=(0, 0))
+                    acc = _stencil_sums(w, vals)
                 elif abs(s) <= 3:
                     acc = vals[:, 3 - s]
                 else:
@@ -136,24 +130,24 @@ def _differentiate(f, t, orders, h, domain, closed):
                  for out in outs)
 
 
-class _TakesDifferences(Exception):
-    """Raised by a finite difference taken inside a function that
-    `_distinct_call` is evaluating on distinct parameters only."""
-
-
-# `trial` is set, per thread, while `_distinct_call` evaluates f on distinct
-# parameters only
-_DISTINCT = threading.local()
+def _stencil_sums(w, vals):
+    """The weighted sums of w over axis 1 of a block's stencil values vals,
+    by BLAS. BLAS reduces a block of one parameter by its dot product, and the
+    last parameter of an odd block of 2-vectors by a tail kernel, to other
+    bits than it gives the same stencil inside an even block; an odd block is
+    therefore padded with a copy of its last row, so every parameter's sum
+    has the bits it has in any batch."""
+    n = vals.shape[0]
+    if n % 2:
+        vals = np.concatenate([vals, vals[-1:]])
+    return np.tensordot(w, np.moveaxis(vals, 1, 0), axes=(0, 0))[:n]
 
 
 def _distinct_call(f, pts):
-    """f(pts), with f called once per distinct parameter where that gives
-    the same bits. Parameters are told apart by their bits, so -0.0 and 0.0
-    stay two. f evaluates point by point unless it takes a finite difference
-    of its own: BLAS reduces a stencil block of one parameter, and the last
-    parameter of an odd block of 2-vectors, to other bits than it gives them
-    inside a larger block, so such an f sees its batch in full. Its first
-    finite difference ends the distinct evaluation and f is called on pts."""
+    """f(pts), with f called once per distinct parameter. Parameters are told
+    apart by their bits, so -0.0 and 0.0 stay two. Every function normplane
+    differentiates evaluates point by point, a finite difference included,
+    so this gives the bits of f(pts)."""
     keys = pts.view(np.int64)
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
@@ -162,15 +156,7 @@ def _distinct_call(f, pts):
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
     if np.all(first):
         return np.asarray(f(pts), dtype=float)
-    _DISTINCT.trial = True
-    try:
-        vals = np.asarray(f(pts[order[first]]), dtype=float)
-    except _TakesDifferences:
-        vals = None
-    finally:
-        _DISTINCT.trial = False
-    if vals is None:
-        return np.asarray(f(pts), dtype=float)
+    vals = np.asarray(f(pts[order[first]]), dtype=float)
     slot = np.empty(pts.shape, dtype=np.intp)
     slot[order] = np.cumsum(first) - 1
     return vals[slot]

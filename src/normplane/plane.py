@@ -73,7 +73,8 @@ def _angle(v, message):
 
 
 def _turning_rate(d1, d2):
-    """psi' = [c', c'']/|c'|^2, the rate of the tangent angle along the circle."""
+    """[w, w']/|w|^2, the rate of the angle of a field w = d1 with rate d2;
+    psi' for w = c', the turning rate of the tangent along the circle."""
     return symplectic(d1, d2) / (d1[..., 0] ** 2 + d1[..., 1] ** 2)
 
 
@@ -438,7 +439,7 @@ class NormedPlane:
         w = np.asarray(w, dtype=float)
         dw = np.asarray(dw, dtype=float)
         _, (z, d1, d2) = self.tangent_theta(_angle(w, "tangent direction must be nonzero"))
-        chi_rate = symplectic(w, dw) / (w[..., 0] ** 2 + w[..., 1] ** 2)
+        chi_rate = _turning_rate(w, dw)
         psi_rate = _turning_rate(d1, d2)
         theta_rate = chi_rate / np.where(np.abs(psi_rate) < 1e-300, 1e-300, psi_rate)
         return z, d1 * theta_rate[..., None], psi_rate
@@ -454,7 +455,7 @@ class NormedPlane:
         v = np.asarray(v, dtype=float)
         dv = np.asarray(dv, dtype=float)
         theta = _angle(v, "birkhoff map needs a nonzero vector")
-        theta_rate = symplectic(v, dv) / (v[..., 0] ** 2 + v[..., 1] ** 2)
+        theta_rate = _turning_rate(v, dv)
         _, w, wp = self.circle_jet(theta, 2)
         norm_w, db = self._db(w, wp)
         return w / norm_w[..., None], db * theta_rate[..., None]

@@ -101,8 +101,9 @@ def differentiate_every_point(f, t, orders, h, domain=None, closed=False):
     """The tuple of 7-point finite differences of the given orders at t that
     `numerics.differentiate(f, t, orders, h, domain, closed)` returns, with f
     called on every stencil point of a block, repeated parameters included:
-    the same windows, blocks and stencil reduction, so its results must
-    equal the package's bit for bit."""
+    the same windows, blocks and stencil reduction (an odd block reduced with
+    a copy of its last row appended), so its results must equal the
+    package's bit for bit."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     t_flat = t_arr.ravel()
     base = np.arange(-3, 4, dtype=float)
@@ -117,14 +118,15 @@ def differentiate_every_point(f, t, orders, h, domain=None, closed=False):
     for s in np.unique(shifts):
         offs = (base + s) * h
         idx = np.nonzero(shifts == s)[0]
-        for rows in np.split(idx, range(DIFF_BLOCK, idx.size - 1, DIFF_BLOCK)):
+        for rows in np.split(idx, range(DIFF_BLOCK, idx.size, DIFF_BLOCK)):
             ts = t_flat[rows][:, None] + offs[None, :]
             vals = np.asarray(f(ts.ravel()), dtype=float)
             vals = vals.reshape(ts.shape + vals.shape[1:])
+            even = np.concatenate([vals, vals[-1:]]) if rows.size % 2 else vals
             for k, order in enumerate(orders):
                 if order:
-                    acc = np.tensordot(fd_weights(offs, order), np.moveaxis(vals, 1, 0),
-                                       axes=(0, 0))
+                    acc = np.tensordot(fd_weights(offs, order), np.moveaxis(even, 1, 0),
+                                       axes=(0, 0))[:rows.size]
                 elif abs(s) <= 3:
                     acc = vals[:, 3 - s]
                 else:

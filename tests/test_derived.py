@@ -380,6 +380,81 @@ def test_four_vertex_conditions_hold(astroid_pair, maslov_pair):
     assert rep.counts["vertices"] >= 4
 
 
+# -- relations between derived pairs -----------------------------------------
+# The parallel at offset d keeps eta and has the pair (alpha + d kappa, kappa),
+# so its centres of curvature are the base's, its vertices are the base's
+# ((alpha/kappa + d)' = (alpha/kappa)'), and its cusps are the zeros of
+# alpha + d kappa; the evolute's alpha is (alpha/kappa)' = -W/kappa^2, so its
+# cusps are the base's vertices. Checked on the ellipse (2, 1) under three
+# norms, away from any analytic count.
+
+# the grid sign changes of alpha + d kappa on each (norm, d)
+_PARALLEL_CUSPS = {("lp3", -0.2): 8}
+
+
+@pytest.fixture(scope="module", params=["euclidean", "fourier", "lp3"])
+def ellipse_512(request):
+    """(norm name, base pair, its report, its evolute, the evolute's report)."""
+    fixture = {"euclidean": "euclidean", "fourier": "fourier_oval", "lp3": "l3"}[request.param]
+    base = legendre_from_curve(request.getfixturevalue(fixture),
+                               catalog.ellipse(2.0, 1.0, samples=512))
+    frame = evolute(base)
+    return (request.param, base, singularity_report(base), frame,
+            singularity_report(frame.pair))
+
+
+@pytest.fixture(scope="module", params=[0.3, -0.2])
+def parallel_of_ellipse(request, ellipse_512):
+    """(d, the parallel at d of ellipse_512's base, its report)."""
+    pair = parallel(ellipse_512[1], request.param)
+    return request.param, pair, singularity_report(pair)
+
+
+def _circular_gap(a, b):
+    """Largest distance, modulo 2 pi, from an event of a or b to the nearest
+    event of the other."""
+    d = np.abs(np.subtract.outer(a, b)) % TWO_PI
+    d = np.minimum(d, TWO_PI - d)
+    return max(np.max(np.min(d, axis=1)), np.max(np.min(d, axis=0)))
+
+
+def test_the_evolute_of_a_parallel_is_the_evolute(ellipse_512, parallel_of_ellipse):
+    _, base, _, frame, frame_report = ellipse_512
+    _, pair, _ = parallel_of_ellipse
+    of_parallel = evolute(pair)
+    gap = of_parallel.evolute.point(base.ts) - frame.evolute.point(base.ts)
+    assert np.max(np.abs(gap)) < 1e-14
+    counts = singularity_report(of_parallel.pair).counts
+    assert counts["cusps"] == frame_report.counts["cusps"]
+    assert counts["vertices"] == frame_report.counts["vertices"]
+
+
+def test_a_parallel_has_the_vertices_of_its_base(ellipse_512, parallel_of_ellipse):
+    _, _, report, _, _ = ellipse_512
+    _, _, parallel_report = parallel_of_ellipse
+    assert parallel_report.counts["vertices"] == report.counts["vertices"] >= 4
+    assert _circular_gap([v.t for v in parallel_report.vertices],
+                         [v.t for v in report.vertices]) < 1e-9
+
+
+def test_a_parallels_cusps_are_the_sign_changes_of_alpha_plus_d_kappa(ellipse_512,
+                                                                     parallel_of_ellipse):
+    name, base, _, _, _ = ellipse_512
+    d, _, parallel_report = parallel_of_ellipse
+    signs = np.sign(base.alpha + d * base.kappa)
+    signs = signs[signs != 0.0]
+    changes = int(np.sum(signs != np.roll(signs, 1)))
+    assert changes == _PARALLEL_CUSPS.get((name, d), 0)
+    assert parallel_report.counts["cusps"] == changes
+
+
+def test_the_evolutes_cusps_are_the_base_vertices(ellipse_512):
+    name, _, report, _, frame_report = ellipse_512
+    assert frame_report.counts["cusps"] == report.counts["vertices"] == (8 if name == "lp3" else 4)
+    assert _circular_gap([c.t for c in frame_report.cusps],
+                         [v.t for v in report.vertices]) < 1e-9
+
+
 def _turn(angle):
     return np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
 

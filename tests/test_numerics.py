@@ -241,12 +241,32 @@ def test_differentiate_calls_f_on_bounded_blocks():
         sizes.append(s.size)
         return np.sin(s)
 
-    for n, largest in ((3 * DIFF_BLOCK + 5, DIFF_BLOCK), (2 * DIFF_BLOCK + 1, DIFF_BLOCK + 1)):
+    for n, largest in ((3 * DIFF_BLOCK + 5, DIFF_BLOCK), (2 * DIFF_BLOCK + 1, DIFF_BLOCK)):
         sizes.clear()
         t = np.linspace(0.0, 1.0, n)
         d = differentiate(f, t, 1, 1e-4)
         assert max(sizes) == 7 * largest and sum(sizes) == 7 * n
         assert np.max(np.abs(d - np.cos(t))) < 1e-9
+
+
+@pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+@pytest.mark.parametrize("domain, closed, t", [
+    (None, False, np.linspace(-1.0, 2.0, 200)),
+    ((0.0, 1.0), False, np.linspace(0.0, 1.0, 200)),
+    ((-1.0, 2.0 * np.pi - 1.0), True, np.linspace(-1.0, 2.0 * np.pi - 1.0, 200, endpoint=False)),
+], ids=["free", "open-shifted", "closed"])
+def test_a_parameters_difference_does_not_depend_on_its_batch(vector, domain, closed, t):
+    # BLAS reduces a one-parameter block, and the last parameter of an odd
+    # block of 2-vectors, by other kernels than an even block; every slice of
+    # the batch must still give each parameter the bits the whole batch gives
+    f = _periodic_pair if vector else _periodic
+    h = 1e-3
+    whole = differentiate(f, t, (1, 2), h, domain=domain, closed=closed)
+    for n in range(1, 41):
+        for i in (0, 1, 7, 100, t.size - n):
+            part = differentiate(f, t[i:i + n], (1, 2), h, domain=domain, closed=closed)
+            for a, b in zip(part, whole):
+                assert np.array_equal(a, b[i:i + n]), (n, i)
 
 
 def _open_curve_rate(fx, ts):
@@ -333,36 +353,33 @@ def test_nested_stencils_call_f_once_per_distinct_parameter():
         _nested(differentiate_every_point, _quintic, h, None, False), t, (1,), h)[0])
 
 
-def test_a_function_that_takes_differences_sees_its_batch_in_full():
+def test_a_function_that_takes_differences_is_called_once_per_distinct_point():
     # on a grid of spacing h the outer stencils repeat too: 47 distinct of
     # 7 * 41 = 287 points. The function there takes a finite difference, whose
-    # bits depend on its batch, so its distinct evaluation ends at that
-    # difference and it is called on all 287 points; the pure function below
-    # it is called once per distinct point of the stencils of those 287
+    # bits do not depend on its batch, so it is called on the 47 only, and the
+    # pure function below it once per distinct point of their stencils
     h = 2.0 ** -8
     t = np.arange(-20, 21) * h
     inner = _Counted(_quintic)
     outer = _Counted(_nested(differentiate, inner, h, None, False))
     got = differentiate(outer, t, 1, h)
-    assert outer.sizes == [47, 287]
+    assert outer.sizes == [47]
+    assert np.array_equal(np.sort(outer.calls[0]), np.arange(-23, 24) * h)
     assert inner.sizes == [53]
     assert np.array_equal(np.sort(inner.calls[0]), np.arange(-26, 27) * h)
     assert np.array_equal(got, differentiate_every_point(
         _nested(differentiate_every_point, _quintic, h, None, False), t, (1,), h)[0])
-    # the distinct evaluation ends with the difference, and the next one runs
-    assert np.array_equal(differentiate(outer, t, 1, h), got)
-    assert outer.sizes == [47, 287] * 2 and inner.sizes == [53, 53]
 
 
-def test_threads_keep_their_own_distinct_evaluation():
-    # the mark of a distinct evaluation is per thread: a thread whose function
-    # takes differences of its own beside threads whose functions do not
-    # neither refuses another's difference nor ends its distinct evaluation
+def test_threads_taking_nested_differences_at_once_get_their_lone_bits():
+    # a distinct evaluation keeps no state between calls: threads whose
+    # functions take differences of their own, on grids whose stencils repeat
+    # and on grids whose stencils do not, each get the bits of a lone run
     h = 2.0 ** -8
     jobs = [np.arange(-20, 21) * (h if k % 2 else 16.0 * h) + k * h for k in range(4)]
 
     def slow_quintic(s):
-        time.sleep(1e-4)    # other threads run while a distinct evaluation is open
+        time.sleep(1e-4)    # other threads run while an evaluation is open
         return _quintic(s)
 
     def rate(t):
