@@ -32,7 +32,6 @@ from .plane import (
     NormedPlane,
     build_plane,
     symplectic,
-    transfer_unit,
 )
 from .synthesis import SynthesisSpec, apply_linear_map, synthesize
 

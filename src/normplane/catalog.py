@@ -33,7 +33,8 @@ def ellipse(a=2.0, b=1.0, samples=2048, name=None):
 
 
 def astroid(samples=2048):
-    c, s = np.cos, np.sin
+    # arrays, 0-d for a scalar t, so that ** takes numpy's power loop, not C pow
+    c, s = (lambda t: np.cos(t)[...]), (lambda t: np.sin(t)[...])
     return ParamCurve(
         lambda t: _xy(c(t) ** 3, s(t) ** 3), (0.0, TWO_PI), closed=True,
         derivatives=(

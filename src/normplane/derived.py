@@ -124,12 +124,9 @@ def involute(L: LegendreCurve, d: float) -> LegendreCurve:
     A_nodes = np.concatenate([[0.0], np.cumsum(seg)])
 
     def A_at(t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        j = np.clip(np.searchsorted(ts, t_arr) - 1, 0, len(ts) - 2)
-        out = A_nodes[j] + gauss5_segments(L.alpha_at, ts[j], t_arr)
-        if np.isscalar(t) or np.asarray(t).ndim == 0:
-            return float(out[0])
-        return out
+        t = np.asarray(t, dtype=float)
+        j = np.clip(np.searchsorted(ts, t) - 1, 0, len(ts) - 2)
+        return A_nodes[j] + gauss5_segments(L.alpha_at, ts[j], t)
 
     def xi_eval(t):
         return plane.birkhoff(eta(t))
@@ -138,14 +135,12 @@ def involute(L: LegendreCurve, d: float) -> LegendreCurve:
         return plane.unit_tangent_with_derivative(*eta.value_and_rate(t))
 
     def pos(t):
-        A = np.asarray(A_at(t), dtype=float)
-        return gamma.point(t) - (A - d)[..., None] * xi_eval(t)
+        return gamma.point(t) - (A_at(t) - d)[..., None] * xi_eval(t)
 
     xi_field = NormalField(xi_eval, gamma.domain, gamma.closed, xi_jet)
 
     def d1(t):
-        A = np.asarray(A_at(t), dtype=float)
-        return (d - A)[..., None] * xi_field.value_and_rate(t)[1]
+        return (d - A_at(t))[..., None] * xi_field.value_and_rate(t)[1]
 
     span_A = float(A_nodes[-1])
     closed = bool(gamma.closed and abs(span_A) < 1e-9)

@@ -12,7 +12,8 @@ from .errors import IoError
 CSV_HEADER = "t,x,y,alpha,kappa,k"
 
 # rows per `%` call of emit_csv: one format and one argument tuple per block,
-# so the table is never held as Python floats all at once
+# so the table is never held as Python floats all at once (as one block, the
+# `dense_grid` bench's peak RSS rose from 52.1-52.4 to 54.7-54.9 MB)
 EMIT_BLOCK = 1024
 
 

@@ -240,13 +240,15 @@ def golden_minimize(f, a, b):
 
 
 def gauss5_segments(fn, a, b):
-    """Integral of fn over each segment [a_i, b_i] by 5-point Gauss."""
+    """Integral of fn over each segment [a_i, b_i] by 5-point Gauss. The node
+    sums reduce through `_stencil_sums`, so a segment's integral has the same
+    bits alone (scalar a, b), in a one-element array or in any batch."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     span = b - a
-    nodes = a[..., None] + span[..., None] * _G5_X
+    nodes = (a[..., None] + span[..., None] * _G5_X).reshape(-1, _G5_X.size)
     vals = fn(nodes.ravel()).reshape(nodes.shape)
-    return span * (vals @ _G5_W)
+    return span * _stencil_sums(_G5_W, vals).reshape(span.shape)
 
 
 # Brent's iteration cap, and the relative part of its convergence half-width

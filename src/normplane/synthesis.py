@@ -128,22 +128,27 @@ def apply_linear_map(L: LegendreCurve, matrix, is_isometry_of_plane: bool = Fals
     M = np.asarray(matrix, dtype=float)
     if M.shape != (2, 2):
         raise BadParameter("expected a 2x2 matrix")
+
+    def image(v):
+        # elementwise, not a BLAS product: a 2-vector maps to the same bits
+        # alone or in any batch
+        v = np.asarray(v, dtype=float)
+        return v[..., :1] * M[:, 0] + v[..., 1:] * M[:, 1]
+
     plane = L.plane
     if is_isometry_of_plane:
         thetas = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-        pts = plane.circle_point(thetas)
-        err = float(np.max(np.abs(plane.norm(pts @ M.T) - 1.0)))
+        err = float(np.max(np.abs(plane.norm(image(plane.circle_point(thetas))) - 1.0)))
         if err > 1e-9:
             raise NotAnIsometry(f"map distorts the unit circle by {err:.2e}")
 
     gamma, eta = L.gamma, L.eta
 
     def mapped(f):
-        return lambda t: np.asarray(f(t), dtype=float) @ M.T
+        return lambda t: image(f(t))
 
     new_gamma = ParamCurve(mapped(gamma.position), gamma.domain, gamma.closed,
                            tuple(map(mapped, gamma.derivatives)), gamma.samples, gamma.name)
-    jet = None if eta.jet is None else (
-        lambda t: tuple(np.asarray(part, dtype=float) @ M.T for part in eta.jet(t)))
+    jet = None if eta.jet is None else (lambda t: tuple(map(image, eta.jet(t))))
     new_eta = NormalField(mapped(eta.evaluate), eta.domain, eta.closed, jet)
     return make_legendre(plane, new_gamma, new_eta)

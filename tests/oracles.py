@@ -1,19 +1,19 @@
 """Independent geometric oracles that only the tests use: characterizations
 from the paper (orthogonality, the anti-norm as a supremum, envelopes of line
 families, osculating circles, the parallel sweep of the evolute) that check
-what the package computes, the unit circle's arc-length table built at
-once, finite differences that evaluate every stencil point, the lp radial
-jet as its own formula, distances between sampled curves, a cusp
-classification read off the curve alone, and a printer of expression trees
-that the parser must read back. They use public normplane names only, so they
-do not share the code they check."""
+what the package computes, a unit vector carried to another norm, the unit
+circle's arc-length table built at once, finite differences that evaluate
+every stencil point, the lp radial jet as its own formula, distances between
+sampled curves, a cusp classification read off the curve alone, and a
+printer of expression trees that the parser must read back. They use public
+normplane names only, so they do not share the code they check."""
 
 import numpy as np
 
 from normplane.analysis import REL_ZERO, curvature_pair
-from normplane.errors import KappaVanishes, SingularPoint, ZeroVector
+from normplane.errors import KappaVanishes, NotUnit, SingularPoint, ZeroVector
 from normplane.numerics import DIFF_BLOCK, fd_weights, gauss5_segments, golden_minimize, pchip
-from normplane.plane import ARCLENGTH_STEPS, ARCLENGTH_TOL, symplectic
+from normplane.plane import ARCLENGTH_STEPS, ARCLENGTH_TOL, UNIT_TOL, symplectic
 
 # relative slack of is_birkhoff_orthogonal's line search
 ORTHO_TOL = 1e-7
@@ -57,6 +57,16 @@ def antinorm_supremum(plane, x):
     if denom < 0.0:
         return max(f0, f(th[j] + 0.5 * step * (fm - fp) / denom))
     return float(f0)
+
+
+def transfer_unit(plane1, plane2, v):
+    """The unit vector of plane2 whose supporting direction is that of the
+    unit vector v of plane1, with matching orientation: where a normal goes
+    when its pair moves to another norm."""
+    v = np.asarray(v, dtype=float)
+    if np.max(np.abs(plane1.norm(v) - 1.0)) > UNIT_TOL:
+        raise NotUnit("transfer_unit expects a unit vector of the source plane")
+    return plane2.normal_from_tangent(plane1.birkhoff(v))
 
 
 class EagerArclength:

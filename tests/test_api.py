@@ -13,7 +13,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 
 ORACLES = {
     plane: ("is_birkhoff_orthogonal", "ORTHO_TOL", "TangentTheta", "EagerArclength",
-            "lp_radial_jet"),
+            "lp_radial_jet", "transfer_unit"),
     numerics: ("differentiate_every_point",),
     derived: ("evolute_as_parallel_singularities", "normal_envelope_residual",
               "pedal_envelope_residual", "vertex_residual", "osculating_data",

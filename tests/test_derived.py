@@ -181,14 +181,21 @@ def test_normal_envelope_residual(ellipse_pair, circle_pair):
 
 # -- involutes ---------------------------------------------------------------
 
-def test_involute_round_trips(circle_pair, ellipse_pair):
+def test_involute_round_trips(euclidean, fourier_oval, l3):
+    # evolute o involute = gamma to round-off: at most 5.0e-15 measured over
+    # these norms, curves, offsets and sample counts
     ts = np.linspace(0.0, TWO_PI, 257)
-    for pair in (circle_pair, ellipse_pair):
-        for d in (0.0, 0.5, -1.0):
-            inv = involute(pair, d)
-            frame = evolute(inv)
-            err = np.max(np.abs(frame.evolute.point(ts) - pair.gamma.point(ts)))
-            assert err < 1e-4
+    for samples in (512, 2048):
+        for curve in (catalog.circle(samples), catalog.ellipse(2.0, 1.0, samples)):
+            for plane in (euclidean, fourier_oval):
+                pair = legendre_from_curve(plane, curve)
+                for d in (0.0, 0.5, -1.0):
+                    frame = evolute(involute(pair, d))
+                    err = np.max(np.abs(frame.evolute.point(ts) - pair.gamma.point(ts)))
+                    assert err < 1e-13, (plane.spec.kind, curve.name, samples, d, err)
+            # the lp3 distortion vanishes at the axes: every involute is refused
+            with pytest.raises(RhoDegenerate):
+                involute(legendre_from_curve(l3, curve), 0.5)
 
 
 def test_involute_closed_form_circle(circle_pair):

