@@ -65,6 +65,10 @@ class LegendreCurve:
 
     `alpha`, `kappa` and the normals are sampled on the grid `ts` in the pass
     that validated the pair; the methods evaluate the pair at any parameter.
+    A parameter with the bits of a grid node reads the samples there, which
+    are the bits its evaluation gives, since every evaluator works point by
+    point; any other parameter, -0.0, NaN and a wrapped twin of a node
+    included, is evaluated.
     """
 
     plane: NormedPlane
@@ -107,13 +111,32 @@ class LegendreCurve:
     def _frame_at(self, t, e, *rate):
         return _frame_values(e, self.plane.birkhoff(e), self.gamma.derivative(t, 1), *rate)
 
+    def _read_grid(self, t, samples, evaluate):
+        """The samples at the parameters of t that are grid nodes, bit for
+        bit, and evaluate(s) at the others s, as a tuple of fields."""
+        t = np.asarray(t, dtype=float)
+        ts = self.ts
+        with np.errstate(over="ignore"):     # a huge t is no node either
+            pos = np.rint((t - ts[0]) * ((len(ts) - 1) / (ts[-1] - ts[0])))
+        hit = (pos >= 0) & (pos < len(ts))
+        i = np.where(hit, pos, 0).astype(np.intp)
+        hit &= ts.view(np.int64)[i] == t.view(np.int64)
+        if not np.any(hit):
+            return evaluate(t)
+        out = tuple(s[i] for s in samples)
+        if not np.all(hit):
+            for o, v in zip(out, evaluate(t[~hit])):
+                o[~hit] = v
+        return out
+
     def values_at(self, t):
         """(alpha(t), kappa(t)) from one evaluation of the normal's jet."""
-        return self._frame_at(t, *self.eta.value_and_rate(t))
+        return self._read_grid(t, (self.alpha, self.kappa),
+                               lambda s: self._frame_at(s, *self.eta.value_and_rate(s)))
 
     def alpha_at(self, t):
         """alpha(t) from the normal alone, bit for bit values_at(t)[0]."""
-        return self._frame_at(t, self.eta(t))[0]
+        return self._read_grid(t, (self.alpha,), lambda s: self._frame_at(s, self.eta(s)))[0]
 
     def kappa_at(self, t):
         return self.values_at(t)[1]
@@ -144,7 +167,14 @@ def _frame_values(eta, xi, d1, *eta_rate):
 
 def make_legendre(plane: NormedPlane, gamma: ParamCurve, eta: NormalField,
                   residual_tol: float = RESIDUAL_TOL) -> LegendreCurve:
-    """Validate the unit constraint on eta and the orthogonality residual
+    """Validate the pair and sample its curvature pair (see _validate)."""
+    return _validate(plane, gamma, eta, residual_tol)[0]
+
+
+def _validate(plane, gamma, eta, residual_tol):
+    """The validated pair and xi = b(eta) on its grid.
+
+    Validate the unit constraint on eta and the orthogonality residual
     max |[gamma', b(eta)]| / (||gamma'|| + eps), and sample the curvature
     pair, all from one evaluation of gamma', eta and eta' on the grid.
 
@@ -174,7 +204,7 @@ def make_legendre(plane: NormedPlane, gamma: ParamCurve, eta: NormalField,
     alpha, kappa = _frame_values(e, xi, d1, e_rate)
     if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(kappa))):
         raise ResidualViolation("curvature pair is not finite on the grid")
-    return LegendreCurve(plane, gamma, eta, res, ts, alpha, kappa, e)
+    return LegendreCurve(plane, gamma, eta, res, ts, alpha, kappa, e), xi
 
 
 def legendre_from_curve(plane: NormedPlane, curve: ParamCurve) -> LegendreCurve:
@@ -186,8 +216,7 @@ def legendre_from_curve(plane: NormedPlane, curve: ParamCurve) -> LegendreCurve:
     grid nodes makes one long chord; one on a node, whose tangent lies
     between the two sides, splits it in two. A coarse grid of a smooth
     tangent line has even chords (0.765 on the 8-sample circle)."""
-    L = make_legendre(plane, curve, extend_normal(plane, curve))
-    xi = plane.birkhoff(L.normals)
+    L, xi = _validate(plane, curve, extend_normal(plane, curve), RESIDUAL_TOL)
     if curve.closed:
         xi = np.concatenate([xi, xi[:1]])
     # d[k + 2] is the chord from sample k to k + 1; outside an open curve, 0

@@ -100,8 +100,9 @@ def _differentiate(f, t, orders, h, domain, closed):
         shifts = np.zeros(t_flat.shape, dtype=int)
     else:
         t0, t1 = domain
-        lo = np.ceil(np.maximum(0.0, (t0 - (t_flat - 3.0 * h)) / h - 1e-9)).astype(int)
-        hi = np.ceil(np.maximum(0.0, ((t_flat + 3.0 * h) - t1) / h - 1e-9)).astype(int)
+        # fmax: a NaN parameter keeps the unshifted window, and its NaN values
+        lo = np.ceil(np.fmax(0.0, (t0 - (t_flat - 3.0 * h)) / h - 1e-9)).astype(int)
+        hi = np.ceil(np.fmax(0.0, ((t_flat + 3.0 * h) - t1) / h - 1e-9)).astype(int)
         shifts = lo - hi
     outs = [None] * len(orders)
     if not t_flat.size:
@@ -168,14 +169,16 @@ def wrap(t, t0, period):
     bit, whatever else the array holds, so a batch wraps as its elements
     would one by one (np.mod of an in-range grid is also the costly part of
     an evaluation). A tiny negative offset, which np.mod rounds up to the
-    period, maps to t0; a scalar stays a scalar."""
+    period, maps to t0; NaN and +/-inf, which lie nowhere on the curve, map
+    to NaN; a scalar stays a scalar."""
     if period is None:
         return t
     inside = (t >= t0) & (t < t0 + period)
     if np.all(inside):
         return t
-    moved = t0 + np.mod(t - t0, period)
-    return np.where(inside, t, np.where(moved < t0 + period, moved, t0))[()]
+    with np.errstate(invalid="ignore"):
+        moved = t0 + np.mod(t - t0, period)
+    return np.where(inside, t, np.where(moved >= t0 + period, t0, moved))[()]
 
 
 def index_runs(idx, n, closed):

@@ -352,6 +352,7 @@ class NormedPlane:
             theta[s:s + TANGENT_BLOCK] = self._tangent_theta_block(
                 chi[s:s + TANGENT_BLOCK])
         theta = np.mod(theta, TWO_PI)
+        theta[np.isnan(chi)] = np.nan    # no direction, no supporting point
         jet = self.circle_jet(theta, order)
         miss = np.abs(_direction_gap(jet[1], chi)) > 1e-9
         if np.any(miss):

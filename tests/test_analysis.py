@@ -576,7 +576,23 @@ def test_pair_is_sampled_in_the_pass_that_validates_it(fourier_oval, monkeypatch
     cp = curvature_pair(L)
     assert sum(points) == 256
     assert cp is L
-    assert np.array_equal(np.stack(cp.values_at(cp.ts)), np.stack([cp.alpha, cp.kappa]))
+    # the samples are the evaluator's bits: the frame formula on the jet of
+    # the normal, here in the reverse batch
+    ts = cp.ts[::-1]
+    e, rate = L.eta.value_and_rate(ts)
+    denom = symplectic(e, fourier_oval.birkhoff(e))
+    assert np.array_equal(symplectic(e, L.gamma.derivative(ts, 1)) / denom, cp.alpha[::-1])
+    assert np.array_equal(symplectic(e, rate) / denom, cp.kappa[::-1])
+
+
+def test_a_curve_pair_maps_its_normals_by_birkhoff_once(fourier_oval, monkeypatch):
+    # the tangent-line jump check reads the xi = b(eta) that validation took
+    points = []
+    tangent = fourier_oval.birkhoff
+    monkeypatch.setattr(fourier_oval, "birkhoff",
+                        lambda v: points.append(np.size(v) // 2) or tangent(v))
+    legendre_from_curve(fourier_oval, catalog.ellipse(2.0, 1.0, samples=256))
+    assert points == [256]
 
 
 @pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["seam-at-zero", "seam-shifted"])

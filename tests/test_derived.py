@@ -575,14 +575,25 @@ def test_alpha_at_is_the_first_part_of_values_at(request, monkeypatch, name):
     L = _PAIRS[name](request.getfixturevalue)
     cp = curvature_pair(L)
     ts = np.linspace(*cp.domain, 257)
-    for t in (ts, 0.37):
+    off = ts[~np.isin(ts, cp.ts)]       # the parameters off the sample grid
+    assert off.size
+    for t in (off, 0.37):
         assert np.array_equal(cp.alpha_at(t), cp.values_at(t)[0])
     # one value of the normal per point: no jet, no finite difference of it
     points = []
     evaluate = L.eta.evaluate
     monkeypatch.setattr(L.eta, "evaluate", lambda t: points.append(np.size(t)) or evaluate(t))
-    cp.alpha_at(ts)
-    assert points == [ts.size]
+    cp.alpha_at(off)
+    assert points == [off.size]
+    # a grid node reads its sample and evaluates nothing; the sample is the
+    # bits the normal alone gives the node in another batch
+    nodes = cp.ts[::-1]
+    assert np.array_equal(cp.alpha_at(nodes), cp.alpha[::-1])
+    assert np.array_equal(cp.values_at(nodes)[1], cp.kappa[::-1])
+    assert points == [off.size]
+    e = L.eta(nodes)
+    want = symplectic(e, L.gamma.derivative(nodes, 1)) / symplectic(e, L.plane.birkhoff(e))
+    assert np.array_equal(cp.alpha[::-1], want)
 
 
 # derived pairs by the base pair

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -217,6 +218,21 @@ def test_wrap_keeps_the_bits_of_in_range_parameters_of_any_batch():
     assert np.array_equal(got[:-2], inside)
     assert np.array_equal(got, [wrap(t, t0, period) for t in batch.tolist()])
     assert np.all((got >= t0) & (got < t0 + period))
+
+
+def test_wrap_maps_a_non_finite_parameter_to_nan():
+    # nan and +/-inf lie nowhere on a closed curve: NaN, not t0, and no
+    # warning; every finite parameter keeps the bits it wraps to alone
+    t0, period = -1.0, 2.0 * np.pi
+    finite = np.array([t0, 0.3, -0.0, t0 + period, t0 - 0.25, 40.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (np.nan, np.inf, -np.inf):
+            assert np.isnan(wrap(t, t0, period))
+        got = wrap(np.concatenate([finite, [np.nan, np.inf, -np.inf]]), t0, period)
+    assert np.all(np.isnan(got[-3:]))
+    want = np.array([wrap(t, t0, period) for t in finite.tolist()])
+    assert np.array_equal(got[:-3].view(np.int64), want.view(np.int64))
 
 
 def test_fd_weights_are_computed_once_per_stencil_and_read_only():

@@ -190,6 +190,29 @@ def test_synthesis_integrates_from_the_start_of_its_domain(euclidean):
     assert np.max(np.abs(cp.kappa - kappa(cp.ts))) < 1e-5
 
 
+@pytest.mark.parametrize("kappa, calls", [(_ones, 3), (lambda t: 1.0 + 0.1 * np.cos(t), 4)],
+                         ids=["kappa=1", "kappa=1+0.1cos"])
+def test_equal_stage_arc_lengths_share_one_inversion(fourier_oval, monkeypatch, kappa, calls):
+    # the nodes and the four stages invert their arc lengths: stage 3 shares
+    # stage 2's inversion exactly when its arc lengths are the same bits,
+    # which kappa = 1 gives at every step and 1 + 0.1 cos t at none
+    seen = []
+    invert = fourier_oval.theta_of_arclength
+    monkeypatch.setattr(fourier_oval, "theta_of_arclength",
+                        lambda u: seen.append((u, invert(u))) or seen[-1][1])
+    spec = SynthesisSpec(lambda t: np.cos(3.0 * np.asarray(t, dtype=float)), kappa,
+                         (0.0, 0.0), tuple(fourier_oval.circle_point(0.0)), (0.0, TWO_PI),
+                         steps=512)
+    synthesize(fourier_oval, spec)
+    assert len(seen) == calls
+    u2, theta2 = seen[1]
+    if calls == 4:
+        assert u2.tobytes() != seen[2][0].tobytes()
+    # the inversion keeps no state, so a shared stage gets the bits its own
+    # inversion would
+    assert np.array_equal(invert(u2), theta2)
+
+
 _QUARTER = np.array([[0.0, -1.0], [1.0, 0.0]])
 _REFLECTIONS = {"y->-y": np.diag([1.0, -1.0]), "x->-x": np.diag([-1.0, 1.0])}
 _REPORT_CURVES = (
