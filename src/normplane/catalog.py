@@ -78,7 +78,7 @@ def unit_circle_of_norm(plane: NormedPlane, samples=2048):
 def unit_circle_normal(plane: NormedPlane):
     """A Minkowski circle is its own normal field."""
     return NormalField(plane.circle_point, (0.0, TWO_PI), True,
-                       lambda t: plane.circle_jet(t, 1))
+                       lambda t: plane.circle_jet(t, (0, 1)))
 
 
 def get_curve(name: str, plane: NormedPlane, samples=2048, **params) -> ParamCurve:

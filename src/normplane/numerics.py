@@ -382,37 +382,48 @@ def _pchip_end_slope(h0, h1, m0, m1):
     return d
 
 
-def hermite(x, y, dy):
+class Hermite:
     """Piecewise cubic Hermite interpolant through (x_i, y_i) with slopes
-    dy_i, x strictly increasing; y and dy of shape (n,) or (n, 2). Returns
-    q -> y(q), of shape q.shape or q.shape + (2,). The coefficients and term
-    order are scipy's CubicHermiteSpline in PPoly form (the end cubics
-    extrapolate). One table of (x_i, c3, c2, c1, c0) per interval (and per
-    component) keeps a query to one search and one gather."""
-    x, y, dy = (np.asarray(a, dtype=float) for a in (x, y, dy))
-    vector = y.ndim > 1
-    h = np.diff(x)[:, None] if vector else np.diff(x)
-    m = np.diff(y, axis=0) / h
-    t = (dy[:-1] + dy[1:] - 2.0 * m) / h
-    x0 = np.broadcast_to(x[:-1].reshape(h.shape), m.shape)
-    table = np.stack([x0, y[:-1], dy[:-1], (m - dy[:-1]) / h - t, t / h])
-    inner = x[1:-1]
+    dy_i, x strictly increasing; y and dy of shape (n,) or (n, 2). Called
+    on q it returns y(q), of shape q.shape or q.shape + (2,). The
+    coefficients and term order are scipy's CubicHermiteSpline in PPoly form
+    (the end cubics extrapolate). One table of (x_i, c3, c2, c1, c0) per
+    interval (and per component) keeps a query to one search (`interval`)
+    and one gather (`at`), so a caller that needs the intervals of its
+    queries too searches once."""
 
-    def evaluate(q):
-        q = np.asarray(q, dtype=float)
-        x0, c3, c2, c1, c0 = np.take(table, np.searchsorted(inner, q, side="right"), axis=1)
-        s = (q[..., None] if vector else q) - x0
+    def __init__(self, x, y, dy):
+        x, y, dy = (np.asarray(a, dtype=float) for a in (x, y, dy))
+        self._vector = y.ndim > 1
+        h = np.diff(x)[:, None] if self._vector else np.diff(x)
+        m = np.diff(y, axis=0) / h
+        t = (dy[:-1] + dy[1:] - 2.0 * m) / h
+        x0 = np.broadcast_to(x[:-1].reshape(h.shape), m.shape)
+        self._table = np.stack([x0, y[:-1], dy[:-1], (m - dy[:-1]) / h - t, t / h])
+        self._inner = x[1:-1]
+
+    def interval(self, q):
+        """The interval i of each query, x_i <= q < x_(i+1), with the end
+        intervals taking the queries beyond them (and NaN the last)."""
+        return np.searchsorted(self._inner, q, side="right")
+
+    def at(self, q, interval):
+        """y(q) on the given intervals of the queries q (an array)."""
+        x0, c3, c2, c1, c0 = np.take(self._table, interval, axis=1)
+        s = (q[..., None] if self._vector else q) - x0
         ss = s * s
         return c3 + c2 * s + c1 * ss + c0 * (ss * s)
 
-    return evaluate
+    def __call__(self, q):
+        q = np.asarray(q, dtype=float)
+        return self.at(q, self.interval(q))
 
 
 def pchip(x, y):
     """Monotone cubic Hermite interpolant (Fritsch & Carlson, SIAM J. Numer.
     Anal. 17, 1980) through (x_i, y_i), x strictly increasing, n >= 3; returns
     q -> y(q). Bit for bit scipy's PchipInterpolator: its node slopes and end
-    rule, then `hermite`."""
+    rule, then `Hermite`."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     h = np.diff(x)
     m = np.diff(y) / h
@@ -424,7 +435,7 @@ def pchip(x, y):
         d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
     d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
     d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
-    return hermite(x, y, d)
+    return Hermite(x, y, d)
 
 
 def unwrap_mod(raw, period):

@@ -49,17 +49,25 @@ ARCLENGTH_STEPS = 4
 ARCLENGTH_TOL = 1e-13
 
 
+def _parts(v):
+    """The parts (x, y) of vectors of shape (..., 2)."""
+    return v[..., 0], v[..., 1]
+
+
+def _cross(a, b):
+    """[a, b] of vectors given by their parts (x, y)."""
+    return a[0] * b[1] - a[1] * b[0]
+
+
 def symplectic(a, b):
     """Fixed area form [a, b] = a_x b_y - a_y b_x."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    return _cross(_parts(np.asarray(a, dtype=float)), _parts(np.asarray(b, dtype=float)))
 
 
 def _swept_angle(w0, w):
-    """Angle from w0 to w, for directions less than pi apart (every psi table
-    cell sweeps less than pi/2)."""
-    return np.arctan2(symplectic(w0, w), w0[..., 0] * w[..., 0] + w0[..., 1] * w[..., 1])
+    """Angle from w0 to w, given by their parts, for directions less than pi
+    apart (every psi table cell sweeps less than pi/2)."""
+    return np.arctan2(_cross(w0, w), w0[0] * w[0] + w0[1] * w[1])
 
 
 def _direction_gap(w, chi):
@@ -69,15 +77,28 @@ def _direction_gap(w, chi):
 
 def _angle(v, message):
     """arg v, refusing a zero vector with ZeroVector(message)."""
-    if np.any(np.hypot(v[..., 0], v[..., 1]) == 0.0):
+    x, y = _parts(v)
+    if np.any((x == 0.0) & (y == 0.0)):
         raise ZeroVector(message)
-    return np.arctan2(v[..., 1], v[..., 0])
+    return np.arctan2(y, x)
+
+
+def _circle_row(k, cos, sin, r):
+    """The parts (x, y) of [c, c', c''][k] for c = r(theta) (cos theta,
+    sin theta), from cos, sin and the profile jet r = [r, r', r'']."""
+    if k == 0:
+        return r[0] * cos, r[0] * sin
+    if k == 1:
+        return r[1] * cos - r[0] * sin, r[1] * sin + r[0] * cos
+    curl = r[2] - r[0]
+    return curl * cos - 2.0 * r[1] * sin, curl * sin + 2.0 * r[1] * cos
 
 
 def _turning_rate(d1, d2):
-    """[w, w']/|w|^2, the rate of the angle of a field w = d1 with rate d2;
-    psi' for w = c', the turning rate of the tangent along the circle."""
-    return symplectic(d1, d2) / (d1[..., 0] ** 2 + d1[..., 1] ** 2)
+    """[w, w']/|w|^2, the rate of the angle of a field w = d1 with rate d2,
+    both given by their parts; psi' for w = c', the turning rate of the
+    tangent along the circle."""
+    return _cross(d1, d2) / (d1[0] ** 2 + d1[1] ** 2)
 
 
 @dataclass(frozen=True)
@@ -118,18 +139,22 @@ class _RadialProfile:
     def jet(self, theta, order, cos_sin=None):
         """[r, r', r''][:order + 1] at theta; the orders share their work.
         `cos_sin`, when given, is (cos theta, sin theta), which lp reads
-        instead of evaluating them again."""
+        instead of evaluating them again. A fourier order with no k >= 1
+        term (all of euclidean) is a scalar, which broadcasts."""
         theta = np.asarray(theta, dtype=float)
         if self.kind != "lp":
-            # the k = 0 term is the constant coef[0]: no cos(0 theta) to evaluate
-            out = [np.full_like(theta, self.coef[0])] + [np.zeros_like(theta)
-                                                         for _ in range(order)]
+            # the sums start from scalars: the k = 0 term, the constant
+            # coef[0] (no cos(0 theta) to evaluate), and 0.0 for the rates,
+            # which subtract their terms (0.0 - x, not -x, keeps the sign of
+            # a zero term)
+            out = [self.coef[0]] + [0.0] * order
             for k, a in enumerate(self.coef[1:], start=1):
                 w = 2.0 * k
-                cos = np.cos(w * theta)
+                wt = w * theta
+                cos = np.cos(wt)
                 out[0] = out[0] + a * cos
                 if order >= 1:
-                    out[1] = out[1] - a * w * np.sin(w * theta)
+                    out[1] = out[1] - a * w * np.sin(wt)
                 if order >= 2:
                     out[2] = out[2] - a * w * w * cos
             return out
@@ -178,32 +203,34 @@ class NormedPlane:
 
     # -- radial boundary -------------------------------------------------
 
-    def circle_jet(self, theta, order):
-        """[c, c', c''][:order + 1] at theta, from one profile jet, as one
-        array of shape (order + 1,) + theta.shape + (2,)."""
+    def circle_jet(self, theta, orders):
+        """The rows [c, c', c''][k] at theta for each k of the tuple `orders`,
+        in that order, as one array of shape (len(orders),) + theta.shape +
+        (2,): one profile jet of the highest order asked and one cos/sin,
+        and no row that is not asked for."""
         theta = np.asarray(theta, dtype=float)
-        c, s = np.cos(theta), np.sin(theta)
-        r = self._profile.jet(theta, order, (c, s))
-        out = np.empty((order + 1,) + theta.shape + (2,))
-        out[0, ..., 0] = r[0] * c
-        out[0, ..., 1] = r[0] * s
-        if order >= 1:
-            out[1, ..., 0] = r[1] * c - r[0] * s
-            out[1, ..., 1] = r[1] * s + r[0] * c
-        if order >= 2:
-            curl = r[2] - r[0]
-            out[2, ..., 0] = curl * c - 2.0 * r[1] * s
-            out[2, ..., 1] = curl * s + 2.0 * r[1] * c
+        basis = self._circle_basis(theta, max(orders))
+        # made after the profile jet's temporaries are freed; each row's
+        # parts are freed before the next row is built
+        out = np.empty((len(orders),) + theta.shape + (2,))
+        for i, k in enumerate(orders):
+            out[i, ..., 0], out[i, ..., 1] = _circle_row(k, *basis)
         return out
 
+    def _circle_basis(self, theta, order):
+        """(cos theta, sin theta, [r, r', r''][:order + 1]), from which
+        `_circle_row` builds the rows of the circle jet up to `order`."""
+        cos, sin = np.cos(theta), np.sin(theta)
+        return cos, sin, self._profile.jet(theta, order, (cos, sin))
+
     def circle_point(self, theta):
-        return self.circle_jet(theta, 0)[0]
+        return self.circle_jet(theta, (0,))[0]
 
     def circle_d1(self, theta):
-        return self.circle_jet(theta, 1)[1]
+        return self.circle_jet(theta, (1,))[0]
 
     def circle_d2(self, theta):
-        return self.circle_jet(theta, 2)[2]
+        return self.circle_jet(theta, (2,))[0]
 
     # -- build ------------------------------------------------------------
 
@@ -219,7 +246,7 @@ class NormedPlane:
 
         # the seam node theta = 2 pi repeats theta = 0; re-evaluating it would
         # let sign(sin 2 pi) = -1 leak an r' error (lp with p < 2) into psi
-        c, d1, d2 = self.circle_jet(th[:-1], 2)
+        c, d1, d2 = self.circle_jet(th[:-1], (0, 1, 2))
         c, d1 = np.vstack([c, c[:1]]), np.vstack([d1, d1[:1]])
 
         if np.min(symplectic(c, d1)) <= 1e-9:
@@ -295,8 +322,9 @@ class NormedPlane:
     def arclength_of_theta(self, theta):
         """u(theta): boundary arc length from c(0) to c(theta)."""
         theta = np.asarray(theta, dtype=float)
-        th = np.mod(theta, TWO_PI)
-        j = np.clip((th / self._dtheta).astype(int), 0, self._n - 1)
+        with np.errstate(invalid="ignore"):     # NaN and +/-inf give NaN
+            th = np.mod(theta, TWO_PI)
+            j = np.clip((th / self._dtheta).astype(int), 0, self._n - 1)
         base = self._u_nodes[j]
         local = gauss5_segments(lambda t: self.norm(self.circle_d1(t)),
                                 self._theta_nodes[j], th)
@@ -308,17 +336,22 @@ class NormedPlane:
         Newton stops once max |u(theta) - u| <= ARCLENGTH_TOL max(1, length),
         after at most ARCLENGTH_STEPS steps; the residual of the theta
         returned is the one the convergence check reads, so a regular norm
-        costs two arc-length passes."""
+        costs two arc-length passes. A NaN or infinite u gets NaN and takes
+        no part in the maximum."""
         _, length, theta_of_u = self._arclength_table()
-        u = np.mod(np.asarray(u, dtype=float), length)
+        with np.errstate(invalid="ignore"):     # NaN and +/-inf give NaN
+            u = np.mod(np.asarray(u, dtype=float), length)
         theta = np.asarray(theta_of_u(u), dtype=float)
         scale = max(1.0, length)
         for step in range(ARCLENGTH_STEPS + 1):
             F = self.arclength_of_theta(theta) - u
-            if step == ARCLENGTH_STEPS or np.max(np.abs(F)) <= ARCLENGTH_TOL * scale:
+            # fmax: a NaN residual (NaN or infinite u) moves no other u's
+            # bits; initial: an empty batch has converged
+            worst = np.fmax.reduce(np.abs(F), axis=None, initial=0.0)
+            if step == ARCLENGTH_STEPS or worst <= ARCLENGTH_TOL * scale:
                 break
             theta = theta - F / self.norm(self.circle_d1(theta))
-        if np.max(np.abs(F)) > 1e-9 * scale:
+        if worst > 1e-9 * scale:
             raise NoConvergence("arc-length inversion did not converge")
         return np.mod(theta, TWO_PI)
 
@@ -342,18 +375,20 @@ class NormedPlane:
         jet [c, c', c''][:order + 1] at it (order 1 or 2), of shape
         (order + 1,) + theta.shape + (2,), so a caller needs no second
         evaluation of the circle; its c' is the one the convergence check
-        reads.
+        reads. A NaN or infinite direction gets NaN.
         """
         chi = np.asarray(chi, dtype=float)
         shape = chi.shape
         chi = np.atleast_1d(chi).ravel()
+        if not np.all(np.isfinite(chi)):
+            chi = np.where(np.isinf(chi), np.nan, chi)
         theta = np.empty_like(chi)
         for s in range(0, chi.size, TANGENT_BLOCK):
             theta[s:s + TANGENT_BLOCK] = self._tangent_theta_block(
                 chi[s:s + TANGENT_BLOCK])
         theta = np.mod(theta, TWO_PI)
         theta[np.isnan(chi)] = np.nan    # no direction, no supporting point
-        jet = self.circle_jet(theta, order)
+        jet = self.circle_jet(theta, tuple(range(order + 1)))
         miss = np.abs(_direction_gap(jet[1], chi)) > 1e-9
         if np.any(miss):
             # at the axis points of lp with p < 2, psi rises like
@@ -368,24 +403,33 @@ class NormedPlane:
         return theta.reshape(shape), jet.reshape((order + 1,) + shape + (2,))
 
     def _tangent_theta_block(self, chi):
-        psi0 = self._psi_nodes[0]
-        lift = psi0 + np.mod(chi - psi0, TWO_PI)
-        j = np.clip(np.searchsorted(self._psi_nodes, lift) - 1, 0, self._n - 1)
+        psi = self._psi_nodes
+        lift = psi[0] + np.mod(chi - psi[0], TWO_PI)
+        # one search of the psi nodes serves the monotone-cubic seed and the
+        # psi cell j, psi_j < lift <= psi_(j+1): the seed's interval, less
+        # one where lift is the node that starts it (the first cell also
+        # takes lift = psi_0)
+        seed = self._theta_of_psi
+        interval = seed.interval(lift)
+        j = np.maximum(interval - (psi[interval] == lift), 0)
         cell_lo = self._theta_nodes[j]
         cell_hi = self._theta_nodes[j + 1]
-        target = lift - self._psi_nodes[j]
+        target = lift - psi[j]
         w_lo = self._d1_nodes[j]
-        theta = np.clip(self._theta_of_psi(lift), cell_lo, cell_hi)
+        theta = np.clip(seed.at(lift, interval), cell_lo, cell_hi)
         converged = np.zeros(chi.shape, dtype=bool)
-        # the live directions: their indices, iterates, brackets and targets
+        # the live directions: their indices, iterates, brackets, targets and
+        # the parts of c' at their cells' lower ends
         live = np.arange(chi.size)
-        th, lo, hi, w0, aim = theta, cell_lo, cell_hi, w_lo, target
+        th, lo, hi, aim, w0x, w0y = theta, cell_lo, cell_hi, target, *_parts(w_lo)
         for _ in range(NEWTON_STEPS):
-            _, w, wp = self.circle_jet(th, 2)
+            basis = self._circle_basis(th, 2)
+            w, wp = _circle_row(1, *basis), _circle_row(2, *basis)
             rate = _turning_rate(w, wp)
-            excess = _swept_angle(w0, w) - aim
-            hi = np.where(excess > 0.0, th, hi)
-            lo = np.where(excess > 0.0, lo, th)
+            excess = _swept_angle((w0x, w0y), w) - aim
+            above = excess > 0.0
+            hi = np.where(above, th, hi)
+            lo = np.where(above, lo, th)
             steep = rate > TURNING_RATE_MIN
             step = excess / np.where(steep, rate, 1.0)
             newton = th - step
@@ -398,7 +442,8 @@ class NormedPlane:
             keep = steep & ~done
             if not np.any(keep):
                 break
-            live, th, lo, hi, w0, aim = (a[keep] for a in (live, th, lo, hi, w0, aim))
+            live, th, lo, hi, aim, w0x, w0y = (a[keep] for a in (live, th, lo, hi, aim,
+                                                                w0x, w0y))
         flat = ~converged
         if np.any(flat):
             theta[flat] = self._bisect_cell(cell_lo[flat], cell_hi[flat],
@@ -422,7 +467,7 @@ class NormedPlane:
                 ends[:, half::2 * half] = 0.5 * (ends[:, :-half:2 * half]
                                                  + ends[:, 2 * half::2 * half])
             w = self.circle_d1(ends[:, 1:cells])
-            high = _swept_angle(w_lo[:, None], w) > target[:, None]
+            high = _swept_angle(_parts(w_lo[:, None]), _parts(w)) > target[:, None]
             at = np.zeros(lo.size, dtype=int)
             for level in range(BISECT_LEVELS):
                 mid = at + (cells >> (level + 1))
@@ -445,8 +490,8 @@ class NormedPlane:
         w = np.asarray(w, dtype=float)
         dw = np.asarray(dw, dtype=float)
         _, (z, d1, d2) = self.tangent_theta(_angle(w, "tangent direction must be nonzero"))
-        chi_rate = _turning_rate(w, dw)
-        psi_rate = _turning_rate(d1, d2)
+        chi_rate = _turning_rate(_parts(w), _parts(dw))
+        psi_rate = _turning_rate(_parts(d1), _parts(d2))
         theta_rate = chi_rate / np.where(np.abs(psi_rate) < 1e-300, 1e-300, psi_rate)
         return z, d1 * theta_rate[..., None], psi_rate
 
@@ -461,15 +506,15 @@ class NormedPlane:
         v = np.asarray(v, dtype=float)
         dv = np.asarray(dv, dtype=float)
         theta = _angle(v, "birkhoff map needs a nonzero vector")
-        theta_rate = _turning_rate(v, dv)
-        _, w, wp = self.circle_jet(theta, 2)
+        theta_rate = _turning_rate(_parts(v), _parts(dv))
+        w, wp = self.circle_jet(theta, (1, 2))
         norm_w, db = self._db(w, wp)
         return w / norm_w[..., None], db * theta_rate[..., None]
 
     def birkhoff_inverse(self, w):
         """Inverse of b restricted to the unit circle; w must be unit."""
         w = np.asarray(w, dtype=float)
-        if np.max(np.abs(self.norm(w) - 1.0)) > UNIT_TOL:
+        if np.max(np.abs(self.norm(w) - 1.0), initial=0.0) > UNIT_TOL:
             raise NotUnit("birkhoff_inverse expects a unit vector")
         return self.normal_from_tangent(w)
 
@@ -493,9 +538,9 @@ class NormedPlane:
     def rho(self, v):
         """Distortion ||Db_v(b(v))|| of the supporting map along the circle."""
         v = np.asarray(v, dtype=float)
-        if np.max(np.abs(self.norm(v) - 1.0)) > UNIT_TOL:
+        if np.max(np.abs(self.norm(v) - 1.0), initial=0.0) > UNIT_TOL:
             raise NotUnit("rho expects a unit vector")
-        _, w, wp = self.circle_jet(np.arctan2(v[..., 1], v[..., 0]), 2)
+        w, wp = self.circle_jet(np.arctan2(v[..., 1], v[..., 0]), (1, 2))
         return self._rho_of(w, wp)
 
     def _db(self, w, wp):

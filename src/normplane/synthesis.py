@@ -26,7 +26,7 @@ import numpy as np
 from .analysis import LegendreCurve, make_legendre
 from .curves import NormalField, ParamCurve, check_domain
 from .errors import BadParameter, NotAnIsometry, NotUnit
-from .numerics import TWO_PI, hermite, unwrap_mod
+from .numerics import TWO_PI, Hermite, unwrap_mod
 from .plane import NormedPlane
 
 
@@ -96,8 +96,8 @@ def synthesize(plane: NormedPlane, spec: SynthesisSpec) -> LegendreCurve:
     # cubic Hermite pieces through the nodes, with the slopes the integration
     # knows: theta' = kappa / ||c'(theta)||, gamma' = alpha b(c(theta))
     t_nodes = np.linspace(t0, t1, m + 1)
-    theta_of_t = hermite(t_nodes, unwrap_mod(theta_n, TWO_PI), k_half[::2] / speed_n)
-    pos = hermite(t_nodes, gamma_nodes, a_half[::2, None] * xi_n)
+    theta_of_t = Hermite(t_nodes, unwrap_mod(theta_n, TWO_PI), k_half[::2] / speed_n)
+    pos = Hermite(t_nodes, gamma_nodes, a_half[::2, None] * xi_n)
 
     def eta_eval(t):
         return plane.circle_point(theta_of_t(t))
@@ -107,7 +107,7 @@ def synthesize(plane: NormedPlane, spec: SynthesisSpec) -> LegendreCurve:
         return w / plane.norm(w)[..., None]
 
     def eta_jet(t):
-        e, w = plane.circle_jet(theta_of_t(t), 1)
+        e, w = plane.circle_jet(theta_of_t(t), (0, 1))
         return e, np.asarray(spec.kappa(t), dtype=float)[..., None] * (w / plane.norm(w)[..., None])
 
     def gamma_d1(t):

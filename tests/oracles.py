@@ -3,17 +3,37 @@ from the paper (orthogonality, the anti-norm as a supremum, envelopes of line
 families, osculating circles, the parallel sweep of the evolute) that check
 what the package computes, a unit vector carried to another norm, the unit
 circle's arc-length table built at once, finite differences that evaluate
-every stencil point, the lp radial jet as its own formula, distances between
-sampled curves, a cusp classification read off the curve alone, and a
-printer of expression trees that the parser must read back. They use public
-normplane names only, so they do not share the code they check."""
+every stencil point, the lp radial jet as its own formula, the plane kernels
+as they were when every circle evaluation built all its rows, distances
+between sampled curves, a cusp classification read off the curve alone, and
+a printer of expression trees that the parser must read back. They use
+public normplane names only, so they do not share the code they check."""
 
 import numpy as np
 
 from normplane.analysis import REL_ZERO, curvature_pair
-from normplane.errors import KappaVanishes, NotUnit, SingularPoint, ZeroVector
-from normplane.numerics import DIFF_BLOCK, fd_weights, gauss5_segments, golden_minimize, pchip
-from normplane.plane import ARCLENGTH_STEPS, ARCLENGTH_TOL, UNIT_TOL, symplectic
+from normplane.errors import KappaVanishes, NoConvergence, NotUnit, SingularPoint, ZeroVector
+from normplane.numerics import (
+    DIFF_BLOCK,
+    fd_weights,
+    gauss5_segments,
+    golden_minimize,
+    pchip,
+    unwrap_mod,
+)
+from normplane.plane import (
+    ARCLENGTH_STEPS,
+    ARCLENGTH_TOL,
+    BISECT_LEVELS,
+    BISECT_ROUNDS,
+    NEWTON_STEPS,
+    NEWTON_TOL,
+    TANGENT_BLOCK,
+    THETA_RESOLUTION,
+    TURNING_RATE_MIN,
+    UNIT_TOL,
+    symplectic,
+)
 
 # relative slack of is_birkhoff_orthogonal's line search
 ORTHO_TOL = 1e-7
@@ -105,6 +125,192 @@ class EagerArclength:
                 break
             theta = theta - F / self.speed(theta)
         return np.mod(theta, 2.0 * np.pi)
+
+
+
+class FrozenKernels:
+    """The kernels of the plane of a NormSpec as they were when every circle
+    evaluation built all its rows: the radial profile jet seeded with arrays
+    (|.|^(p-2) of lp held above `guard` for p < 2), the circle jet
+    [c, c', c''][:order + 1] as one array, c' as its second row, `norm`,
+    `birkhoff`, the tangent-angle tables a build made from them, and the
+    supporting-map inversion whose Newton steps read the whole order-2 jet
+    and whose bisection takes 42 halvings in 7 rounds of circle evaluations.
+    A plane's kernels must give their bits."""
+
+    def __init__(self, spec, guard):
+        self.kind, self.p, self.guard = spec.kind, float(spec.p), guard
+        self.coef = np.asarray(spec.coefficients if spec.kind == "fourier_radial" else (1.0,),
+                               dtype=float)
+        self.n = int(spec.table_size)
+        self.theta_nodes = np.linspace(0.0, 2.0 * np.pi, self.n + 1)
+        d1 = self.circle_jet(self.theta_nodes[:-1], 2)[1]
+        self.d1_nodes = np.vstack([d1, d1[:1]])
+        self.psi_nodes = unwrap_mod(np.arctan2(self.d1_nodes[:, 1], self.d1_nodes[:, 0]),
+                                    2.0 * np.pi)
+        self.theta_of_psi = pchip(self.psi_nodes, self.theta_nodes)
+
+    def profile_jet(self, theta, order, cos_sin=None):
+        theta = np.asarray(theta, dtype=float)
+        if self.kind != "lp":
+            out = [np.full_like(theta, self.coef[0])] + [np.zeros_like(theta)
+                                                         for _ in range(order)]
+            for k, a in enumerate(self.coef[1:], start=1):
+                w = 2.0 * k
+                cos = np.cos(w * theta)
+                out[0] = out[0] + a * cos
+                if order >= 1:
+                    out[1] = out[1] - a * w * np.sin(w * theta)
+                if order >= 2:
+                    out[2] = out[2] - a * w * w * cos
+            return out
+        pw = np.power
+        p = self.p
+        c, s = (np.cos(theta), np.sin(theta)) if cos_sin is None else cos_sin
+        ac, asn = np.abs(c), np.abs(s)
+        cp, sp = pw(ac, p), pw(asn, p)
+        g = cp + sp
+        e = -1.0 / p
+        out = [pw(g, e)]
+        if order >= 1:
+            g1 = p * (-s * np.sign(c) * pw(ac, p - 1.0) + c * np.sign(s) * pw(asn, p - 1.0))
+            ge1 = pw(g, e - 1.0)
+            out.append(e * ge1 * g1)
+        if order >= 2:
+            if p < 2.0:
+                ac = np.maximum(ac, self.guard)
+                asn = np.maximum(asn, self.guard)
+            g2 = p * (-cp - sp + (p - 1.0) * (s * s * pw(ac, p - 2.0) + c * c * pw(asn, p - 2.0)))
+            out.append(e * (e - 1.0) * pw(g, e - 2.0) * (g1 * g1) + e * ge1 * g2)
+        return out
+
+    def circle_jet(self, theta, order):
+        theta = np.asarray(theta, dtype=float)
+        c, s = np.cos(theta), np.sin(theta)
+        r = self.profile_jet(theta, order, (c, s))
+        out = np.empty((order + 1,) + theta.shape + (2,))
+        out[0, ..., 0] = r[0] * c
+        out[0, ..., 1] = r[0] * s
+        if order >= 1:
+            out[1, ..., 0] = r[1] * c - r[0] * s
+            out[1, ..., 1] = r[1] * s + r[0] * c
+        if order >= 2:
+            curl = r[2] - r[0]
+            out[2, ..., 0] = curl * c - 2.0 * r[1] * s
+            out[2, ..., 1] = curl * s + 2.0 * r[1] * c
+        return out
+
+    def circle_d1(self, theta):
+        return self.circle_jet(theta, 1)[1]
+
+    def norm(self, v):
+        v = np.asarray(v, dtype=float)
+        mag = np.hypot(v[..., 0], v[..., 1])
+        theta = np.arctan2(v[..., 1], v[..., 0])
+        return mag / self.profile_jet(theta, 0)[0]
+
+    def birkhoff(self, v):
+        v = np.asarray(v, dtype=float)
+        w = self.circle_d1(np.arctan2(v[..., 1], v[..., 0]))
+        return w / self.norm(w)[..., None]
+
+    @staticmethod
+    def swept_angle(w0, w):
+        return np.arctan2(symplectic(w0, w), w0[..., 0] * w[..., 0] + w0[..., 1] * w[..., 1])
+
+    @staticmethod
+    def direction_gap(w, chi):
+        return (np.arctan2(w[..., 1], w[..., 0]) - chi + np.pi) % (2.0 * np.pi) - np.pi
+
+    @staticmethod
+    def turning_rate(d1, d2):
+        return symplectic(d1, d2) / (d1[..., 0] ** 2 + d1[..., 1] ** 2)
+
+    def tangent_theta(self, chi, order=2):
+        """(theta, jet) for finite directions chi, jet of shape
+        (order + 1,) + chi.shape + (2,)."""
+        chi = np.asarray(chi, dtype=float)
+        shape = chi.shape
+        chi = np.atleast_1d(chi).ravel()
+        theta = np.empty_like(chi)
+        for s in range(0, chi.size, TANGENT_BLOCK):
+            theta[s:s + TANGENT_BLOCK] = self.newton_block(chi[s:s + TANGENT_BLOCK])
+        theta = np.mod(theta, 2.0 * np.pi)
+        jet = self.circle_jet(theta, order)
+        miss = np.abs(self.direction_gap(jet[1], chi)) > 1e-9
+        if np.any(miss):
+            t, c = theta[miss], chi[miss]
+            below = self.direction_gap(self.circle_d1(t - THETA_RESOLUTION), c)
+            above = self.direction_gap(self.circle_d1(t + THETA_RESOLUTION), c)
+            if not np.all((below <= 0.0) & (above >= 0.0)):
+                raise NoConvergence("supporting-direction inversion did not converge")
+        return theta.reshape(shape), jet.reshape((order + 1,) + shape + (2,))
+
+    def newton_block(self, chi):
+        psi_nodes, theta_nodes = self.psi_nodes, self.theta_nodes
+        psi0 = psi_nodes[0]
+        lift = psi0 + np.mod(chi - psi0, 2.0 * np.pi)
+        j = np.clip(np.searchsorted(psi_nodes, lift) - 1, 0, self.n - 1)
+        cell_lo, cell_hi = theta_nodes[j], theta_nodes[j + 1]
+        target = lift - psi_nodes[j]
+        w_lo = self.d1_nodes[j]
+        theta = np.clip(self.theta_of_psi(lift), cell_lo, cell_hi)
+        converged = np.zeros(chi.shape, dtype=bool)
+        live = np.arange(chi.size)
+        th, lo, hi, w0, aim = theta, cell_lo, cell_hi, w_lo, target
+        for _ in range(NEWTON_STEPS):
+            _, w, wp = self.circle_jet(th, 2)
+            rate = self.turning_rate(w, wp)
+            excess = self.swept_angle(w0, w) - aim
+            hi = np.where(excess > 0.0, th, hi)
+            lo = np.where(excess > 0.0, lo, th)
+            steep = rate > TURNING_RATE_MIN
+            step = excess / np.where(steep, rate, 1.0)
+            newton = th - step
+            safe = steep & (newton >= lo) & (newton <= hi)
+            th = np.where(safe, newton, 0.5 * (lo + hi))
+            theta[live] = th
+            done = safe & (np.abs(step) <= NEWTON_TOL)
+            converged[live[done]] = True
+            keep = steep & ~done
+            if not np.any(keep):
+                break
+            live, th, lo, hi, w0, aim = (a[keep] for a in (live, th, lo, hi, w0, aim))
+        flat = ~converged
+        if np.any(flat):
+            theta[flat] = self.bisect(cell_lo[flat], cell_hi[flat], w_lo[flat], target[flat])
+        return theta
+
+    def bisect(self, lo, hi, w_lo, target):
+        cells = 1 << BISECT_LEVELS
+        rows = np.arange(lo.size)
+        for _ in range(BISECT_ROUNDS):
+            ends = np.empty((lo.size, cells + 1))
+            ends[:, 0], ends[:, cells] = lo, hi
+            for level in range(BISECT_LEVELS):
+                half = cells >> (level + 1)
+                ends[:, half::2 * half] = 0.5 * (ends[:, :-half:2 * half]
+                                                 + ends[:, 2 * half::2 * half])
+            w = self.circle_d1(ends[:, 1:cells])
+            high = self.swept_angle(w_lo[:, None], w) > target[:, None]
+            at = np.zeros(lo.size, dtype=int)
+            for level in range(BISECT_LEVELS):
+                mid = at + (cells >> (level + 1))
+                at = np.where(high[rows, mid - 1], at, mid)
+            lo, hi = ends[rows, at], ends[rows, at + 1]
+        return 0.5 * (lo + hi)
+
+
+class FrozenArclength(EagerArclength):
+    """`EagerArclength` of a plane with the speed ||c'|| of its frozen
+    kernels `FrozenKernels(plane.spec, guard)`."""
+
+    def __init__(self, plane, guard):
+        self.kernels = FrozenKernels(plane.spec, guard)
+        super().__init__(plane)
+
+    def speed(self, theta):
+        return self.kernels.norm(self.kernels.circle_d1(theta))
 
 
 def differentiate_every_point(f, t, orders, h, domain=None, closed=False):

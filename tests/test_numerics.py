@@ -15,7 +15,7 @@ from normplane.analysis import curvature_pair, legendre_from_curve
 from normplane.curves import ParamCurve
 from normplane.derived import evolute
 from normplane.errors import NoConvergence
-from normplane.numerics import (DIFF_BLOCK, brent_root, differentiate, fd_weights, hermite,
+from normplane.numerics import (DIFF_BLOCK, Hermite, brent_root, differentiate, fd_weights,
                                 index_runs, merge_events, pchip, polish_dips, wrap)
 from normplane.plane import NormSpec, build_plane
 from oracles import differentiate_every_point
@@ -198,10 +198,10 @@ def test_hermite_reproduces_a_cubic():
     slope = lambda t: np.stack([-1.0 + t - 0.75 * t ** 2, 9.0 * t ** 2], -1)
     x = np.cumsum(np.random.default_rng(2).uniform(0.1, 0.5, 30)) - 3.0
     q = np.linspace(x[0] - 0.5, x[-1] + 0.5, 1001)
-    vector = hermite(x, cubic(x), slope(x))
+    vector = Hermite(x, cubic(x), slope(x))
     assert vector(q).shape == (1001, 2) and vector(0.3).shape == (2,)
     assert np.allclose(vector(q), cubic(q), rtol=1e-13, atol=1e-13)
-    scalar = hermite(x, cubic(x)[:, 0], slope(x)[:, 0])
+    scalar = Hermite(x, cubic(x)[:, 0], slope(x)[:, 0])
     assert scalar(q).shape == (1001,) and np.shape(scalar(0.3)) == ()
     assert np.allclose(scalar(q), cubic(q)[:, 0], rtol=1e-13, atol=1e-13)
     assert np.array_equal(scalar(q), vector(q)[:, 0])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -459,15 +461,17 @@ def test_circle_jet_matches_centred_differences(spec):
     plane = build_plane(spec)
     # off-axis angles in every quadrant: lp1.5 clamps r'' next to the axes
     th = np.concatenate([np.linspace(0.15, 1.42, 9) + k * np.pi / 2.0 for k in range(4)])
-    c, d1, d2 = plane.circle_jet(th, 2)
+    c, d1, d2 = plane.circle_jet(th, (0, 1, 2))
     h = 1e-4
     ahead, behind = plane.circle_point(th + h), plane.circle_point(th - h)
     assert np.max(np.abs((ahead - behind) / (2.0 * h) - d1)) < 1e-6
     assert np.max(np.abs((ahead - 2.0 * c + behind) / (h * h) - d2)) < 1e-6
-    # the lower orders and the single-derivative views are the same numbers
-    for order in (0, 1):
-        for got, want in zip(plane.circle_jet(th, order), (c, d1, d2)):
-            assert np.array_equal(got, want)
+    # any choice of rows, in any order, and the single-row views are the same numbers
+    for orders in ((0,), (1,), (2,), (0, 1), (1, 2), (2, 0)):
+        rows = plane.circle_jet(th, orders)
+        assert rows.shape == (len(orders),) + th.shape + (2,)
+        for got, k in zip(rows, orders):
+            assert np.array_equal(got, (c, d1, d2)[k])
     assert np.array_equal(plane.circle_point(th), c)
     assert np.array_equal(plane.circle_d1(th), d1)
     assert np.array_equal(plane.circle_d2(th), d2)
@@ -514,7 +518,7 @@ def test_tangent_theta_returns_the_circle_jet_at_its_angles(spec, root_at_two_pi
     assert np.all((theta >= 0.0) & (theta < TWO_PI))
     for got, jet in ((theta, theta_jet), plane.tangent_theta(below),
                      plane.tangent_theta(chi.reshape(2, -1))):
-        want = plane.circle_jet(got, 2)
+        want = plane.circle_jet(got, (0, 1, 2))
         assert jet.shape == want.shape and np.array_equal(jet, want)
     # both normal builders return the circle at the angles tangent_theta returns
     w = rng.normal(size=(50, 2))
@@ -571,3 +575,46 @@ def test_normal_from_tangent_is_the_first_part_of_its_jet(spec):
                           plane.normal_from_tangent_with_derivative(w, dw)[0])
     assert np.array_equal(plane.normal_from_tangent(w[7]),
                           plane.normal_from_tangent_with_derivative(w[7], dw[7])[0])
+
+
+THREE_NORMS = [NormSpec("euclidean"), NormSpec("lp", p=3.0),
+               NormSpec("fourier_radial", coefficients=(1.0, 0.08))]
+
+
+@pytest.mark.parametrize("spec", THREE_NORMS, ids=["euclidean", "lp3", "fourier"])
+def test_an_empty_batch_gives_empty_arrays(spec):
+    plane = build_plane(spec)
+    vectors, params = np.zeros((0, 2)), np.zeros(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for got, shape in ((plane.rho(vectors), (0,)),
+                           (plane.birkhoff_inverse(vectors), (0, 2)),
+                           (plane.theta_of_arclength(params), (0,)),
+                           (plane.unit_circle_point(params), (0, 2)),
+                           (plane.arclength_of_theta(params), (0,)),
+                           (plane.tangent_theta(params)[1], (3, 0, 2)),
+                           (plane.normal_from_tangent(vectors), (0, 2)),
+                           (plane.antinorm(vectors), (0,))):
+            assert got.shape == shape
+
+
+@pytest.mark.parametrize("spec", THREE_NORMS, ids=["euclidean", "lp3", "fourier"])
+def test_a_non_finite_input_gives_nan_without_a_warning(spec):
+    plane = build_plane(spec)
+    finite = np.array([0.3, -2.0, 4.0])
+    bad = np.array([np.inf, -np.inf, np.nan])
+    mixed = np.array([0.3, np.inf, -2.0, np.nan, -np.inf, 4.0])
+    at_finite = np.array([0, 2, 5])
+    at_bad = np.array([1, 4, 3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kernel in (lambda x: plane.tangent_theta(x)[0], plane.arclength_of_theta,
+                       plane.theta_of_arclength):
+            for x in bad:
+                assert np.isnan(kernel(x))
+            got = kernel(mixed)
+            assert np.all(np.isnan(got[at_bad]))
+            # a non-finite input moves no other element's bits
+            assert np.array_equal(got[at_finite], kernel(finite))
+        jet = plane.tangent_theta(mixed)[1]
+        assert np.all(np.isnan(jet[:, at_bad])) and np.all(np.isfinite(jet[:, at_finite]))
