@@ -183,27 +183,28 @@ def _validate(plane, gamma, eta, residual_tol):
     of gamma and eta) are excluded rather than divided through. NaN fails
     both checks, and a pair that is not finite on the grid is refused.
     """
-    ts = gamma.grid()
-    e, e_rate = eta.value_and_rate(ts)
-    unit_err = float(np.max(np.abs(plane.norm(e) - 1.0)))
-    if not unit_err <= 1e-8:
-        raise ResidualViolation(f"normal field is not unit (max error {unit_err:.2e})")
-    d1 = gamma.derivative(ts, 1)
-    xi = plane.birkhoff(e)
-    speeds = plane.norm(d1)
-    # the floor only needs the magnitude of the pair's motion: coarse subgrid
-    eta_speed = plane.norm(e_rate[:: max(1, len(ts) // 128)])
-    floor = 1e-6 * max(float(np.max(speeds)), float(np.max(eta_speed)), 1e-300)
-    vals = np.abs(symplectic(d1, xi)) / (speeds + 1e-12)
-    vals[speeds < floor] = 0.0
-    res = float(np.max(vals))
-    if not res < residual_tol:
-        raise ResidualViolation(
-            f"orthogonality residual {res:.3e} exceeds {residual_tol:.1e}")
+    with np.errstate(all="ignore"):     # NaN and inf are refused below, with no warning first
+        ts = gamma.grid()
+        e, e_rate = eta.value_and_rate(ts)
+        unit_err = float(np.max(np.abs(plane.norm(e) - 1.0)))
+        if not unit_err <= 1e-8:
+            raise ResidualViolation(f"normal field is not unit (max error {unit_err:.2e})")
+        d1 = gamma.derivative(ts, 1)
+        xi = plane.birkhoff(e)
+        speeds = plane.norm(d1)
+        # the floor only needs the magnitude of the pair's motion: coarse subgrid
+        eta_speed = plane.norm(e_rate[:: max(1, len(ts) // 128)])
+        floor = 1e-6 * max(float(np.max(speeds)), float(np.max(eta_speed)), 1e-300)
+        vals = np.abs(symplectic(d1, xi)) / (speeds + 1e-12)
+        vals[speeds < floor] = 0.0
+        res = float(np.max(vals))
+        if not res < residual_tol:
+            raise ResidualViolation(
+                f"orthogonality residual {res:.3e} exceeds {residual_tol:.1e}")
 
-    alpha, kappa = _frame_values(e, xi, d1, e_rate)
-    if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(kappa))):
-        raise ResidualViolation("curvature pair is not finite on the grid")
+        alpha, kappa = _frame_values(e, xi, d1, e_rate)
+        if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(kappa))):
+            raise ResidualViolation("curvature pair is not finite on the grid")
     return LegendreCurve(plane, gamma, eta, res, ts, alpha, kappa, e), xi
 
 
@@ -436,9 +437,8 @@ def _reduce_cyclic_word(letters):
             stack.pop()
         else:
             stack.append(ch)
-    while len(stack) >= 2 and stack[0] == stack[-1]:
-        stack.pop()
-        stack.pop(0)
+    # what is left alternates, so an even-length word (odd ones are refused
+    # before the call) ends in two different letters: cyclically reduced too
     return len(stack) // 2
 
 

@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from math import isfinite
 
 import numpy as np
@@ -117,6 +118,14 @@ def _check(value, key, kind):
     return convert(value)
 
 
+def _sized(key, build, *args):
+    """build(*args); a size numpy cannot allocate is a config error naming `key`."""
+    try:
+        return build(*args)
+    except MemoryError:
+        raise ConfigError(f"{key!r} is too large: numpy cannot allocate its arrays") from None
+
+
 def _norm_spec(cfg) -> NormSpec:
     return NormSpec(_read(cfg, "kind", "text"), _read(cfg, "p", "number", 2.0),
                     _read(cfg, "coefficients", "numbers", ()),
@@ -125,23 +134,30 @@ def _norm_spec(cfg) -> NormSpec:
 
 def _curve_from_csv(path, closed, samples):
     try:
-        raw = np.genfromtxt(path, delimiter=",", names=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")     # an empty file warns, then raises
+            raw = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
     except OSError as exc:
         raise ConfigError(f"cannot read csv {path}: {exc}") from exc
+    except (IndexError, ValueError):
+        raise ConfigError(f"csv {path} needs a header row over rows of as many cells") from None
     for col in ("t", "x", "y"):
         if col not in (raw.dtype.names or ()):
             raise ConfigError(f"csv {path} lacks column {col!r}")
     ts = np.asarray(raw["t"], dtype=float)
     pts = np.stack([raw["x"], raw["y"]], axis=-1).astype(float)
     if len(ts) < MIN_SAMPLES:
-        raise ConfigError(f"csv curve needs at least {MIN_SAMPLES} samples")
-    from scipy.interpolate import CubicSpline  # only CSV curves load scipy (no workload times them)
+        raise ConfigError(f"csv {path} needs at least {MIN_SAMPLES} samples")
+    if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(pts))):
+        raise ConfigError(f"csv {path} holds a t, x or y cell that is not a finite number")
     if closed:
         ts = np.append(ts, ts[0] + (ts[1] - ts[0]) * len(ts))
         pts = np.vstack([pts, pts[:1]])
-        spline = CubicSpline(ts, pts, bc_type="periodic")
-    else:
-        spline = CubicSpline(ts, pts)
+    if not np.all(np.diff(ts) > 0.0):
+        raise ConfigError(f"csv {path} column 't' does not increase strictly"
+                          + (f" up to its closing value {ts[-1]:g}" if closed else ""))
+    from scipy.interpolate import CubicSpline  # only CSV curves load scipy (no workload times them)
+    spline = CubicSpline(ts, pts, bc_type="periodic" if closed else "not-a-knot")
     return ParamCurve(lambda t: np.asarray(spline(t), dtype=float),
                       (float(ts[0]), float(ts[-1])), closed=closed,
                       samples=samples, name=f"csv:{os.path.basename(path)}")
@@ -196,15 +212,16 @@ _DERIVED = {
     "evolute": lambda L, op: evolute(L).pair,
     "involute": lambda L, op: involute(L, _read(op, "d", "number", 0.0)),
     "transfer": lambda L, op: transfer_legendre(
-        L, build_plane(_norm_spec(_read(op, "norm", "norm")))),
+        L, _sized("grid", build_plane, _norm_spec(_read(op, "norm", "norm")))),
 }
 
 
 def run(config: dict, out_dir: str = None, samples: int = None) -> int:
     """Execute one configuration; returns the exit code."""
     config = _check(config, "config", "config")
-    plane = build_plane(_norm_spec(_read(config, "norm", "norm", {"kind": "euclidean"})))
-    L = build_curve_and_pair(plane, _read(config, "curve", "curve", {}), samples)
+    plane = _sized("grid", build_plane,
+                   _norm_spec(_read(config, "norm", "norm", {"kind": "euclidean"})))
+    L = _sized("samples", build_curve_and_pair, plane, _read(config, "curve", "curve", {}), samples)
     op = _read(config, "operation", "operation", {"kind": "analyze"})
     kind = _read(op, "kind", "text", "analyze")
     output = _read(config, "output", "output", {})
@@ -223,7 +240,8 @@ def run(config: dict, out_dir: str = None, samples: int = None) -> int:
                  "singular_parameters": [float(t) for t in res.singular_ts]}
         _emit(outputs, legend, res.gamma_p, res.pair, base=L, extra=extra)
     else:   # contact
-        L2 = build_curve_and_pair(plane, _read(op, "curve2", "curve"), samples)
+        L2 = _sized("samples", build_curve_and_pair, plane, _read(op, "curve2", "curve"),
+                    samples)
         t0 = _read(op, "t0", "number", 0.0)
         u0 = _read(op, "u0", "number", 0.0)
         kmax = _read(op, "kmax", "integer", 4)

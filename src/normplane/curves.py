@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,46 +29,17 @@ def check_domain(domain):
                            "for finite-difference derivatives")
 
 
-@dataclass
-class ParamCurve:
-    """A smooth curve t -> (x, y) on [t0, t1] with derivative access to order 3.
-
-    `position` must accept scalars and arrays. `derivatives` holds analytic
-    evaluators of the orders 1..k, k <= 3; the orders above k fall back to
-    4th-order finite differences, sampling through the wrap for closed
-    curves and shifting the stencil inside the domain for open ones.
-
-    The curve keeps its last derivative evaluation, the way `NormalField`
-    keeps its last jet: read-only arrays of the orders held, keyed by the
-    exact bytes and shape of the parameters as given, before any wrap, so a
-    parameter outside a closed domain never reads the derivatives of its
-    wrapped twin. A call at those parameters reads the orders held and
-    evaluates only the others.
+class _Field:
+    """What a curve and its normal field share. A parameter is put on the
+    `domain` by one rule: wrapped when `closed`; else refused with
+    OutOfDomain more than 1e-9 of the span outside, and clipped. Finite
+    differences step FD_STEP_FACTOR of the span. The last evaluation is kept
+    as read-only arrays of the orders held, keyed by the exact shape and
+    bytes of the parameters, replaced by one assignment and read through
+    one reference; a call there evaluates only the orders not held.
     """
 
-    position: Callable
-    domain: tuple
-    closed: bool = False
-    derivatives: tuple = ()
-    samples: int = 2048
-    name: str = ""
-    _kept: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        check_domain(self.domain)
-        t0, t1 = self.domain
-        if self.closed:
-            seam = np.linalg.norm(np.asarray(self.position(t0), dtype=float)
-                                  - np.asarray(self.position(t1), dtype=float))
-            if seam > 1e-9:
-                raise BadParameter(f"closed curve endpoints differ by {seam:.3e}")
-            # gamma' at both ends, read without the wrap that maps t1 to t0
-            ends = np.array([t0, t1])
-            d0, d1 = (np.asarray(self.derivatives[0](ends), dtype=float) if self.derivatives
-                      else differentiate(self.position, ends, 1, self.span * FD_STEP_FACTOR,
-                                         domain=self.domain))
-            if np.max(np.abs(d0 - d1)) > 1e-6 * max(1.0, float(np.max(np.abs(d0)))):
-                raise BadParameter("closed curve derivative seam mismatch")
+    _kept = None
 
     @property
     def span(self):
@@ -88,44 +59,94 @@ class ParamCurve:
             raise OutOfDomain(f"parameter outside [{t0}, {t1}]")
         return np.clip(t, t0, t1)
 
+    def difference(self, f, t, order):
+        """Finite difference of f at t of the given order, or tuple of orders;
+        t off an open domain is refused, not reached by a shifted stencil."""
+        self._wrap(t)
+        return differentiate(f, t, order, self.span * FD_STEP_FACTOR,
+                             domain=self.domain, closed=self.closed)
+
+    def _held(self, t):
+        """The bytes of t when its shape is the kept one, and the orders kept at t."""
+        kept = self._kept
+        if kept is None or kept[0] != t.shape:
+            return None, {}
+        key = t.tobytes()
+        return key, (kept[2] if kept[1] == key else {})
+
+    def _keep(self, t, orders, evaluate):
+        """The arrays of the given orders at t: those held, and the missing
+        ones from evaluate(missing), kept with them."""
+        key, held = self._held(t)
+        missing = tuple(k for k in orders if k not in held)
+        if missing:
+            held = dict(held)
+            for k, values in zip(missing, evaluate(missing)):
+                held[k] = np.asarray(values, dtype=float).view()
+                held[k].flags.writeable = False
+            self._kept = (t.shape, t.tobytes() if key is None else key, held)
+        return tuple(held[k] for k in orders)
+
+
+@dataclass
+class ParamCurve(_Field):
+    """A smooth curve t -> (x, y) on [t0, t1] with derivative access to order 3.
+
+    `position` must accept scalars and arrays. `derivatives` holds analytic
+    evaluators of the orders 1..k, k <= 3; the orders above k fall back to
+    finite differences. The kept derivatives are keyed by the parameters as
+    given, before any wrap, so a parameter outside a closed domain never
+    reads the derivatives of its wrapped twin.
+    """
+
+    position: Callable
+    domain: tuple
+    closed: bool = False
+    derivatives: tuple = ()
+    samples: int = 2048
+    name: str = ""
+
+    def __post_init__(self):
+        check_domain(self.domain)
+        t0, t1 = self.domain
+        if self.closed:
+            seam = np.linalg.norm(np.asarray(self.position(t0), dtype=float)
+                                  - np.asarray(self.position(t1), dtype=float))
+            if seam > 1e-9:
+                raise BadParameter(f"closed curve endpoints differ by {seam:.3e}")
+            # gamma' at both ends, read without the wrap that maps t1 to t0
+            ends = np.array([t0, t1])
+            with np.errstate(all="ignore"):     # a pair that is not finite is refused later
+                d0, d1 = (np.asarray(self.derivatives[0](ends), dtype=float) if self.derivatives
+                          else differentiate(self.position, ends, 1, self.span * FD_STEP_FACTOR,
+                                             domain=self.domain))
+                if np.max(np.abs(d0 - d1)) > 1e-6 * max(1.0, float(np.max(np.abs(d0)))):
+                    raise BadParameter("closed curve derivative seam mismatch")
+
     def point(self, t):
         return np.asarray(self.position(self._wrap(t)), dtype=float)
 
-    def _raw_derivative(self, t, orders):
-        """The derivatives of the given orders at t, as a tuple. The orders
-        above the analytic evaluators are finite differences of the highest
-        one (the position when there are none), read from one stencil."""
-        m = len(self.derivatives)
-        out = {order: np.asarray(self.derivatives[order - 1](self._wrap(t)), dtype=float)
-               for order in orders if order <= m}
-        group = [order for order in orders if order > m]
-        if group:
-            base = self.position if m == 0 else self.derivatives[m - 1]
-            values = differentiate(lambda s: np.asarray(base(self._wrap(s)), dtype=float),
-                                   t, tuple(order - m for order in group),
-                                   self.span * FD_STEP_FACTOR,
-                                   domain=self.domain, closed=self.closed)
-            out.update(zip(group, values))
-        return tuple(out[order] for order in orders)
-
     def derivative(self, t, order):
         """Derivative of the given order (1..3); for a tuple of orders, the
-        tuple of derivatives, those that are finite differences of one
-        evaluator taken from one stencil evaluation."""
+        tuple of derivatives. The orders above the analytic evaluators are
+        finite differences of the highest one (the position when there are
+        none), read from one stencil."""
         orders = order if isinstance(order, tuple) else (order,)
         if not orders or any(k not in (1, 2, 3) for k in orders):
             raise BadParameter("derivative order must be 1, 2 or 3")
-        t = np.asarray(t, dtype=float)
-        key = (t.shape, t.tobytes())
-        kept = self._kept
-        held = kept[1] if kept is not None and kept[0] == key else {}
-        missing = tuple(k for k in orders if k not in held)
-        if missing:
-            self._wrap(t)
-            held = dict(held)
-            held.update(zip(missing, map(_read_only, self._raw_derivative(t, missing))))
-            self._kept = (key, held)
-        out = tuple(held[k] for k in orders)
+        t, m = np.asarray(t, dtype=float), len(self.derivatives)
+
+        def evaluate(missing):
+            out = {k: self.derivatives[k - 1](self._wrap(t)) for k in missing if k <= m}
+            group = [k for k in missing if k > m]
+            if group:
+                base = self.position if m == 0 else self.derivatives[m - 1]
+                values = self.difference(lambda s: np.asarray(base(self._wrap(s)), dtype=float),
+                                         t, tuple(k - m for k in group))
+                out.update(zip(group, values))
+            return [out[k] for k in missing]
+
+        out = self._keep(t, orders, evaluate)
         return out if isinstance(order, tuple) else out[0]
 
     def grid(self):
@@ -134,91 +155,53 @@ class ParamCurve:
         return np.linspace(t0, t1, self.samples, endpoint=not self.closed)
 
 
-def _read_only(values):
-    """A read-only float view of values."""
-    view = np.asarray(values, dtype=float).view()
-    view.flags.writeable = False
-    return view
-
-
 @dataclass
-class NormalField:
-    """A unit field t -> eta(t) along a curve.
+class NormalField(_Field):
+    """A unit field t -> eta(t) along a curve, on the curve's domain by its rule.
 
     `evaluate` maps a parameter array to the array of normals; a scalar
-    parameter is passed as a one-element array and unpacked here, and a
-    closed field's parameter is wrapped into its domain first. `jet`,
-    when given, maps t to (eta(t), eta'(t)) in one evaluation, and its first
-    part must equal `evaluate` bit for bit; without it the rate is a finite
-    difference of `evaluate`, and `value_and_rate` reads the value from the
-    centre of the same stencil.
-
-    The field keeps its last jet: one (eta, eta') pair, keyed by the exact
-    bytes and shape of the wrapped parameters it was evaluated at. A call or
-    a `value_and_rate` at those parameters reads it instead of evaluating
-    again, which is why the jet's first part must be `evaluate`'s bits. The
-    kept arrays are read-only views, so a caller that writes into them fails
-    instead of changing a later read.
+    parameter is passed as a one-element array and unpacked here. `jet`,
+    when given, maps t to (eta(t), eta'(t)) in one evaluation; it alone is
+    kept, keyed by the parameters on the domain, and a call there reads its
+    first part, which must therefore equal `evaluate` bit for bit. Without
+    it the rate is a finite difference of `evaluate`, and `value_and_rate`
+    reads the value from the centre of the same stencil.
     """
 
     evaluate: Callable
     domain: tuple
     closed: bool
     jet: Optional[Callable] = None
-    _kept: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def _param(self, t):
-        return wrap(np.atleast_1d(np.asarray(t, dtype=float)), self.domain[0], self.period)
-
-    def _recall(self, p):
-        """The kept (eta, eta') if it was evaluated at the parameters p."""
-        kept = self._kept
-        if kept is not None and kept[0] == p.shape and kept[1] == p.tobytes():
-            return kept[2]
-        return None
+        return self._wrap(np.atleast_1d(t))
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         p = self._param(t)
-        kept = self._recall(p)
-        eta = kept[0] if kept is not None else np.asarray(self.evaluate(p), dtype=float)
+        held = self._held(p)[1]
+        eta = held[0] if held else np.asarray(self.evaluate(p), dtype=float)
         return eta if t.ndim else eta[0]
-
-    @property
-    def span(self):
-        return self.domain[1] - self.domain[0]
-
-    @property
-    def period(self):
-        return self.span if self.closed else None
 
     def value_and_rate(self, t):
         """(eta(t), eta'(t)), from one jet evaluation when the field has one,
         else from one stencil evaluation."""
         if self.jet is None:
-            return differentiate(self._evaluate_at, t, (0, 1), self.span * FD_STEP_FACTOR,
-                                 domain=self.domain, closed=self.closed)
+            return self.difference(self._evaluate_at, t, (0, 1))
         t = np.asarray(t, dtype=float)
         p = self._param(t)
-        kept = self._recall(p)
-        if kept is None:
-            kept = tuple(_read_only(v) for v in self.jet(p))
-            self._kept = (p.shape, p.tobytes(), kept)
-        eta, rate = kept
+        eta, rate = self._keep(p, (0, 1), lambda _: self.jet(p))
         return (eta, rate) if t.ndim else (eta[0], rate[0])
 
     def _evaluate_at(self, s):
         return np.asarray(self.evaluate(self._param(s)), dtype=float)
 
     def derivative(self, t, order=1):
-        h = self.span * FD_STEP_FACTOR
         if self.jet is None:
-            return differentiate(self._evaluate_at, t, order, h,
-                                 domain=self.domain, closed=self.closed)
+            return self.difference(self._evaluate_at, t, order)
         if order == 1:
             return self.value_and_rate(t)[1]
-        rate = lambda s: self.value_and_rate(s)[1]
-        return differentiate(rate, t, order - 1, h, domain=self.domain, closed=self.closed)
+        return self.difference(lambda s: self.value_and_rate(s)[1], t, order - 1)
 
 
 def find_singular_params(plane: NormedPlane, curve: ParamCurve):
@@ -252,8 +235,7 @@ def normal_jet(plane: NormedPlane, curve: ParamCurve, t, w, dw, fallback):
     z, dz, psi_rate = plane.normal_from_tangent_with_derivative(w, dw)
     flat = np.abs(psi_rate) < 1e-6
     if np.any(flat):
-        dz[flat] = differentiate(fallback, t[flat], 1, curve.span * FD_STEP_FACTOR,
-                                 domain=curve.domain, closed=curve.closed)
+        dz[flat] = curve.difference(fallback, t[flat], 1)
     return z, dz
 
 
@@ -368,8 +350,6 @@ def extend_normal(plane: NormedPlane, curve: ParamCurve) -> NormalField:
     def evaluate(t):
         return from_tangent(t, curve.derivative(t, 1))
 
-    h = curve.span * FD_STEP_FACTOR
-
     def jet(t):
         # away from the singular points one inversion of the supporting map
         # gives both parts; near them the averaged value and its difference
@@ -384,8 +364,7 @@ def extend_normal(plane: NormedPlane, curve: ParamCurve) -> NormalField:
             z[far], dz[far] = z_far * sign, dz_far * sign
         if np.any(~far):
             z[~far] = from_tangent(t[~far], w[~far])
-            dz[~far] = differentiate(evaluate, t[~far], 1, h,
-                                     domain=curve.domain, closed=curve.closed)
+            dz[~far] = curve.difference(evaluate, t[~far], 1)
         return z, dz
 
     return NormalField(evaluate, curve.domain, curve.closed, jet)

@@ -332,11 +332,9 @@ def brent_root(f, a, b, fa, fb, xtol=1e-12):
         fcur = np.asarray(f(xcur), dtype=float).reshape(xcur.shape)
         if np.any(np.isnan(fcur)):
             raise NoConvergence("function value is NaN in Brent refinement")
-    if idx.size:
-        raise NoConvergence(
-            f"Brent refinement did not converge in {BRENT_ITERS} iterations "
-            f"on {idx.size} bracket(s)")
-    return roots
+    # the loop returns as soon as no bracket is open
+    raise NoConvergence(f"Brent refinement did not converge in {BRENT_ITERS} iterations "
+                        f"on {idx.size} bracket(s)")
 
 
 def sign_crossings(ts, vals, noise, refine, period=None):

@@ -63,8 +63,9 @@ def synthesize(plane: NormedPlane, spec: SynthesisSpec) -> LegendreCurve:
 
     # u' = kappa(t): the four stage slopes collapse to Simpson on half steps
     u_nodes = np.zeros(m + 1)
-    u_nodes[1:] = np.cumsum(h / 6.0 * (k_half[0:-1:2] + 4.0 * k_half[1::2]
-                                       + k_half[2::2]))
+    with np.errstate(all="ignore"):     # an integral that overflows is refused below
+        u_nodes[1:] = np.cumsum(h / 6.0 * (k_half[0:-1:2] + 4.0 * k_half[1::2]
+                                           + k_half[2::2]))
 
     # gamma' = alpha(t) b(phi(u0 + u)): stage u-values per classical RK4
     kn, km = k_half[0:-1:2], k_half[1::2]
@@ -90,8 +91,11 @@ def synthesize(plane: NormedPlane, spec: SynthesisSpec) -> LegendreCurve:
     f2 = a_half[1::2, None] * xi_s2
     f3 = a_half[1::2, None] * xi_s3
     f4 = a_half[2::2, None] * frame(u_s4)[1]
-    steps_xy = h / 6.0 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-    gamma_nodes = np.vstack([p, p + np.cumsum(steps_xy, axis=0)])
+    with np.errstate(all="ignore"):
+        steps_xy = h / 6.0 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+        gamma_nodes = np.vstack([p, p + np.cumsum(steps_xy, axis=0)])
+    if not np.all(np.isfinite(gamma_nodes)):
+        raise BadParameter("the curve integrated from alpha and kappa is not finite")
 
     # cubic Hermite pieces through the nodes, with the slopes the integration
     # knows: theta' = kappa / ||c'(theta)||, gamma' = alpha b(c(theta))

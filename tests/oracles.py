@@ -5,8 +5,9 @@ what the package computes, a unit vector carried to another norm, the unit
 circle's arc-length table built at once, finite differences that evaluate
 every stencil point, the lp radial jet as its own formula, the plane kernels
 as they were when every circle evaluation built all its rows, distances
-between sampled curves, a cusp classification read off the curve alone, and
-a printer of expression trees that the parser must read back. They use
+between sampled curves, a cusp classification read off the curve alone, a
+cyclic word reduced by cancelling one pair at a time, and a printer of
+expression trees that the parser must read back. They use
 public normplane names only, so they do not share the code they check."""
 
 import numpy as np
@@ -542,6 +543,19 @@ def lateral_tangent_sign(L, t0, offset=1e-3):
     w1 = L.gamma.derivative(t0 - offset, 1)
     w2 = L.gamma.derivative(t0 + offset, 1)
     return "zig" if float(symplectic(w1, w2)) < 0.0 else "zag"
+
+
+def cyclic_word_length(letters):
+    """Length of a cyclic word once equal neighbours, the last letter next to
+    the first, are cancelled one pair at a time until none are left."""
+    word = list(letters)
+    while len(word) >= 2:
+        n = len(word)
+        pair = next((i for i in range(n) if word[i] == word[(i + 1) % n]), None)
+        if pair is None:
+            break
+        del word[max(pair, (pair + 1) % n)], word[min(pair, (pair + 1) % n)]
+    return len(word)
 
 
 def to_text(tree):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from normplane.analysis import (
 from normplane.curves import NormalField, ParamCurve
 from normplane.errors import NotClosed, PreconditionViolated, ResidualViolation
 from normplane.plane import symplectic
-from oracles import lateral_tangent_sign
+from oracles import cyclic_word_length, lateral_tangent_sign
 
 TWO_PI = 2.0 * np.pi
 
@@ -300,6 +302,13 @@ def test_maslov_word_reduction_cases():
     assert _reduce_cyclic_word(list("aabb")) == 0
     assert _reduce_cyclic_word(list("abba")) == 0
     assert _reduce_cyclic_word(list("aababb")) == 1
+
+
+def test_maslov_word_reduction_matches_cancelling_pairs_on_every_even_word():
+    from normplane.analysis import _reduce_cyclic_word
+    for n in range(0, 13, 2):
+        for word in itertools.product("ab", repeat=n):
+            assert 2 * _reduce_cyclic_word(word) == cyclic_word_length(word), word
 
 
 # -- contact -----------------------------------------------------------------

@@ -184,6 +184,48 @@ def test_csv_round_trip_reproduces_curvature(tmp_path):
     assert np.max(np.abs(rows["kappa"][sl] - 1.0)) < 1e-4
 
 
+def _circle_rows(ts):
+    return "".join(f"{t},{np.cos(t)},{np.sin(t)}\n" for t in ts)
+
+
+_T16 = np.linspace(0.0, 6.0, 16)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "needs a header row over rows of as many cells"),
+    ("t,x,y\n" + _circle_rows(_T16[::-1]), "column 't' does not increase strictly"),
+    ("t,x,y\n" + _circle_rows(np.concatenate([_T16[:5], _T16[4:]])),
+     "column 't' does not increase strictly"),
+    ("t,x,y\n" + _circle_rows(_T16[:3]) + "0.9,abc,0.5\n" + _circle_rows(_T16[4:]),
+     "holds a t, x or y cell that is not a finite number"),
+    ("t,x,y\n" + _circle_rows(_T16[:3]) + "0.9,0.5\n" + _circle_rows(_T16[4:]),
+     "needs a header row over rows of as many cells"),
+    ("t,x,y\n" + _circle_rows(_T16[:1]), "needs at least 8 samples"),
+], ids=["empty", "descending", "repeated", "non-numeric", "short-row", "one-row"])
+@pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+def test_malformed_csv_curves_exit_2_naming_the_file(tmp_path, capsys, text, message, closed):
+    # each used to end in a traceback from numpy or scipy
+    path = tmp_path / "curve.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = _exit_and_stderr(tmp_path, capsys, {
+            "curve": {"kind": "csv", "path": str(path), "closed": closed}})
+    assert code == 2 and err.count("\n") == 1
+    assert err.startswith(f"config error: csv {path} {message}")
+
+
+def test_a_closed_csv_curve_must_increase_up_to_its_closing_value(tmp_path, capsys):
+    # uneven steps can put the period that the first step implies below the last row
+    path = tmp_path / "curve.csv"
+    ts = np.concatenate([[0.0], 0.5 + _T16[1:] ** 2])
+    path.write_text("t,x,y\n" + _circle_rows(ts))
+    code, err = _exit_and_stderr(tmp_path, capsys, {
+        "curve": {"kind": "csv", "path": str(path), "closed": True}})
+    assert (code, err) == (2, f"config error: csv {path} column 't' does not increase "
+                              f"strictly up to its closing value {ts[1] * 16:g}\n")
+
+
 def test_maslov_operation(tmp_path):
     out = tmp_path / "maslov.json"
     cfg = tmp_path / "cfg.json"
@@ -598,6 +640,9 @@ def test_corner_reject_config_exits_3(tmp_path, capsys):
     assert "jumps" in capsys.readouterr().err
 
 
+_ELLIPSE = {"kind": "catalog", "name": "ellipse", "a": 2.0, "b": 1.0}
+_SYNTH = {"kind": "synthesis", "alpha": "cos(3*t)", "kappa": "1",
+          "domain": [0.0, 6.283185307179586]}
 _HUGE_P = {"kind": "lp", "p": 1e300}
 
 
@@ -605,8 +650,7 @@ _HUGE_P = {"kind": "lp", "p": 1e300}
     "huge_domain_reject.json",
     "huge_p_reject.json",
     {"norm": _HUGE_P, "curve": {"kind": "catalog", "name": "circle"}},
-    {"norm": _HUGE_P, "curve": {"kind": "synthesis", "alpha": "cos(3*t)", "kappa": "1",
-                                "domain": [0.0, 6.283185307179586]}},
+    {"norm": _HUGE_P, "curve": _SYNTH},
 ], ids=["expression-domain", "lp-unit-circle", "lp-catalog-circle", "lp-synthesis"])
 def test_non_finite_profile_or_pair_exits_3(tmp_path, capsys, config):
     # NaN used to pass every check and reach the detectors as a traceback
@@ -622,13 +666,56 @@ def test_non_finite_profile_or_pair_exits_3(tmp_path, capsys, config):
     assert "validation error:" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("config", ["huge_domain_reject.json", "huge_p_reject.json"])
+@pytest.mark.parametrize("config", [
+    "huge_domain_reject.json",
+    "huge_p_reject.json",
+    pytest.param({"curve": _ELLIPSE, "operation": {"kind": "parallel", "d": 1e308}},
+                 id="parallel-huge-d"),
+    pytest.param({"curve": _ELLIPSE, "operation": {"kind": "involute", "d": 1e308}},
+                 id="involute-huge-d"),
+    pytest.param({"curve": {**_ELLIPSE, "samples": 256},
+                  "operation": {"kind": "pedal", "point": [1e308, 0.0]}}, id="pedal-huge-point"),
+    pytest.param({"curve": {**_SYNTH, "kappa": "1e308"}}, id="synthesis-huge-kappa"),
+    pytest.param({"curve": {**_SYNTH, "alpha": "1e308"}}, id="synthesis-huge-alpha"),
+])
 def test_non_finite_refusals_print_one_line_and_no_warning(tmp_path, capsys, config):
-    # the profile and the stencil weights are checked before numpy can warn
+    # the profile, the stencil weights and the synthesis integrals are checked
+    # before numpy can warn, and a pair's checks run with numpy's warnings off
+    if not isinstance(config, str):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**config, "output": {"report": "out.json"}}))
+        config = str(path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _run(tmp_path, config) == 3
     assert capsys.readouterr().err.count("\n") == 1
+    assert not (tmp_path / "out.json").exists()
+
+
+# sizes that numpy refuses before it allocates anything: each array would
+# take petabytes
+_HUGE = 10 ** 15
+
+
+@pytest.mark.parametrize("config, extra, key", [
+    ({"norm": {"kind": "euclidean", "grid": _HUGE}, "curve": _CIRCLE_64}, (), "grid"),
+    ({"curve": _CIRCLE_64, "operation": {"kind": "transfer",
+                                         "norm": {"kind": "lp", "p": 3.0, "grid": _HUGE}}},
+     (), "grid"),
+    ({"curve": {**_CIRCLE, "samples": _HUGE}}, (), "samples"),
+    ({"curve": {**_SYNTH, "samples": _HUGE}}, (), "samples"),
+    ({"curve": _CIRCLE_64}, ("--samples", str(_HUGE)), "samples"),
+    ({"curve": _CIRCLE_64, "operation": {"kind": "contact",
+                                         "curve2": {**_CIRCLE, "samples": _HUGE}}},
+     (), "samples"),
+], ids=["grid", "transfer-grid", "catalog-samples", "synthesis-samples", "samples-option",
+        "contact-samples"])
+def test_sizes_numpy_cannot_allocate_exit_2(tmp_path, capsys, config, extra, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", str(cfg), "--out", str(tmp_path), *extra]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {key!r} is too large: numpy cannot allocate its arrays\n")
 
 
 _ENDPOINT_DIPS = {"x-dip": ("t^2 + 0.0001*t", "t^3"),
@@ -748,6 +835,8 @@ def test_unknown_kinds_and_foreign_keys_exit_2_where_they_are_read(tmp_path, cap
 @pytest.mark.parametrize("name, message", [
     ("foreign_key_reject.json", "unknown key 'p' in 'norm' of kind 'euclidean'"),
     ("unknown_norm_kind_reject.json", "unknown norm kind 'l2'"),
+    ("huge_grid_reject.json", "'grid' is too large: numpy cannot allocate its arrays"),
+    ("huge_samples_reject.json", "'samples' is too large: numpy cannot allocate its arrays"),
 ])
 def test_shipped_kind_rejects_exit_2(tmp_path, capsys, name, message):
     assert _run(tmp_path, name) == 2

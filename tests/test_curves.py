@@ -15,6 +15,7 @@ from normplane.curves import (
 from normplane.errors import BadParameter, LimitsDisagree, OutOfDomain, SingularPoint
 from normplane.numerics import differentiate, fd_weights, golden_minimize, merge_events
 from normplane.plane import NormSpec, build_plane
+from normplane.synthesis import SynthesisSpec, synthesize
 from oracles import is_birkhoff_orthogonal
 
 TWO_PI = 2.0 * np.pi
@@ -161,6 +162,24 @@ def test_closed_normal_field_wraps_its_parameter():
     assert np.array_equal(field(t + field.span), field(t))
     assert np.array_equal(field(t - field.span), field(t))
     assert np.array_equal(field.derivative(t + field.span), field.derivative(t))
+
+
+@pytest.mark.parametrize("jet", [True, False], ids=["jet", "stencil"])
+def test_open_normal_field_keeps_its_curve_domain(euclidean, jet):
+    # a field on an open domain used to extrapolate where its curve refused
+    ones = lambda t: np.ones_like(np.asarray(t, dtype=float))
+    L = synthesize(euclidean, SynthesisSpec(ones, ones, (0.0, 0.0), (1.0, 0.0), (0.0, 3.0)))
+    eta = L.eta if jet else NormalField(L.eta.evaluate, L.eta.domain, L.eta.closed)
+    assert not eta.closed and eta.domain == L.gamma.domain == (0.0, 3.0)
+    for call in (L.gamma.point, eta, eta.value_and_rate, eta.derivative):
+        with pytest.raises(OutOfDomain):
+            call(100.0)
+        with pytest.raises(OutOfDomain):
+            call(np.array([1.0, -1.0]))
+    # within 1e-9 of the span the parameter is clipped, as the curve's is
+    assert np.array_equal(L.gamma.point(3.0 + 1e-12), L.gamma.point(3.0))
+    assert np.array_equal(eta(3.0 + 1e-12), eta(3.0))
+    assert np.array_equal(eta(np.array([-1e-12, 3.0 + 1e-12])), eta(np.array([0.0, 3.0])))
 
 
 def _singular_params_node_loop(plane, curve):

@@ -54,6 +54,16 @@ def test_parse_error_cases():
         parse_expression("")
 
 
+@pytest.mark.parametrize("text, message, offset", [
+    ("1..2", "bad number at offset 0", 0),
+    ("t$", "unexpected character '$' at offset 1", 1),
+])
+def test_the_lexer_refuses_with_the_offset(text, message, offset):
+    with pytest.raises(ParseError) as err:
+        parse_expression(text)
+    assert str(err.value) == message and err.value.offset == offset
+
+
 def test_guarded_functions_raise_at_eval():
     with pytest.raises(ExpressionDomainError):
         evaluate(parse_expression("log(t)"), -1.0)
