@@ -126,10 +126,24 @@ def _sized(key, build, *args):
         raise ConfigError(f"{key!r} is too large: numpy cannot allocate its arrays") from None
 
 
+# the bytes per grid node or sample that bound a run's largest array: the
+# largest seen, a circle jet at a curve's 5 Gauss nodes a sample, holds 20
+# float64 a sample, and a jet of all three rows there would hold 30
+_BYTES_PER_POINT = 256
+
+
+def _indexable(key, size):
+    """`size`; a size whose largest array numpy cannot index is a config
+    error naming `key` (numpy would refuse it with a ValueError)."""
+    if size * _BYTES_PER_POINT > np.iinfo(np.intp).max:
+        raise ConfigError(f"{key!r} is too large: numpy cannot index its arrays")
+    return size
+
+
 def _norm_spec(cfg) -> NormSpec:
     return NormSpec(_read(cfg, "kind", "text"), _read(cfg, "p", "number", 2.0),
                     _read(cfg, "coefficients", "numbers", ()),
-                    _read(cfg, "grid", "integer", 4096))
+                    _indexable("grid", _read(cfg, "grid", "integer", 4096)))
 
 
 def _curve_from_csv(path, closed, samples):
@@ -168,6 +182,7 @@ def build_curve_and_pair(plane, ccfg, samples_override=None):
                else samples_override)
     if samples < MIN_SAMPLES:
         raise ConfigError(f"'samples' must be an integer >= {MIN_SAMPLES}, got {samples!r}")
+    _indexable("samples", samples)
     kind = _read(ccfg, "kind", "text")
     if kind == "expression":
         fx = compile_expression(_read(ccfg, "x", "text"))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 
@@ -11,21 +12,21 @@ from .errors import IoError
 
 CSV_HEADER = "t,x,y,alpha,kappa,k"
 
-# rows per `%` call of emit_csv: one format and one argument tuple per block,
-# so the table is never held as Python floats all at once (as one block, the
-# `dense_grid` bench's peak RSS rose from 52.1-52.4 to 54.7-54.9 MB)
+# rows per call of the cell kernel (`cells.csv_cells`): its temporaries (the
+# largest, 1.2 MB of gather indices at 1024 rows) are bounded by the block,
+# never by the table
 EMIT_BLOCK = 1024
 
 
-# a row's format by the finiteness bits of its alpha, kappa, k cells (4, 2, 1):
-# "%.0s" prints a non-finite cell as an empty one
-_ROW_FORMATS = tuple(
-    "%.17g,%.17g,%.17g," + ",".join("%.17g" if code & bit else "%.0s" for bit in (4, 2, 1))
-    for code in range(8))
-
-
 def emit_csv(path, ts, xy, alpha=None, kappa=None, k=None):
-    """Write `t,x,y,alpha,kappa,k` rows; NaN cells are left empty."""
+    """Write `t,x,y,alpha,kappa,k` rows; NaN cells are left empty.
+
+    Every cell holds the bytes of `"%.17g" % v` (see `cells.csv_cells`).
+    """
+    # imported on the first CSV, not with the package: compiling the kernel
+    # would lengthen the start of every run that finds no cached bytecode
+    from .cells import csv_cells
+
     ts = np.asarray(ts, dtype=float)
     if ts.size == 0:
         raise IoError("refusing to write a CSV with zero samples")
@@ -37,12 +38,9 @@ def emit_csv(path, ts, xy, alpha=None, kappa=None, k=None):
         return np.asarray(c, dtype=float)
 
     table = np.column_stack([ts, xy, col(alpha), col(kappa), col(k)])
-    codes = np.isfinite(table[:, 3:]) @ np.array([4, 2, 1])
-    lines = [CSV_HEADER]
-    for s in range(0, len(table), EMIT_BLOCK):
-        fmt = "\n".join([_ROW_FORMATS[code] for code in codes[s:s + EMIT_BLOCK].tolist()])
-        lines.append(fmt % tuple(table[s:s + EMIT_BLOCK].ravel().tolist()))
-    _write_text(path, "\n".join(lines) + "\n")
+    _write(path, itertools.chain(
+        [CSV_HEADER.encode() + b"\n"],
+        (csv_cells(table[s:s + EMIT_BLOCK]) for s in range(0, len(table), EMIT_BLOCK))))
 
 
 def emit_report(path, report_dict):
@@ -109,6 +107,7 @@ def emit_svg(path, curves, cusps=(), vertices=(), inflections=(), legend=()):
             f'stroke="#9467bd" stroke-width="{_fmt6(stroke)}" fill="none"/>')
     fs = 0.03 * diag
     for i, text in enumerate(legend):
+        text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         out.append(
             f'<text x="{_fmt6(lo[0] + 0.02 * w)}" '
             f'y="{_fmt6(lo[1] + (0.05 + 0.05 * i) * h)}" '
@@ -122,10 +121,16 @@ def _fmt6(x):
 
 
 def _write_text(path, text):
+    _write(path, [text.encode("utf-8")])
+
+
+def _write(path, chunks):
+    """Write the bytes of `chunks` to `path`, making its directory."""
     try:
         parent = os.path.dirname(os.path.abspath(path))
         os.makedirs(parent, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -358,9 +359,32 @@ def test_csv_format_and_masking(tmp_path):
         emit_csv(tmp_path / "empty.csv", np.array([]), np.zeros((0, 2)))
 
 
+def _hard_cells(rng):
+    """Cells the CSV kernel finds hard, each in every column of some row."""
+    decades = np.array([float(f"1e{k}") for k in range(-324, 309)])
+    switches = np.array([1e-5, 1e-4, 1e16, 1e17])
+    values = np.concatenate([
+        # random 64-bit patterns, subnormals and magnitudes beyond 1e280
+        rng.integers(0, 2 ** 64, 600, dtype=np.uint64).view(np.float64),
+        rng.integers(1, 2 ** 52, 60, dtype=np.uint64).view(np.float64),
+        rng.uniform(1.0, 10.0, 60) * 10.0 ** rng.integers(280, 308, 60),
+        # every decade and the %g switch points with both float neighbours;
+        # 14 of the decades lie just below their power of ten and round up to it
+        *(np.nextafter(v, w) for v in (decades, switches) for w in (-np.inf, np.inf)),
+        decades, switches,
+        # 9.99999999999999999e-300 and its kind, 20 of which print as a power of ten
+        [float(f"9.99999999999999999{d}e{k}") for d in (5, 9) for k in range(-300, 300, 23)],
+        # exact 18-digit ties such as 2^-25 = 2.98023223876953125e-08, half to even
+        [m * 2.0 ** -e for e in range(20, 60, 3) for m in range(1, 400, 2)
+         if len(str(m * 5 ** e)) == 18],
+        [0.0, np.inf, np.nan]])
+    values = np.concatenate([values, -values])
+    return np.stack([np.roll(values, j) for j in range(6)], axis=1)
+
+
 def test_csv_rows_match_a_cell_by_cell_reference(tmp_path):
     # every finiteness pattern of the alpha, kappa, k cells, each cell as
-    # "%.17g" or, when not finite, empty
+    # "%.17g" or, when not finite, empty; then the kernel's hard cells
     rng = np.random.default_rng(3)
     n = 400
     ts = np.linspace(-1.0, 1.0, n)
@@ -370,6 +394,11 @@ def test_csv_rows_match_a_cell_by_cell_reference(tmp_path):
     bad = rng.random((3, n)) < 0.3
     fields[bad] = rng.choice([np.nan, np.inf, -np.inf], int(bad.sum()))
     fields[:, 0] = -0.0
+    hard = _hard_cells(rng)
+    ts = np.concatenate([ts, hard[:, 0]])
+    xy = np.concatenate([xy, hard[:, 1:3]])
+    fields = np.concatenate([fields, hard[:, 3:].T], axis=1)
+    n = len(ts)
     emit_csv(tmp_path / "x.csv", ts, xy, *fields)
 
     def cell(v):
@@ -381,6 +410,41 @@ def test_csv_rows_match_a_cell_by_cell_reference(tmp_path):
     assert (tmp_path / "x.csv").read_text() == "\n".join(want) + "\n"
     assert {tuple(np.isfinite(fields[:, i])) for i in range(n)} == {
         (a, b, c) for a in (False, True) for b in (False, True) for c in (False, True)}
+
+
+def _cell_reference(row):
+    return ",".join(["%.17g" % v for v in row[:3]]
+                    + ["%.17g" % v if np.isfinite(v) else "" for v in row[3:]]) + "\n"
+
+
+@given(st.lists(st.floats(), min_size=6, max_size=6))
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_a_csv_row_holds_each_cell_as_percent_17g(tmp_path, row):
+    emit_csv(tmp_path / "x.csv", row[:1], [row[1:3]], *([v] for v in row[3:]))
+    assert (tmp_path / "x.csv").read_text() == "t,x,y,alpha,kappa,k\n" + _cell_reference(row)
+
+
+@pytest.mark.parametrize("n", [1, 1025, 2049])
+def test_csv_blocks_of_hard_cells_match_a_per_row_reference(tmp_path, n):
+    # the kernel formats a block of rows at once, and its fallback cells
+    # fall on both sides of the block boundaries
+    rng = np.random.default_rng(n)
+    table = rng.permutation(_hard_cells(rng))[:n]
+    emit_csv(tmp_path / "x.csv", table[:, 0], table[:, 1:3], *table[:, 3:].T)
+    assert (tmp_path / "x.csv").read_text() == "t,x,y,alpha,kappa,k\n" + "".join(
+        map(_cell_reference, table))
+
+
+def test_svg_legend_text_is_escaped(tmp_path, capsys):
+    # a CSV curve's file name is drawn in the legend
+    path = tmp_path / "a&b<c>.csv"
+    path.write_text("t,x,y\n" + _circle_rows(np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)))
+    assert _exit_and_stderr(tmp_path, capsys, {
+        "curve": {"kind": "csv", "path": str(path), "closed": True, "samples": 64},
+        "output": {"svg": "fig.svg"}}) == (0, "")
+    texts = ElementTree.parse(tmp_path / "fig.svg").iter("{http://www.w3.org/2000/svg}text")
+    assert "curve: csv:a&b<c>.csv" in [t.text for t in texts]
 
 
 @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 16384])
@@ -513,6 +577,15 @@ _CIRCLE_64 = {**_CIRCLE, "samples": 64}
     *(({"curve": {"kind": "catalog", "name": name, "b": 0.5}}, (),
        f"config error: catalog curve {name!r} takes no 'b'")
       for name in ("astroid", "cusp_t2t3", "unit_circle_of_norm")),
+    # sizes whose arrays numpy cannot index (it refuses them before allocating)
+    ({"curve": {**_CIRCLE, "samples": 2 ** 62}}, (),
+     "config error: 'samples' is too large: numpy cannot index its arrays"),
+    ({"norm": {"kind": "euclidean", "grid": 2 ** 62}, "curve": _CIRCLE_64}, (),
+     "config error: 'grid' is too large: numpy cannot index its arrays"),
+    ({"curve": _CIRCLE_64}, ("--samples", str(2 ** 63)),
+     "config error: 'samples' is too large: numpy cannot index its arrays"),
+    ({"curve": {"kind": "synthesis", "alpha": "1", "kappa": "1", "samples": 2 ** 59}}, (),
+     "config error: 'samples' is too large: numpy cannot index its arrays"),
 ], ids=["p-not-a-number", "top-level-list", "one-element-domain",
         "samples-zero", "samples-one", "samples-not-a-number",
         "samples-not-an-integer", "samples-flag-zero", "samples-flag-one",
@@ -526,7 +599,8 @@ _CIRCLE_64 = {**_CIRCLE, "samples": 64}
         "samples-typo", "unknown-top-level-key", "unknown-norm-key",
         "unknown-curve-key", "unknown-operation-key", "unknown-output-key",
         "norm-kind-number", "offset-nan", "circle-semi-axes", "astroid-semi-axis",
-        "cusp-semi-axis", "unit-circle-semi-axis"])
+        "cusp-semi-axis", "unit-circle-semi-axis", "samples-beyond-index",
+        "grid-beyond-index", "samples-flag-beyond-int64", "synthesis-steps-beyond-index"])
 def test_malformed_config_exits_2(tmp_path, capsys, config, extra, marker):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -837,6 +911,7 @@ def test_unknown_kinds_and_foreign_keys_exit_2_where_they_are_read(tmp_path, cap
     ("unknown_norm_kind_reject.json", "unknown norm kind 'l2'"),
     ("huge_grid_reject.json", "'grid' is too large: numpy cannot allocate its arrays"),
     ("huge_samples_reject.json", "'samples' is too large: numpy cannot allocate its arrays"),
+    ("huge_index_reject.json", "'samples' is too large: numpy cannot index its arrays"),
 ])
 def test_shipped_kind_rejects_exit_2(tmp_path, capsys, name, message):
     assert _run(tmp_path, name) == 2
