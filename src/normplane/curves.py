@@ -159,13 +159,12 @@ class ParamCurve(_Field):
 class NormalField(_Field):
     """A unit field t -> eta(t) along a curve, on the curve's domain by its rule.
 
-    `evaluate` maps a parameter array to the array of normals; a scalar
-    parameter is passed as a one-element array and unpacked here. `jet`,
-    when given, maps t to (eta(t), eta'(t)) in one evaluation; it alone is
-    kept, keyed by the parameters on the domain, and a call there reads its
-    first part, which must therefore equal `evaluate` bit for bit. Without
-    it the rate is a finite difference of `evaluate`, and `value_and_rate`
-    reads the value from the centre of the same stencil.
+    `evaluate` maps parameters of any shape (a scalar is 0-d) to normals of
+    that shape + (2,). `jet`, when given, maps t to (eta(t), eta'(t)) in one
+    evaluation; it alone is kept, keyed by the parameters on the domain, and
+    a call there reads its first part, which must therefore equal `evaluate`
+    bit for bit. Without it the rate is a finite difference of `evaluate`,
+    and `value_and_rate` reads the value from the centre of the same stencil.
     """
 
     evaluate: Callable
@@ -173,28 +172,21 @@ class NormalField(_Field):
     closed: bool
     jet: Optional[Callable] = None
 
-    def _param(self, t):
-        return self._wrap(np.atleast_1d(t))
-
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        p = self._param(t)
+        p = self._wrap(t)
         held = self._held(p)[1]
-        eta = held[0] if held else np.asarray(self.evaluate(p), dtype=float)
-        return eta if t.ndim else eta[0]
+        return held[0] if held else np.asarray(self.evaluate(p), dtype=float)
 
     def value_and_rate(self, t):
         """(eta(t), eta'(t)), from one jet evaluation when the field has one,
         else from one stencil evaluation."""
         if self.jet is None:
             return self.difference(self._evaluate_at, t, (0, 1))
-        t = np.asarray(t, dtype=float)
-        p = self._param(t)
-        eta, rate = self._keep(p, (0, 1), lambda _: self.jet(p))
-        return (eta, rate) if t.ndim else (eta[0], rate[0])
+        p = self._wrap(t)
+        return self._keep(p, (0, 1), lambda _: self.jet(p))
 
     def _evaluate_at(self, s):
-        return np.asarray(self.evaluate(self._param(s)), dtype=float)
+        return np.asarray(self.evaluate(self._wrap(s)), dtype=float)
 
     def derivative(self, t, order=1):
         if self.jet is None:
@@ -353,14 +345,13 @@ def extend_normal(plane: NormedPlane, curve: ParamCurve) -> NormalField:
     def jet(t):
         # away from the singular points one inversion of the supporting map
         # gives both parts; near them the averaged value and its difference
-        w = curve.derivative(t, 1)
+        w, dw = curve.derivative(t, (1, 2))
         far = plane.norm(w) >= 1e-3 * smax
         z = np.empty(t.shape + (2,))
         dz = np.empty(t.shape + (2,))
         if np.any(far):
             sign = sign_of(t[far])
-            z_far, dz_far = normal_jet(plane, curve, t[far], w[far],
-                                       curve.derivative(t[far], 2), left)
+            z_far, dz_far = normal_jet(plane, curve, t[far], w[far], dw[far], left)
             z[far], dz[far] = z_far * sign, dz_far * sign
         if np.any(~far):
             z[~far] = from_tangent(t[~far], w[~far])

@@ -169,23 +169,25 @@ def _parse_primary(lx):
 
 
 def evaluate(tree, t):
-    """Evaluate at scalar or array t; domain errors raise."""
+    """Evaluate at t of any shape, on the flat array: numpy's power loop
+    takes a 0-d exponent 2, 0.5 or -1 as a square, sqrt or reciprocal, whose
+    last bit may differ from its pow. Domain errors raise."""
+    t = np.asarray(t, dtype=float)
     with np.errstate(divide="raise", invalid="raise", over="raise"):
         try:
-            out = _eval(tree, np.asarray(t, dtype=float))
+            return _eval(tree, t.ravel()).reshape(t.shape)[()]
         except FloatingPointError as exc:
             raise ExpressionDomainError(f"expression domain error: {exc}") from exc
-    return out
 
 
 def _eval(tree, t):
     kind = tree[0]
     if kind == "num":
-        return np.full_like(t, tree[1]) if t.ndim else tree[1]
+        return np.full_like(t, tree[1])
     if kind == "var":
         return t
     if kind == "const":
-        return np.full_like(t, CONSTANTS[tree[1]]) if t.ndim else CONSTANTS[tree[1]]
+        return np.full_like(t, CONSTANTS[tree[1]])
     if kind == "neg":
         return -_eval(tree[1], t)
     if kind == "call":

@@ -93,8 +93,8 @@ def differentiate(f, t, order, h, domain=None, closed=False):
 
 
 def _differentiate(f, t, orders, h, domain, closed):
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    t_flat = t_arr.ravel()
+    t = np.asarray(t, dtype=float)
+    t_flat = t.ravel()
     base = np.arange(-3, 4, dtype=float)
     if closed or domain is None:
         shifts = np.zeros(t_flat.shape, dtype=int)
@@ -126,9 +126,7 @@ def _differentiate(f, t, orders, h, domain, closed):
                 if outs[k] is None:
                     outs[k] = np.zeros(t_flat.shape + acc.shape[1:])
                 outs[k][rows] = acc
-    scalar = np.isscalar(t) or np.asarray(t).ndim == 0
-    return tuple(out[0] if scalar else out.reshape(t_arr.shape + out.shape[1:])
-                 for out in outs)
+    return tuple(out.reshape(t.shape + out.shape[1:])[()] for out in outs)
 
 
 def _stencil_sums(w, vals):

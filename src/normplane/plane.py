@@ -377,9 +377,8 @@ class NormedPlane:
         evaluation of the circle; its c' is the one the convergence check
         reads. A NaN or infinite direction gets NaN.
         """
-        chi = np.asarray(chi, dtype=float)
-        shape = chi.shape
-        chi = np.atleast_1d(chi).ravel()
+        shape = np.shape(chi)
+        chi = np.asarray(chi, dtype=float).ravel()
         if not np.all(np.isfinite(chi)):
             chi = np.where(np.isinf(chi), np.nan, chi)
         theta = np.empty_like(chi)
@@ -521,19 +520,14 @@ class NormedPlane:
     # -- derived scalars ---------------------------------------------------
 
     def antinorm(self, x):
-        """sup over unit y of |[x, y]|, via the supporting-point identity."""
+        """sup over unit y of |[x, y]|, x of shape (..., 2), via the supporting-point identity."""
         x = np.asarray(x, dtype=float)
         n = self.norm(x)
-        scalar = x.ndim == 1
-        xs = np.atleast_2d(x)
-        ns = np.atleast_1d(n)
-        out = np.zeros(len(xs))
-        nz = ns > 0.0
-        if np.any(nz):
-            xh = xs[nz] / ns[nz][:, None]
-            z = self.normal_from_tangent(xh)
-            out[nz] = ns[nz] * symplectic(z, xh)
-        return float(out[0]) if scalar else out.reshape(n.shape)
+        out = np.zeros(n.shape)
+        nz = n > 0.0
+        xh = x[nz] / n[nz][:, None]
+        out[nz] = n[nz] * symplectic(self.normal_from_tangent(xh), xh)
+        return out[()]
 
     def rho(self, v):
         """Distortion ||Db_v(b(v))|| of the supporting map along the circle."""

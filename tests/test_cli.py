@@ -919,6 +919,40 @@ def test_shipped_kind_rejects_exit_2(tmp_path, capsys, name, message):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_constant_division_exits_2_with_one_line(tmp_path, capsys):
+    # the closed curve's seam check evaluates x at a scalar t, where the
+    # constant 1/0 used to escape as a ZeroDivisionError traceback
+    assert _run(tmp_path, "constant_division_reject.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: expression domain error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"norm": {"kind": "euclidean", "grid": 63}}, "table_size must be at least 64"),
+    ({"curve": {"kind": "catalog", "name": "ellipse", "a": 0}},
+     "ellipse needs positive semi-axes"),
+], ids=["grid-63", "ellipse-a-0"])
+def test_a_small_table_or_a_flat_ellipse_exits_3(tmp_path, capsys, config, message):
+    code, err = _exit_and_stderr(tmp_path, capsys, {"curve": _CIRCLE_64, **config})
+    assert (code, err) == (3, f"validation error: {message}\n")
+
+
+def test_a_csv_without_y_and_missing_files_exit_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "curve.csv"
+    path.write_text("t,x,z\n" + _circle_rows(_T16))
+    code, err = _exit_and_stderr(tmp_path, capsys, {"curve": {"kind": "csv", "path": str(path)}})
+    assert (code, err) == (2, f"config error: csv {path} lacks column 'y'\n")
+    path = tmp_path / "missing.csv"
+    code, err = _exit_and_stderr(tmp_path, capsys, {"curve": {"kind": "csv", "path": str(path)}})
+    assert code == 2 and err.count("\n") == 1
+    assert err.startswith(f"config error: cannot read csv {path}: ")
+    path = tmp_path / "missing.json"
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"config error: cannot read config {path}: ")
+
+
 # valid values first and last, which Hypothesis draws most often, and
 # values that a run may refuse between them
 _TWO_PI = 2.0 * np.pi

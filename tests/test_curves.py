@@ -517,3 +517,24 @@ def test_expression_derivatives_read_one_position_stencil(euclidean):
     assert np.array_equal(fresh().derivative(0.5, (2, 1))[0], fresh().derivative(0.5, 2))
     with pytest.raises(BadParameter):
         curve.derivative(ts, (1, 4))
+
+
+@pytest.mark.parametrize("norm", ["euclidean", "l3"])
+def test_the_extended_normal_jet_reads_both_derivatives_from_one_stencil(request, norm):
+    # gamma' and gamma'' of a curve given by its position alone come from one
+    # 7-point stencil per parameter; asking for gamma'' apart at the regular
+    # parameters cost a second stencil there
+    points = []
+
+    def position(t):
+        points.append(np.size(t))
+        t = np.asarray(t)
+        return np.stack([t ** 2, t ** 3], -1)
+
+    curve = ParamCurve(position, (-1.0, 1.0), samples=2048)
+    field = extend_normal(request.getfixturevalue(norm), curve)
+    ts = curve.grid()
+    points.clear()
+    value, rate = field.value_and_rate(ts)
+    assert sum(points) < 8 * ts.size
+    assert np.array_equal(value, field.evaluate(ts))

@@ -494,7 +494,7 @@ def test_value_and_rate_is_value_and_derivative(request, name):
 def test_the_jet_begins_with_the_bits_of_evaluate(request, name):
     # a field's kept jet answers its calls, so the two must agree bit for bit
     field = _JET_FIELDS[name](request.getfixturevalue)
-    p = field._param(np.linspace(field.domain[0], field.domain[1], 257))
+    p = field._wrap(np.linspace(field.domain[0], field.domain[1], 257))
     assert np.array_equal(np.asarray(field.jet(p)[0]), np.asarray(field.evaluate(p)))
 
 

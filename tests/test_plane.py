@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from normplane.errors import (
     BadParameter,
     ConvexityViolation,
+    NoConvergence,
     NotUnit,
     PositivityViolation,
     ZeroVector,
@@ -618,3 +619,20 @@ def test_a_non_finite_input_gives_nan_without_a_warning(spec):
             assert np.array_equal(got[at_finite], kernel(finite))
         jet = plane.tangent_theta(mixed)[1]
         assert np.all(np.isnan(jet[:, at_bad])) and np.all(np.isfinite(jet[:, at_finite]))
+
+
+def test_the_lp_builds_of_the_readme_table():
+    # measured in README: p = 1.3 fails at every table size, p = 7 builds only
+    # on a table of at most 1024 nodes, and no table has fewer than 64
+    with pytest.raises(NoConvergence,
+                       match="^distortion table is not centrally symmetric$") as err:
+        build_plane(NormSpec("lp", 1.3))
+    assert err.value.exit_code == 4
+    with pytest.raises(ConvexityViolation,
+                       match="^tangent angle is not strictly increasing$") as err:
+        build_plane(NormSpec("lp", 7.0))
+    assert err.value.exit_code == 3
+    assert build_plane(NormSpec("lp", 7.0, table_size=1024)).norm([1.0, 0.0]) == 1.0
+    with pytest.raises(BadParameter, match="^table_size must be at least 64$") as err:
+        build_plane(NormSpec("lp", 3.0, table_size=63))
+    assert err.value.exit_code == 3

@@ -10,9 +10,13 @@ from normplane import catalog
 from normplane.analysis import make_legendre, transfer_legendre
 from normplane.cli import build_curve_and_pair
 from normplane.derived import evolute, involute, parallel, pedal
+from normplane.errors import ExpressionDomainError
+from normplane.expressions import evaluate, parse_expression
 from normplane.numerics import gauss5_segments
 from normplane.plane import NormSpec, build_plane
 from normplane.synthesis import apply_linear_map
+from oracles import to_text
+from test_expressions import _random_tree
 
 TWO_PI = 2.0 * np.pi
 SAMPLES = 512
@@ -146,3 +150,40 @@ def test_pair_evaluators_give_a_parameter_its_batch_bits(planes, pair):
     for name in ("values_at", "alpha_at", "ratio_rate_at"):
         _assert_pointwise(getattr(L, name), ts, (pair, name))
     _assert_pointwise(L.gamma.point, ts, (pair, "gamma.point"))
+
+
+# -- the shape rule: a scalar is a 0-d array and runs the batch code ---------
+
+_CONSTANT_FAULTS = ["1/0", "0/0", "1e308*10", "-1e308-1e308", "t + 1e308*10"]
+
+
+def _bits_or_refusal(tree, t):
+    try:
+        return np.asarray(evaluate(tree, t)).tobytes()
+    except ExpressionDomainError:
+        return "refused"
+
+
+def test_an_expression_gives_a_scalar_its_one_element_bits():
+    # a number or constant node used to be a Python float at a scalar t, so a
+    # constant subtree divided by zero with ZeroDivisionError and overflowed
+    # to inf where an array refuses; and numpy's power loop takes a 0-d
+    # exponent 0.5 as a square root, one ulp off its pow at 7.65^0.5
+    rng = np.random.default_rng(42)
+    trees = [_random_tree(rng, int(rng.integers(1, 7))) for _ in range(400)]
+    for tree in trees + [parse_expression(text) for text in _CONSTANT_FAULTS + ["7.65^t"]]:
+        assert _bits_or_refusal(tree, 0.5) == _bits_or_refusal(tree, np.array([0.5])), \
+            to_text(tree)
+    for text in _CONSTANT_FAULTS:
+        assert _bits_or_refusal(parse_expression(text), 0.5) == "refused", text
+
+
+@pytest.mark.parametrize("name", list(SPECS))
+def test_antinorm_takes_any_batch_of_vectors(planes, name):
+    plane = planes[name]
+    x = np.random.default_rng(3).normal(size=(3, 4, 2))
+    x[1, 2] = 0.0
+    got = plane.antinorm(x)
+    assert got.shape == (3, 4) and got[1, 2] == 0.0
+    assert np.array_equal(got, plane.antinorm(x.reshape(-1, 2)).reshape(3, 4))
+    assert np.array_equal(got[0, 1], plane.antinorm(x[0, 1]))
