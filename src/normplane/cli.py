@@ -127,8 +127,9 @@ def _sized(key, build, *args):
 
 
 # the bytes per grid node or sample that bound a run's largest array: the
-# largest seen, a circle jet at a curve's 5 Gauss nodes a sample, holds 20
-# float64 a sample, and a jet of all three rows there would hold 30
+# largest seen, the circle jet [c, c', c''] that `tangent_theta` returns for a
+# normal field's rate on the samples, holds 6 float64 a sample, as does the
+# CSV table (Gauss nodes and stencils are evaluated in blocks)
 _BYTES_PER_POINT = 256
 
 

@@ -11,9 +11,10 @@ from .errors import NoConvergence
 
 TWO_PI = 2.0 * np.pi
 
-# parameters per stencil block of `differentiate`: 7 points each, so one call
-# of `f` sees at most 7168 points. Even, so a full block is never padded (see
-# `_stencil_sums`), and the blocks change no bit of the result
+# parameters per stencil block of `differentiate` (7 points each, so one call
+# of `f` sees at most 7168 points) and segments per node block of
+# `gauss5_segments` (5 nodes each, 5120 points). Even, so a full block is
+# never padded (see `_stencil_sums`), and the blocks change no bit of the result
 DIFF_BLOCK = 1024
 
 # golden_minimize: most steps, and the bracket width relative to
@@ -241,15 +242,21 @@ def golden_minimize(f, a, b):
 
 
 def gauss5_segments(fn, a, b):
-    """Integral of fn over each segment [a_i, b_i] by 5-point Gauss. The node
-    sums reduce through `_stencil_sums`, so a segment's integral has the same
-    bits alone (scalar a, b), in a one-element array or in any batch."""
+    """Integral of fn over each segment [a_i, b_i] by 5-point Gauss. `fn`
+    sees the nodes of at most DIFF_BLOCK segments per call, and the node sums
+    reduce through `_stencil_sums`, so a segment's integral has the same bits
+    alone (scalar a, b), in a one-element array or in any batch."""
     a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    span = b - a
-    nodes = (a[..., None] + span[..., None] * _G5_X).reshape(-1, _G5_X.size)
-    vals = fn(nodes.ravel()).reshape(nodes.shape)
-    return span * _stencil_sums(_G5_W, vals).reshape(span.shape)
+    span = np.asarray(b, dtype=float) - a
+    starts = np.broadcast_to(a, span.shape).ravel()
+    spans = span.ravel()
+    out = np.empty(spans.shape)
+    for lo in range(0, spans.size, DIFF_BLOCK):
+        s = spans[lo:lo + DIFF_BLOCK]
+        nodes = starts[lo:lo + DIFF_BLOCK, None] + s[:, None] * _G5_X
+        vals = fn(nodes.ravel()).reshape(nodes.shape)
+        out[lo:lo + DIFF_BLOCK] = s * _stencil_sums(_G5_W, vals)
+    return out.reshape(span.shape)[()]
 
 
 # Brent's iteration cap, and the relative part of its convergence half-width

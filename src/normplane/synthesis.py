@@ -96,6 +96,8 @@ def synthesize(plane: NormedPlane, spec: SynthesisSpec) -> LegendreCurve:
         gamma_nodes = np.vstack([p, p + np.cumsum(steps_xy, axis=0)])
     if not np.all(np.isfinite(gamma_nodes)):
         raise BadParameter("the curve integrated from alpha and kappa is not finite")
+    # the stage arrays are not read again: free them before the pair is built
+    del f1, f2, f3, f4, xi_s2, xi_s3, u_s2, u_s3, u_s4, t_half, steps_xy
 
     # cubic Hermite pieces through the nodes, with the slopes the integration
     # knows: theta' = kappa / ||c'(theta)||, gamma' = alpha b(c(theta))

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,11 +14,12 @@ from scipy.optimize import brentq
 from normplane import catalog, numerics
 from normplane.analysis import curvature_pair, legendre_from_curve
 from normplane.curves import ParamCurve
-from normplane.derived import evolute
+from normplane.derived import evolute, involute
 from normplane.errors import NoConvergence
 from normplane.numerics import (DIFF_BLOCK, Hermite, brent_root, differentiate, fd_weights,
-                                index_runs, merge_events, pchip, polish_dips, wrap)
+                                gauss5_segments, index_runs, merge_events, pchip, polish_dips, wrap)
 from normplane.plane import NormSpec, build_plane
+from normplane.synthesis import SynthesisSpec, synthesize
 from oracles import differentiate_every_point
 
 # polynomials evaluate to the same bits in batch and one point at a time
@@ -486,3 +488,77 @@ def test_differentiate_of_no_parameters_is_empty(shape):
     got = differentiate(_periodic_pair, t, (0, 1, 2), h, domain=(0.0, 1.0))
     assert [a.shape for a in got] == [shape + (2,)] * 3
     assert differentiate(_periodic_pair, t, 2, h, closed=True).shape == shape + (2,)
+
+
+# -- Gauss sums ----------------------------------------------------------------
+
+
+def _gauss5_one_call(fn, a, b):
+    # every node of every segment in one call of fn, summed at once
+    a = np.asarray(a, dtype=float)
+    span = np.asarray(b, dtype=float) - a
+    nodes = (a[..., None] + span[..., None] * numerics._G5_X).reshape(-1, numerics._G5_X.size)
+    vals = fn(nodes.ravel()).reshape(nodes.shape)
+    return span * numerics._stencil_sums(numerics._G5_W, vals).reshape(span.shape)
+
+
+@pytest.mark.parametrize("n", [0, 1, DIFF_BLOCK - 1, DIFF_BLOCK, DIFF_BLOCK + 1,
+                               2 * DIFF_BLOCK + 1, 3 * DIFF_BLOCK + 5])
+def test_gauss_sums_call_fn_on_bounded_blocks_with_one_call_bits(n):
+    rng = np.random.default_rng(n)
+    a = rng.uniform(-3.0, 3.0, n)
+    b = a + rng.uniform(-0.5, 0.5, n)
+    b[::7] = a[::7]     # empty segments: a zero whose sign the integrand sets
+    sizes = []
+
+    def f(x):
+        sizes.append(x.size)
+        return np.sin(3.0 * x) * np.exp(np.cos(x))
+
+    got = gauss5_segments(f, a, b)
+    assert max(sizes, default=0) <= 5 * DIFF_BLOCK and sum(sizes) == 5 * n
+    assert got.shape == (n,)
+    want = _gauss5_one_call(f, a, b)
+    assert got.tobytes() == want.tobytes()
+    if n > 7:
+        assert np.any(np.signbit(got[::7])) and not np.all(np.signbit(got[::7]))
+    # a scalar start against an array of ends, and a 0-d pair
+    for a0, b0 in ((np.asarray(-0.7), b), (np.float64(-0.25), 1.5)):
+        sizes.clear()
+        got = gauss5_segments(f, a0, b0)
+        assert max(sizes, default=0) <= 5 * DIFF_BLOCK
+        want = _gauss5_one_call(f, a0, b0)
+        assert np.shape(got) == np.shape(want) and np.asarray(got).tobytes() == want.tobytes()
+
+
+def _peak_bytes_per_sample(build):
+    """Slope of build(n)'s tracemalloc peak from 2048 to 8192 samples."""
+    build(256)  # lazy plane tables and stencil weights are filled outside the trace
+    peaks = []
+    for n in (2048, 8192):
+        tracemalloc.start()
+        try:
+            build(n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return (peaks[1] - peaks[0]) / (8192 - 2048)
+
+
+def test_an_involute_holds_bounded_memory_per_sample(l3):
+    # A = integral of alpha at every sample's 5 Gauss nodes once held a circle
+    # jet of all of them, about 950 bytes a sample at the peak
+    slope = _peak_bytes_per_sample(
+        lambda n: involute(legendre_from_curve(l3, catalog.cusp_t2t3(n)), 0.5))
+    assert slope <= 400.0
+
+
+def test_a_synthesis_holds_bounded_memory_per_sample(fourier_oval):
+    # the unit circle's arc length at Gauss nodes, and the RK4 stage arrays
+    # while the pair is built, once held about 580 bytes a sample
+    spec = dict(alpha=lambda t: np.cos(3.0 * t), kappa=lambda t: np.ones_like(t),
+                gamma0=(0.0, 0.0), eta0=tuple(fourier_oval.circle_point(0.0)),
+                domain=(0.0, 2.0 * np.pi))
+    slope = _peak_bytes_per_sample(
+        lambda n: synthesize(fourier_oval, SynthesisSpec(**spec, steps=n)))
+    assert slope <= 350.0
