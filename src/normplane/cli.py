@@ -191,9 +191,7 @@ def build_curve_and_pair(plane, ccfg, samples_override=None):
         domain = _read(ccfg, "domain", "pair")
 
         def pos(t):
-            t = np.asarray(t, dtype=float)
-            return np.stack([np.broadcast_to(fx(t), t.shape),
-                             np.broadcast_to(fy(t), t.shape)], axis=-1)
+            return np.stack([fx(t), fy(t)], axis=-1)
 
         curve = ParamCurve(pos, domain, closed=_read(ccfg, "closed", "flag", False),
                            samples=samples, name="expression")

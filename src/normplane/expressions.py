@@ -9,6 +9,8 @@ full unary expression on the left):
     unary   := '-' unary | primary
     primary := number | 't' | 'pi' | 'e' | func '(' expr ')' | '(' expr ')'
 
+Tokens: operators, numbers (digits and points, with an exponent only where
+a digit follows the 'e'; a literal must be a finite float) and names.
 Functions: sin cos tan asin acos atan sinh cosh exp log sqrt abs sign.
 A value outside a partial function's domain raises at evaluation.
 Trees are plain tuples so equality and round-tripping are structural.
@@ -16,9 +18,11 @@ Trees are plain tuples so equality and round-tripping are structural.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
-from .errors import ExpressionDomainError, ParseError
+from .errors import ExpressionDomainError, InputError, ParseError
 
 FUNCTIONS = {
     "sin": np.sin, "cos": np.cos, "tan": np.tan,
@@ -28,144 +32,103 @@ FUNCTIONS = {
     "abs": np.abs, "sign": np.sign,
 }
 CONSTANTS = {"pi": np.pi, "e": np.e}
+OPERATORS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
+# how strongly the left-associative operators bind: expr joins by '+'/'-', term by '*'/'/'
+_PRECEDENCE = {"+": 0, "-": 0, "*": 1, "/": 1}
+# operator | number | name | any other character | end
+_TOKEN = re.compile(r"\s*(?:([-+*/^()])|([\d.]+(?:[eE][-+]?\d+)?)|([^\W\d]\w*)|(.)|\Z)")
 
 
-class _Lexer:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-        self.tokens = []
-        self._scan()
-        self.idx = 0
+def _tokens(text):
+    """(kind, value, offset) tokens, last first, so `pop()` takes the next:
+    an operator's kind is its character; numbers, names and the end are
+    "num", "name" and "eof"."""
+    toks = []
+    for m in _TOKEN.finditer(text):
+        if m.lastindex is None:
+            toks.append(("eof", None, m.end()))
+            return toks[::-1]
+        op, number, name, other = m.groups()
+        at = m.start(m.lastindex)
+        if op:
+            toks.append((op, op, at))
+        elif name:
+            toks.append(("name", name, at))
+        elif other:
+            raise ParseError(f"unexpected character {other!r} at offset {at}", at, ("token",))
+        else:
+            try:
+                value = float(number)
+            except ValueError:
+                raise ParseError(f"bad number at offset {at}", at, ("number",))
+            if not np.isfinite(value):
+                raise ParseError(f"number too large at offset {at}", at, ("number",))
+            toks.append(("num", value, at))
 
-    def _scan(self):
-        text = self.text
-        i = 0
-        n = len(text)
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch in "+-*/^()":
-                self.tokens.append((ch, ch, i))
-                i += 1
-                continue
-            if ch.isdigit() or ch == ".":
-                j = i
-                while j < n and (text[j].isdigit() or text[j] == "."):
-                    j += 1
-                if j < n and text[j] in "eE":
-                    k = j + 1
-                    if k < n and text[k] in "+-":
-                        k += 1
-                    if k < n and text[k].isdigit():
-                        j = k
-                        while j < n and text[j].isdigit():
-                            j += 1
-                try:
-                    val = float(text[i:j])
-                except ValueError:
-                    raise ParseError(f"bad number at offset {i}", i, ("number",))
-                self.tokens.append(("num", val, i))
-                i = j
-                continue
-            if ch.isalpha() or ch == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append(("name", text[i:j], i))
-                i = j
-                continue
-            raise ParseError(f"unexpected character {ch!r} at offset {i}", i,
-                             ("token",))
-        self.tokens.append(("eof", None, n))
 
-    def peek(self):
-        return self.tokens[self.idx]
-
-    def advance(self):
-        tok = self.tokens[self.idx]
-        self.idx += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ParseError(
-                f"expected {kind!r} at offset {tok[2]}, found {tok[0]!r}",
-                tok[2], (kind,))
-        return self.advance()
+def _expect(toks, kind):
+    tok = toks.pop()
+    if tok[0] != kind:
+        raise ParseError(f"expected {kind!r} at offset {tok[2]}, found {tok[0]!r}", tok[2], (kind,))
 
 
 def parse_expression(text):
     """Parse to a tuple tree; raises ParseError with offset and expectations."""
-    lx = _Lexer(text)
-    tree = _parse_expr(lx)
-    tok = lx.peek()
+    toks = _tokens(text)
+    try:
+        tree = _parse_expr(toks)
+    except RecursionError:
+        raise InputError("expression is too deep to parse") from None
+    tok = toks[-1]
     if tok[0] != "eof":
         raise ParseError(f"trailing input at offset {tok[2]}", tok[2], ("eof",))
     return tree
 
 
-def _parse_expr(lx):
-    node = _parse_term(lx)
-    while lx.peek()[0] in ("+", "-"):
-        op = lx.advance()[0]
-        node = ("bin", op, node, _parse_term(lx))
+def _parse_expr(toks, level=0):
+    """expr (level 0) or term (level 1): operands joined left to right by
+    the operators that bind at least as strongly as `level`."""
+    node = _parse_factor(toks)
+    while _PRECEDENCE.get(toks[-1][0], -1) >= level:
+        op = toks.pop()[0]
+        node = ("bin", op, node, _parse_expr(toks, _PRECEDENCE[op] + 1))
     return node
 
 
-def _parse_term(lx):
-    node = _parse_factor(lx)
-    while lx.peek()[0] in ("*", "/"):
-        op = lx.advance()[0]
-        node = ("bin", op, node, _parse_factor(lx))
-    return node
-
-
-def _parse_factor(lx):
-    base = _parse_unary(lx)
-    if lx.peek()[0] == "^":
-        lx.advance()
-        return ("bin", "^", base, _parse_factor(lx))
+def _parse_factor(toks):
+    base = _parse_unary(toks)
+    if toks[-1][0] == "^":
+        toks.pop()
+        return ("bin", "^", base, _parse_factor(toks))
     return base
 
 
-def _parse_unary(lx):
-    if lx.peek()[0] == "-":
-        lx.advance()
-        return ("neg", _parse_unary(lx))
-    return _parse_primary(lx)
+def _parse_unary(toks):
+    if toks[-1][0] == "-":
+        toks.pop()
+        return ("neg", _parse_unary(toks))
+    return _parse_primary(toks)
 
 
-def _parse_primary(lx):
-    tok = lx.peek()
-    if tok[0] == "num":
-        lx.advance()
-        return ("num", tok[1])
-    if tok[0] == "name":
-        lx.advance()
-        name = tok[1]
-        if name == "t":
+def _parse_primary(toks):
+    kind, value, at = toks.pop()
+    if kind == "num":
+        return ("num", value)
+    if kind == "name":
+        if value == "t":
             return ("var",)
-        if name in CONSTANTS:
-            return ("const", name)
-        if name in FUNCTIONS:
-            lx.expect("(")
-            arg = _parse_expr(lx)
-            lx.expect(")")
-            return ("call", name, arg)
-        raise ParseError(f"unknown name {name!r} at offset {tok[2]}", tok[2],
-                         ("t", "pi", "e") + tuple(FUNCTIONS))
-    if tok[0] == "(":
-        lx.advance()
-        node = _parse_expr(lx)
-        lx.expect(")")
-        return node
-    raise ParseError(
-        f"expected a value at offset {tok[2]}, found {tok[0]!r}", tok[2],
-        ("number", "t", "(", "function"))
+        if value in CONSTANTS:
+            return ("const", value)
+        if value not in FUNCTIONS:
+            raise ParseError(f"unknown name {value!r} at offset {at}", at,
+                             ("t", "pi", "e") + tuple(FUNCTIONS))
+        _expect(toks, "(")
+    elif kind != "(":
+        raise ParseError(f"expected a value at offset {at}, found {kind!r}", at,
+                         ("number", "t", "(", "function"))
+    node = _parse_expr(toks)    # a function's argument or a parenthesized expr
+    _expect(toks, ")")
+    return node if kind == "(" else ("call", value, node)
 
 
 def evaluate(tree, t):
@@ -178,31 +141,21 @@ def evaluate(tree, t):
             return _eval(tree, t.ravel()).reshape(t.shape)[()]
         except FloatingPointError as exc:
             raise ExpressionDomainError(f"expression domain error: {exc}") from exc
+        except RecursionError:
+            raise InputError("expression is too deep to evaluate") from None
 
 
 def _eval(tree, t):
     kind = tree[0]
-    if kind == "num":
-        return np.full_like(t, tree[1])
     if kind == "var":
         return t
-    if kind == "const":
-        return np.full_like(t, CONSTANTS[tree[1]])
+    if kind in ("num", "const"):
+        return np.full_like(t, tree[1] if kind == "num" else CONSTANTS[tree[1]])
     if kind == "neg":
         return -_eval(tree[1], t)
     if kind == "call":
         return FUNCTIONS[tree[1]](_eval(tree[2], t))
-    _, op, a, b = tree
-    va, vb = _eval(a, t), _eval(b, t)
-    if op == "+":
-        return va + vb
-    if op == "-":
-        return va - vb
-    if op == "*":
-        return va * vb
-    if op == "/":
-        return va / vb
-    return np.power(va, vb)
+    return OPERATORS[tree[1]](_eval(tree[2], t), _eval(tree[3], t))
 
 
 def compile_expression(text):

@@ -586,6 +586,16 @@ _CIRCLE_64 = {**_CIRCLE, "samples": 64}
      "config error: 'samples' is too large: numpy cannot index its arrays"),
     ({"curve": {"kind": "synthesis", "alpha": "1", "kappa": "1", "samples": 2 ** 59}}, (),
      "config error: 'samples' is too large: numpy cannot index its arrays"),
+    # a literal whose float overflows, and expressions deeper than the recursion limit
+    ({"curve": {"kind": "expression", "x": "cos(t) + 1e999", "y": "sin(t)",
+                "domain": [0.0, 6.283185307179586], "closed": True}}, (),
+     "config error: number too large at offset 9"),
+    ({"curve": {"kind": "synthesis", "alpha": "1e999", "kappa": "1"}}, (),
+     "config error: number too large at offset 0"),
+    ({"curve": {"kind": "expression", "x": "(" * 1000 + "t" + ")" * 1000, "y": "t",
+                "domain": [0.0, 1.0]}}, (), "config error: expression is too deep to parse"),
+    ({"curve": {"kind": "expression", "x": "+".join(["t"] * 1000), "y": "t",
+                "domain": [0.0, 1.0]}}, (), "config error: expression is too deep to evaluate"),
 ], ids=["p-not-a-number", "top-level-list", "one-element-domain",
         "samples-zero", "samples-one", "samples-not-a-number",
         "samples-not-an-integer", "samples-flag-zero", "samples-flag-one",
@@ -600,7 +610,9 @@ _CIRCLE_64 = {**_CIRCLE, "samples": 64}
         "unknown-curve-key", "unknown-operation-key", "unknown-output-key",
         "norm-kind-number", "offset-nan", "circle-semi-axes", "astroid-semi-axis",
         "cusp-semi-axis", "unit-circle-semi-axis", "samples-beyond-index",
-        "grid-beyond-index", "samples-flag-beyond-int64", "synthesis-steps-beyond-index"])
+        "grid-beyond-index", "samples-flag-beyond-int64", "synthesis-steps-beyond-index",
+        "literal-overflows", "synthesis-literal-overflows", "nested-parentheses-1000",
+        "sum-of-1000-terms"])
 def test_malformed_config_exits_2(tmp_path, capsys, config, extra, marker):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -912,6 +924,8 @@ def test_unknown_kinds_and_foreign_keys_exit_2_where_they_are_read(tmp_path, cap
     ("huge_grid_reject.json", "'grid' is too large: numpy cannot allocate its arrays"),
     ("huge_samples_reject.json", "'samples' is too large: numpy cannot allocate its arrays"),
     ("huge_index_reject.json", "'samples' is too large: numpy cannot index its arrays"),
+    ("literal_overflow_reject.json", "number too large at offset 9"),
+    ("deep_expression_reject.json", "expression is too deep to evaluate"),
 ])
 def test_shipped_kind_rejects_exit_2(tmp_path, capsys, name, message):
     assert _run(tmp_path, name) == 2

@@ -57,11 +57,36 @@ def test_parse_error_cases():
 @pytest.mark.parametrize("text, message, offset", [
     ("1..2", "bad number at offset 0", 0),
     ("t$", "unexpected character '$' at offset 1", 1),
+    ("_a1", "unknown name '_a1' at offset 0", 0),
+    ("1e", "trailing input at offset 1", 1),       # an exponent needs a digit
+    ("1e+", "trailing input at offset 1", 1),
+    ("1.2.3", "bad number at offset 0", 0),
+    ("1+  ", "expected a value at offset 4, found 'eof'", 4),
+    ("cos(t) + 1e999", "number too large at offset 9", 9),
 ])
 def test_the_lexer_refuses_with_the_offset(text, message, offset):
     with pytest.raises(ParseError) as err:
         parse_expression(text)
     assert str(err.value) == message and err.value.offset == offset
+
+
+@pytest.mark.parametrize("text, tree", [
+    (".5", ("num", 0.5)),
+    ("5.", ("num", 5.0)),
+    ("1E+3", ("num", 1000.0)),
+    ("\u0663", ("num", 3.0)),                   # Arabic-Indic three, a decimal digit
+    ("\tt\n*\u2003pi", ("bin", "*", ("var",), ("const", "pi"))),
+])
+def test_the_lexer_reads_numbers_and_spaces(text, tree):
+    assert parse_expression(text) == tree
+
+
+@pytest.mark.parametrize("text", ["\u00b2", "\u00bd"])
+def test_numeric_characters_that_are_not_decimal_digits_are_refused(text):
+    # superscript two and one half are numeric but not decimal digits: no number holds them
+    with pytest.raises(ParseError) as err:
+        parse_expression(text)
+    assert err.value.offset == 0
 
 
 def test_guarded_functions_raise_at_eval():
