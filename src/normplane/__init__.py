@@ -19,14 +19,7 @@ from .analysis import (
     transfer_legendre,
 )
 from .curves import NormalField, ParamCurve, extend_normal, induced_normal
-from .derived import (
-    EvoluteFrame,
-    PedalResult,
-    evolute,
-    involute,
-    parallel,
-    pedal,
-)
+from .derived import PedalResult, evolute, involute, parallel, pedal
 from .plane import (
     NormSpec,
     NormedPlane,

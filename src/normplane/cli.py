@@ -223,7 +223,7 @@ def build_curve_and_pair(plane, ccfg, samples_override=None):
 # operation kind -> the pair it derives from L
 _DERIVED = {
     "parallel": lambda L, op: parallel(L, _read(op, "d", "number", 0.0)),
-    "evolute": lambda L, op: evolute(L).pair,
+    "evolute": lambda L, op: evolute(L),
     "involute": lambda L, op: involute(L, _read(op, "d", "number", 0.0)),
     "transfer": lambda L, op: transfer_legendre(
         L, _sized("grid", build_plane, _norm_spec(_read(op, "norm", "norm")))),

@@ -271,24 +271,20 @@ def extend_normal(plane: NormedPlane, curve: ParamCurve) -> NormalField:
     step = curve.span / len(ts)
     offsets = (2.0 * step, step, 0.5 * step)
 
-    def lateral(t_star, d):
-        # derivatives at t_star -/+ d, their directions and the angle between
-        # their tangent lines
-        w = curve.derivative(t_star + np.array([-d, d]), 1)
-        if np.min(plane.norm(w)) < SINGULAR_SPEED_FACTOR * smax:
-            raise LimitsDisagree("singular points closer than two grid steps")
-        u = w / np.linalg.norm(w, axis=1)[:, None]
-        return w, u, float(np.arcsin(min(1.0, abs(symplectic(u[0], u[1])))))
-
     flips = []
     for t_star in singular:
         if not curve.closed and (t_star - offsets[0] < t0 or t_star + offsets[0] > t1):
             raise SingularPoint("singularity too close to an open endpoint")
-        # the lateral tangent lines close linearly in the offset at a smooth
-        # singularity, so the Richardson residual |2 g(d) - g(2d)| of the gap
-        # shrinks faster than d; at a corner it does not shrink
-        sides = [lateral(t_star, d) for d in offsets]
-        g = [gap for _, _, gap in sides]
+        # derivatives at t_star -/+ each offset, their directions and the
+        # angles between their tangent lines, which close linearly in the
+        # offset at a smooth singularity: the Richardson residual
+        # |2 g(d) - g(2d)| of the gap shrinks faster than d; at a corner it
+        # does not shrink
+        w = curve.derivative(t_star + np.multiply.outer(offsets, [-1.0, 1.0]), 1)
+        if np.min(plane.norm(w)) < SINGULAR_SPEED_FACTOR * smax:
+            raise LimitsDisagree("singular points closer than two grid steps")
+        u = w / np.linalg.norm(w, axis=-1)[..., None]
+        g = np.arcsin(np.minimum(1.0, np.abs(symplectic(u[:, 0], u[:, 1]))))
         coarse, fine = abs(2.0 * g[1] - g[0]), abs(2.0 * g[2] - g[1])
         if coarse > 1e-4 and fine > 0.5 * coarse:
             raise LimitsDisagree(
@@ -297,15 +293,15 @@ def extend_normal(plane: NormedPlane, curve: ParamCurve) -> NormalField:
         # changes sign; decide on the widest bracket whose right tangent lies
         # within 60 degrees of the left tangent's line, from the end values
         # the root search is seeded with
-        for d, (w, u, _) in zip(offsets, sides):
-            fa, fb = w @ u[0]
-            if abs(fb) >= 0.5 * np.linalg.norm(w[1]):
+        for d, wd, ud in zip(offsets, w, u):
+            fa, fb = wd @ ud[0]
+            if abs(fb) >= 0.5 * np.linalg.norm(wd[1]):
                 break
         else:
             raise LimitsDisagree(
                 "the grid does not resolve whether the tangent reverses at the singularity")
         if fb < 0.0:
-            f = lambda t, wa=u[0]: curve.derivative(t, 1) @ wa
+            f = lambda t, wa=ud[0]: curve.derivative(t, 1) @ wa
             flips.append(brent_root(f, t_star - d, t_star + d, fa, fb, xtol=1e-12)[0])
 
     flips = np.sort(wrap(np.asarray(flips, dtype=float), t0, period))

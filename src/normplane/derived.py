@@ -14,8 +14,6 @@ from .numerics import gauss5_segments, sign_crossings
 from .plane import symplectic
 
 RHO_FLOOR = 1e-6
-# EvoluteFrame.predicted trusts the predicted pair where rho(nu) exceeds this
-RHO_MASK = 1e-3
 
 
 def _require_kappa(L: LegendreCurve):
@@ -46,31 +44,11 @@ def parallel(L: LegendreCurve, d: float) -> LegendreCurve:
     return make_legendre(L.plane, curve, eta)
 
 
-@dataclass
-class EvoluteFrame:
-    """Evolute curve with its own normal field, and the base pair its
-    predicted curvature pair comes from."""
-
-    evolute: ParamCurve
-    nu: NormalField
-    pair: LegendreCurve
-    base: LegendreCurve
-
-    def predicted(self):
-        """(rho(nu) > RHO_MASK, (alpha/kappa)', kappa/rho(nu)) on the base
-        grid, the last NaN where rho is degenerate."""
-        base = self.base
-        rho_vals = self.pair.plane.rho(self.pair.normals)
-        pred_kappa = np.where(rho_vals > RHO_FLOOR, base.kappa / rho_vals, np.nan)
-        return rho_vals > RHO_MASK, base.ratio_rate_at(base.ts), pred_kappa
-
-
-def evolute(L: LegendreCurve) -> EvoluteFrame:
+def evolute(L: LegendreCurve) -> LegendreCurve:
     """Centers of curvature gamma - (alpha/kappa) eta as a new pair.
 
-    The frame normal is nu = -b^{-1}(eta); its curvature pair is
-    ((alpha/kappa)', kappa/rho(nu)) with rho the circle distortion, masked
-    where rho falls below RHO_MASK.
+    Its normal is nu = -b^{-1}(eta), and its curvature pair is
+    ((alpha/kappa)', kappa/rho(nu)) with rho the circle distortion.
     """
     _require_front(L)
     _require_kappa(L)
@@ -98,8 +76,7 @@ def evolute(L: LegendreCurve) -> EvoluteFrame:
         return -z, -dz
 
     nu = NormalField(nu_eval, gamma.domain, gamma.closed, nu_jet)
-    frame = make_legendre(plane, e_curve, nu, residual_tol=1e-4)
-    return EvoluteFrame(e_curve, nu, frame, L)
+    return make_legendre(plane, e_curve, nu, residual_tol=1e-4)
 
 
 def involute(L: LegendreCurve, d: float) -> LegendreCurve:
@@ -125,7 +102,8 @@ def involute(L: LegendreCurve, d: float) -> LegendreCurve:
 
     def A_at(t):
         t = np.asarray(t, dtype=float)
-        j = np.clip(np.searchsorted(ts, t) - 1, 0, len(ts) - 2)
+        # a node reads its cumulative sum plus a zero-width segment
+        j = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
         return A_nodes[j] + gauss5_segments(L.alpha_at, ts[j], t)
 
     def xi_eval(t):

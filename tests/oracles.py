@@ -1,18 +1,19 @@
 """Independent geometric oracles that only the tests use: characterizations
 from the paper (orthogonality, the anti-norm as a supremum, envelopes of line
-families, osculating circles, the parallel sweep of the evolute) that check
-what the package computes, a unit vector carried to another norm, the unit
-circle's arc-length table built at once, finite differences that evaluate
-every stencil point, the lp radial jet as its own formula, the plane kernels
-as they were when every circle evaluation built all its rows, distances
-between sampled curves, a cusp classification read off the curve alone, a
-cyclic word reduced by cancelling one pair at a time, and a printer of
-expression trees that the parser must read back. They use
-public normplane names only, so they do not share the code they check."""
+families, osculating circles, the parallel sweep of the evolute, the evolute's
+predicted curvature pair) that check what the package computes, a unit vector
+carried to another norm, the unit circle's arc-length table built at once,
+finite differences that evaluate every stencil point, the lp radial jet as its
+own formula, the plane kernels as they were when every circle evaluation built
+all its rows, distances between sampled curves, a cusp classification read off
+the curve alone, a cyclic word reduced by cancelling one pair at a time, and a
+printer of expression trees that the parser must read back. They use public
+normplane names only, so they do not share the code they check."""
 
 import numpy as np
 
 from normplane.analysis import REL_ZERO, curvature_pair
+from normplane.derived import RHO_FLOOR
 from normplane.errors import KappaVanishes, NoConvergence, NotUnit, SingularPoint, ZeroVector
 from normplane.numerics import (
     DIFF_BLOCK,
@@ -40,6 +41,8 @@ from normplane.plane import (
 ORTHO_TOL = 1e-7
 # offsets d of the parallel family that evolute_as_parallel_singularities sweeps
 N_OFFSETS = 512
+# evolute_curvature trusts the predicted pair where rho(nu) exceeds this
+RHO_MASK = 1e-3
 
 
 class DegenerateLine(Exception):
@@ -405,6 +408,15 @@ def evolute_as_parallel_singularities(L) -> np.ndarray:
             e = eta_pts[i] + frac * (eta_pts[j] - eta_pts[i])
             points.append(g + d * e)
     return np.asarray(points)
+
+
+def evolute_curvature(base, pair):
+    """(rho(nu) > RHO_MASK, (alpha/kappa)', kappa/rho(nu)) on the base grid:
+    the curvature pair the paper predicts for the evolute `pair` of `base`,
+    whose normal is nu; the last NaN where rho is degenerate."""
+    rho_vals = pair.plane.rho(pair.normals)
+    pred_kappa = np.where(rho_vals > RHO_FLOOR, base.kappa / rho_vals, np.nan)
+    return rho_vals > RHO_MASK, base.ratio_rate_at(base.ts), pred_kappa
 
 
 def normal_envelope_residual(L, t, v):

@@ -35,6 +35,7 @@ from oracles import (
     antinorm_supremum,
     distance_squared_rates,
     evolute_as_parallel_singularities,
+    evolute_curvature,
     hausdorff_polyline,
     is_birkhoff_orthogonal,
     lateral_tangent_sign,
@@ -210,43 +211,43 @@ def test_criterion_06_cusps(astroid_pair, t2t3_pair, maslov_pair, circle_pair):
 
 @criterion("07 evolute suite")
 def test_criterion_07_evolute(ellipse_pair, l3):
-    frame = evolute(ellipse_pair)
-    assert np.max(np.abs(frame.evolute.point(0.0) - np.array([1.5, 0.0]))) < 1e-6
+    ev = evolute(ellipse_pair)
+    assert np.max(np.abs(ev.gamma.point(0.0) - np.array([1.5, 0.0]))) < 1e-6
 
     rng = np.random.default_rng(4)
     rep = singularity_report(ellipse_pair)
     verts = np.array([v.t for v in rep.vertices])
     ts = rng.uniform(0.0, TWO_PI, 64)
     ts = np.array([t for t in ts if np.min(np.abs(t - verts)) > 0.05])
-    d1 = frame.evolute.derivative(ts, 1)
+    d1 = ev.gamma.derivative(ts, 1)
     eta = ellipse_pair.eta(ts)
     sin_angle = np.abs(symplectic(d1, eta)) / (
         np.linalg.norm(d1, axis=1) * np.linalg.norm(eta, axis=1))
     assert np.max(sin_angle) < 1e-4
 
-    # frame curvature against ((alpha/kappa)', kappa/rho(nu)) where rho > 1e-3
+    # the evolute pair's curvature against ((alpha/kappa)', kappa/rho(nu)) where rho > 1e-3
     for pair in (ellipse_pair,
                  synthesize(l3, SynthesisSpec(
                      lambda t: 1.1 + 0.3 * np.cos(t),
                      lambda t: 1.0 + 0.25 * np.sin(t),
                      (0.0, 0.0), tuple(l3.circle_point(0.8)), (0.0, 4.0)))):
         fr = evolute(pair)
-        cp = curvature_pair(fr.pair)
-        ok, pred_a, pred_k = fr.predicted()
+        cp = curvature_pair(fr)
+        ok, pred_a, pred_k = evolute_curvature(pair, fr)
         assert np.max(np.abs(cp.alpha - pred_a)[ok]) < 1e-4
         assert np.max(np.abs(cp.kappa - pred_k)[ok]) < 1e-4
 
     # offset-family singular points lie on the evolute
     swept = evolute_as_parallel_singularities(ellipse_pair)
-    ev = frame.evolute.point(np.linspace(0.0, TWO_PI, 4096, endpoint=False))
-    dists = np.sqrt(point_segment_dist2(swept, ev, np.roll(ev, -1, axis=0)))
+    pts = ev.gamma.point(np.linspace(0.0, TWO_PI, 4096, endpoint=False))
+    dists = np.sqrt(point_segment_dist2(swept, pts, np.roll(pts, -1, axis=0)))
     assert np.max(dists) < 1e-3
 
     for t0 in (0.7, 2.2):
-        F, dF = normal_envelope_residual(ellipse_pair, t0, frame.evolute.point(t0))
+        F, dF = normal_envelope_residual(ellipse_pair, t0, ev.gamma.point(t0))
         assert abs(F) < 1e-6 and abs(dF) < 1e-6
         F2, dF2 = normal_envelope_residual(
-            ellipse_pair, t0, frame.evolute.point(t0) + np.array([0.1, 0.0]))
+            ellipse_pair, t0, ev.gamma.point(t0) + np.array([0.1, 0.0]))
         assert max(abs(F2), abs(dF2)) > 1e-3
 
 
@@ -255,8 +256,7 @@ def test_criterion_08_involute(circle_pair):
     ts = np.linspace(0.0, TWO_PI, 257)
     for d in (0.0, 0.5, -1.0):
         inv = involute(circle_pair, d)
-        frame = evolute(inv)
-        assert np.max(np.abs(frame.evolute.point(ts)
+        assert np.max(np.abs(evolute(inv).gamma.point(ts)
                              - circle_pair.gamma.point(ts))) < 1e-4
     rep = singularity_report(involute(circle_pair, 0.5))
     assert rep.counts["cusps"] == 1

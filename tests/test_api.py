@@ -6,6 +6,8 @@ import dataclasses
 import inspect
 import os
 
+import numpy as np
+
 import normplane
 from normplane import derived, errors, expressions, numerics, plane
 
@@ -15,9 +17,9 @@ ORACLES = {
     plane: ("is_birkhoff_orthogonal", "ORTHO_TOL", "TangentTheta", "EagerArclength",
             "lp_radial_jet", "transfer_unit"),
     numerics: ("differentiate_every_point",),
-    derived: ("evolute_as_parallel_singularities", "normal_envelope_residual",
-              "pedal_envelope_residual", "vertex_residual", "osculating_data",
-              "distance_squared_rates"),
+    derived: ("evolute_as_parallel_singularities", "evolute_curvature", "RHO_MASK",
+              "normal_envelope_residual", "pedal_envelope_residual", "vertex_residual",
+              "osculating_data", "distance_squared_rates"),
     errors: ("DegenerateLine",),
     expressions: ("to_text",),
 }
@@ -29,6 +31,8 @@ def test_oracles_live_with_the_tests_and_read_public_names_only():
             assert not hasattr(normplane, name), name
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert not hasattr(plane.NormedPlane, "antinorm_supremum")
+    # an evolute is returned as its pair; no frame type wraps it
+    assert not hasattr(normplane, "EvoluteFrame") and not hasattr(derived, "EvoluteFrame")
     assert not hasattr(normplane.LegendreCurve, "xi")
 
     with open(os.path.join(HERE, "oracles.py"), encoding="utf-8") as fh:
@@ -50,6 +54,16 @@ def test_the_validated_pair_is_its_own_curvature_pair(circle_pair):
     for field in dataclasses.fields(normplane.LegendreCurve):
         value = getattr(circle_pair, field.name)
         assert not callable(value) or isinstance(value, normplane.NormalField), field.name
+
+
+def test_parallels_evolutes_and_involutes_are_pairs(ellipse_pair):
+    # the evolute's normal is nu = -b^{-1}(eta), evaluated as written
+    for derive in (lambda L: normplane.parallel(L, 0.3), normplane.evolute,
+                   lambda L: normplane.involute(L, 0.5)):
+        assert type(derive(ellipse_pair)) is normplane.LegendreCurve
+    ts = ellipse_pair.ts
+    nu = -ellipse_pair.plane.normal_from_tangent(ellipse_pair.eta(ts))
+    assert np.array_equal(normplane.evolute(ellipse_pair).eta(ts), nu)
 
 
 def test_settings_that_nothing_varies_or_reads_are_gone():

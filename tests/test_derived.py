@@ -20,6 +20,7 @@ from oracles import (
     DegenerateLine,
     distance_squared_rates,
     evolute_as_parallel_singularities,
+    evolute_curvature,
     normal_envelope_residual,
     osculating_data,
     pedal_envelope_residual,
@@ -80,36 +81,36 @@ def test_parallel_singularities_solve_offset_equation(astroid_pair):
 # -- evolutes ----------------------------------------------------------------
 
 def test_evolute_of_own_circle_is_origin(l3_circle_pair):
-    frame = evolute(l3_circle_pair)
+    ev = evolute(l3_circle_pair)
     ts = np.linspace(0.0, TWO_PI, 65)
-    assert np.max(np.abs(frame.evolute.point(ts))) < 1e-7
+    assert np.max(np.abs(ev.gamma.point(ts))) < 1e-7
 
 
 def test_evolute_of_ellipse_closed_form(ellipse_pair):
-    frame = evolute(ellipse_pair)
+    ev = evolute(ellipse_pair)
     ts = np.linspace(0.0, TWO_PI, 129)
     want = np.stack([1.5 * np.cos(ts) ** 3, -3.0 * np.sin(ts) ** 3], -1)
-    assert np.max(np.abs(frame.evolute.point(ts) - want)) < 1e-9
-    assert np.max(np.abs(frame.evolute.point(0.0) - np.array([1.5, 0.0]))) < 1e-6
+    assert np.max(np.abs(ev.gamma.point(ts) - want)) < 1e-9
+    assert np.max(np.abs(ev.gamma.point(0.0) - np.array([1.5, 0.0]))) < 1e-6
 
 
 def test_evolute_meets_front_at_cusps(astroid_pair):
-    frame = evolute(astroid_pair)
+    ev = evolute(astroid_pair)
     for t0 in (0.0, np.pi / 2.0, np.pi, 3.0 * np.pi / 2.0):
-        assert np.max(np.abs(frame.evolute.point(t0)
+        assert np.max(np.abs(ev.gamma.point(t0)
                              - astroid_pair.gamma.point(t0))) < 1e-7
 
 
 def test_evolute_tangent_parallel_to_eta(ellipse_pair, astroid_pair):
     rng = np.random.default_rng(9)
     for pair in (ellipse_pair, astroid_pair):
-        frame = evolute(pair)
+        ev = evolute(pair)
         rep = singularity_report(pair)
         verts = np.array([v.t for v in rep.vertices])
         ts = rng.uniform(0.0, TWO_PI, 64)
         # vertices are evolute cusps; the tangent direction degenerates there
         ts = np.array([t for t in ts if np.min(np.abs(t - verts)) > 0.05])
-        d1 = frame.evolute.derivative(ts, 1)
+        d1 = ev.gamma.derivative(ts, 1)
         eta = pair.eta(ts)
         sin_angle = np.abs(symplectic(d1, eta)) / (
             np.linalg.norm(d1, axis=1) * np.linalg.norm(eta, axis=1))
@@ -117,18 +118,18 @@ def test_evolute_tangent_parallel_to_eta(ellipse_pair, astroid_pair):
 
 
 def test_evolute_frame_curvature_euclidean(ellipse_pair):
-    frame = evolute(ellipse_pair)
-    cp = curvature_pair(frame.pair)
-    ok, pred_a, pred_k = frame.predicted()
+    ev = evolute(ellipse_pair)
+    cp = curvature_pair(ev)
+    ok, pred_a, pred_k = evolute_curvature(ellipse_pair, ev)
     assert np.max(np.abs(cp.alpha - pred_a)[ok]) < 1e-4
     assert np.max(np.abs(cp.kappa - pred_k)[ok]) < 1e-4
 
 
 def test_evolute_frame_curvature_l3(l3, l3_circle_pair):
     # point evolute, but the frame still moves; distortion enters kappa
-    frame = evolute(l3_circle_pair)
-    cp = curvature_pair(frame.pair)
-    ok, pred_a, pred_k = frame.predicted()
+    ev = evolute(l3_circle_pair)
+    cp = curvature_pair(ev)
+    ok, pred_a, pred_k = evolute_curvature(l3_circle_pair, ev)
     assert np.sum(ok) > len(ok) // 2
     assert np.max(np.abs(cp.alpha - pred_a)[ok]) < 1e-4
     assert np.max(np.abs(cp.kappa - pred_k)[ok]) < 1e-4
@@ -138,9 +139,9 @@ def test_evolute_frame_curvature_l3(l3, l3_circle_pair):
     kappa = lambda t: 1.0 + 0.25 * np.sin(t)
     L = synthesize(l3, SynthesisSpec(alpha, kappa, (0.0, 0.0),
                                      tuple(l3.circle_point(0.8)), (0.0, 4.0)))
-    frame2 = evolute(L)
-    cp2 = curvature_pair(frame2.pair)
-    ok2, pa2, pk2 = frame2.predicted()
+    ev2 = evolute(L)
+    cp2 = curvature_pair(ev2)
+    ok2, pa2, pk2 = evolute_curvature(L, ev2)
     assert np.max(np.abs(cp2.alpha - pa2)[ok2]) < 1e-4
     assert np.max(np.abs(cp2.kappa - pk2)[ok2]) < 1e-4
 
@@ -155,9 +156,8 @@ def test_evolute_requires_nonvanishing_kappa(euclidean):
 
 def test_parallel_sweep_lies_on_evolute(ellipse_pair, astroid_pair, circle_pair):
     for pair in (ellipse_pair, astroid_pair):
-        frame = evolute(pair)
         swept = evolute_as_parallel_singularities(pair)
-        ev = frame.evolute.point(np.linspace(0.0, TWO_PI, 4096, endpoint=False))
+        ev = evolute(pair).gamma.point(np.linspace(0.0, TWO_PI, 4096, endpoint=False))
         d = _dist_to_polyline(swept, ev, closed=True)
         assert np.max(d) < 1e-3
     # circle: every offset but -1 is regular; the sweep collapses to the center
@@ -167,12 +167,12 @@ def test_parallel_sweep_lies_on_evolute(ellipse_pair, astroid_pair, circle_pair)
 
 
 def test_normal_envelope_residual(ellipse_pair, circle_pair):
-    frame = evolute(ellipse_pair)
+    ev = evolute(ellipse_pair)
     for t0 in (0.7, 2.2, 4.0):
-        F, dF = normal_envelope_residual(ellipse_pair, t0, frame.evolute.point(t0))
+        F, dF = normal_envelope_residual(ellipse_pair, t0, ev.gamma.point(t0))
         assert abs(F) < 1e-8 and abs(dF) < 1e-8
         F2, dF2 = normal_envelope_residual(ellipse_pair, t0,
-                                           frame.evolute.point(t0) + np.array([0.1, 0.0]))
+                                           ev.gamma.point(t0) + np.array([0.1, 0.0]))
         assert max(abs(F2), abs(dF2)) > 1e-3
     for t0 in (0.0, 1.0, 2.5):
         F, dF = normal_envelope_residual(circle_pair, t0, np.zeros(2))
@@ -190,12 +190,29 @@ def test_involute_round_trips(euclidean, fourier_oval, l3):
             for plane in (euclidean, fourier_oval):
                 pair = legendre_from_curve(plane, curve)
                 for d in (0.0, 0.5, -1.0):
-                    frame = evolute(involute(pair, d))
-                    err = np.max(np.abs(frame.evolute.point(ts) - pair.gamma.point(ts)))
+                    ev = evolute(involute(pair, d))
+                    err = np.max(np.abs(ev.gamma.point(ts) - pair.gamma.point(ts)))
                     assert err < 1e-13, (plane.spec.kind, curve.name, samples, d, err)
             # the lp3 distortion vanishes at the axes: every involute is refused
             with pytest.raises(RhoDegenerate):
                 involute(legendre_from_curve(l3, curve), 0.5)
+
+
+@pytest.mark.parametrize("norm", ["euclidean", "fourier_oval", "l3"])
+@pytest.mark.parametrize("curve", [catalog.cusp_t2t3, catalog.astroid], ids=["t2t3", "astroid"])
+def test_involute_round_trips_through_cusps(request, norm, curve):
+    # normals extended through the cusps: at most 8.9e-16 measured over these
+    # norms, curves and offsets
+    pair = legendre_from_curve(request.getfixturevalue(norm), curve(512))
+    if norm == "l3" and curve is catalog.astroid:
+        # the astroid's normal sweeps the lp3 axes, where the distortion vanishes
+        with pytest.raises(RhoDegenerate):
+            involute(pair, 0.5)
+        return
+    ts = np.linspace(*pair.domain, 257)
+    for d in (0.0, 0.5, -1.0):
+        err = np.max(np.abs(evolute(involute(pair, d)).gamma.point(ts) - pair.gamma.point(ts)))
+        assert err < 1e-13, (norm, curve.__name__, d, err)
 
 
 def test_involute_closed_form_circle(circle_pair):
@@ -236,9 +253,9 @@ def test_involute_l3_sector_round_trip(l3):
     L = synthesize(l3, SynthesisSpec(alpha, kappa, (0.0, 0.0),
                                      tuple(l3.circle_point(0.6)), (0.0, 1.0)))
     inv = involute(L, 0.3)
-    frame = evolute(inv)
+    ev = evolute(inv)
     ts = np.linspace(0.0, 1.0, 101)
-    assert np.max(np.abs(frame.evolute.point(ts) - L.gamma.point(ts))) < 1e-4
+    assert np.max(np.abs(ev.gamma.point(ts) - L.gamma.point(ts))) < 1e-4
 
 
 def test_involute_gated_on_degenerate_distortion(l3_circle_pair):
@@ -405,9 +422,8 @@ def ellipse_512(request):
     fixture = {"euclidean": "euclidean", "fourier": "fourier_oval", "lp3": "l3"}[request.param]
     base = legendre_from_curve(request.getfixturevalue(fixture),
                                catalog.ellipse(2.0, 1.0, samples=512))
-    frame = evolute(base)
-    return (request.param, base, singularity_report(base), frame,
-            singularity_report(frame.pair))
+    ev = evolute(base)
+    return request.param, base, singularity_report(base), ev, singularity_report(ev)
 
 
 @pytest.fixture(scope="module", params=[0.3, -0.2])
@@ -426,14 +442,14 @@ def _circular_gap(a, b):
 
 
 def test_the_evolute_of_a_parallel_is_the_evolute(ellipse_512, parallel_of_ellipse):
-    _, base, _, frame, frame_report = ellipse_512
+    _, base, _, ev, ev_report = ellipse_512
     _, pair, _ = parallel_of_ellipse
     of_parallel = evolute(pair)
-    gap = of_parallel.evolute.point(base.ts) - frame.evolute.point(base.ts)
+    gap = of_parallel.gamma.point(base.ts) - ev.gamma.point(base.ts)
     assert np.max(np.abs(gap)) < 1e-14
-    counts = singularity_report(of_parallel.pair).counts
-    assert counts["cusps"] == frame_report.counts["cusps"]
-    assert counts["vertices"] == frame_report.counts["vertices"]
+    counts = singularity_report(of_parallel).counts
+    assert counts["cusps"] == ev_report.counts["cusps"]
+    assert counts["vertices"] == ev_report.counts["vertices"]
 
 
 def test_a_parallel_has_the_vertices_of_its_base(ellipse_512, parallel_of_ellipse):
@@ -456,9 +472,9 @@ def test_a_parallels_cusps_are_the_sign_changes_of_alpha_plus_d_kappa(ellipse_51
 
 
 def test_the_evolutes_cusps_are_the_base_vertices(ellipse_512):
-    name, _, report, _, frame_report = ellipse_512
-    assert frame_report.counts["cusps"] == report.counts["vertices"] == (8 if name == "lp3" else 4)
-    assert _circular_gap([c.t for c in frame_report.cusps],
+    name, _, report, _, ev_report = ellipse_512
+    assert ev_report.counts["cusps"] == report.counts["vertices"] == (8 if name == "lp3" else 4)
+    assert _circular_gap([c.t for c in ev_report.cusps],
                          [v.t for v in report.vertices]) < 1e-9
 
 
@@ -471,7 +487,7 @@ _JET_FIELDS = {
     "induced-euclid": lambda fx: induced_normal(fx("euclidean"), catalog.ellipse()),
     "induced-lp3": lambda fx: induced_normal(fx("l3"), catalog.ellipse()),
     "extended-t2t3": lambda fx: extend_normal(fx("euclidean"), catalog.cusp_t2t3()),
-    "evolute-nu": lambda fx: evolute(fx("ellipse_pair")).nu,
+    "evolute-nu": lambda fx: evolute(fx("ellipse_pair")).eta,
     "involute-xi": lambda fx: involute(fx("circle_pair"), 0.5).eta,
     "synthesized": lambda fx: fx("maslov_pair").eta,
     "catalog-astroid": lambda fx: catalog.astroid_normal(),
@@ -564,7 +580,7 @@ _PAIRS = {
     "astroid": lambda fx: fx("astroid_pair"),
     "transferred": lambda fx: transfer_legendre(fx("ellipse_pair"), fx("l3")),
     "pedal": lambda fx: pedal(fx("ellipse_pair"), (0.1, 0.2)).pair,
-    "evolute": lambda fx: evolute(fx("ellipse_pair")).pair,
+    "evolute": lambda fx: evolute(fx("ellipse_pair")),
     "involute": lambda fx: involute(fx("circle_pair"), 0.5),
 }
 
@@ -598,7 +614,7 @@ def test_alpha_at_is_the_first_part_of_values_at(request, monkeypatch, name):
 
 # derived pairs by the base pair
 _DERIVED = {
-    "evolute": lambda L: evolute(L).pair,
+    "evolute": evolute,
     "involute": lambda L: involute(L, 0.5),
     "parallel": lambda L: parallel(L, 0.3),
     "pedal": lambda L: pedal(L, (0.1, 0.2)).pair,
@@ -635,7 +651,7 @@ def test_an_evolute_ratio_rate_inverts_each_distinct_point_once(fourier_oval, mo
     # 49 base points per parameter, which repeat bit for bit where
     # (t + i h) + j h rounds alike. Each distinct base point is inverted once:
     # 1544 inversions here, where evaluating every point made 63 * 50 = 3150
-    pair = evolute(legendre_from_curve(fourier_oval, catalog.ellipse(2.0, 1.0, samples=256))).pair
+    pair = evolute(legendre_from_curve(fourier_oval, catalog.ellipse(2.0, 1.0, samples=256)))
     ts = np.linspace(0.1, 6.0, 50)
     points = []
     invert = fourier_oval.tangent_theta

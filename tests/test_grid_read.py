@@ -7,10 +7,12 @@ bit."""
 import warnings
 
 import numpy as np
+import pytest
 
 from normplane import catalog
 from normplane.analysis import curvature_pair, legendre_from_curve
-from normplane.derived import evolute
+from normplane.derived import evolute, involute
+from normplane.numerics import gauss5_segments
 
 
 def _pair(fourier_oval, samples=256):
@@ -37,11 +39,27 @@ def test_a_vertex_scan_on_the_grid_inverts_six_directions_per_node(fourier_oval,
 def test_a_derived_pair_reads_its_base_at_the_shared_nodes(fourier_oval, monkeypatch):
     # the evolute's grid is its base's: its position reads alpha/kappa there
     cp = _pair(fourier_oval)
-    frame = evolute(cp)
+    ev = evolute(cp)
     points = _count_inversions(monkeypatch, fourier_oval)
-    ratio = cp.ratio_at(frame.pair.ts)
+    ratio = cp.ratio_at(ev.ts)
     assert points == []
     assert np.array_equal(ratio, cp.alpha / cp.kappa)
+
+
+@pytest.mark.parametrize("norm", ["euclidean", "l3"])
+def test_an_involute_reads_its_integral_of_alpha_at_the_base_nodes(request, monkeypatch, norm):
+    # integral of alpha to a node is its cumulative sum of segment integrals,
+    # bit for bit; only the last node integrates a segment again, at 5 Gauss
+    # nodes off the grid. The base normal is inverted once per node
+    plane = request.getfixturevalue(norm)
+    base = legendre_from_curve(plane, catalog.cusp_t2t3(samples=512))
+    ts, d = base.ts, 0.5
+    inv = involute(base, d)
+    A = np.concatenate([[0.0], np.cumsum(gauss5_segments(base.alpha_at, ts[:-1], ts[1:]))])
+    want = base.gamma.point(ts) - (A - d)[:, None] * plane.birkhoff(base.eta(ts))
+    points = _count_inversions(monkeypatch, plane)
+    assert np.array_equal(inv.gamma.point(ts), want)
+    assert sum(points) <= len(ts) + 5
 
 
 def test_nodes_read_their_samples_inside_any_batch(fourier_oval, monkeypatch):

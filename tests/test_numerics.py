@@ -309,7 +309,7 @@ def _pair_ratio_rate(fx, ts):
 
 def _evolute_second_rate(fx, ts):
     # a finite difference of the evolute's d1, itself a finite difference
-    e = evolute(legendre_from_curve(fx("euclidean"), catalog.ellipse(samples=256))).evolute
+    e = evolute(legendre_from_curve(fx("euclidean"), catalog.ellipse(samples=256))).gamma
     return e.derivative(ts * (2.0 * np.pi / ts[-1]), 2)
 
 

@@ -121,7 +121,7 @@ _PAIRS = {
        for curve in _CURVES for norm in ("euclidean", "lp3", "fourier")},
     "astroid-euclidean": lambda planes: make_legendre(
         planes["euclidean"], catalog.astroid(SAMPLES), catalog.astroid_normal()),
-    **{f"evolute-{norm}": (lambda planes, n=norm: evolute(_base(planes[n], "ellipse")).pair)
+    **{f"evolute-{norm}": (lambda planes, n=norm: evolute(_base(planes[n], "ellipse")))
        for norm in ("euclidean", "lp3", "fourier")},
     # lp3 refuses every involute (its distortion vanishes at the axes)
     **{f"involute-{norm}": (lambda planes, n=norm: involute(_base(planes[n], "ellipse"), 0.5))
