@@ -315,19 +315,16 @@ class SingularityReport:
 
 def _immersion_gap(cp: LegendreCurve):
     """Smallest joint magnitude of (alpha, kappa), refined between nodes."""
-    rel = np.maximum(np.abs(cp.alpha) / cp.alpha_scale,
-                     np.abs(cp.kappa) / cp.kappa_scale)
-    j = int(np.argmin(rel))
-    best, t_best = float(rel[j]), float(cp.ts[j])
+    def rel(a, k):
+        return np.maximum(np.abs(a) / cp.alpha_scale, np.abs(k) / cp.kappa_scale)
+
+    grid = rel(cp.alpha, cp.kappa)
+    j = int(np.argmin(grid))
+    best, t_best = float(grid[j]), float(cp.ts[j])
     if best > 1e-3:
         return best, t_best
-
-    def rel_at(t):
-        a, k = cp.values_at(t)
-        return float(np.maximum(np.abs(a) / cp.alpha_scale,
-                                np.abs(k) / cp.kappa_scale))
-
-    t_star, r_star = polish_dips(rel_at, cp.ts, np.nonzero(rel <= min(1e-3, 10.0 * best))[0],
+    t_star, r_star = polish_dips(lambda t: rel(*cp.values_at(t)), cp.ts,
+                                 np.nonzero(grid <= min(1e-3, 10.0 * best))[0],
                                  cp.span / len(cp.ts), cp.domain, cp.closed)
     k = int(np.argmin(r_star))
     if r_star[k] < best:
@@ -366,12 +363,12 @@ def _detect_cusps(cp: LegendreCurve):
     deepest = [grp[int(np.argmin(np.abs(cp.alpha[grp])))] for grp in groups]
     fresh = [i for i in deepest
              if not (known.size and np.min(cp.seam_gap(known, cp.ts[i])) < 4.0 * step)]
-    abs_alpha = lambda t: float(np.abs(cp.alpha_at(t)))
-    for t_star, a_star in zip(*polish_dips(abs_alpha, cp.ts, fresh, step,
-                                           cp.domain, cp.closed)):
-        if (a_star <= REL_ZERO * cp.alpha_scale
-                and abs(float(cp.rate_at(cp.alpha_at, t_star))) <= REL_ZERO * arate_scale):
-            degenerate.append(t_star)
+    t_star, a_star = polish_dips(lambda t: np.abs(cp.alpha_at(t)), cp.ts, fresh, step,
+                                 cp.domain, cp.closed)
+    zeros = t_star[a_star <= REL_ZERO * cp.alpha_scale]
+    if zeros.size:
+        rates = np.abs(cp.rate_at(cp.alpha_at, zeros))
+        degenerate += zeros[rates <= REL_ZERO * arate_scale].tolist()
     return cusps, merge_events(degenerate, 4.0 * step, cp.domain[0], cp.period)
 
 

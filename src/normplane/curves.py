@@ -210,7 +210,7 @@ def find_singular_params(plane: NormedPlane, curve: ParamCurve):
     beside = np.pad(speeds, 1, mode="wrap" if curve.closed else "edge")
     dips = (speeds <= 0.05 * smax) & (
         (speeds <= np.minimum(beside[:-2], beside[2:])) | (speeds <= 0.0))
-    t_star, s_star = polish_dips(lambda t: float(plane.norm(curve.derivative(t, 1))),
+    t_star, s_star = polish_dips(lambda t: plane.norm(curve.derivative(t, 1)),
                                  ts, np.nonzero(dips)[0], step, curve.domain, curve.closed)
     return merge_events(t_star[s_star < SINGULAR_SPEED_FACTOR * smax], 2.0 * step,
                         curve.domain[0], curve.period)

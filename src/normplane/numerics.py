@@ -203,42 +203,45 @@ def merge_events(ts, tol, t0, period):
 
 
 def polish_dips(f, ts, idx, step, domain, closed):
-    """Golden-section minima of the scalar f near the grid nodes ts[idx].
+    """Golden-section minima of f near the grid nodes ts[idx], found by one
+    lock-step search (no search, and two empty arrays, for an empty idx).
 
     Each search brackets ts[i] -/+ step; on an open curve the bracket is
     clipped to the domain, on a closed one it runs through the seam.
     Returns the arrays (t_min, f_min) in the order of idx.
     """
-    found = []
-    for i in np.asarray(idx, dtype=int).tolist():
-        lo, hi = ts[i] - step, ts[i] + step
-        if not closed:
-            lo, hi = max(lo, domain[0]), min(hi, domain[1])
-        found.append(golden_minimize(f, lo, hi))
-    t_min, f_min = np.array(found, dtype=float).reshape(-1, 2).T
-    return t_min, f_min
+    i = np.asarray(idx, dtype=int)
+    lo, hi = ts[i] - step, ts[i] + step
+    if not closed:
+        lo, hi = np.maximum(lo, domain[0]), np.minimum(hi, domain[1])
+    return golden_minimize(f, lo, hi) if i.size else (lo, hi)
 
 
 def golden_minimize(f, a, b):
-    """Golden-section minimum of a scalar unimodal function on [a, b]: at most
-    GOLDEN_ITERS steps, until the bracket is below GOLDEN_TOL relative."""
+    """Golden-section minima of unimodal functions on the brackets [a_i, b_i]
+    in lock-step: at most GOLDEN_ITERS steps, until a bracket is below
+    GOLDEN_TOL relative. Each step calls the array-capable `f` once, on the
+    brackets still open, so each ends with the bits of its search alone; a 0-d
+    bracket is the scalar search, on 0-d parameters. Returns (t_min, f_min)."""
+    a, b = (np.array(v, dtype=float) for v in np.broadcast_arrays(a, b))
+    shape, a, b = a.shape, a.ravel(), b.ravel()
+    call = lambda x: np.asarray(f(x if shape else x.reshape(())), dtype=float).ravel()
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
+    x1, x2 = b - invphi * (b - a), a + invphi * (b - a)
+    f1, f2 = call(x1), call(x2)
     for _ in range(GOLDEN_ITERS):
-        if b - a < GOLDEN_TOL * (1.0 + abs(a) + abs(b)):
+        i = np.flatnonzero(~(b - a < GOLDEN_TOL * (1.0 + np.abs(a) + np.abs(b))))
+        if not i.size:
             break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
+        left = f1[i] <= f2[i]
+        lt, rt = i[left], i[~left]
+        b[lt], x2[lt], f2[lt] = x2[lt], x1[lt], f1[lt]
+        a[rt], x1[rt], f1[rt] = x1[rt], x2[rt], f2[rt]
+        x1[lt] = b[lt] - invphi * (b[lt] - a[lt])
+        x2[rt] = a[rt] + invphi * (b[rt] - a[rt])
+        f1[lt], f2[rt] = np.split(call(np.concatenate([x1[lt], x2[rt]])), [lt.size])
     xm = 0.5 * (a + b)
-    return xm, f(xm)
+    return xm.reshape(shape)[()], call(xm).reshape(shape)[()]
 
 
 def gauss5_segments(fn, a, b):

@@ -3,11 +3,12 @@ from the paper (orthogonality, the anti-norm as a supremum, envelopes of line
 families, osculating circles, the parallel sweep of the evolute, the evolute's
 predicted curvature pair) that check what the package computes, a unit vector
 carried to another norm, the unit circle's arc-length table built at once,
-finite differences that evaluate every stencil point, the lp radial jet as its
-own formula, the plane kernels as they were when every circle evaluation built
-all its rows, distances between sampled curves, a cusp classification read off
-the curve alone, a cyclic word reduced by cancelling one pair at a time, and a
-printer of expression trees that the parser must read back. They use public
+finite differences that evaluate every stencil point, the scalar golden-section
+search of one bracket, the lp radial jet as its own formula, the plane kernels
+as they were when every circle evaluation built all its rows, distances
+between sampled curves, a cusp classification read off the curve alone, a
+cyclic word reduced by cancelling one pair at a time, and a printer of
+expression trees that the parser must read back. They use public
 normplane names only, so they do not share the code they check."""
 
 import numpy as np
@@ -17,6 +18,8 @@ from normplane.derived import RHO_FLOOR
 from normplane.errors import KappaVanishes, NoConvergence, NotUnit, SingularPoint, ZeroVector
 from normplane.numerics import (
     DIFF_BLOCK,
+    GOLDEN_ITERS,
+    GOLDEN_TOL,
     fd_weights,
     gauss5_segments,
     golden_minimize,
@@ -355,6 +358,29 @@ def differentiate_every_point(f, t, orders, h, domain=None, closed=False):
                     outs[k] = np.zeros(t_flat.shape + acc.shape[1:])
                 outs[k][rows] = acc
     return tuple(out.reshape(t_arr.shape + out.shape[1:]) for out in outs)
+
+
+def scalar_golden_minimize(f, a, b):
+    """The golden-section search of one bracket, one scalar call of f per
+    step: the loop `numerics.golden_minimize` runs for every bracket in
+    lock-step, so each of its brackets must end with these bits."""
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(GOLDEN_ITERS):
+        if b - a < GOLDEN_TOL * (1.0 + abs(a) + abs(b)):
+            break
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = f(x2)
+    xm = 0.5 * (a + b)
+    return xm, f(xm)
 
 
 def lp_radial_jet(p, theta, order, guard):

@@ -16,10 +16,12 @@ from normplane.analysis import (
     singularity_report,
     transfer_legendre,
 )
-from normplane.curves import NormalField, ParamCurve
+from normplane.curves import NormalField, ParamCurve, find_singular_params
+from normplane.derived import evolute
 from normplane.errors import NotClosed, PreconditionViolated, ResidualViolation
+from normplane.numerics import GOLDEN_ITERS
 from normplane.plane import symplectic
-from oracles import cyclic_word_length, lateral_tangent_sign
+from oracles import cyclic_word_length, lateral_tangent_sign, scalar_golden_minimize
 
 TWO_PI = 2.0 * np.pi
 
@@ -623,22 +625,104 @@ def test_degenerate_points_do_not_depend_on_the_seam(euclidean, sign, steps):
     assert all(0.0 <= t < 2.0 * np.pi for t in ts)
 
 
-@pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["seam-at-zero", "seam-shifted"])
-def test_a_dip_across_the_seam_is_searched_once(euclidean, sign, monkeypatch):
-    # |alpha| of 1 - cos 2t has one valley through the seam and one at pi;
-    # each valley is refined by one golden search, wherever the seam falls
-    from normplane import analysis, numerics
+def _record_searches(monkeypatch):
+    """The list that each golden_minimize call then appends its
+    (f, a, b, t_min, f_min, calls) to, calls the parameters of each f call."""
+    from normplane import numerics
+
+    searches = []
+    search = numerics.golden_minimize
+
+    def record(f, a, b):
+        calls = []
+        out = search(lambda t: calls.append(np.array(t)) or f(t), a, b)
+        searches.append((f, a, b, *out, calls))
+        return out
+
+    monkeypatch.setattr(numerics, "golden_minimize", record)
+    return searches
+
+
+def _seam_valleys(plane, sign):
+    """The pair of alpha = 1 + sign cos 2t, kappa = 1: |alpha| has double
+    zeros at 0 and pi (sign -1) or at pi/2 and 3 pi/2 (sign 1)."""
     from normplane.synthesis import SynthesisSpec, synthesize
 
     spec = SynthesisSpec(lambda t: 1.0 + sign * np.cos(2.0 * np.asarray(t)),
                          lambda t: np.ones_like(np.asarray(t, dtype=float)),
                          (0.0, 0.0), (1.0, 0.0), (0.0, 2.0 * np.pi), 2048)
-    cp = curvature_pair(synthesize(euclidean, spec))
-    calls = []
-    search = numerics.golden_minimize
-    monkeypatch.setattr(numerics, "golden_minimize",
-                        lambda *args, **kw: calls.append(args) or search(*args, **kw))
+    return curvature_pair(synthesize(plane, spec))
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["seam-at-zero", "seam-shifted"])
+def test_a_dip_across_the_seam_is_searched_once(euclidean, sign, monkeypatch):
+    # |alpha| of 1 - cos 2t has one valley through the seam and one at pi;
+    # each valley is refined by one golden bracket, wherever the seam falls
+    from normplane import analysis
+
+    cp = _seam_valleys(euclidean, sign)
+    searches = _record_searches(monkeypatch)
     _, degenerate = analysis._detect_cusps(cp)
-    assert len(calls) == 2
+    assert [a.size for _, a, *_ in searches] == [2]
     assert len(degenerate) == 2
     assert all(0.0 <= t < 2.0 * np.pi for t in degenerate)
+
+
+@pytest.mark.parametrize("case, brackets", [
+    ("t2t3", 2), ("t2t3-l3", 2), ("endpoint-dip", 1), ("seam", 2), ("circle-evolute", 17),
+])
+def test_each_polished_dip_has_the_bits_of_the_scalar_search(euclidean, l3, monkeypatch,
+                                                               case, brackets):
+    # every dip the fixtures polish, searched in lock-step, ends with the bits
+    # of the scalar loop on its bracket alone: the singular point of
+    # cusp_t2t3 between two nodes, the endpoint dip of
+    # test_find_singular_params_matches_the_node_loop (its bracket clipped at
+    # the domain start), the valley through the seam of
+    # test_a_dip_across_the_seam_is_searched_once, and the round-off valleys
+    # of |alpha| on the evolute of a circle
+    from normplane import analysis
+
+    if case.startswith("t2t3"):
+        run = lambda: find_singular_params(l3 if case == "t2t3-l3" else euclidean,
+                                           catalog.cusp_t2t3())
+    elif case == "endpoint-dip":
+        curve = ParamCurve(lambda t: np.stack([t ** 2 + 1e-4 * t, t ** 3], -1), (0.0, 1.0),
+                           samples=64)
+        run = lambda: find_singular_params(euclidean, curve)
+    elif case == "seam":
+        cp = _seam_valleys(euclidean, -1.0)
+        run = lambda: analysis._detect_cusps(cp)
+    else:
+        E = evolute(legendre_from_curve(euclidean, catalog.circle(samples=128)))
+        run = lambda: singularity_report(E)
+    searches = _record_searches(monkeypatch)
+    run()
+    assert [a.size for _, a, *_ in searches] == [brackets]
+    f, a, b, t_min, f_min, calls = searches[0]
+    if case == "endpoint-dip":
+        assert a[0] == 0.0
+    points = []
+    want = np.array([scalar_golden_minimize(lambda t: points.append(t) or f(t), lo, hi)
+                     for lo, hi in zip(a.tolist(), b.tolist())], dtype=float)
+    assert np.array_equal(np.stack([t_min, f_min], -1).view(np.int64), want.view(np.int64))
+    # f saw the points the scalar searches evaluate, each as often
+    assert np.array_equal(np.sort(np.concatenate(calls)), np.sort(points))
+
+
+def test_the_circle_evolute_polishes_its_dips_in_one_search(euclidean, monkeypatch):
+    # alpha of the evolute of a circle, its centre, is round-off everywhere:
+    # at 2048 samples |alpha| has 212 valleys, all refined by one lock-step
+    # search that calls |alpha| once per step, and none is a singular point
+    E = evolute(legendre_from_curve(euclidean, catalog.circle(samples=2048)))
+    searches = _record_searches(monkeypatch)
+    report = singularity_report(E).to_json_dict()
+    assert [a.size for _, a, *_ in searches] == [212]
+    assert len(searches[0][-1]) <= GOLDEN_ITERS + 3
+    assert report == {
+        "cusps": [], "inflections": [], "vertices": [],
+        "maslov": {"word_reduction": 0, "flip_flop": 0, "rotation": 0},
+        "counts": {"cusps": 0, "zigs": 0, "zags": 0, "inflections": 0, "flips": 0,
+                   "flops": 0, "vertices": 0, "degenerate_singular": 0,
+                   "all_vertices": True, "genericity_verified": False},
+        "is_front": True, "is_immersion": True,
+    }

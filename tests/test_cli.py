@@ -514,6 +514,11 @@ def test_astroid_analyze_non_euclidean(tmp_path, norm):
 
 _CIRCLE = {"kind": "catalog", "name": "circle"}
 _CIRCLE_64 = {**_CIRCLE, "samples": 64}
+# sizes that numpy refuses before it allocates anything: each array would
+# take petabytes. _INDEX_BOUND is the largest `samples` or `grid` whose
+# arrays of 256 bytes a point numpy can still index
+_HUGE = 10 ** 15
+_INDEX_BOUND = np.iinfo(np.intp).max // 256
 
 
 @pytest.mark.parametrize("config, extra, marker", [
@@ -586,6 +591,11 @@ _CIRCLE_64 = {**_CIRCLE, "samples": 64}
      "config error: 'samples' is too large: numpy cannot index its arrays"),
     ({"curve": {"kind": "synthesis", "alpha": "1", "kappa": "1", "samples": 2 ** 59}}, (),
      "config error: 'samples' is too large: numpy cannot index its arrays"),
+    # one past the largest size `cli._indexable` lets through (see _INDEX_BOUND)
+    ({"curve": {**_CIRCLE, "samples": _INDEX_BOUND + 1}}, (),
+     "config error: 'samples' is too large: numpy cannot index its arrays"),
+    ({"norm": {"kind": "euclidean", "grid": _INDEX_BOUND + 1}, "curve": _CIRCLE_64}, (),
+     "config error: 'grid' is too large: numpy cannot index its arrays"),
     # a literal whose float overflows, and expressions deeper than the recursion limit
     ({"curve": {"kind": "expression", "x": "cos(t) + 1e999", "y": "sin(t)",
                 "domain": [0.0, 6.283185307179586], "closed": True}}, (),
@@ -611,6 +621,7 @@ _CIRCLE_64 = {**_CIRCLE, "samples": 64}
         "norm-kind-number", "offset-nan", "circle-semi-axes", "astroid-semi-axis",
         "cusp-semi-axis", "unit-circle-semi-axis", "samples-beyond-index",
         "grid-beyond-index", "samples-flag-beyond-int64", "synthesis-steps-beyond-index",
+        "samples-past-index-bound", "grid-past-index-bound",
         "literal-overflows", "synthesis-literal-overflows", "nested-parentheses-1000",
         "sum-of-1000-terms"])
 def test_malformed_config_exits_2(tmp_path, capsys, config, extra, marker):
@@ -778,11 +789,6 @@ def test_non_finite_refusals_print_one_line_and_no_warning(tmp_path, capsys, con
     assert not (tmp_path / "out.json").exists()
 
 
-# sizes that numpy refuses before it allocates anything: each array would
-# take petabytes
-_HUGE = 10 ** 15
-
-
 @pytest.mark.parametrize("config, extra, key", [
     ({"norm": {"kind": "euclidean", "grid": _HUGE}, "curve": _CIRCLE_64}, (), "grid"),
     ({"curve": _CIRCLE_64, "operation": {"kind": "transfer",
@@ -794,8 +800,10 @@ _HUGE = 10 ** 15
     ({"curve": _CIRCLE_64, "operation": {"kind": "contact",
                                          "curve2": {**_CIRCLE, "samples": _HUGE}}},
      (), "samples"),
+    ({"curve": {**_CIRCLE, "samples": _INDEX_BOUND}}, (), "samples"),
+    ({"norm": {"kind": "euclidean", "grid": _INDEX_BOUND}, "curve": _CIRCLE_64}, (), "grid"),
 ], ids=["grid", "transfer-grid", "catalog-samples", "synthesis-samples", "samples-option",
-        "contact-samples"])
+        "contact-samples", "samples-at-index-bound", "grid-at-index-bound"])
 def test_sizes_numpy_cannot_allocate_exit_2(tmp_path, capsys, config, extra, key):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))

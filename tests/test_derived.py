@@ -645,6 +645,25 @@ def test_derived_pair_values_invert_the_supporting_map_a_fixed_number_of_times(
     assert sum(points) == _INVERSIONS_PER_POINT[name] * ts.size
 
 
+@pytest.mark.parametrize("norm, make, inversions", [
+    ("euclidean", lambda: catalog.ellipse(2.0, 1.0, samples=512), 4113),
+    ("l3", lambda: catalog.cusp_t2t3(samples=512), 3604),
+], ids=["euclidean-ellipse", "lp3-t2t3"])
+def test_building_an_evolute_inverts_the_supporting_map_a_fixed_number_of_times(
+        euclidean, l3, monkeypatch, norm, make, inversions):
+    # validating the evolute reads eta's jet before gamma', so gamma' (whose
+    # d1 needs that jet) finds it kept; reading gamma' first would cost one
+    # more inversion per grid node (4625 and 4116 here)
+    plane = {"euclidean": euclidean, "l3": l3}[norm]
+    L = legendre_from_curve(plane, make())
+    points = []
+    invert = plane.tangent_theta
+    monkeypatch.setattr(plane, "tangent_theta",
+                        lambda chi, *order: points.append(np.size(chi)) or invert(chi, *order))
+    evolute(L)
+    assert sum(points) == inversions
+
+
 def test_an_evolute_ratio_rate_inverts_each_distinct_point_once(fourier_oval, monkeypatch):
     # ratio_rate_at reads the fresh evolute pair at 7 points per parameter: 9
     # inversions each (see above), 7 of them the stencil of (alpha/kappa)', so

@@ -16,11 +16,12 @@ from normplane.analysis import curvature_pair, legendre_from_curve
 from normplane.curves import ParamCurve
 from normplane.derived import evolute, involute
 from normplane.errors import NoConvergence
-from normplane.numerics import (DIFF_BLOCK, Hermite, brent_root, differentiate, fd_weights,
-                                gauss5_segments, index_runs, merge_events, pchip, polish_dips, wrap)
+from normplane.numerics import (DIFF_BLOCK, GOLDEN_ITERS, Hermite, brent_root, differentiate,
+                                fd_weights, gauss5_segments, golden_minimize, index_runs,
+                                merge_events, pchip, polish_dips, wrap)
 from normplane.plane import NormSpec, build_plane
 from normplane.synthesis import SynthesisSpec, synthesize
-from oracles import differentiate_every_point
+from oracles import differentiate_every_point, scalar_golden_minimize
 
 # polynomials evaluate to the same bits in batch and one point at a time
 
@@ -155,6 +156,55 @@ def test_polish_dips_stays_inside_an_open_domain():
     assert abs(t_open[0]) < 1e-9 and np.array_equal(f_open, t_open)
     t_closed, _ = polish_dips(lambda t: t, ts, [0], 0.25, (0.0, 1.0), closed=True)
     assert abs(t_closed[0] + 0.25) < 1e-9
+
+
+def _parabola(t):
+    return (t - 1.1) * (t - 1.1)
+
+
+def test_golden_minimize_is_the_scalar_search_on_every_bracket_in_lock_step():
+    # the brackets stop at different steps: a zero-width and a reversed one
+    # at once, one within three steps of GOLDEN_TOL, random ones of widths
+    # 1e-11 to 10, and the widest only at the GOLDEN_ITERS cap, which
+    # therefore bounds the calls of f
+    rng = np.random.default_rng(7)
+    starts = rng.uniform(-3.0, 2.0, 64)
+    a = np.concatenate([[0.9, 0.5, -1.0, 1.0, 2.0, 3.0, 0.0, 7.0], starts])
+    b = np.concatenate([[1.2, 1.5, 2.0, 1.0 + 1e-11, 2.0, 2.0, 1e100, 7.5],
+                        starts + 10.0 ** rng.uniform(-11.0, 1.0, 64)])
+    counted = _Counted(_parabola)
+    t_min, f_min = golden_minimize(counted, a, b)
+    points = []
+    want = np.array([scalar_golden_minimize(lambda t: points.append(t) or _parabola(t), lo, hi)
+                     for lo, hi in zip(a.tolist(), b.tolist())])
+    assert np.array_equal(np.stack([t_min, f_min], -1).view(np.int64), want.view(np.int64))
+    # and f saw the points the scalar searches evaluate, each as often
+    assert np.array_equal(np.sort(np.concatenate(counted.calls)), np.sort(points))
+    # both inner points of every bracket, one call per step on the brackets
+    # still open, then every midpoint
+    assert len(counted.sizes) == GOLDEN_ITERS + 3
+    steps = counted.sizes[2:-1]
+    assert counted.sizes[:2] == [a.size, a.size] and counted.sizes[-1] == a.size
+    assert steps == sorted(steps, reverse=True) and steps[0] == a.size - 2 and steps[-1] == 1
+    # a batch of any shape returns its shape
+    t2, f2 = golden_minimize(_parabola, a.reshape(8, 9), b.reshape(8, 9))
+    assert np.array_equal(t2.ravel().view(np.int64), t_min.view(np.int64))
+    assert np.array_equal(f2.ravel().view(np.int64), f_min.view(np.int64))
+
+
+def test_golden_minimize_of_a_0d_bracket_is_the_scalar_search_on_0d_parameters():
+    shapes = []
+    got = golden_minimize(lambda t: shapes.append(np.shape(t)) or _parabola(t), 0.5, 1.5)
+    assert set(shapes) == {()} and all(np.ndim(v) == 0 for v in got)
+    want = scalar_golden_minimize(_parabola, 0.5, 1.5)
+    assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+    # the scalar callers' float(...) functions take 0-d parameters
+    assert golden_minimize(lambda t: float(_parabola(t)), 0.5, 1.5)[1] == want[1]
+
+
+def test_golden_minimize_of_no_bracket_finds_nothing():
+    t_min, f_min = golden_minimize(_parabola, np.empty(0), np.empty(0))
+    assert t_min.shape == f_min.shape == (0,)
 
 
 def _assert_pchip_is_scipys(x, y, queries):
