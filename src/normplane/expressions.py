@@ -13,7 +13,8 @@ Tokens: operators, numbers (digits and points, with an exponent only where
 a digit follows the 'e'; a literal must be a finite float) and names.
 Functions: sin cos tan asin acos atan sinh cosh exp log sqrt abs sign.
 A value outside a partial function's domain raises at evaluation.
-Trees are plain tuples so equality and round-tripping are structural.
+Text parses to a post-order program of plain-tuple steps, run on one value
+stack: ("num", v) (`pi`, `e` folded), ("var",), ("neg",), ("call", f), ("bin", op).
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ CONSTANTS = {"pi": np.pi, "e": np.e}
 OPERATORS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
 # how strongly the left-associative operators bind: expr joins by '+'/'-', term by '*'/'/'
 _PRECEDENCE = {"+": 0, "-": 0, "*": 1, "/": 1}
+# parser calls nested at once, counted in unary; a caller keeps ~390 of the default 1000 frames
+MAX_DEPTH = 600
 # operator | number | name | any other character | end
 _TOKEN = re.compile(r"\s*(?:([-+*/^()])|([\d.]+(?:[eE][-+]?\d+)?)|([^\W\d]\w*)|(.)|\Z)")
 
@@ -73,52 +76,52 @@ def _expect(toks, kind):
 
 
 def parse_expression(text):
-    """Parse to a tuple tree; raises ParseError with offset and expectations."""
-    toks = _tokens(text)
-    try:
-        tree = _parse_expr(toks)
-    except RecursionError:
-        raise InputError("expression is too deep to parse") from None
+    """Parse to a post-order program; raises ParseError with offset and expectations."""
+    toks, program = _tokens(text), []
+    _parse_expr(toks, program, 1)
     tok = toks[-1]
     if tok[0] != "eof":
         raise ParseError(f"trailing input at offset {tok[2]}", tok[2], ("eof",))
-    return tree
+    return program
 
 
-def _parse_expr(toks, level=0):
+def _parse_expr(toks, out, depth, level=0):
     """expr (level 0) or term (level 1): operands joined left to right by
     the operators that bind at least as strongly as `level`."""
-    node = _parse_factor(toks)
+    _parse_factor(toks, out, depth + 1)
     while _PRECEDENCE.get(toks[-1][0], -1) >= level:
         op = toks.pop()[0]
-        node = ("bin", op, node, _parse_expr(toks, _PRECEDENCE[op] + 1))
-    return node
+        _parse_expr(toks, out, depth + 1, _PRECEDENCE[op] + 1)
+        out.append(("bin", op))
 
 
-def _parse_factor(toks):
-    base = _parse_unary(toks)
+def _parse_factor(toks, out, depth):
+    _parse_unary(toks, out, depth + 1)
     if toks[-1][0] == "^":
         toks.pop()
-        return ("bin", "^", base, _parse_factor(toks))
-    return base
+        _parse_factor(toks, out, depth + 1)
+        out.append(("bin", "^"))
 
 
-def _parse_unary(toks):
-    if toks[-1][0] == "-":
-        toks.pop()
-        return ("neg", _parse_unary(toks))
-    return _parse_primary(toks)
+def _parse_unary(toks, out, depth):
+    if depth > MAX_DEPTH:
+        raise InputError("expression is too deep to parse")
+    if toks[-1][0] != "-":
+        return _parse_primary(toks, out, depth + 1)
+    toks.pop()
+    _parse_unary(toks, out, depth + 1)
+    out.append(("neg",))
 
 
-def _parse_primary(toks):
+def _parse_primary(toks, out, depth):
     kind, value, at = toks.pop()
     if kind == "num":
-        return ("num", value)
+        return out.append(("num", value))
     if kind == "name":
         if value == "t":
-            return ("var",)
+            return out.append(("var",))
         if value in CONSTANTS:
-            return ("const", value)
+            return out.append(("num", CONSTANTS[value]))
         if value not in FUNCTIONS:
             raise ParseError(f"unknown name {value!r} at offset {at}", at,
                              ("t", "pi", "e") + tuple(FUNCTIONS))
@@ -126,39 +129,37 @@ def _parse_primary(toks):
     elif kind != "(":
         raise ParseError(f"expected a value at offset {at}, found {kind!r}", at,
                          ("number", "t", "(", "function"))
-    node = _parse_expr(toks)    # a function's argument or a parenthesized expr
+    _parse_expr(toks, out, depth + 1)    # a function's argument or a parenthesized expr
     _expect(toks, ")")
-    return node if kind == "(" else ("call", value, node)
+    if kind == "name":
+        out.append(("call", value))
 
 
-def evaluate(tree, t):
-    """Evaluate at t of any shape, on the flat array: numpy's power loop
+def evaluate(program, t):
+    """Run a program at t of any shape, on the flat array: numpy's power loop
     takes a 0-d exponent 2, 0.5 or -1 as a square, sqrt or reciprocal, whose
     last bit may differ from its pow. Domain errors raise."""
     t = np.asarray(t, dtype=float)
+    flat, stack = t.ravel(), []
     with np.errstate(divide="raise", invalid="raise", over="raise"):
         try:
-            return _eval(tree, t.ravel()).reshape(t.shape)[()]
+            for step in program:
+                if step[0] == "num":
+                    stack.append(np.full_like(flat, step[1]))
+                elif step[0] == "var":
+                    stack.append(flat)
+                elif step[0] == "neg":
+                    stack[-1] = -stack[-1]
+                elif step[0] == "call":
+                    stack[-1] = FUNCTIONS[step[1]](stack[-1])
+                else:   # reads the left operand, then pops the right one, freed at once
+                    stack[-1] = OPERATORS[step[1]](stack[-2], stack.pop())
         except FloatingPointError as exc:
             raise ExpressionDomainError(f"expression domain error: {exc}") from exc
-        except RecursionError:
-            raise InputError("expression is too deep to evaluate") from None
-
-
-def _eval(tree, t):
-    kind = tree[0]
-    if kind == "var":
-        return t
-    if kind in ("num", "const"):
-        return np.full_like(t, tree[1] if kind == "num" else CONSTANTS[tree[1]])
-    if kind == "neg":
-        return -_eval(tree[1], t)
-    if kind == "call":
-        return FUNCTIONS[tree[1]](_eval(tree[2], t))
-    return OPERATORS[tree[1]](_eval(tree[2], t), _eval(tree[3], t))
+    return stack.pop().reshape(t.shape)[()]
 
 
 def compile_expression(text):
     """Parse once, return a vectorized evaluator of t."""
-    tree = parse_expression(text)
-    return lambda t: evaluate(tree, t)
+    program = parse_expression(text)
+    return lambda t: evaluate(program, t)

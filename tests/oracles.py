@@ -7,15 +7,28 @@ finite differences that evaluate every stencil point, the scalar golden-section
 search of one bracket, the lp radial jet as its own formula, the plane kernels
 as they were when every circle evaluation built all its rows, distances
 between sampled curves, a cusp classification read off the curve alone, a
-cyclic word reduced by cancelling one pair at a time, and a printer of
-expression trees that the parser must read back. They use public
-normplane names only, so they do not share the code they check."""
+cyclic word reduced by cancelling one pair at a time, a printer of
+expression trees that the parser must read back, and the tuple-tree parser
+and recursive evaluator that the expression programs must match. They use
+public normplane names only, so they do not share the code they check."""
+
+import re
 
 import numpy as np
 
 from normplane.analysis import REL_ZERO, curvature_pair
 from normplane.derived import RHO_FLOOR
-from normplane.errors import KappaVanishes, NoConvergence, NotUnit, SingularPoint, ZeroVector
+from normplane.errors import (
+    ExpressionDomainError,
+    InputError,
+    KappaVanishes,
+    NoConvergence,
+    NotUnit,
+    ParseError,
+    SingularPoint,
+    ZeroVector,
+)
+from normplane.expressions import CONSTANTS, FUNCTIONS, OPERATORS
 from normplane.numerics import (
     DIFF_BLOCK,
     GOLDEN_ITERS,
@@ -598,7 +611,7 @@ def cyclic_word_length(letters):
 
 def to_text(tree):
     """Fully parenthesized rendering of an expression tree;
-    parse_expression(to_text(tree)) == tree."""
+    tree_parse_expression(to_text(tree)) == tree."""
     kind = tree[0]
     if kind == "num":
         return repr(tree[1])
@@ -612,3 +625,139 @@ def to_text(tree):
         return f"{tree[1]}({to_text(tree[2])})"
     _, op, a, b = tree
     return f"({to_text(a)}){op}({to_text(b)})"
+
+
+def postorder(tree):
+    """The program of a tree: its steps in post-order, `pi` and `e` folded to
+    their numbers; parse_expression(to_text(tree)) == postorder(tree)."""
+    kind = tree[0]
+    if kind == "const":
+        return [("num", CONSTANTS[tree[1]])]
+    if kind == "neg":
+        return postorder(tree[1]) + [("neg",)]
+    if kind == "call":
+        return postorder(tree[2]) + [("call", tree[1])]
+    if kind == "bin":
+        return postorder(tree[2]) + postorder(tree[3]) + [("bin", tree[1])]
+    return [tree]
+
+
+# The expression front end as it was when it parsed to tuple trees and
+# evaluated them recursively, kept verbatim (names prefixed with `tree_`) as
+# the reference every program must match in bits, shapes, types and errors.
+
+_TREE_PRECEDENCE = {"+": 0, "-": 0, "*": 1, "/": 1}
+_TREE_TOKEN = re.compile(r"\s*(?:([-+*/^()])|([\d.]+(?:[eE][-+]?\d+)?)|([^\W\d]\w*)|(.)|\Z)")
+
+
+def _tree_tokens(text):
+    toks = []
+    for m in _TREE_TOKEN.finditer(text):
+        if m.lastindex is None:
+            toks.append(("eof", None, m.end()))
+            return toks[::-1]
+        op, number, name, other = m.groups()
+        at = m.start(m.lastindex)
+        if op:
+            toks.append((op, op, at))
+        elif name:
+            toks.append(("name", name, at))
+        elif other:
+            raise ParseError(f"unexpected character {other!r} at offset {at}", at, ("token",))
+        else:
+            try:
+                value = float(number)
+            except ValueError:
+                raise ParseError(f"bad number at offset {at}", at, ("number",))
+            if not np.isfinite(value):
+                raise ParseError(f"number too large at offset {at}", at, ("number",))
+            toks.append(("num", value, at))
+
+
+def _tree_expect(toks, kind):
+    tok = toks.pop()
+    if tok[0] != kind:
+        raise ParseError(f"expected {kind!r} at offset {tok[2]}, found {tok[0]!r}", tok[2], (kind,))
+
+
+def tree_parse_expression(text):
+    """Parse to a tuple tree; raises ParseError with offset and expectations."""
+    toks = _tree_tokens(text)
+    try:
+        tree = _tree_parse_expr(toks)
+    except RecursionError:
+        raise InputError("expression is too deep to parse") from None
+    tok = toks[-1]
+    if tok[0] != "eof":
+        raise ParseError(f"trailing input at offset {tok[2]}", tok[2], ("eof",))
+    return tree
+
+
+def _tree_parse_expr(toks, level=0):
+    node = _tree_parse_factor(toks)
+    while _TREE_PRECEDENCE.get(toks[-1][0], -1) >= level:
+        op = toks.pop()[0]
+        node = ("bin", op, node, _tree_parse_expr(toks, _TREE_PRECEDENCE[op] + 1))
+    return node
+
+
+def _tree_parse_factor(toks):
+    base = _tree_parse_unary(toks)
+    if toks[-1][0] == "^":
+        toks.pop()
+        return ("bin", "^", base, _tree_parse_factor(toks))
+    return base
+
+
+def _tree_parse_unary(toks):
+    if toks[-1][0] == "-":
+        toks.pop()
+        return ("neg", _tree_parse_unary(toks))
+    return _tree_parse_primary(toks)
+
+
+def _tree_parse_primary(toks):
+    kind, value, at = toks.pop()
+    if kind == "num":
+        return ("num", value)
+    if kind == "name":
+        if value == "t":
+            return ("var",)
+        if value in CONSTANTS:
+            return ("const", value)
+        if value not in FUNCTIONS:
+            raise ParseError(f"unknown name {value!r} at offset {at}", at,
+                             ("t", "pi", "e") + tuple(FUNCTIONS))
+        _tree_expect(toks, "(")
+    elif kind != "(":
+        raise ParseError(f"expected a value at offset {at}, found {kind!r}", at,
+                         ("number", "t", "(", "function"))
+    node = _tree_parse_expr(toks)
+    _tree_expect(toks, ")")
+    return node if kind == "(" else ("call", value, node)
+
+
+def tree_evaluate(tree, t):
+    """Evaluate a tuple tree at t of any shape, on the flat array, one
+    recursive call per node."""
+    t = np.asarray(t, dtype=float)
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        try:
+            return _tree_eval(tree, t.ravel()).reshape(t.shape)[()]
+        except FloatingPointError as exc:
+            raise ExpressionDomainError(f"expression domain error: {exc}") from exc
+        except RecursionError:
+            raise InputError("expression is too deep to evaluate") from None
+
+
+def _tree_eval(tree, t):
+    kind = tree[0]
+    if kind == "var":
+        return t
+    if kind in ("num", "const"):
+        return np.full_like(t, tree[1] if kind == "num" else CONSTANTS[tree[1]])
+    if kind == "neg":
+        return -_tree_eval(tree[1], t)
+    if kind == "call":
+        return FUNCTIONS[tree[1]](_tree_eval(tree[2], t))
+    return OPERATORS[tree[1]](_tree_eval(tree[2], t), _tree_eval(tree[3], t))

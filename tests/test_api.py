@@ -21,7 +21,7 @@ ORACLES = {
               "normal_envelope_residual", "pedal_envelope_residual", "vertex_residual",
               "osculating_data", "distance_squared_rates"),
     errors: ("DegenerateLine",),
-    expressions: ("to_text",),
+    expressions: ("to_text", "postorder", "tree_parse_expression", "tree_evaluate"),
 }
 
 
@@ -81,7 +81,7 @@ def test_settings_that_nothing_varies_or_reads_are_gone():
     assert catalog.circle().position.__qualname__.startswith("ellipse.")
     assert not hasattr(plane._RadialProfile, "r")
     assert plane._RadialProfile(plane.NormSpec("euclidean")).coef.tolist() == [1.0]
-    for name in ("DomainWarning", "GUARDED", "_uses"):
+    for name in ("DomainWarning", "GUARDED", "_uses", "_eval"):
         assert not hasattr(expressions, name), name
     assert "is_front" not in fields(analysis.SingularityReport)
     assert "ts" not in fields(analysis.ProjectiveCurvatureMap)

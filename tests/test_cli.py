@@ -596,7 +596,7 @@ _INDEX_BOUND = np.iinfo(np.intp).max // 256
      "config error: 'samples' is too large: numpy cannot index its arrays"),
     ({"norm": {"kind": "euclidean", "grid": _INDEX_BOUND + 1}, "curve": _CIRCLE_64}, (),
      "config error: 'grid' is too large: numpy cannot index its arrays"),
-    # a literal whose float overflows, and expressions deeper than the recursion limit
+    # a literal whose float overflows, and expressions nested past the parser's bound
     ({"curve": {"kind": "expression", "x": "cos(t) + 1e999", "y": "sin(t)",
                 "domain": [0.0, 6.283185307179586], "closed": True}}, (),
      "config error: number too large at offset 9"),
@@ -604,8 +604,8 @@ _INDEX_BOUND = np.iinfo(np.intp).max // 256
      "config error: number too large at offset 0"),
     ({"curve": {"kind": "expression", "x": "(" * 1000 + "t" + ")" * 1000, "y": "t",
                 "domain": [0.0, 1.0]}}, (), "config error: expression is too deep to parse"),
-    ({"curve": {"kind": "expression", "x": "+".join(["t"] * 1000), "y": "t",
-                "domain": [0.0, 1.0]}}, (), "config error: expression is too deep to evaluate"),
+    ({"curve": {"kind": "expression", "x": "-" * 598 + "t", "y": "t",
+                "domain": [0.0, 1.0]}}, (), "config error: expression is too deep to parse"),
 ], ids=["p-not-a-number", "top-level-list", "one-element-domain",
         "samples-zero", "samples-one", "samples-not-a-number",
         "samples-not-an-integer", "samples-flag-zero", "samples-flag-one",
@@ -623,7 +623,7 @@ _INDEX_BOUND = np.iinfo(np.intp).max // 256
         "grid-beyond-index", "samples-flag-beyond-int64", "synthesis-steps-beyond-index",
         "samples-past-index-bound", "grid-past-index-bound",
         "literal-overflows", "synthesis-literal-overflows", "nested-parentheses-1000",
-        "sum-of-1000-terms"])
+        "minus-signs-598"])
 def test_malformed_config_exits_2(tmp_path, capsys, config, extra, marker):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -933,12 +933,27 @@ def test_unknown_kinds_and_foreign_keys_exit_2_where_they_are_read(tmp_path, cap
     ("huge_samples_reject.json", "'samples' is too large: numpy cannot allocate its arrays"),
     ("huge_index_reject.json", "'samples' is too large: numpy cannot index its arrays"),
     ("literal_overflow_reject.json", "number too large at offset 9"),
-    ("deep_expression_reject.json", "expression is too deep to evaluate"),
+    ("deep_nesting_reject.json", "expression is too deep to parse"),
 ])
 def test_shipped_kind_rejects_exit_2(tmp_path, capsys, name, message):
     assert _run(tmp_path, name) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_a_long_sum_writes_the_bytes_of_its_one_term_twin(tmp_path):
+    # evaluation has no depth limit, and each of the 999 terms 0*t adds an exact zero
+    with open(_cfg("long_sum_analyze.json"), encoding="utf-8") as fh:
+        config = json.load(fh)
+    assert config["curve"]["x"] == "cos(t)" + "+0*t" * 999
+    assert _run(tmp_path / "long", "long_sum_analyze.json") == 0
+    config["curve"]["x"] = "cos(t)"
+    twin = tmp_path / "twin.json"
+    twin.write_text(json.dumps(config))
+    assert main(["run", str(twin), "--out", str(tmp_path / "twin")]) == 0
+    for name in ("long_sum.csv", "long_sum.json"):
+        assert (tmp_path / "long" / "out" / name).read_bytes() == \
+            (tmp_path / "twin" / "out" / name).read_bytes()
 
 
 def test_a_constant_division_exits_2_with_one_line(tmp_path, capsys):

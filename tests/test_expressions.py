@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from normplane.errors import ExpressionDomainError, ParseError
+from normplane.errors import ExpressionDomainError, InputError, ParseError
 from normplane.expressions import compile_expression, evaluate, parse_expression
-from oracles import to_text
+from oracles import postorder, to_text, tree_evaluate, tree_parse_expression
 
 
 def test_basic_values():
@@ -78,7 +78,7 @@ def test_the_lexer_refuses_with_the_offset(text, message, offset):
     ("\tt\n*\u2003pi", ("bin", "*", ("var",), ("const", "pi"))),
 ])
 def test_the_lexer_reads_numbers_and_spaces(text, tree):
-    assert parse_expression(text) == tree
+    assert parse_expression(text) == postorder(tree)
 
 
 @pytest.mark.parametrize("text", ["\u00b2", "\u00bd"])
@@ -122,4 +122,68 @@ def test_parse_pretty_print_fixed_point():
     rng = np.random.default_rng(42)
     for _ in range(100):
         tree = _random_tree(rng, int(rng.integers(1, 7)))
-        assert parse_expression(to_text(tree)) == tree
+        assert tree_parse_expression(to_text(tree)) == tree
+        assert parse_expression(to_text(tree)) == postorder(tree)
+
+
+def _outcome(parse, evaluate, text, t):
+    """(type, dtype, shape, bits) of the value, or (error class, message)."""
+    try:
+        value = evaluate(parse(text), t)
+    except (ExpressionDomainError, InputError) as exc:
+        return type(exc), str(exc)
+    return type(value), value.dtype, np.shape(value), np.asarray(value).tobytes()
+
+
+_INPUTS = [0.5, np.array(0.5), np.array([0.5]), np.linspace(-3.0, 3.0, 101),
+           np.arange(-1.0, 1.4, 0.2).reshape(3, 4), np.array([]),
+           np.array([np.nan, np.inf, -0.0])]
+
+
+def test_programs_match_the_recursive_tree_evaluator_bit_for_bit():
+    # the post-order program makes the numpy calls the recursion made, in
+    # its order, so values, shapes, types and domain errors all agree
+    rng = np.random.default_rng(7)
+    for _ in range(5000):
+        text = to_text(_random_tree(rng, int(rng.integers(1, 8))))
+        for t in _INPUTS:
+            assert _outcome(parse_expression, evaluate, text, t) == \
+                _outcome(tree_parse_expression, tree_evaluate, text, t), (text, t)
+
+
+def _from_deeper_frames(frames, f):
+    return f() if frames == 0 else _from_deeper_frames(frames - 1, f)
+
+
+def _parses(text):
+    try:
+        parse_expression(text)
+    except InputError as exc:
+        assert str(exc) == "expression is too deep to parse"
+        return False
+    return True
+
+
+@pytest.mark.parametrize("nest, last", [
+    (lambda n: "(" * n + "t" + ")" * n, 149),
+    (lambda n: "-" * n + "t", 597),
+    (lambda n: "^".join(["t"] * (n + 1)), 597),
+], ids=["parentheses", "minus-signs", "powers"])
+def test_depth_verdicts_do_not_depend_on_the_callers_stack(nest, last):
+    # MAX_DEPTH counts the parser's own nested calls, so 300 more caller
+    # frames change no verdict
+    verdicts = [_parses(nest(last)), _parses(nest(last + 1))]
+    assert verdicts == [True, False]
+    assert _from_deeper_frames(300, lambda: [_parses(nest(last)), _parses(nest(last + 1))]) \
+        == verdicts
+
+
+def test_a_long_sum_evaluates_at_any_caller_depth():
+    # the value stack holds two operands of a left-associative sum, however long
+    t = np.linspace(0.0, 1.0, 5)
+    program = parse_expression("+".join(f"cos({k}*t)" for k in range(1, 10001)))
+    expected = np.cos(1.0 * t)
+    for k in range(2, 10001):
+        expected = expected + np.cos(float(k) * t)
+    for value in (evaluate(program, t), _from_deeper_frames(300, lambda: evaluate(program, t))):
+        assert value.tobytes() == expected.tobytes()

@@ -157,9 +157,9 @@ def test_pair_evaluators_give_a_parameter_its_batch_bits(planes, pair):
 _CONSTANT_FAULTS = ["1/0", "0/0", "1e308*10", "-1e308-1e308", "t + 1e308*10"]
 
 
-def _bits_or_refusal(tree, t):
+def _bits_or_refusal(text, t):
     try:
-        return np.asarray(evaluate(tree, t)).tobytes()
+        return np.asarray(evaluate(parse_expression(text), t)).tobytes()
     except ExpressionDomainError:
         return "refused"
 
@@ -170,12 +170,11 @@ def test_an_expression_gives_a_scalar_its_one_element_bits():
     # to inf where an array refuses; and numpy's power loop takes a 0-d
     # exponent 0.5 as a square root, one ulp off its pow at 7.65^0.5
     rng = np.random.default_rng(42)
-    trees = [_random_tree(rng, int(rng.integers(1, 7))) for _ in range(400)]
-    for tree in trees + [parse_expression(text) for text in _CONSTANT_FAULTS + ["7.65^t"]]:
-        assert _bits_or_refusal(tree, 0.5) == _bits_or_refusal(tree, np.array([0.5])), \
-            to_text(tree)
+    texts = [to_text(_random_tree(rng, int(rng.integers(1, 7)))) for _ in range(400)]
+    for text in texts + _CONSTANT_FAULTS + ["7.65^t"]:
+        assert _bits_or_refusal(text, 0.5) == _bits_or_refusal(text, np.array([0.5])), text
     for text in _CONSTANT_FAULTS:
-        assert _bits_or_refusal(parse_expression(text), 0.5) == "refused", text
+        assert _bits_or_refusal(text, 0.5) == "refused", text
 
 
 @pytest.mark.parametrize("name", list(SPECS))
