@@ -168,71 +168,100 @@ def _frame_values(eta, xi, d1, *eta_rate):
 def make_legendre(plane: NormedPlane, gamma: ParamCurve, eta: NormalField,
                   residual_tol: float = RESIDUAL_TOL) -> LegendreCurve:
     """Validate the pair and sample its curvature pair (see _validate)."""
-    return _validate(plane, gamma, eta, residual_tol)[0]
-
-
-def _validate(plane, gamma, eta, residual_tol):
-    """The validated pair and xi = b(eta) on its grid.
-
-    Validate the unit constraint on eta and the orthogonality residual
-    max |[gamma', b(eta)]| / (||gamma'|| + eps), and sample the curvature
-    pair, all from one evaluation of gamma', eta and eta' on the grid.
-
-    Orthogonality is vacuous where gamma' vanishes, so points whose speed
-    sits below the numerical noise floor of the pair (relative to the faster
-    of gamma and eta) are excluded rather than divided through. NaN fails
-    both checks, and a pair that is not finite on the grid is refused.
-    """
-    with np.errstate(all="ignore"):     # NaN and inf are refused below, with no warning first
-        ts = gamma.grid()
+    ts = gamma.grid()
+    with np.errstate(all="ignore"):     # NaN and inf are refused by _validate, with no warning
         e, e_rate = eta.value_and_rate(ts)
-        unit_err = float(np.max(np.abs(plane.norm(e) - 1.0)))
-        if not unit_err <= 1e-8:
-            raise ResidualViolation(f"normal field is not unit (max error {unit_err:.2e})")
+        # an evolute's gamma' reads the base jet that its normal's jet kept at ts
         d1 = gamma.derivative(ts, 1)
-        xi = plane.birkhoff(e)
-        speeds = plane.norm(d1)
-        # the floor only needs the magnitude of the pair's motion: coarse subgrid
-        eta_speed = plane.norm(e_rate[:: max(1, len(ts) // 128)])
-        floor = 1e-6 * max(float(np.max(speeds)), float(np.max(eta_speed)), 1e-300)
-        vals = np.abs(symplectic(d1, xi)) / (speeds + 1e-12)
-        vals[speeds < floor] = 0.0
-        res = float(np.max(vals))
-        if not res < residual_tol:
-            raise ResidualViolation(
-                f"orthogonality residual {res:.3e} exceeds {residual_tol:.1e}")
+        res, alpha, kappa, _ = _validate(plane, e, e_rate, d1, plane.norm(d1), residual_tol)
+    return LegendreCurve(plane, gamma, eta, res, ts, alpha, kappa, e)
 
-        alpha, kappa = _frame_values(e, xi, d1, e_rate)
-        if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(kappa))):
-            raise ResidualViolation("curvature pair is not finite on the grid")
-    return LegendreCurve(plane, gamma, eta, res, ts, alpha, kappa, e), xi
+
+def _validate(plane, e, e_rate, d1, speeds, residual_tol):
+    """(residual, alpha, kappa, xi = b(eta)) of a pair, from eta, eta',
+    gamma' and ||gamma'|| on its grid: check the unit constraint on eta and
+    the orthogonality residual max |[gamma', b(eta)]| / (||gamma'|| + eps),
+    and sample the curvature pair. Orthogonality is vacuous where gamma'
+    vanishes, so points whose speed sits below the numerical noise floor of
+    the pair (relative to the faster of gamma and eta) are excluded rather
+    than divided through. NaN fails both checks, and a pair that is not
+    finite on the grid is refused; the callers ignore floating-point errors.
+    """
+    unit_err = float(np.max(np.abs(plane.norm(e) - 1.0)))
+    if not unit_err <= 1e-8:
+        raise ResidualViolation(f"normal field is not unit (max error {unit_err:.2e})")
+    xi = plane.birkhoff(e)
+    # the floor only needs the magnitude of the pair's motion: coarse subgrid
+    eta_speed = plane.norm(e_rate[:: max(1, len(e_rate) // 128)])
+    floor = 1e-6 * max(float(np.max(speeds)), float(np.max(eta_speed)), 1e-300)
+    vals = np.abs(symplectic(d1, xi)) / (speeds + 1e-12)
+    vals[speeds < floor] = 0.0
+    res = float(np.max(vals))
+    if not res < residual_tol:
+        raise ResidualViolation(f"orthogonality residual {res:.3e} exceeds {residual_tol:.1e}")
+
+    alpha, kappa = _frame_values(e, xi, d1, e_rate)
+    if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(kappa))):
+        raise ResidualViolation("curvature pair is not finite on the grid")
+    return res, alpha, kappa, xi
+
+
+def _jumps(xi, closed):
+    """Flags of the chords k, from xi[k] to xi[k + 1], across which the
+    sampled unit tangent direction xi jumps: one chord, or two neighbouring
+    chords, spanning more than 0.5 and each longer than 3 times the chords
+    beside them. Beyond the ends of an open sequence the chords are 0."""
+    if closed:
+        xi = np.concatenate([xi, xi[:1]])
+    # d[k + 2] is the chord from sample k to k + 1
+    d = np.pad(np.diff(xi, axis=0), ((2, 2), (0, 0)), mode="wrap" if closed else "constant")
+    size = np.hypot(d[:, 0], d[:, 1])
+    left, first, second, right = size[1:-3], size[2:-2], size[3:-1], size[4:]
+    span = np.hypot(*(d[2:-2] + d[3:-1]).T)
+    return (((first > 0.5) & (first > 3.0 * np.maximum(left, second)))
+            | ((span > 0.5) & (np.minimum(first, second) > 3.0 * np.maximum(left, right))))
+
+
+def _jump_persists(plane, curve, eta, t, h):
+    """Whether the tangent direction still jumps on the flagged chord or
+    chord pair from t, of grid spacing h, sampled at a quarter of the spacing
+    from t - h to t + 3h. Each line is that of a position secant, exact
+    beside a corner, where a finite-difference gamma' would blur it across
+    its stencil; b(eta) at the secant's middle orients it, so the secants
+    that reverse through a cusp do not jump, and a corner that reverses the
+    tangent does. Within a grid step of an open end a side may be shorter
+    than a secant, and the jump is kept."""
+    v = t + 0.25 * h * np.arange(-4.0, 13.0)
+    if not curve.closed and (v[0] < curve.domain[0] or v[-1] > curve.domain[1]):
+        return True
+    secants = np.diff(curve.point(v), axis=0)
+    side = np.sum(secants * plane.birkhoff(eta(0.5 * (v[:-1] + v[1:]))), axis=-1)
+    u = secants * (np.sign(side) / np.hypot(*secants.T))[:, None]
+    return not np.all(np.isfinite(u)) or np.any(_jumps(u, closed=False))
 
 
 def legendre_from_curve(plane: NormedPlane, curve: ParamCurve) -> LegendreCurve:
     """Build the pair with the curve's left normal, extended through isolated
     singular points, and refuse it where its tangent line jumps. The jump is
     read on xi = b(eta), parallel to gamma' and so smooth under any norm,
-    unlike eta: one chord, or two neighbouring chords, spanning more than 0.5
-    and each longer than 3 times the chords beside them. A corner between
-    grid nodes makes one long chord; one on a node, whose tangent lies
-    between the two sides, splits it in two. A coarse grid of a smooth
-    tangent line has even chords (0.765 on the 8-sample circle)."""
-    L, xi = _validate(plane, curve, extend_normal(plane, curve), RESIDUAL_TOL)
-    if curve.closed:
-        xi = np.concatenate([xi, xi[:1]])
-    # d[k + 2] is the chord from sample k to k + 1; outside an open curve, 0
-    d = np.pad(np.diff(xi, axis=0), ((2, 2), (0, 0)),
-               mode="wrap" if curve.closed else "constant")
-    size = np.hypot(d[:, 0], d[:, 1])
-    left, first, second, right = size[1:-3], size[2:-2], size[3:-1], size[4:]
-    span = np.hypot(*(d[2:-2] + d[3:-1]).T)
-    jumps = (((first > 0.5) & (first > 3.0 * np.maximum(left, second)))
-             | ((span > 0.5) & (np.minimum(first, second) > 3.0 * np.maximum(left, right))))
-    if np.any(jumps):
-        t_bad = float(L.ts[int(np.argmax(jumps))])
-        raise LimitsDisagree(
-            f"normal field jumps after t = {t_bad:.6g}: tangent lines do not join")
-    return L
+    unlike eta, by the rule of _jumps. A corner between grid nodes makes one
+    long chord; one on a node, whose tangent lies between the two sides,
+    splits it in two. A coarse grid of a smooth tangent line has even chords
+    (0.765 on the 8-sample circle), but one that does not resolve a sharp
+    turn shows a jump there too, so a flagged chord is refused only if the
+    jump is still there at a finer spacing (_jump_persists)."""
+    ts = curve.grid()
+    d1 = curve.derivative(ts, 1)
+    speeds = plane.norm(d1)
+    eta = extend_normal(plane, curve, ts, speeds)
+    with np.errstate(all="ignore"):     # NaN and inf are refused below, with no warning
+        e, e_rate = eta.value_and_rate(ts)
+        res, alpha, kappa, xi = _validate(plane, e, e_rate, d1, speeds, RESIDUAL_TOL)
+        for k in np.nonzero(_jumps(xi, curve.closed))[0]:
+            if _jump_persists(plane, curve, eta, ts[k], ts[1] - ts[0]):
+                raise LimitsDisagree(
+                    f"normal field jumps after t = {float(ts[k]):.6g}: tangent lines do not join")
+    return LegendreCurve(plane, curve, eta, res, ts, alpha, kappa, e)
 
 
 def curvature_pair(L: LegendreCurve) -> LegendreCurve:

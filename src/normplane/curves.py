@@ -196,17 +196,14 @@ class NormalField(_Field):
         return self.difference(lambda s: self.value_and_rate(s)[1], t, order - 1)
 
 
-def find_singular_params(plane: NormedPlane, curve: ParamCurve):
+def find_singular_params(plane: NormedPlane, curve: ParamCurve, ts, speeds):
     """Parameters where the speed vanishes, refined between grid nodes.
 
     Returns the sorted parameters whose speed falls below SINGULAR_SPEED_FACTOR
-    times the fastest sample. Candidate dips of the sampled speed are polished
-    by golden section so singularities that fall between nodes are still found.
+    times the fastest of `speeds`, ||gamma'|| on the analysis grid `ts`. Dips of
+    the sampled speed are polished by golden section to find those between nodes.
     """
-    ts = curve.grid()
-    speeds = plane.norm(curve.derivative(ts, 1))
-    smax = float(np.max(speeds))
-    step = curve.span / len(ts)
+    smax, step = float(np.max(speeds)), curve.span / len(ts)
     beside = np.pad(speeds, 1, mode="wrap" if curve.closed else "edge")
     dips = (speeds <= 0.05 * smax) & (
         (speeds <= np.minimum(beside[:-2], beside[2:])) | (speeds <= 0.0))
@@ -245,30 +242,29 @@ def _left_normal(plane: NormedPlane, curve: ParamCurve) -> NormalField:
 def induced_normal(plane: NormedPlane, curve: ParamCurve) -> NormalField:
     """Left normal of a regular curve: unit, orthogonal-to-tangent, [eta, gamma'] > 0;
     extend_normal's field, refused with SingularPoint at any singular point."""
-    if find_singular_params(plane, curve):
+    ts = curve.grid()
+    if find_singular_params(plane, curve, ts, plane.norm(curve.derivative(ts, 1))):
         raise SingularPoint("curve has singular points; its normal must be extended")
     return _left_normal(plane, curve)
 
 
-def extend_normal(plane: NormedPlane, curve: ParamCurve) -> NormalField:
+def extend_normal(plane: NormedPlane, curve: ParamCurve, ts, speeds) -> NormalField:
     """Left normal of the curve, kept smooth through isolated singular points.
 
     The left normal normal_from_tangent(gamma') flips sign wherever the
     normalized tangent does (an ordinary cusp); flips are located precisely
     and a sign function with those breakpoints makes the field smooth across
-    each singularity. A curve without singular points gets the plain left
-    normal. The field is not checked for continuity here: a corner shows as
-    a jump of the pair's sampled tangent line (analysis.legendre_from_curve).
+    each singular point, found from `speeds`, ||gamma'|| on the grid `ts`.
+    Without one it is the plain left normal. It is not checked for continuity
+    here: a corner shows as a jump of the sampled tangent line (legendre_from_curve).
     """
-    singular = find_singular_params(plane, curve)
+    singular = find_singular_params(plane, curve, ts, speeds)
     if not singular:
         return _left_normal(plane, curve)
     left = _left_normal(plane, curve).evaluate
 
-    ts = curve.grid()
     (t0, t1), period = curve.domain, curve.period
-    smax = float(np.max(plane.norm(curve.derivative(ts, 1))))
-    step = curve.span / len(ts)
+    smax, step = float(np.max(speeds)), curve.span / len(ts)
     offsets = (2.0 * step, step, 0.5 * step)
 
     flips = []

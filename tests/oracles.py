@@ -2,15 +2,16 @@
 from the paper (orthogonality, the anti-norm as a supremum, envelopes of line
 families, osculating circles, the parallel sweep of the evolute, the evolute's
 predicted curvature pair) that check what the package computes, a unit vector
-carried to another norm, the unit circle's arc-length table built at once,
-finite differences that evaluate every stencil point, the scalar golden-section
-search of one bracket, the lp radial jet as its own formula, the plane kernels
-as they were when every circle evaluation built all its rows, distances
-between sampled curves, a cusp classification read off the curve alone, a
-cyclic word reduced by cancelling one pair at a time, a printer of
-expression trees that the parser must read back, and the tuple-tree parser
-and recursive evaluator that the expression programs must match. They use
-public normplane names only, so they do not share the code they check."""
+carried to another norm, the analysis grid of a curve with its speeds, the
+unit circle's arc-length table built at once, finite differences that
+evaluate every stencil point, the scalar golden-section search of one
+bracket, the lp radial jet as its own formula, the plane kernels as they were
+when every circle evaluation built all its rows, distances between sampled
+curves, a cusp classification read off the curve alone, a cyclic word reduced
+by cancelling one pair at a time, a printer of expression trees that the
+parser must read back, and the tuple-tree parser and recursive evaluator that
+the expression programs must match. They use public normplane names only, so
+they do not share the code they check."""
 
 import re
 
@@ -107,6 +108,14 @@ def transfer_unit(plane1, plane2, v):
     if np.max(np.abs(plane1.norm(v) - 1.0)) > UNIT_TOL:
         raise NotUnit("transfer_unit expects a unit vector of the source plane")
     return plane2.normal_from_tangent(plane1.birkhoff(v))
+
+
+
+def grid_speeds(plane, curve):
+    """The analysis grid of a curve and ||gamma'|| on it, the arrays that
+    extend_normal and find_singular_params are handed."""
+    ts = curve.grid()
+    return ts, plane.norm(curve.derivative(ts, 1))
 
 
 class EagerArclength:

@@ -21,7 +21,7 @@ from normplane.derived import evolute
 from normplane.errors import NotClosed, PreconditionViolated, ResidualViolation
 from normplane.numerics import GOLDEN_ITERS
 from normplane.plane import symplectic
-from oracles import cyclic_word_length, lateral_tangent_sign, scalar_golden_minimize
+from oracles import cyclic_word_length, grid_speeds, lateral_tangent_sign, scalar_golden_minimize
 
 TWO_PI = 2.0 * np.pi
 
@@ -606,6 +606,35 @@ def test_a_curve_pair_maps_its_normals_by_birkhoff_once(fourier_oval, monkeypatc
     assert points == [256]
 
 
+@pytest.mark.parametrize("norm, make, n, passes, norms", [
+    ("euclidean", lambda n: catalog.ellipse(2.0, 1.0, samples=n), 1024, 1, 3),
+    ("l3", lambda n: catalog.ellipse(2.0, 1.0, samples=n), 2048, 1, 3),
+    ("euclidean", catalog.cusp_t2t3, 512, 2, 4),
+    ("euclidean", catalog.cusp_t2t3, 2048, 2, 4),
+    ("euclidean", catalog.astroid, 2048, 2, 4),
+    ("l3", catalog.cusp_t2t3, 2048, 2, 4),
+], ids=["ellipse-1024", "ellipse-lp3-2048", "t2t3-512", "t2t3-2048", "astroid-2048",
+        "t2t3-lp3-2048"])
+def test_a_curve_pair_reads_its_grid_once(request, monkeypatch, norm, make, n, passes, norms):
+    """gamma' and its speeds are read on the grid once and handed to the
+    singular search, the normal's extension and the validation. The one
+    other whole-grid gamma' evaluation is the normal's jet on a curve with
+    singular points: the dip polish there replaces the curve's one kept
+    evaluation before the jet reads the grid. The grid-sized norms are the
+    speeds, the unit check of eta, b(eta) and, with singular points, the
+    jet's mask of the points far from them."""
+    plane, curve = request.getfixturevalue(norm), make(n)
+    grid_reads, grid_norms = [], []
+    d1 = curve.derivatives[0]
+    curve.derivatives = (lambda t: grid_reads.append(np.shape(t) == (n,)) or d1(t),
+                         *curve.derivatives[1:])
+    norm_of = plane.norm
+    monkeypatch.setattr(plane, "norm",
+                        lambda v: grid_norms.append(np.shape(v) == (n, 2)) or norm_of(v))
+    legendre_from_curve(plane, curve)
+    assert (sum(grid_reads), sum(grid_norms)) == (passes, norms)
+
+
 @pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["seam-at-zero", "seam-shifted"])
 @pytest.mark.parametrize("steps", [512, 2048, 8192])
 def test_degenerate_points_do_not_depend_on_the_seam(euclidean, sign, steps):
@@ -683,12 +712,12 @@ def test_each_polished_dip_has_the_bits_of_the_scalar_search(euclidean, l3, monk
     from normplane import analysis
 
     if case.startswith("t2t3"):
-        run = lambda: find_singular_params(l3 if case == "t2t3-l3" else euclidean,
-                                           catalog.cusp_t2t3())
+        plane, curve = l3 if case == "t2t3-l3" else euclidean, catalog.cusp_t2t3()
+        run = lambda: find_singular_params(plane, curve, *grid_speeds(plane, curve))
     elif case == "endpoint-dip":
         curve = ParamCurve(lambda t: np.stack([t ** 2 + 1e-4 * t, t ** 3], -1), (0.0, 1.0),
                            samples=64)
-        run = lambda: find_singular_params(euclidean, curve)
+        run = lambda: find_singular_params(euclidean, curve, *grid_speeds(euclidean, curve))
     elif case == "seam":
         cp = _seam_valleys(euclidean, -1.0)
         run = lambda: analysis._detect_cusps(cp)

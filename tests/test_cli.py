@@ -737,6 +737,12 @@ def test_corner_reject_config_exits_3(tmp_path, capsys):
     assert "jumps" in capsys.readouterr().err
 
 
+def test_thin_ellipse_config_builds(tmp_path):
+    # a 20:1 ellipse on 64 samples turns its tangent line at each tip within
+    # about one chord; it is smooth, so it is not refused as a corner
+    assert _run(tmp_path, "thin_ellipse_analyze.json") == 0
+
+
 _ELLIPSE = {"kind": "catalog", "name": "ellipse", "a": 2.0, "b": 1.0}
 _SYNTH = {"kind": "synthesis", "alpha": "cos(3*t)", "kappa": "1",
           "domain": [0.0, 6.283185307179586]}

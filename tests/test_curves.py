@@ -16,7 +16,7 @@ from normplane.errors import BadParameter, LimitsDisagree, OutOfDomain, Singular
 from normplane.numerics import differentiate, fd_weights, golden_minimize, merge_events
 from normplane.plane import NormSpec, build_plane
 from normplane.synthesis import SynthesisSpec, synthesize
-from oracles import is_birkhoff_orthogonal
+from oracles import grid_speeds, is_birkhoff_orthogonal
 
 TWO_PI = 2.0 * np.pi
 
@@ -214,17 +214,20 @@ def _singular_params_node_loop(plane, curve):
 def test_find_singular_params_matches_the_node_loop(euclidean, l3, make):
     for plane in (euclidean, l3):
         curve = make()
-        assert find_singular_params(plane, curve) == _singular_params_node_loop(plane, curve)
+        assert (find_singular_params(plane, curve, *grid_speeds(plane, curve))
+                == _singular_params_node_loop(plane, curve))
 
 
 def test_find_singular_params_between_nodes(euclidean):
-    found = find_singular_params(euclidean, catalog.cusp_t2t3())
+    curve = catalog.cusp_t2t3()
+    found = find_singular_params(euclidean, curve, *grid_speeds(euclidean, curve))
     assert len(found) == 1
     assert abs(found[0]) < 1e-8
 
 
 def test_extend_normal_astroid(euclidean):
-    nf = extend_normal(euclidean, catalog.astroid())
+    curve = catalog.astroid()
+    nf = extend_normal(euclidean, curve, *grid_speeds(euclidean, curve))
     ts = np.linspace(0.0, TWO_PI, 257)
     want = np.stack([np.sin(ts), np.cos(ts)], -1)
     assert np.max(np.abs(nf(ts) - want)) < 1e-7
@@ -234,7 +237,8 @@ def test_extend_normal_astroid(euclidean):
 
 
 def test_extend_normal_t2t3(euclidean):
-    nf = extend_normal(euclidean, catalog.cusp_t2t3())
+    curve = catalog.cusp_t2t3()
+    nf = extend_normal(euclidean, curve, *grid_speeds(euclidean, curve))
     ts = np.linspace(-0.95, 0.95, 41)
     want = np.stack([3.0 * ts, -2.0 * np.ones_like(ts)], -1)
     want /= np.sqrt(4.0 + 9.0 * ts ** 2)[:, None]
@@ -257,7 +261,8 @@ def test_extend_equals_induced_on_regular_curves(euclidean, l3, fourier_oval):
         left = lambda s: plane.normal_from_tangent(curve.derivative(s, 1))
         z, dz = normal_jet(plane, curve, ts, curve.derivative(ts, 1),
                            curve.derivative(ts, 2), left)
-        for eta in (induced_normal(plane, curve), extend_normal(plane, curve)):
+        for eta in (induced_normal(plane, curve),
+                    extend_normal(plane, curve, *grid_speeds(plane, curve))):
             value, rate = eta.value_and_rate(ts)
             assert np.array_equal(eta(ts), left(ts))
             assert np.array_equal(value, z) and np.array_equal(rate, dz)
@@ -315,7 +320,7 @@ def test_extended_normal_rate_keeps_its_sign_at_flat_directions(l3):
         lambda t: turned(np.asarray(t) ** 2, np.asarray(t) ** 3), (-1.0, 1.0),
         derivatives=(lambda t: turned(2.0 * np.asarray(t), 3.0 * np.asarray(t) ** 2),
                      lambda t: turned(2.0 + 0.0 * np.asarray(t), 6.0 * np.asarray(t))))
-    eta = extend_normal(l3, curve)
+    eta = extend_normal(l3, curve, *grid_speeds(l3, curve))
     t_flat = -np.tan(np.pi / 6.0) / 1.5
     w, dw = curve.derivative(t_flat, 1), curve.derivative(t_flat, 2)
     assert abs(l3.normal_from_tangent_with_derivative(w, dw)[2]) < 1e-6
@@ -325,7 +330,8 @@ def test_extended_normal_rate_keeps_its_sign_at_flat_directions(l3):
 
 
 def test_extended_normal_jet_inverts_the_supporting_map_once_per_point(l3, monkeypatch):
-    eta = extend_normal(l3, catalog.cusp_t2t3())
+    curve = catalog.cusp_t2t3()
+    eta = extend_normal(l3, curve, *grid_speeds(l3, curve))
     ts = np.linspace(0.2, 0.9, 50)
     points = []
     invert = l3.tangent_theta
@@ -377,6 +383,21 @@ def test_coarse_smooth_pairs_still_build(euclidean):
         assert np.max(np.linalg.norm(np.diff(xi, axis=0), axis=1)) > 0.5
 
 
+@pytest.mark.parametrize("a, n", [(20.0, 64), (20.0, 65), (5.0, 16)])
+def test_thin_ellipses_the_grid_does_not_resolve_still_build(euclidean, l3, fourier_oval, a, n):
+    # each tip turns the tangent line within about a chord, which the grid
+    # rule flags as it would a corner; at a quarter of the spacing the turn
+    # spreads over even chords, so the flag is cleared, and the tangent
+    # direction b(eta) of the pair has no jump
+    from normplane.analysis import _jumps
+
+    for plane in (euclidean, l3, fourier_oval):
+        L = legendre_from_curve(plane, catalog.ellipse(a, 1.0, samples=n))
+        assert np.any(_jumps(plane.birkhoff(L.normals), closed=True))
+        xi = plane.birkhoff(L.eta(np.linspace(0.0, TWO_PI, 4097)))
+        assert np.max(np.linalg.norm(np.diff(xi, axis=0), axis=1)) < 0.1
+
+
 def _shifted_circle(n):
     # the tangent crosses each axis direction midway between two grid nodes
     s = np.pi / n
@@ -407,7 +428,8 @@ def test_t2t3_builds_on_coarse_grids(euclidean, l3, n):
     ts = np.linspace(-0.95, 0.95, 41)
     want = np.stack([3.0 * ts, -2.0 * np.ones_like(ts)], -1)
     want /= np.sqrt(4.0 + 9.0 * ts ** 2)[:, None]
-    eta = extend_normal(euclidean, catalog.cusp_t2t3(samples=n))
+    curve = catalog.cusp_t2t3(samples=n)
+    eta = extend_normal(euclidean, curve, *grid_speeds(euclidean, curve))
     assert np.max(np.abs(eta(ts) - want)) < 1e-7
 
 
@@ -532,7 +554,8 @@ def test_the_extended_normal_jet_reads_both_derivatives_from_one_stencil(request
         return np.stack([t ** 2, t ** 3], -1)
 
     curve = ParamCurve(position, (-1.0, 1.0), samples=2048)
-    field = extend_normal(request.getfixturevalue(norm), curve)
+    plane = request.getfixturevalue(norm)
+    field = extend_normal(plane, curve, *grid_speeds(plane, curve))
     ts = curve.grid()
     points.clear()
     value, rate = field.value_and_rate(ts)

@@ -21,6 +21,7 @@ from oracles import (
     distance_squared_rates,
     evolute_as_parallel_singularities,
     evolute_curvature,
+    grid_speeds,
     normal_envelope_residual,
     osculating_data,
     pedal_envelope_residual,
@@ -482,11 +483,16 @@ def _turn(angle):
     return np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
 
 
+def _extended_t2t3(plane):
+    curve = catalog.cusp_t2t3()
+    return extend_normal(plane, curve, *grid_speeds(plane, curve))
+
+
 # every normal-field builder that gives its field a (value, rate) jet
 _JET_FIELDS = {
     "induced-euclid": lambda fx: induced_normal(fx("euclidean"), catalog.ellipse()),
     "induced-lp3": lambda fx: induced_normal(fx("l3"), catalog.ellipse()),
-    "extended-t2t3": lambda fx: extend_normal(fx("euclidean"), catalog.cusp_t2t3()),
+    "extended-t2t3": lambda fx: _extended_t2t3(fx("euclidean")),
     "evolute-nu": lambda fx: evolute(fx("ellipse_pair")).eta,
     "involute-xi": lambda fx: involute(fx("circle_pair"), 0.5).eta,
     "synthesized": lambda fx: fx("maslov_pair").eta,
@@ -651,9 +657,9 @@ def test_derived_pair_values_invert_the_supporting_map_a_fixed_number_of_times(
 ], ids=["euclidean-ellipse", "lp3-t2t3"])
 def test_building_an_evolute_inverts_the_supporting_map_a_fixed_number_of_times(
         euclidean, l3, monkeypatch, norm, make, inversions):
-    # validating the evolute reads eta's jet before gamma', so gamma' (whose
-    # d1 needs that jet) finds it kept; reading gamma' first would cost one
-    # more inversion per grid node (4625 and 4116 here)
+    # make_legendre reads the evolute normal's jet on the grid before gamma',
+    # so gamma' (whose d1 needs that jet) finds it kept; reading gamma' first
+    # would cost one more inversion per grid node (4625 and 4116 here)
     plane = {"euclidean": euclidean, "l3": l3}[norm]
     L = legendre_from_curve(plane, make())
     points = []
