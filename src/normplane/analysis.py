@@ -15,11 +15,11 @@ ways from (alpha, kappa).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .curves import FD_STEP_FACTOR, NormalField, ParamCurve, extend_normal
+from .curves import FD_STEP_FACTOR, NormalField, ParamCurve, _field, tangent_normal
 from .errors import (
     BadParameter,
     DegenerateFrame,
@@ -63,8 +63,13 @@ class LegendreCurve:
     """A validated (curve, unit normal) pair over one normed plane with its
     curvature pair: gamma' = alpha xi and eta' = kappa xi, xi = b(eta).
 
+    `frame(t, rate)` evaluates the pair at an array t of parameters on the
+    curve's domain: (gamma', eta), or (gamma', eta, eta') when `rate` is set,
+    each part with the bits of gamma.derivative(t, 1), eta(t) and
+    eta.value_and_rate(t).
     `alpha`, `kappa` and the normals are sampled on the grid `ts` in the pass
-    that validated the pair; the methods evaluate the pair at any parameter.
+    that validated the pair; the methods evaluate the pair at any parameter,
+    by one frame call at the parameter the curve puts on its domain.
     A parameter with the bits of a grid node reads the samples there, which
     are the bits its evaluation gives, since every evaluator works point by
     point; any other parameter, -0.0, NaN and a wrapped twin of a node
@@ -74,6 +79,7 @@ class LegendreCurve:
     plane: NormedPlane
     gamma: ParamCurve
     eta: NormalField
+    frame: Callable
     residual: float
     ts: np.ndarray
     alpha: np.ndarray
@@ -108,8 +114,10 @@ class LegendreCurve:
     def kappa_scale(self):
         return max(float(np.max(np.abs(self.kappa))), 1e-300)
 
-    def _frame_at(self, t, e, *rate):
-        return _frame_values(e, self.plane.birkhoff(e), self.gamma.derivative(t, 1), *rate)
+    def _pair_at(self, t, rate):
+        """(alpha,), or (alpha, kappa) when rate is set, from one frame call."""
+        d1, e, *e_rate = self.frame(self.gamma._wrap(t), rate)
+        return _frame_values(e, self.plane.birkhoff(e), d1, *e_rate)
 
     def _read_grid(self, t, samples, evaluate):
         """The samples at the parameters of t that are grid nodes, bit for
@@ -130,13 +138,12 @@ class LegendreCurve:
         return out
 
     def values_at(self, t):
-        """(alpha(t), kappa(t)) from one evaluation of the normal's jet."""
-        return self._read_grid(t, (self.alpha, self.kappa),
-                               lambda s: self._frame_at(s, *self.eta.value_and_rate(s)))
+        """(alpha(t), kappa(t)) from one frame with the normal's rate."""
+        return self._read_grid(t, (self.alpha, self.kappa), lambda s: self._pair_at(s, True))
 
     def alpha_at(self, t):
-        """alpha(t) from the normal alone, bit for bit values_at(t)[0]."""
-        return self._read_grid(t, (self.alpha,), lambda s: self._frame_at(s, self.eta(s)))[0]
+        """alpha(t) from a frame without the normal's rate, bit for bit values_at(t)[0]."""
+        return self._read_grid(t, (self.alpha,), lambda s: self._pair_at(s, False))[0]
 
     def kappa_at(self, t):
         return self.values_at(t)[1]
@@ -166,15 +173,19 @@ def _frame_values(eta, xi, d1, *eta_rate):
 
 
 def make_legendre(plane: NormedPlane, gamma: ParamCurve, eta: NormalField,
-                  residual_tol: float = RESIDUAL_TOL) -> LegendreCurve:
-    """Validate the pair and sample its curvature pair (see _validate)."""
+                  residual_tol: float = RESIDUAL_TOL, frame=None) -> LegendreCurve:
+    """Validate the pair and sample its curvature pair (see _validate) from
+    one call of its frame (see LegendreCurve) on the grid; without one,
+    gamma' and the normal are evaluated apart."""
+    if frame is None:
+        def frame(t, rate):
+            return (gamma.derivative(t, 1), *(eta.value_and_rate(t) if rate else (eta(t),)))
+
     ts = gamma.grid()
     with np.errstate(all="ignore"):     # NaN and inf are refused by _validate, with no warning
-        e, e_rate = eta.value_and_rate(ts)
-        # an evolute's gamma' reads the base jet that its normal's jet kept at ts
-        d1 = gamma.derivative(ts, 1)
+        d1, e, e_rate = frame(ts, True)
         res, alpha, kappa, _ = _validate(plane, e, e_rate, d1, plane.norm(d1), residual_tol)
-    return LegendreCurve(plane, gamma, eta, res, ts, alpha, kappa, e)
+    return LegendreCurve(plane, gamma, eta, frame, res, ts, alpha, kappa, e)
 
 
 def _validate(plane, e, e_rate, d1, speeds, residual_tol):
@@ -251,17 +262,26 @@ def legendre_from_curve(plane: NormedPlane, curve: ParamCurve) -> LegendreCurve:
     turn shows a jump there too, so a flagged chord is refused only if the
     jump is still there at a finer spacing (_jump_persists)."""
     ts = curve.grid()
-    d1 = curve.derivative(ts, 1)
+    d1, d2 = curve.derivative(ts, (1, 2))
     speeds = plane.norm(d1)
-    eta = extend_normal(plane, curve, ts, speeds)
+    value, jet = tangent_normal(plane, curve, ts, speeds)
+
+    def frame(t, rate):
+        if rate:
+            w, dw = curve.derivative(t, (1, 2))
+            return (w, *jet(t, w, dw))
+        w = curve.derivative(t, 1)
+        return w, value(t, w)
+
+    eta = _field(curve, value, jet)
     with np.errstate(all="ignore"):     # NaN and inf are refused below, with no warning
-        e, e_rate = eta.value_and_rate(ts)
+        e, e_rate = jet(ts, d1, d2)
         res, alpha, kappa, xi = _validate(plane, e, e_rate, d1, speeds, RESIDUAL_TOL)
         for k in np.nonzero(_jumps(xi, curve.closed))[0]:
             if _jump_persists(plane, curve, eta, ts[k], ts[1] - ts[0]):
                 raise LimitsDisagree(
                     f"normal field jumps after t = {float(ts[k]):.6g}: tangent lines do not join")
-    return LegendreCurve(plane, curve, eta, res, ts, alpha, kappa, e)
+    return LegendreCurve(plane, curve, eta, frame, res, ts, alpha, kappa, e)
 
 
 def curvature_pair(L: LegendreCurve) -> LegendreCurve:

@@ -33,13 +33,8 @@ class _Field:
     """What a curve and its normal field share. A parameter is put on the
     `domain` by one rule: wrapped when `closed`; else refused with
     OutOfDomain more than 1e-9 of the span outside, and clipped. Finite
-    differences step FD_STEP_FACTOR of the span. The last evaluation is kept
-    as read-only arrays of the orders held, keyed by the exact shape and
-    bytes of the parameters, replaced by one assignment and read through
-    one reference; a call there evaluates only the orders not held.
+    differences step FD_STEP_FACTOR of the span.
     """
-
-    _kept = None
 
     @property
     def span(self):
@@ -66,37 +61,14 @@ class _Field:
         return differentiate(f, t, order, self.span * FD_STEP_FACTOR,
                              domain=self.domain, closed=self.closed)
 
-    def _held(self, t):
-        """The bytes of t when its shape is the kept one, and the orders kept at t."""
-        kept = self._kept
-        if kept is None or kept[0] != t.shape:
-            return None, {}
-        key = t.tobytes()
-        return key, (kept[2] if kept[1] == key else {})
 
-    def _keep(self, t, orders, evaluate):
-        """The arrays of the given orders at t: those held, and the missing
-        ones from evaluate(missing), kept with them."""
-        key, held = self._held(t)
-        missing = tuple(k for k in orders if k not in held)
-        if missing:
-            held = dict(held)
-            for k, values in zip(missing, evaluate(missing)):
-                held[k] = np.asarray(values, dtype=float).view()
-                held[k].flags.writeable = False
-            self._kept = (t.shape, t.tobytes() if key is None else key, held)
-        return tuple(held[k] for k in orders)
-
-
-@dataclass
+@dataclass(frozen=True)
 class ParamCurve(_Field):
     """A smooth curve t -> (x, y) on [t0, t1] with derivative access to order 3.
 
     `position` must accept scalars and arrays. `derivatives` holds analytic
     evaluators of the orders 1..k, k <= 3; the orders above k fall back to
-    finite differences. The kept derivatives are keyed by the parameters as
-    given, before any wrap, so a parameter outside a closed domain never
-    reads the derivatives of its wrapped twin.
+    finite differences.
     """
 
     position: Callable
@@ -134,19 +106,16 @@ class ParamCurve(_Field):
         orders = order if isinstance(order, tuple) else (order,)
         if not orders or any(k not in (1, 2, 3) for k in orders):
             raise BadParameter("derivative order must be 1, 2 or 3")
-        t, m = np.asarray(t, dtype=float), len(self.derivatives)
-
-        def evaluate(missing):
-            out = {k: self.derivatives[k - 1](self._wrap(t)) for k in missing if k <= m}
-            group = [k for k in missing if k > m]
-            if group:
-                base = self.position if m == 0 else self.derivatives[m - 1]
-                values = self.difference(lambda s: np.asarray(base(self._wrap(s)), dtype=float),
-                                         t, tuple(k - m for k in group))
-                out.update(zip(group, values))
-            return [out[k] for k in missing]
-
-        out = self._keep(t, orders, evaluate)
+        m = len(self.derivatives)
+        out = {k: np.asarray(self.derivatives[k - 1](self._wrap(t)), dtype=float)
+               for k in orders if k <= m}
+        group = tuple(k - m for k in orders if k > m)
+        if group:
+            base = self.position if m == 0 else self.derivatives[m - 1]
+            values = self.difference(lambda s: np.asarray(base(self._wrap(s)), dtype=float),
+                                     t, group)
+            out.update(zip((k + m for k in group), values))
+        out = tuple(out[k] for k in orders)
         return out if isinstance(order, tuple) else out[0]
 
     def grid(self):
@@ -155,16 +124,15 @@ class ParamCurve(_Field):
         return np.linspace(t0, t1, self.samples, endpoint=not self.closed)
 
 
-@dataclass
+@dataclass(frozen=True)
 class NormalField(_Field):
     """A unit field t -> eta(t) along a curve, on the curve's domain by its rule.
 
     `evaluate` maps parameters of any shape (a scalar is 0-d) to normals of
     that shape + (2,). `jet`, when given, maps t to (eta(t), eta'(t)) in one
-    evaluation; it alone is kept, keyed by the parameters on the domain, and
-    a call there reads its first part, which must therefore equal `evaluate`
-    bit for bit. Without it the rate is a finite difference of `evaluate`,
-    and `value_and_rate` reads the value from the centre of the same stencil.
+    evaluation, whose first part must equal `evaluate` bit for bit. Without
+    it the rate is a finite difference of `evaluate`, and `value_and_rate`
+    reads the value from the centre of the same stencil.
     """
 
     evaluate: Callable
@@ -173,24 +141,18 @@ class NormalField(_Field):
     jet: Optional[Callable] = None
 
     def __call__(self, t):
-        p = self._wrap(t)
-        held = self._held(p)[1]
-        return held[0] if held else np.asarray(self.evaluate(p), dtype=float)
+        return np.asarray(self.evaluate(self._wrap(t)), dtype=float)
 
     def value_and_rate(self, t):
         """(eta(t), eta'(t)), from one jet evaluation when the field has one,
         else from one stencil evaluation."""
         if self.jet is None:
-            return self.difference(self._evaluate_at, t, (0, 1))
-        p = self._wrap(t)
-        return self._keep(p, (0, 1), lambda _: self.jet(p))
-
-    def _evaluate_at(self, s):
-        return np.asarray(self.evaluate(self._wrap(s)), dtype=float)
+            return self.difference(self, t, (0, 1))
+        return self.jet(self._wrap(t))
 
     def derivative(self, t, order=1):
         if self.jet is None:
-            return self.difference(self._evaluate_at, t, order)
+            return self.difference(self, t, order)
         if order == 1:
             return self.value_and_rate(t)[1]
         return self.difference(lambda s: self.value_and_rate(s)[1], t, order - 1)
@@ -228,15 +190,23 @@ def normal_jet(plane: NormedPlane, curve: ParamCurve, t, w, dw, fallback):
     return z, dz
 
 
-def _left_normal(plane: NormedPlane, curve: ParamCurve) -> NormalField:
-    """normal_from_tangent(gamma') with its normal_jet rate."""
+def _left_normal(plane: NormedPlane, curve: ParamCurve):
+    """normal_from_tangent(gamma') as value(t, w) and jet(t, w, dw) of the
+    parameters t, w = gamma'(t) and dw = gamma''(t), with its normal_jet rate."""
 
-    def left(t):
-        return plane.normal_from_tangent(curve.derivative(t, 1))
+    def value(t, w):
+        return plane.normal_from_tangent(w)
 
-    return NormalField(left, curve.domain, curve.closed,
-                       lambda t: normal_jet(plane, curve, t, *curve.derivative(t, (1, 2)),
-                                            left))
+    def jet(t, w, dw):
+        return normal_jet(plane, curve, t, w, dw, lambda s: value(s, curve.derivative(s, 1)))
+
+    return value, jet
+
+
+def _field(curve: ParamCurve, value, jet) -> NormalField:
+    """The field of a normal given as value(t, w) and jet(t, w, dw)."""
+    return NormalField(lambda t: value(t, curve.derivative(t, 1)), curve.domain, curve.closed,
+                       lambda t: jet(t, *curve.derivative(t, (1, 2))))
 
 
 def induced_normal(plane: NormedPlane, curve: ParamCurve) -> NormalField:
@@ -245,11 +215,18 @@ def induced_normal(plane: NormedPlane, curve: ParamCurve) -> NormalField:
     ts = curve.grid()
     if find_singular_params(plane, curve, ts, plane.norm(curve.derivative(ts, 1))):
         raise SingularPoint("curve has singular points; its normal must be extended")
-    return _left_normal(plane, curve)
+    return _field(curve, *_left_normal(plane, curve))
 
 
 def extend_normal(plane: NormedPlane, curve: ParamCurve, ts, speeds) -> NormalField:
-    """Left normal of the curve, kept smooth through isolated singular points.
+    """Left normal of the curve, kept smooth through isolated singular points
+    (see tangent_normal)."""
+    return _field(curve, *tangent_normal(plane, curve, ts, speeds))
+
+
+def tangent_normal(plane: NormedPlane, curve: ParamCurve, ts, speeds):
+    """Left normal of the curve, kept smooth through isolated singular points,
+    as value(t, w) and jet(t, w, dw) of t, w = gamma'(t) and dw = gamma''(t).
 
     The left normal normal_from_tangent(gamma') flips sign wherever the
     normalized tangent does (an ordinary cusp); flips are located precisely
@@ -259,9 +236,9 @@ def extend_normal(plane: NormedPlane, curve: ParamCurve, ts, speeds) -> NormalFi
     here: a corner shows as a jump of the sampled tangent line (legendre_from_curve).
     """
     singular = find_singular_params(plane, curve, ts, speeds)
+    left_value, left_jet = _left_normal(plane, curve)
     if not singular:
-        return _left_normal(plane, curve)
-    left = _left_normal(plane, curve).evaluate
+        return left_value, left_jet
 
     (t0, t1), period = curve.domain, curve.period
     smax, step = float(np.max(speeds)), curve.span / len(ts)
@@ -315,12 +292,11 @@ def extend_normal(plane: NormedPlane, curve: ParamCurve, ts, speeds) -> NormalFi
         return np.where((par - base_parity) % 2 == 0, 1.0, -1.0)[..., None]
 
     def signed(t):
-        return left(t) * sign_of(t)
+        return plane.normal_from_tangent(curve.derivative(t, 1)) * sign_of(t)
 
     delta = curve.span * 1e-6
 
-    def from_tangent(t, w):
-        # the field at t from gamma'(t) = w
+    def value(t, w):
         near = plane.norm(w) < 1e-6 * smax
         out = np.empty(t.shape + (2,))
         if np.any(~near):
@@ -331,24 +307,19 @@ def extend_normal(plane: NormedPlane, curve: ParamCurve, ts, speeds) -> NormalFi
             out[near] = mid / plane.norm(mid)[..., None]
         return out
 
-    def evaluate(t):
-        return from_tangent(t, curve.derivative(t, 1))
-
-    def jet(t):
+    def jet(t, w, dw):
         # away from the singular points one inversion of the supporting map
         # gives both parts; near them the averaged value and its difference
-        w, dw = curve.derivative(t, (1, 2))
         far = plane.norm(w) >= 1e-3 * smax
         z = np.empty(t.shape + (2,))
         dz = np.empty(t.shape + (2,))
         if np.any(far):
             sign = sign_of(t[far])
-            z_far, dz_far = normal_jet(plane, curve, t[far], w[far], dw[far], left)
+            z_far, dz_far = left_jet(t[far], w[far], dw[far])
             z[far], dz[far] = z_far * sign, dz_far * sign
         if np.any(~far):
-            z[~far] = from_tangent(t[~far], w[~far])
-            dz[~far] = curve.difference(evaluate, t[~far], 1)
+            z[~far] = value(t[~far], w[~far])
+            dz[~far] = curve.difference(lambda s: value(s, curve.derivative(s, 1)), t[~far], 1)
         return z, dz
 
-    return NormalField(evaluate, curve.domain, curve.closed, jet)
-
+    return value, jet

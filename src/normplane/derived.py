@@ -36,12 +36,13 @@ def parallel(L: LegendreCurve, d: float) -> LegendreCurve:
     def pos(t):
         return gamma.point(t) + d * eta(t)
 
-    def d1(t):
-        return gamma.derivative(t, 1) + d * eta.derivative(t, 1)
+    def frame(t, rate):
+        d1, e, e_rate = L.frame(t, True)
+        return (d1 + d * e_rate, e, e_rate) if rate else (d1 + d * e_rate, e)
 
-    curve = ParamCurve(pos, gamma.domain, gamma.closed, (d1,), gamma.samples,
-                       name=f"parallel[{d}]")
-    return make_legendre(L.plane, curve, eta)
+    curve = ParamCurve(pos, gamma.domain, gamma.closed, (lambda t: frame(t, False)[0],),
+                       gamma.samples, name=f"parallel[{d}]")
+    return make_legendre(L.plane, curve, eta, frame=frame)
 
 
 def evolute(L: LegendreCurve) -> LegendreCurve:
@@ -58,25 +59,27 @@ def evolute(L: LegendreCurve) -> LegendreCurve:
         g = L.ratio_at(t)
         return gamma.point(t) - np.asarray(g)[..., None] * eta(t)
 
-    def d1(t):
-        # eta(t) first: it reads the jet of eta that nu's jet kept at t,
-        # which the stencils of the ratio's rate replace
-        e = eta(t)
-        return -np.asarray(L.ratio_rate_at(t))[..., None] * e
-
-    e_curve = ParamCurve(pos, gamma.domain, gamma.closed, (d1,), gamma.samples,
-                         name="evolute")
-
-    def nu_eval(t):
-        return -plane.normal_from_tangent(eta(t))
-
-    def nu_jet(t):
-        z, dz = normal_jet(plane, gamma, t, *eta.value_and_rate(t),
+    def nu_jet(t, e, e_rate):
+        z, dz = normal_jet(plane, gamma, t, e, e_rate,
                            lambda s: plane.normal_from_tangent(eta(s)))
         return -z, -dz
 
-    nu = NormalField(nu_eval, gamma.domain, gamma.closed, nu_jet)
-    return make_legendre(plane, e_curve, nu, residual_tol=1e-4)
+    def d1(t, e):
+        return -np.asarray(L.ratio_rate_at(t))[..., None] * e
+
+    def frame(t, rate):
+        # gamma' = -(alpha/kappa)' eta and nu, from one value or jet of eta
+        if not rate:
+            e = eta(t)
+            return d1(t, e), -plane.normal_from_tangent(e)
+        e, e_rate = eta.value_and_rate(t)
+        return (d1(t, e), *nu_jet(t, e, e_rate))
+
+    e_curve = ParamCurve(pos, gamma.domain, gamma.closed, (lambda t: d1(t, eta(t)),),
+                         gamma.samples, name="evolute")
+    nu = NormalField(lambda t: -plane.normal_from_tangent(eta(t)), gamma.domain, gamma.closed,
+                     lambda t: nu_jet(t, *eta.value_and_rate(t)))
+    return make_legendre(plane, e_curve, nu, residual_tol=1e-4, frame=frame)
 
 
 def involute(L: LegendreCurve, d: float) -> LegendreCurve:
@@ -109,22 +112,22 @@ def involute(L: LegendreCurve, d: float) -> LegendreCurve:
     def xi_eval(t):
         return plane.birkhoff(eta(t))
 
-    def xi_jet(t):
-        return plane.unit_tangent_with_derivative(*eta.value_and_rate(t))
-
     def pos(t):
         return gamma.point(t) - (A_at(t) - d)[..., None] * xi_eval(t)
 
-    xi_field = NormalField(xi_eval, gamma.domain, gamma.closed, xi_jet)
+    xi_field = NormalField(xi_eval, gamma.domain, gamma.closed,
+                           lambda t: plane.unit_tangent_with_derivative(*eta.value_and_rate(t)))
 
-    def d1(t):
-        return (d - A_at(t))[..., None] * xi_field.value_and_rate(t)[1]
+    def frame(t, rate):
+        xi, xi_rate = xi_field.value_and_rate(t)
+        d1 = (d - A_at(t))[..., None] * xi_rate
+        return (d1, xi, xi_rate) if rate else (d1, xi)
 
     span_A = float(A_nodes[-1])
     closed = bool(gamma.closed and abs(span_A) < 1e-9)
-    curve = ParamCurve(pos, gamma.domain, closed, (d1,), gamma.samples,
-                       name=f"involute[{d}]")
-    return make_legendre(plane, curve, xi_field)
+    curve = ParamCurve(pos, gamma.domain, closed, (lambda t: frame(t, False)[0],),
+                       gamma.samples, name=f"involute[{d}]")
+    return make_legendre(plane, curve, xi_field, frame=frame)
 
 
 @dataclass

@@ -105,20 +105,20 @@ def synthesize(plane: NormedPlane, spec: SynthesisSpec) -> LegendreCurve:
     theta_of_t = Hermite(t_nodes, unwrap_mod(theta_n, TWO_PI), k_half[::2] / speed_n)
     pos = Hermite(t_nodes, gamma_nodes, a_half[::2, None] * xi_n)
 
-    def eta_eval(t):
-        return plane.circle_point(theta_of_t(t))
-
-    def xi_eval(t):
-        w = plane.circle_d1(theta_of_t(t))
-        return w / plane.norm(w)[..., None]
-
-    def eta_jet(t):
+    def turn(t, *fields):
+        """eta = c(theta(t)) and f(t) xi, xi = b(eta), for each scalar field f,
+        from one circle jet."""
+        t = np.asarray(t, dtype=float)
         e, w = plane.circle_jet(theta_of_t(t), (0, 1))
-        return e, np.asarray(spec.kappa(t), dtype=float)[..., None] * (w / plane.norm(w)[..., None])
+        xi = w / plane.norm(w)[..., None]
+        return (e, *(np.asarray(f(t), dtype=float)[..., None] * xi for f in fields))
+
+    def frame(t, rate):
+        e, d1, *e_rate = turn(t, spec.alpha, *((spec.kappa,) if rate else ()))
+        return (d1, e, *e_rate)
 
     def gamma_d1(t):
-        t = np.asarray(t, dtype=float)
-        return np.asarray(spec.alpha(t), dtype=float)[..., None] * xi_eval(t)
+        return turn(t, spec.alpha)[1]
 
     seam = float(np.linalg.norm(gamma_nodes[-1] - gamma_nodes[0]))
     d_seam = float(np.max(np.abs(gamma_d1(t0) - gamma_d1(t1))))
@@ -126,8 +126,9 @@ def synthesize(plane: NormedPlane, spec: SynthesisSpec) -> LegendreCurve:
 
     curve = ParamCurve(pos, (t0, t1), closed=closed, derivatives=(gamma_d1,),
                        name="synthesized")
-    eta = NormalField(eta_eval, (t0, t1), closed, eta_jet)
-    return make_legendre(plane, curve, eta)
+    eta = NormalField(lambda t: plane.circle_point(theta_of_t(t)), (t0, t1), closed,
+                      lambda t: turn(t, spec.kappa))
+    return make_legendre(plane, curve, eta, frame=frame)
 
 
 def apply_linear_map(L: LegendreCurve, matrix, is_isometry_of_plane: bool = False) -> LegendreCurve:

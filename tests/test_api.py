@@ -47,13 +47,21 @@ def test_oracles_live_with_the_tests_and_read_public_names_only():
 
 
 def test_the_validated_pair_is_its_own_curvature_pair(circle_pair):
-    # one object: the evaluators are methods, and the only callable it holds
-    # is the normal field eta itself
+    # one object: the evaluators are methods, and the only callables it holds
+    # are the normal field eta itself and the frame that evaluates the pair
     assert not hasattr(normplane, "CurvaturePair")
     assert normplane.curvature_pair(circle_pair) is circle_pair
     for field in dataclasses.fields(normplane.LegendreCurve):
         value = getattr(circle_pair, field.name)
-        assert not callable(value) or isinstance(value, normplane.NormalField), field.name
+        assert (not callable(value) or isinstance(value, normplane.NormalField)
+                or field.name == "frame"), field.name
+
+
+def test_curves_and_normal_fields_hold_no_evaluations():
+    # each call evaluates: nothing is kept between calls, and nothing can be
+    for cls in (normplane.ParamCurve, normplane.NormalField):
+        assert cls.__dataclass_params__.frozen
+        assert not any(hasattr(cls, name) for name in ("_kept", "_held", "_keep"))
 
 
 def test_parallels_evolutes_and_involutes_are_pairs(ellipse_pair):

@@ -478,38 +478,6 @@ def test_extended_pair_inverts_the_supporting_map_once_per_point(l3, monkeypatch
     assert sum(points) == 256
 
 
-def test_a_curve_keeps_its_last_derivatives_read_only():
-    points = []
-
-    def position(t):
-        points.append(np.size(t))
-        return np.stack([np.cos(t) + 0.3 * np.cos(2.0 * t), np.sin(t) - 0.3 * np.sin(2.0 * t)], -1)
-
-    def fresh():
-        return ParamCurve(position, (0.0, TWO_PI), closed=True, samples=64)
-
-    curve = fresh()
-    ts = curve.grid()
-    points.clear()
-    d1 = curve.derivative(ts, 1)
-    assert sum(points) == 7 * ts.size
-    with pytest.raises(ValueError):
-        d1[0, 0] = 0.0
-    # the orders held are read, the others evaluated from one stencil
-    points.clear()
-    again, d2 = curve.derivative(ts.copy(), (1, 2))
-    assert sum(points) == 7 * ts.size and again is d1
-    points.clear()
-    assert curve.derivative(ts, 2) is d2 and points == []
-    # a parameter past the seam keys on its own bytes, not its wrapped twin's
-    outside = ts[5:6] + TWO_PI
-    twin = curve.derivative(np.mod(outside, TWO_PI), 1)
-    points.clear()
-    got = curve.derivative(outside, 1)
-    assert sum(points) == 7 and got is not twin
-    assert np.array_equal(got, fresh().derivative(outside, 1))
-
-
 def test_expression_derivatives_read_one_position_stencil(euclidean):
     # gamma' and gamma'' of a curve given by its position alone are both
     # finite differences of it: one 7-point stencil per parameter serves both
@@ -519,8 +487,6 @@ def test_expression_derivatives_read_one_position_stencil(euclidean):
         points.append(np.size(t))
         return np.stack([np.cos(t) + 0.3 * np.cos(2.0 * t), np.sin(t) - 0.3 * np.sin(2.0 * t)], -1)
 
-    # each count on a fresh curve: a curve keeps its last derivatives, so a
-    # second call at the same parameters evaluates nothing
     def fresh():
         return ParamCurve(position, (0.0, TWO_PI), closed=True, samples=64)
 

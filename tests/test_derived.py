@@ -8,6 +8,7 @@ from normplane import catalog
 from normplane.analysis import (
     curvature_pair,
     legendre_from_curve,
+    make_legendre,
     singularity_report,
     transfer_legendre,
 )
@@ -514,7 +515,8 @@ def test_value_and_rate_is_value_and_derivative(request, name):
 
 @pytest.mark.parametrize("name", sorted(_JET_FIELDS))
 def test_the_jet_begins_with_the_bits_of_evaluate(request, name):
-    # a field's kept jet answers its calls, so the two must agree bit for bit
+    # alpha_at reads a pair's normal without its rate and values_at with it,
+    # so the two must agree bit for bit
     field = _JET_FIELDS[name](request.getfixturevalue)
     p = field._wrap(np.linspace(field.domain[0], field.domain[1], 257))
     assert np.array_equal(np.asarray(field.jet(p)[0]), np.asarray(field.evaluate(p)))
@@ -524,34 +526,9 @@ def _fresh(field):
     return NormalField(field.evaluate, field.domain, field.closed, field.jet)
 
 
-@pytest.mark.parametrize("name", sorted(_JET_FIELDS))
-def test_the_kept_jet_gives_the_bits_of_a_fresh_field(request, name):
-    field = _JET_FIELDS[name](request.getfixturevalue)
-    t0, t1 = field.domain
-    ts = np.linspace(t0, t1, 101)[1:-1]
-    queries = [ts, ts, ts[::3], ts, t0 + 0.37 * (t1 - t0), t0 + 0.37 * (t1 - t0)]
-    if field.closed:
-        queries += [ts + (t1 - t0), ts - 2.5 * (t1 - t0), ts]
-    for t in queries:
-        want = _fresh(field).value_and_rate(t)
-        for got in (field.value_and_rate(t), field.value_and_rate(t)):
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        assert np.array_equal(field(t), want[0])
-        assert np.array_equal(field(t), _fresh(field)(t))
-    # the kept arrays are read-only: a write raises instead of changing a later read
-    eta, rate = field.value_and_rate(ts)
-    for kept in (eta, rate, field(ts), field.value_and_rate(0.37 * t1)[0]):
-        with pytest.raises(ValueError):
-            kept[0] = 0.0
-    want = _fresh(field).value_and_rate(ts)
-    assert np.array_equal(field.value_and_rate(ts)[0], want[0])
-    assert np.array_equal(field(ts), want[0])
-
-
 def test_threads_sharing_a_field_read_their_own_bits(l3):
-    # the kept jet is replaced by one assignment and read through one
-    # reference: threads that share a field, each at its own parameters,
-    # always get their own bits
+    # a field holds no evaluation: threads that share it, each at its own
+    # parameters, always get their own bits
     field = induced_normal(l3, catalog.ellipse())
     grids = [np.linspace(0.1 * k, 6.0, 64 + k) for k in range(4)]
     wants = [_fresh(field).value_and_rate(ts) for ts in grids]
@@ -601,21 +578,50 @@ def test_alpha_at_is_the_first_part_of_values_at(request, monkeypatch, name):
     assert off.size
     for t in (off, 0.37):
         assert np.array_equal(cp.alpha_at(t), cp.values_at(t)[0])
-    # one value of the normal per point: no jet, no finite difference of it
-    points = []
-    evaluate = L.eta.evaluate
-    monkeypatch.setattr(L.eta, "evaluate", lambda t: points.append(np.size(t)) or evaluate(t))
+    # one frame per call, without the normal's rate: no jet of the normal
+    # and no finite difference of it
+    calls = []
+    frame = L.frame
+    monkeypatch.setattr(L, "frame", lambda t, rate: calls.append((np.size(t), rate))
+                        or frame(t, rate))
     cp.alpha_at(off)
-    assert points == [off.size]
+    assert calls == [(off.size, False)]
     # a grid node reads its sample and evaluates nothing; the sample is the
     # bits the normal alone gives the node in another batch
     nodes = cp.ts[::-1]
     assert np.array_equal(cp.alpha_at(nodes), cp.alpha[::-1])
     assert np.array_equal(cp.values_at(nodes)[1], cp.kappa[::-1])
-    assert points == [off.size]
+    assert calls == [(off.size, False)]
     e = L.eta(nodes)
     want = symplectic(e, L.gamma.derivative(nodes, 1)) / symplectic(e, L.plane.birkhoff(e))
     assert np.array_equal(cp.alpha[::-1], want)
+
+
+# pairs of every kind of frame: built from a curve's jet, derived from a
+# base frame or a base jet, and the default of a pair's curve and normal apart
+_FRAME_PAIRS = {
+    **_PAIRS,
+    "parallel": lambda fx: parallel(fx("ellipse_pair"), 0.3),
+    "synthesized": lambda fx: fx("maslov_pair"),
+    "linear-map": lambda fx: apply_linear_map(fx("ellipse_pair"), _turn(0.3)),
+    "unit-circle": lambda fx: make_legendre(fx("l3"), catalog.unit_circle_of_norm(fx("l3"), 256),
+                                            catalog.unit_circle_normal(fx("l3"))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FRAME_PAIRS))
+def test_the_frame_has_the_bits_of_the_curve_and_the_normal(request, name):
+    # the pair's one evaluator gives gamma', eta and eta' the bits that the
+    # curve and its normal give them apart, on and off the grid
+    L = _FRAME_PAIRS[name](request.getfixturevalue)
+    t0, t1 = L.domain
+    off = np.linspace(t0, t1, 101)[1:-1]
+    for t in (L.ts, L.ts[::-3], off, off[::-1], np.asarray(t0 + 0.37 * (t1 - t0))):
+        want = (L.gamma.derivative(t, 1), *L.eta.value_and_rate(t))
+        got = L.frame(t, True)
+        assert len(got) == 3 and all(np.array_equal(g, w) for g, w in zip(got, want))
+        d1, e = L.frame(t, False)
+        assert np.array_equal(d1, want[0]) and np.array_equal(e, L.eta(t))
 
 
 # derived pairs by the base pair
@@ -626,13 +632,13 @@ _DERIVED = {
     "pedal": lambda L: pedal(L, (0.1, 0.2)).pair,
 }
 
-# supporting-map inversions per point of one values_at call on a fresh pair,
-# the base's eta and the derived normal together:
-#   evolute   eta's jet, shared by nu's jet and the evolute's gamma' (1), nu
-#             itself (1), the 7-point stencil of (alpha/kappa)' (7)
-#   involute  eta's jet, shared by xi's jet and the involute's gamma' (1),
-#             alpha at the 5 Gauss nodes of A (5)
-#   parallel  eta's jet, shared with gamma' + d eta' (1)
+# supporting-map inversions per point of one values_at call, the base's eta
+# and the derived normal together:
+#   evolute   eta's jet, shared by nu's jet and the evolute's gamma' in its
+#             frame (1), nu itself (1), the 7-point stencil of (alpha/kappa)' (7)
+#   involute  eta's jet, shared by xi's jet and the involute's gamma' in its
+#             frame (1), alpha at the 5 Gauss nodes of A (5)
+#   parallel  the base frame, shared with gamma' + d eta' (1)
 #   pedal     the jetless nu's 7-point stencil, eta and nu at each (14),
 #             eta's jet for gamma_p' (1)
 _INVERSIONS_PER_POINT = {"evolute": 9, "involute": 6, "parallel": 1, "pedal": 15}
@@ -652,14 +658,18 @@ def test_derived_pair_values_invert_the_supporting_map_a_fixed_number_of_times(
 
 
 @pytest.mark.parametrize("norm, make, inversions", [
-    ("euclidean", lambda: catalog.ellipse(2.0, 1.0, samples=512), 4113),
-    ("l3", lambda: catalog.cusp_t2t3(samples=512), 3604),
+    ("euclidean", lambda: catalog.ellipse(2.0, 1.0, samples=512), 4114),
+    ("l3", lambda: catalog.cusp_t2t3(samples=512), 4116),
 ], ids=["euclidean-ellipse", "lp3-t2t3"])
 def test_building_an_evolute_inverts_the_supporting_map_a_fixed_number_of_times(
         euclidean, l3, monkeypatch, norm, make, inversions):
-    # make_legendre reads the evolute normal's jet on the grid before gamma',
-    # so gamma' (whose d1 needs that jet) finds it kept; reading gamma' first
-    # would cost one more inversion per grid node (4625 and 4116 here)
+    # make_legendre reads the evolute's frame on the grid once: eta's jet
+    # (1 per node), nu's jet from it (1) and the stencil of (alpha/kappa)'
+    # (6, its centre the node's sample), 4096 here. The rest is the closed
+    # ellipse's seam check (18: the position and gamma' at both ends) and
+    # the finite differences of the normal beside the cusp of t2t3 (20).
+    # Each is evaluated: fields keep no jet, so neither the base jet on the
+    # grid nor eta(t1) after values_at(t1) is read from an earlier call
     plane = {"euclidean": euclidean, "l3": l3}[norm]
     L = legendre_from_curve(plane, make())
     points = []
@@ -686,15 +696,15 @@ def test_an_evolute_ratio_rate_inverts_each_distinct_point_once(fourier_oval, mo
     assert sum(points) == 1544
 
 
-def test_a_field_without_a_jet_evaluates_seven_points_per_point(ellipse_pair, l3, monkeypatch):
+def test_a_field_without_a_jet_evaluates_seven_points_per_point(ellipse_pair, l3):
     # the value is the centre of the stencil that gives the rate
-    eta = transfer_legendre(ellipse_pair, l3).eta
-    assert eta.jet is None
+    base = transfer_legendre(ellipse_pair, l3).eta
+    assert base.jet is None
     ts = np.linspace(0.1, 6.0, 50)
-    want = eta(ts), eta.derivative(ts, 1)
+    want = base(ts), base.derivative(ts, 1)
     points = []
-    evaluate = eta.evaluate
-    monkeypatch.setattr(eta, "evaluate", lambda t: points.append(np.size(t)) or evaluate(t))
+    eta = NormalField(lambda t: points.append(np.size(t)) or base.evaluate(t),
+                      base.domain, base.closed)
     got = eta.value_and_rate(ts)
     assert sum(points) == 7 * ts.size
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])

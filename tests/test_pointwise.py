@@ -12,7 +12,7 @@ from normplane.cli import build_curve_and_pair
 from normplane.derived import evolute, involute, parallel, pedal
 from normplane.errors import ExpressionDomainError
 from normplane.expressions import evaluate, parse_expression
-from normplane.numerics import gauss5_segments
+from normplane.numerics import gauss5_segments, wrap
 from normplane.plane import NormSpec, build_plane
 from normplane.synthesis import apply_linear_map
 from oracles import to_text
@@ -150,6 +150,26 @@ def test_pair_evaluators_give_a_parameter_its_batch_bits(planes, pair):
     for name in ("values_at", "alpha_at", "ratio_rate_at"):
         _assert_pointwise(getattr(L, name), ts, (pair, name))
     _assert_pointwise(L.gamma.point, ts, (pair, "gamma.point"))
+
+
+# closed pairs whose gamma' (the expression curve) or eta' (the transferred
+# and pedal normals, which have no jet) is a finite difference
+_PERIODIC = [*(f"expression-{norm}" for norm in ("euclidean", "lp3", "fourier")),
+             "transfer-euclidean-lp3", "pedal-fourier"]
+
+
+@pytest.mark.parametrize("pair", _PERIODIC)
+def test_a_closed_pair_gives_a_parameter_the_bits_of_its_wrapped_twin(planes, pair):
+    # the pair's frame is evaluated at the wrapped parameter, so no stencil
+    # is centred on the raw one
+    L = _PAIRS[pair](planes)
+    t0, t1 = L.domain
+    ts = np.random.default_rng(11).uniform(t0, t1, 200)
+    for shift in (-L.span, L.span, 3.0 * L.span):
+        outside = ts + shift
+        twin = wrap(outside, t0, L.period)
+        assert _same(L.values_at(outside), L.values_at(twin)), (pair, shift)
+        assert _same(L.alpha_at(outside), L.alpha_at(twin)), (pair, shift)
 
 
 # -- the shape rule: a scalar is a 0-d array and runs the batch code ---------
