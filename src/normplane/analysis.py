@@ -264,7 +264,7 @@ def legendre_from_curve(plane: NormedPlane, curve: ParamCurve) -> LegendreCurve:
     ts = curve.grid()
     d1, d2 = curve.derivative(ts, (1, 2))
     speeds = plane.norm(d1)
-    value, jet = tangent_normal(plane, curve, ts, speeds)
+    value, jet = tangent_normal(plane, curve, ts, d1, speeds)
 
     def frame(t, rate):
         if rate:

@@ -8,7 +8,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BadParameter, LimitsDisagree, OutOfDomain, SingularPoint
-from .numerics import brent_root, differentiate, fd_weights, merge_events, polish_dips, wrap
+from .numerics import differentiate, fd_weights, merge_events, polish_dips, wrap
 from .plane import NormedPlane, symplectic
 
 FD_STEP_FACTOR = 1e-4          # derivative stencil step, relative to the domain span
@@ -158,19 +158,26 @@ class NormalField(_Field):
         return self.difference(lambda s: self.value_and_rate(s)[1], t, order - 1)
 
 
-def find_singular_params(plane: NormedPlane, curve: ParamCurve, ts, speeds):
+def find_singular_params(plane: NormedPlane, curve: ParamCurve, ts, d1, speeds):
     """Parameters where the speed vanishes, refined between grid nodes.
 
     Returns the sorted parameters whose speed falls below SINGULAR_SPEED_FACTOR
-    times the fastest of `speeds`, ||gamma'|| on the analysis grid `ts`. Dips of
-    the sampled speed are polished by golden section to find those between nodes.
+    times the fastest of `speeds`, ||gamma'|| of `d1` = gamma' on the grid `ts`.
+    Candidates are the speed dips below 5 % of it (one node per tie) and the
+    slower node of each chord across which gamma' reverses (the closing chord
+    too), each polished by golden section within a grid step.
     """
     smax, step = float(np.max(speeds)), curve.span / len(ts)
-    beside = np.pad(speeds, 1, mode="wrap" if curve.closed else "edge")
-    dips = (speeds <= 0.05 * smax) & (
-        (speeds <= np.minimum(beside[:-2], beside[2:])) | (speeds <= 0.0))
+    beside = (np.pad(speeds, 1, mode="wrap") if curve.closed
+              else np.pad(speeds, 1, constant_values=np.inf))
+    candidates = (speeds <= 0.05 * smax) & (
+        ((speeds < beside[:-2]) & (speeds <= beside[2:])) | (speeds <= 0.0))
+    ends = np.concatenate([d1, d1[:1]]) if curve.closed else d1
+    k = np.flatnonzero(np.sum(ends[:-1] * ends[1:], axis=-1) < 0.0)
+    k1 = (k + 1) % len(ts)
+    candidates[np.where(speeds[k1] < speeds[k], k1, k)] = True
     t_star, s_star = polish_dips(lambda t: plane.norm(curve.derivative(t, 1)),
-                                 ts, np.nonzero(dips)[0], step, curve.domain, curve.closed)
+                                 ts, np.flatnonzero(candidates), step, curve.domain, curve.closed)
     return merge_events(t_star[s_star < SINGULAR_SPEED_FACTOR * smax], 2.0 * step,
                         curve.domain[0], curve.period)
 
@@ -213,75 +220,55 @@ def induced_normal(plane: NormedPlane, curve: ParamCurve) -> NormalField:
     """Left normal of a regular curve: unit, orthogonal-to-tangent, [eta, gamma'] > 0;
     extend_normal's field, refused with SingularPoint at any singular point."""
     ts = curve.grid()
-    if find_singular_params(plane, curve, ts, plane.norm(curve.derivative(ts, 1))):
+    d1 = curve.derivative(ts, 1)
+    if find_singular_params(plane, curve, ts, d1, plane.norm(d1)):
         raise SingularPoint("curve has singular points; its normal must be extended")
     return _field(curve, *_left_normal(plane, curve))
 
 
-def extend_normal(plane: NormedPlane, curve: ParamCurve, ts, speeds) -> NormalField:
+def extend_normal(plane: NormedPlane, curve: ParamCurve, ts, d1, speeds) -> NormalField:
     """Left normal of the curve, kept smooth through isolated singular points
     (see tangent_normal)."""
-    return _field(curve, *tangent_normal(plane, curve, ts, speeds))
+    return _field(curve, *tangent_normal(plane, curve, ts, d1, speeds))
 
 
-def tangent_normal(plane: NormedPlane, curve: ParamCurve, ts, speeds):
+def tangent_normal(plane: NormedPlane, curve: ParamCurve, ts, d1, speeds):
     """Left normal of the curve, kept smooth through isolated singular points,
     as value(t, w) and jet(t, w, dw) of t, w = gamma'(t) and dw = gamma''(t).
 
-    The left normal normal_from_tangent(gamma') flips sign wherever the
-    normalized tangent does (an ordinary cusp); flips are located precisely
-    and a sign function with those breakpoints makes the field smooth across
-    each singular point, found from `speeds`, ||gamma'|| on the grid `ts`.
-    Without one it is the plain left normal. It is not checked for continuity
-    here: a corner shows as a jump of the sampled tangent line (legendre_from_curve).
+    normal_from_tangent(gamma') flips sign where gamma' reverses, as at an
+    ordinary cusp (gamma' = alpha xi, alpha changing sign), so the field flips
+    at a singular point t* (find_singular_params on the grid `ts`, `d1` and
+    `speeds`) where gamma'(t* - delta) . gamma'(t* + delta) < 0, delta = 1e-6
+    of the span, and refuses t* as a corner where those two lines are not near parallel.
     """
-    singular = find_singular_params(plane, curve, ts, speeds)
+    singular = find_singular_params(plane, curve, ts, d1, speeds)
     left_value, left_jet = _left_normal(plane, curve)
     if not singular:
         return left_value, left_jet
 
     (t0, t1), period = curve.domain, curve.period
     smax, step = float(np.max(speeds)), curve.span / len(ts)
-    offsets = (2.0 * step, step, 0.5 * step)
-
-    flips = []
-    for t_star in singular:
-        if not curve.closed and (t_star - offsets[0] < t0 or t_star + offsets[0] > t1):
-            raise SingularPoint("singularity too close to an open endpoint")
-        # derivatives at t_star -/+ each offset, their directions and the
-        # angles between their tangent lines, which close linearly in the
-        # offset at a smooth singularity: the Richardson residual
-        # |2 g(d) - g(2d)| of the gap shrinks faster than d; at a corner it
-        # does not shrink
-        w = curve.derivative(t_star + np.multiply.outer(offsets, [-1.0, 1.0]), 1)
-        if np.min(plane.norm(w)) < SINGULAR_SPEED_FACTOR * smax:
-            raise LimitsDisagree("singular points closer than two grid steps")
-        u = w / np.linalg.norm(w, axis=-1)[..., None]
-        g = np.arcsin(np.minimum(1.0, np.abs(symplectic(u[:, 0], u[:, 1]))))
-        coarse, fine = abs(2.0 * g[1] - g[0]), abs(2.0 * g[2] - g[1])
-        if coarse > 1e-4 and fine > 0.5 * coarse:
-            raise LimitsDisagree(
-                "one-sided tangent directions are not parallel at the singularity")
-        # the tangent reverses where its component along the left direction
-        # changes sign; decide on the widest bracket whose right tangent lies
-        # within 60 degrees of the left tangent's line, from the end values
-        # the root search is seeded with
-        for d, wd, ud in zip(offsets, w, u):
-            fa, fb = wd @ ud[0]
-            if abs(fb) >= 0.5 * np.linalg.norm(wd[1]):
-                break
-        else:
-            raise LimitsDisagree(
-                "the grid does not resolve whether the tangent reverses at the singularity")
-        if fb < 0.0:
-            f = lambda t, wa=ud[0]: curve.derivative(t, 1) @ wa
-            flips.append(brent_root(f, t_star - d, t_star + d, fa, fb, xtol=1e-12)[0])
-
-    flips = np.sort(wrap(np.asarray(flips, dtype=float), t0, period))
+    delta = curve.span * 1e-6
+    sing_ts = np.asarray(singular, dtype=float)
+    if not curve.closed and (sing_ts[0] - 2.0 * step < t0 or sing_ts[-1] + 2.0 * step > t1):
+        raise SingularPoint("singularity too close to an open endpoint")
+    # gamma' at t* -/+ 2, 1 and 1/2 grid steps, where it must not vanish (a
+    # lateral tangent of one singular point is not taken at the next), and at
+    # t* -/+ delta, across which it reverses where the field flips
+    w = curve.derivative(sing_ts[:, None, None] + np.multiply.outer(
+        [2.0 * step, step, 0.5 * step, delta], [-1.0, 1.0]), 1)
+    if np.min(plane.norm(w[:, :3])) < SINGULAR_SPEED_FACTOR * smax:
+        raise LimitsDisagree("singular points closer than two grid steps")
+    # a corner: the lines of gamma'(t* -/+ delta) cross at over half their angle at 1/2 step
+    u = w[:, 2:] / np.linalg.norm(w[:, 2:], axis=-1)[..., None]
+    gap = np.abs(symplectic(u[:, :, 0], u[:, :, 1]))
+    if np.any((gap[:, 1] > 1e-4) & (gap[:, 1] > 0.5 * gap[:, 0])):
+        raise LimitsDisagree("one-sided tangent directions are not parallel at the singularity")
+    flips = sing_ts[np.sum(w[:, 3, 0] * w[:, 3, 1], axis=-1) < 0.0]
 
     # orientation anchor: the raw left normal holds on the arc just after the
     # first singular parameter (counted cyclically from the domain start)
-    sing_ts = np.asarray(singular, dtype=float)
     if curve.closed:
         sing_ts[sing_ts > t0 + period - 2.0 * step] -= period
     anchor = float(np.min(sing_ts)) + step
@@ -293,8 +280,6 @@ def tangent_normal(plane: NormedPlane, curve: ParamCurve, ts, speeds):
 
     def signed(t):
         return plane.normal_from_tangent(curve.derivative(t, 1)) * sign_of(t)
-
-    delta = curve.span * 1e-6
 
     def value(t, w):
         near = plane.norm(w) < 1e-6 * smax

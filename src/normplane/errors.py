@@ -72,7 +72,7 @@ class SingularPoint(PreconditionError):
 
 
 class LimitsDisagree(ValidationError):
-    """One-sided tangent limits at a singularity are not parallel."""
+    """A curve's tangent line does not join, or its singular points are too close."""
 
 
 class ResidualViolation(ValidationError):

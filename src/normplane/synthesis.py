@@ -74,23 +74,23 @@ def synthesize(plane: NormedPlane, spec: SynthesisSpec) -> LegendreCurve:
     u_s3 = un + 0.5 * h * km          # stage 3 (midpoint, stage-2 slope)
     u_s4 = un + h * km                # stage 4 (endpoint, stage-3 slope)
 
-    def frame(u):
+    def stage(u):
         """theta of the arc length u0 + u, b(c(theta)) and du/dtheta = ||c'(theta)||."""
         theta = plane.theta_of_arclength(u0 + u)
         w = plane.circle_d1(theta)
         speed = plane.norm(w)
         return theta, w / speed[:, None], speed
 
-    theta_n, xi_n, speed_n = frame(u_nodes)
+    theta_n, xi_n, speed_n = stage(u_nodes)
     f1 = a_half[0:-1:2, None] * xi_n[:-1]
-    xi_s2 = frame(u_s2)[1]
+    xi_s2 = stage(u_s2)[1]
     # equal stage arc lengths (kappa equal at every node and midpoint) share
     # one inversion; the inversion stops on the residual of its whole batch,
     # so only whole arrays are shared
-    xi_s3 = xi_s2 if u_s2.tobytes() == u_s3.tobytes() else frame(u_s3)[1]
+    xi_s3 = xi_s2 if u_s2.tobytes() == u_s3.tobytes() else stage(u_s3)[1]
     f2 = a_half[1::2, None] * xi_s2
     f3 = a_half[1::2, None] * xi_s3
-    f4 = a_half[2::2, None] * frame(u_s4)[1]
+    f4 = a_half[2::2, None] * stage(u_s4)[1]
     with np.errstate(all="ignore"):
         steps_xy = h / 6.0 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
         gamma_nodes = np.vstack([p, p + np.cumsum(steps_xy, axis=0)])

@@ -112,10 +112,11 @@ def transfer_unit(plane1, plane2, v):
 
 
 def grid_speeds(plane, curve):
-    """The analysis grid of a curve and ||gamma'|| on it, the arrays that
-    extend_normal and find_singular_params are handed."""
+    """The analysis grid of a curve, gamma' and ||gamma'|| on it, the arrays
+    that extend_normal and find_singular_params are handed."""
     ts = curve.grid()
-    return ts, plane.norm(curve.derivative(ts, 1))
+    d1 = curve.derivative(ts, 1)
+    return ts, d1, plane.norm(d1)
 
 
 class EagerArclength:

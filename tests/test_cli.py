@@ -743,6 +743,16 @@ def test_thin_ellipse_config_builds(tmp_path):
     assert _run(tmp_path, "thin_ellipse_analyze.json") == 0
 
 
+def test_cusp_between_nodes_config_builds(tmp_path):
+    # the cusp of ((t - 1/16)^2, 0.2 (t - 1/16)^3) lies midway between two
+    # nodes of the 17-sample grid that move faster than 5 % of the top speed;
+    # gamma' reverses across their chord, so it is found and the normal flips
+    assert _run(tmp_path, "cusp_between_nodes_analyze.json") == 0
+    report = json.loads((tmp_path / "out" / "cusp_between_nodes.json").read_text())
+    assert report["counts"]["cusps"] == 1
+    assert abs(report["cusps"][0]["t"] - 0.0625) < 1e-12
+
+
 _ELLIPSE = {"kind": "catalog", "name": "ellipse", "a": 2.0, "b": 1.0}
 _SYNTH = {"kind": "synthesis", "alpha": "cos(3*t)", "kappa": "1",
           "domain": [0.0, 6.283185307179586]}
