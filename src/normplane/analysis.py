@@ -67,9 +67,10 @@ class LegendreCurve:
     curve's domain: (gamma', eta), or (gamma', eta, eta') when `rate` is set,
     each part with the bits of gamma.derivative(t, 1), eta(t) and
     eta.value_and_rate(t).
-    `alpha`, `kappa` and the normals are sampled on the grid `ts` in the pass
-    that validated the pair; the methods evaluate the pair at any parameter,
-    by one frame call at the parameter the curve puts on its domain.
+    `alpha`, `kappa`, the normals and their rates are sampled on the grid
+    `ts` in the pass that validated the pair; the methods evaluate the pair
+    at any parameter, by one frame call at the parameter the curve puts on
+    its domain.
     A parameter with the bits of a grid node reads the samples there, which
     are the bits its evaluation gives, since every evaluator works point by
     point; any other parameter, -0.0, NaN and a wrapped twin of a node
@@ -84,7 +85,12 @@ class LegendreCurve:
     ts: np.ndarray
     alpha: np.ndarray
     kappa: np.ndarray
-    normals: np.ndarray      # eta on ts
+    normals: np.ndarray      # eta on ts, read-only
+    normal_rates: np.ndarray  # eta' on ts, read-only
+
+    def __post_init__(self):
+        self.normals.setflags(write=False)
+        self.normal_rates.setflags(write=False)
 
     @property
     def span(self):
@@ -137,6 +143,11 @@ class LegendreCurve:
                 o[~hit] = v
         return out
 
+    def normal_at(self, t, rate):
+        """(eta(t),), or (eta(t), eta'(t)) when rate is set."""
+        return self._read_grid(t, (self.normals, self.normal_rates) if rate else (self.normals,),
+                               self.eta.value_and_rate if rate else lambda s: (self.eta(s),))
+
     def values_at(self, t):
         """(alpha(t), kappa(t)) from one frame with the normal's rate."""
         return self._read_grid(t, (self.alpha, self.kappa), lambda s: self._pair_at(s, True))
@@ -185,7 +196,7 @@ def make_legendre(plane: NormedPlane, gamma: ParamCurve, eta: NormalField,
     with np.errstate(all="ignore"):     # NaN and inf are refused by _validate, with no warning
         d1, e, e_rate = frame(ts, True)
         res, alpha, kappa, _ = _validate(plane, e, e_rate, d1, plane.norm(d1), residual_tol)
-    return LegendreCurve(plane, gamma, eta, frame, res, ts, alpha, kappa, e)
+    return LegendreCurve(plane, gamma, eta, frame, res, ts, alpha, kappa, e, e_rate)
 
 
 def _validate(plane, e, e_rate, d1, speeds, residual_tol):
@@ -281,7 +292,7 @@ def legendre_from_curve(plane: NormedPlane, curve: ParamCurve) -> LegendreCurve:
             if _jump_persists(plane, curve, eta, ts[k], ts[1] - ts[0]):
                 raise LimitsDisagree(
                     f"normal field jumps after t = {float(ts[k]):.6g}: tangent lines do not join")
-    return LegendreCurve(plane, curve, eta, frame, res, ts, alpha, kappa, e)
+    return LegendreCurve(plane, curve, eta, frame, res, ts, alpha, kappa, e, e_rate)
 
 
 def curvature_pair(L: LegendreCurve) -> LegendreCurve:
@@ -626,7 +637,7 @@ def transfer_legendre(L: LegendreCurve, plane2: NormedPlane) -> LegendreCurve:
     plane1 = L.plane
 
     def evaluate(t):
-        return plane2.normal_from_tangent(plane1.birkhoff(L.eta(t)))
+        return plane2.normal_from_tangent(plane1.birkhoff(L.normal_at(t, False)[0]))
 
     eta2 = NormalField(evaluate, L.gamma.domain, L.gamma.closed)
     return make_legendre(plane2, L.gamma, eta2)

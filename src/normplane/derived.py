@@ -31,18 +31,19 @@ def _require_kappa(L: LegendreCurve):
 def parallel(L: LegendreCurve, d: float) -> LegendreCurve:
     """Offset curve gamma + d eta with the same normal field."""
     _require_front(L)
-    gamma, eta = L.gamma, L.eta
+    gamma = L.gamma
 
     def pos(t):
-        return gamma.point(t) + d * eta(t)
+        return gamma.point(t) + d * L.normal_at(t, False)[0]
 
     def frame(t, rate):
-        d1, e, e_rate = L.frame(t, True)
-        return (d1 + d * e_rate, e, e_rate) if rate else (d1 + d * e_rate, e)
+        e, e_rate = L.normal_at(t, True)
+        d1 = gamma.derivative(t, 1) + d * e_rate
+        return (d1, e, e_rate) if rate else (d1, e)
 
     curve = ParamCurve(pos, gamma.domain, gamma.closed, (lambda t: frame(t, False)[0],),
                        gamma.samples, name=f"parallel[{d}]")
-    return make_legendre(L.plane, curve, eta, frame=frame)
+    return make_legendre(L.plane, curve, L.eta, frame=frame)
 
 
 def evolute(L: LegendreCurve) -> LegendreCurve:
@@ -53,15 +54,14 @@ def evolute(L: LegendreCurve) -> LegendreCurve:
     """
     _require_front(L)
     _require_kappa(L)
-    plane, gamma, eta = L.plane, L.gamma, L.eta
+    plane, gamma = L.plane, L.gamma
 
     def pos(t):
-        g = L.ratio_at(t)
-        return gamma.point(t) - np.asarray(g)[..., None] * eta(t)
+        return gamma.point(t) - np.asarray(L.ratio_at(t))[..., None] * L.normal_at(t, False)[0]
 
     def nu_jet(t, e, e_rate):
         z, dz = normal_jet(plane, gamma, t, e, e_rate,
-                           lambda s: plane.normal_from_tangent(eta(s)))
+                           lambda s: plane.normal_from_tangent(L.normal_at(s, False)[0]))
         return -z, -dz
 
     def d1(t, e):
@@ -69,16 +69,15 @@ def evolute(L: LegendreCurve) -> LegendreCurve:
 
     def frame(t, rate):
         # gamma' = -(alpha/kappa)' eta and nu, from one value or jet of eta
+        e, *e_rate = L.normal_at(t, rate)
         if not rate:
-            e = eta(t)
             return d1(t, e), -plane.normal_from_tangent(e)
-        e, e_rate = eta.value_and_rate(t)
-        return (d1(t, e), *nu_jet(t, e, e_rate))
+        return (d1(t, e), *nu_jet(t, e, *e_rate))
 
-    e_curve = ParamCurve(pos, gamma.domain, gamma.closed, (lambda t: d1(t, eta(t)),),
-                         gamma.samples, name="evolute")
-    nu = NormalField(lambda t: -plane.normal_from_tangent(eta(t)), gamma.domain, gamma.closed,
-                     lambda t: nu_jet(t, *eta.value_and_rate(t)))
+    e_curve = ParamCurve(pos, gamma.domain, gamma.closed,
+                         (lambda t: d1(t, L.normal_at(t, False)[0]),), gamma.samples, "evolute")
+    nu = NormalField(lambda t: -plane.normal_from_tangent(L.normal_at(t, False)[0]),
+                     gamma.domain, gamma.closed, lambda t: nu_jet(t, *L.normal_at(t, True)))
     return make_legendre(plane, e_curve, nu, residual_tol=1e-4, frame=frame)
 
 
@@ -91,7 +90,7 @@ def involute(L: LegendreCurve, d: float) -> LegendreCurve:
     """
     _require_front(L)
     _require_kappa(L)
-    plane, gamma, eta = L.plane, L.gamma, L.eta
+    plane, gamma = L.plane, L.gamma
 
     rho_vals = plane.rho(L.normals)
     if np.min(rho_vals) <= RHO_FLOOR:
@@ -110,13 +109,13 @@ def involute(L: LegendreCurve, d: float) -> LegendreCurve:
         return A_nodes[j] + gauss5_segments(L.alpha_at, ts[j], t)
 
     def xi_eval(t):
-        return plane.birkhoff(eta(t))
+        return plane.birkhoff(L.normal_at(t, False)[0])
 
     def pos(t):
         return gamma.point(t) - (A_at(t) - d)[..., None] * xi_eval(t)
 
     xi_field = NormalField(xi_eval, gamma.domain, gamma.closed,
-                           lambda t: plane.unit_tangent_with_derivative(*eta.value_and_rate(t)))
+                           lambda t: plane.unit_tangent_with_derivative(*L.normal_at(t, True)))
 
     def frame(t, rate):
         xi, xi_rate = xi_field.value_and_rate(t)
@@ -148,7 +147,7 @@ def pedal(L: LegendreCurve, p) -> PedalResult:
     distortion rho, and the singular parameters are the kappa zeros when p
     is off the curve.
     """
-    plane, gamma, eta = L.plane, L.gamma, L.eta
+    plane, gamma = L.plane, L.gamma
     p = np.asarray(p, dtype=float)
 
     def pieces(t, e):
@@ -158,7 +157,7 @@ def pedal(L: LegendreCurve, p) -> PedalResult:
         return g, xi, denom
 
     def pos(t):
-        e = eta(t)
+        e = L.normal_at(t, False)[0]
         g, xi, denom = pieces(t, e)
         lever = symplectic(g - p, e) / denom
         return g + lever[..., None] * xi
@@ -176,7 +175,7 @@ def pedal(L: LegendreCurve, p) -> PedalResult:
 
     def d1(t):
         # kappa = [eta, eta'] / [eta, xi], from the one jet evaluation
-        e, e_rate = eta.value_and_rate(t)
+        e, e_rate = L.normal_at(t, True)
         zeta, denom = zeta_at(t, e)
         kap = symplectic(e, e_rate) / denom
         return (kap / denom)[..., None] * zeta
@@ -194,7 +193,7 @@ def pedal(L: LegendreCurve, p) -> PedalResult:
     pair = None
     if claimed:
         def nu_eval(t):
-            return plane.normal_from_tangent(zeta_at(t, eta(t))[0])
+            return plane.normal_from_tangent(zeta_at(t, L.normal_at(t, False)[0])[0])
 
         nu_field = NormalField(nu_eval, gamma.domain, gamma.closed)
         pair = make_legendre(plane, curve, nu_field)
